@@ -18,6 +18,10 @@
 //   receiveU:: -> on_dissem() with update semantics (parent slot repair)
 //   process::  -> the end-of-dissemination-window timer (parent choice and
 //                 collision resolution run after "receiving all messages")
+//
+// The period, window-end and data-slot timers fire at instants every node
+// shares, so they are frame-clock timers (Process::set_frame_timer): one
+// queue event per TDMA phase instead of one per node.
 #pragma once
 
 #include <cstdint>

@@ -21,6 +21,17 @@
 //   * Control{callback_slot}: the rare arbitrary-callback case
 //     (Simulator::call_at) keeps the old std::function flexibility; the
 //     callable lives in a slot table beside the queue.
+//   * TimerGroup{group_slot}: the frame clock. Protocols arm most timers
+//     at instants the whole network shares (TDMA period boundaries, the
+//     dissemination window's end, data slots), so N nodes would push N
+//     timer events for one instant. push_frame_timer instead appends the
+//     expiry to the group already queued for that instant, and the group
+//     pops once and fires its members in arming order. A group stays
+//     open for appends only until anything else is pushed for its
+//     instant; then the next frame timer starts a new group. Members are
+//     therefore always consecutive in the (timestamp, sequence) order
+//     individual timer events would have had, so the dispatch order —
+//     and every result — is exactly the per-node timers' order.
 //
 // Ordering structure: a two-level calendar queue instead of the previous
 // 4-ary heap. The simulator's event mix is dominated by short horizons
@@ -75,7 +86,7 @@
 
 namespace slpdas::sim {
 
-enum class EventKind : std::uint8_t { kDelivery, kTimer, kControl };
+enum class EventKind : std::uint8_t { kDelivery, kTimer, kControl, kTimerGroup };
 
 /// One radio reception: `to` receives the broadcast `from` sent. The
 /// shared payload lives in the queue's message slot table.
@@ -100,6 +111,12 @@ struct ControlEvent {
   std::uint32_t callback_slot;
 };
 
+/// The frame-clock expiries of one instant; members live in the queue's
+/// member pool (see EventQueue::push_frame_timer).
+struct TimerGroupEvent {
+  std::uint32_t group_slot;
+};
+
 /// A queued event. Trivially copyable by design: bucket refills and tail
 /// shifts are memcpy-grade moves, and pop hands the entry back by value.
 /// The sequence number and kind tag share one word (kind in the low two
@@ -112,6 +129,7 @@ struct Event {
     DeliveryEvent delivery;
     TimerEvent timer;
     ControlEvent control;
+    TimerGroupEvent group;
   };
 
   [[nodiscard]] EventKind kind() const noexcept {
@@ -283,15 +301,84 @@ class EventQueue {
     return action;
   }
 
+  /// Enqueues a timer expiry on the frame clock: appended to the group
+  /// already queued for `at` if that group is still open, else queued as
+  /// the first member of a new TimerGroup event. Either way the expiry
+  /// pops exactly where a push_timer of the same arguments would have.
+  void push_frame_timer(SimTime at, wsn::NodeId node, std::int32_t timer_id,
+                        std::uint64_t generation) {
+    OpenGroup& open = open_groups_[open_index(at)];
+    if (open.at != at) {
+      std::uint32_t slot = free_group_;
+      if (slot == kNoSlot) {
+        slot = static_cast<std::uint32_t>(groups_.size());
+        groups_.emplace_back();
+      } else {
+        free_group_ = groups_[slot].head;
+      }
+      groups_[slot] = TimerGroup{kNoSlot, kNoSlot};
+      Event event;
+      event.at = at;
+      event.seq_kind = next_seq_kind(EventKind::kTimerGroup);
+      event.group = TimerGroupEvent{slot};
+      push_event(event);
+      open = OpenGroup{at, slot};  // evicts (closes) a colliding instant
+    }
+    std::uint32_t member = free_member_;
+    if (member == kNoSlot) {
+      member = static_cast<std::uint32_t>(members_.size());
+      members_.emplace_back();
+    } else {
+      free_member_ = members_[member].next;
+    }
+    members_[member] = GroupMember{TimerEvent{node, timer_id, generation}, kNoSlot};
+    TimerGroup& group = groups_[open.slot];
+    if (group.tail == kNoSlot) {
+      group.head = member;
+    } else {
+      members_[group.tail].next = member;
+    }
+    group.tail = member;
+  }
+
+  /// Starts dispatching a popped TimerGroup event: closes the group to
+  /// further appends, recycles its slot and returns a cursor on its first
+  /// member for next_member.
+  [[nodiscard]] std::uint32_t take_group(const Event& event) {
+    const std::uint32_t slot = event.group.group_slot;
+    OpenGroup& open = open_groups_[open_index(event.at)];
+    if (open.at == event.at && open.slot == slot) {
+      open.at = kClosed;
+    }
+    const std::uint32_t head = groups_[slot].head;
+    groups_[slot].head = free_group_;
+    free_group_ = slot;
+    return head;
+  }
+
+  /// The member under `cursor` (kNoSlot once the group is exhausted);
+  /// advances the cursor and recycles the member, so handlers may arm new
+  /// frame timers while a group is being dispatched.
+  [[nodiscard]] TimerEvent next_member(std::uint32_t& cursor) {
+    GroupMember& member = members_[cursor];
+    const TimerEvent timer = member.timer;
+    const std::uint32_t next = member.next;
+    member.next = free_member_;
+    free_member_ = cursor;
+    cursor = next;
+    return timer;
+  }
+
   // -- popping --------------------------------------------------------------
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-  /// Timestamp of the next event; undefined when empty. O(1) on both
-  /// backends: refill() re-establishes a non-empty sorted window after
-  /// every pop, so the calendar's head is always materialised.
-  [[nodiscard]] SimTime next_time() const {
+  /// Timestamp of the next event; undefined when empty. Amortised O(1) on
+  /// both backends (the calendar refills its sorted window here when the
+  /// last pop drained it).
+  [[nodiscard]] SimTime next_time() {
+    materialise_head();
     return backend_ == Backend::kCalendar ? near_[near_pos_].at
                                           : heap_.front().at;
   }
@@ -301,13 +388,11 @@ class EventQueue {
   /// caller releases it after dispatch); Control events still own their
   /// callback slot (the caller takes it).
   [[nodiscard]] Event pop(SimTime& now) {
+    materialise_head();
     --size_;
     if (backend_ == Backend::kCalendar) {
       const Event top = near_[near_pos_++];
       now = top.at;
-      if (near_pos_ == near_.size() && size_ != 0) {
-        refill();
-      }
       return top;
     }
     return pop_heap_event(now);
@@ -352,6 +437,7 @@ class EventQueue {
     occupancy_.fill(0);
     heap_.clear();
     heap_.shrink_to_fit();
+    open_groups_.fill(OpenGroup{});
     size_ = 0;
   }
 
@@ -391,6 +477,11 @@ class EventQueue {
     free_messages_.clear();
     controls_.clear();
     free_controls_.clear();
+    members_.clear();
+    free_member_ = kNoSlot;
+    groups_.clear();
+    free_group_ = kNoSlot;
+    open_groups_.fill(OpenGroup{});
     near_.clear();
     near_pos_ = 0;
     far_.clear();
@@ -411,6 +502,38 @@ class EventQueue {
     MessagePtr message;
     std::uint32_t references = 0;
   };
+
+  /// One frame-clock expiry, singly linked to the next member of its
+  /// group (or, while recycled, to the next free member).
+  struct GroupMember {
+    TimerEvent timer;
+    std::uint32_t next;
+  };
+
+  /// A queued group's member list; `head` links free slots while recycled.
+  struct TimerGroup {
+    std::uint32_t head;
+    std::uint32_t tail;
+  };
+
+  /// The group still accepting appends for instant `at` (kClosed: none).
+  struct OpenGroup {
+    SimTime at = kClosed;
+    std::uint32_t slot = kNoSlot;
+  };
+
+  static constexpr SimTime kClosed = -1;
+  /// Open groups are tracked in a direct-mapped table keyed by instant. A
+  /// collision closes the older group early, which only costs one more
+  /// TimerGroup event later; 256 entries cover a frame's period, window
+  /// and data-slot instants with few collisions.
+  static constexpr int kOpenGroupBits = 8;
+
+  [[nodiscard]] static std::size_t open_index(SimTime at) noexcept {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(at) * 0x9e3779b97f4a7c15ULL) >>
+        (64 - kOpenGroupBits));
+  }
 
   static constexpr std::size_t kBucketMask = kNumBuckets - 1;
   static_assert((kNumBuckets & kBucketMask) == 0, "power of two");
@@ -451,54 +574,55 @@ class EventQueue {
         break;
       case EventKind::kTimer:
         break;
+      case EventKind::kTimerGroup: {
+        std::uint32_t cursor = take_group(event);
+        while (cursor != kNoSlot) {
+          (void)next_member(cursor);
+        }
+        break;
+      }
     }
   }
 
   /// Routes one new event into whichever level owns its timestamp.
   void push_event(const Event& event) {
+    // Anything pushed for an instant closes that instant's open group: a
+    // frame timer armed after this event must also pop after it.
+    OpenGroup& open = open_groups_[open_index(event.at)];
+    if (open.at == event.at) {
+      open.at = kClosed;
+    }
     ++size_;
     ++total_pushed_;
     if (backend_ == Backend::kHeap) {
       push_heap_event(event);
       return;
     }
-    if (size_ == 1) {
-      // Empty queue: re-anchor the calendar on this event. The bins are
-      // all empty, so moving the window wholesale is free and keeps the
-      // common run-up (first push after a drain) an O(1) append.
-      active_bucket_ = bucket_of(event.at);
-      far_boundary_ = active_bucket_ + static_cast<std::int64_t>(kNumBuckets);
+    const std::int64_t bucket = bucket_of(event.at);
+    if (near_pos_ == near_.size()) {
+      // Drained but not yet refilled: restart the window. A push for the
+      // very next bucket, when that bin is empty, moves the window onto
+      // it — a slot's receptions that spill past the slot's bucket then
+      // append here instead of filling a bin. Only one bucket ahead: a
+      // window moved further would put every later push for the buckets
+      // in between in front of it (an insert, not an append).
       near_.clear();
       near_pos_ = 0;
-      near_.push_back(event);
-      return;
+      if (bucket == active_bucket_ + 1 && bucket < far_boundary_) {
+        const auto slot = static_cast<std::size_t>(bucket) & kBucketMask;
+        if (((occupancy_[slot >> 6] >> (slot & 63)) & 1u) == 0) {
+          active_bucket_ = bucket;
+        }
+      }
     }
-    const std::int64_t bucket = bucket_of(event.at);
     if (bucket <= active_bucket_) {
       // Lands inside the sorted window. The usual case is a timestamp at
-      // or past everything pending (arrival = now + delay), which the
-      // upper_bound resolves to an O(1) append.
-      const unsigned __int128 key = priority(event);
-      if (near_.empty() || key >= priority(near_.back())) {
+      // or past everything pending (arrival = now + delay): an O(1)
+      // append.
+      if (near_.empty() || priority(event) >= priority(near_.back())) {
         near_.push_back(event);
-        return;
-      }
-      const auto insert_at = std::upper_bound(
-          near_.begin() + static_cast<std::ptrdiff_t>(near_pos_), near_.end(),
-          key, [](unsigned __int128 lhs, const Event& rhs) {
-            return lhs < priority(rhs);
-          });
-      // The tail past the insertion point shifts one slot. Shifts are
-      // contiguous 32-byte moves — hundreds of them cost less than one
-      // pointer-chasing heap sift — but when the window is so
-      // overcrowded that each insert moves thousands of events
-      // (occupancies far beyond any simulated topology), a log-time
-      // heap is strictly better. Same deterministic degradation rule
-      // as far_scanned_: a pure function of the pushed timestamps.
-      near_shifted_ += static_cast<std::size_t>(near_.end() - insert_at);
-      near_.insert(insert_at, event);
-      if (near_shifted_ > 256 * total_pushed_ + 4096) {
-        degrade_to_heap();
+      } else {
+        insert_near(event);
       }
       return;
     }
@@ -509,6 +633,41 @@ class EventQueue {
       return;
     }
     far_.push_back(event);
+  }
+
+  /// The sorted window's out-of-order insert, kept out of line so the
+  /// append paths of push_event stay small enough to inline into every
+  /// push (the broadcast loop pushes one delivery per receiver).
+  [[gnu::noinline]] void insert_near(const Event& event) {
+    const unsigned __int128 key = priority(event);
+    const auto insert_at = std::upper_bound(
+        near_.begin() + static_cast<std::ptrdiff_t>(near_pos_), near_.end(),
+        key, [](unsigned __int128 lhs, const Event& rhs) {
+          return lhs < priority(rhs);
+        });
+    // The tail past the insertion point shifts one slot. Shifts are
+    // contiguous 32-byte moves — hundreds of them cost less than one
+    // pointer-chasing heap sift — but when the window is so overcrowded
+    // that each insert moves thousands of events (occupancies far beyond
+    // any simulated topology), a log-time heap is strictly better. Same
+    // deterministic degradation rule as far_scanned_: a pure function of
+    // the pushed timestamps.
+    near_shifted_ += static_cast<std::size_t>(near_.end() - insert_at);
+    near_.insert(insert_at, event);
+    if (near_shifted_ > 256 * total_pushed_ + 4096) {
+      degrade_to_heap();
+    }
+  }
+
+  /// Refills a drained sorted window before the head is read. Lazily, not
+  /// at the pop that drained it: the handler of that last event still
+  /// pushes near `now`, and with the window left on `now`'s bucket those
+  /// pushes append instead of being inserted in front of a bin that a
+  /// refill pulled in from further ahead.
+  void materialise_head() {
+    if (backend_ == Backend::kCalendar && near_pos_ == near_.size()) {
+      refill();
+    }
   }
 
   /// Re-establishes the sorted window after it drains: advance to the
@@ -697,6 +856,14 @@ class EventQueue {
   std::vector<std::uint32_t> free_messages_;
   std::vector<Action> controls_;
   std::vector<std::uint32_t> free_controls_;
+
+  // Frame-clock state, shared by both backends. Free members and free
+  // group slots are intrusive lists threaded through the pools.
+  std::vector<GroupMember> members_;
+  std::uint32_t free_member_ = kNoSlot;
+  std::vector<TimerGroup> groups_;
+  std::uint32_t free_group_ = kNoSlot;
+  std::array<OpenGroup, std::size_t{1} << kOpenGroupBits> open_groups_{};
 };
 
 }  // namespace slpdas::sim

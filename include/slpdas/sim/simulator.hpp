@@ -15,7 +15,9 @@
 // allocation. Timer cancellation state lives in a dense per-node
 // generation table here, checked when an expiry pops, and the simulator
 // counts events/deliveries/timer-fires for the perf telemetry the sweep
-// JSON reports.
+// JSON reports. Timers armed for network-wide instants (set_frame_timer)
+// share one queue event per instant — the frame clock — and fire in the
+// order per-node timer events would have.
 #pragma once
 
 #include <cstdint>
@@ -81,6 +83,14 @@ class Process {
   /// non-negative (they index the simulator's dense per-node generation
   /// table); small consecutive ids cost O(1) memory per node.
   void set_timer(int timer_id, SimTime delay);
+
+  /// set_timer for an expiry instant many nodes share: a TDMA period
+  /// boundary, the end of the dissemination window, a data slot. Expiries
+  /// armed back to back for one instant ride a single queue event (the
+  /// frame clock) instead of one event per node. Otherwise identical to
+  /// set_timer — same id space, cancel_timer and re-arming apply, and
+  /// on_timer calls happen in exactly the order set_timer would give.
+  void set_frame_timer(int timer_id, SimTime delay);
 
   /// Disarms the named timer. A no-op if not pending — in particular,
   /// cancelling a timer this process never armed allocates nothing.
@@ -194,7 +204,9 @@ class Simulator {
   [[nodiscard]] std::uint64_t deliveries_executed() const noexcept {
     return deliveries_executed_;
   }
-  /// Timer expiries whose generation was still current (on_timer calls).
+  /// Timer events that made at least one on_timer call. A frame-clock
+  /// event counts once however many nodes it serves, so
+  /// events - deliveries - timers fired = stale timer events + controls.
   [[nodiscard]] std::uint64_t timers_fired() const noexcept {
     return timers_fired_;
   }
@@ -218,10 +230,15 @@ class Simulator {
 
   void do_broadcast(wsn::NodeId from, MessagePtr message);
   /// Arms (or re-arms) timer `timer_id` of `node`: bumps the generation in
-  /// the dense per-node table and pushes one POD timer event. Throws
-  /// std::invalid_argument on a negative timer id or delay, and
-  /// std::overflow_error when now() + delay overflows SimTime.
-  void arm_timer(wsn::NodeId node, int timer_id, SimTime delay);
+  /// the dense per-node table and pushes one POD timer event, or — with
+  /// `frame_clock` — one frame-clock expiry. Throws std::invalid_argument
+  /// on a negative timer id or delay, and std::overflow_error when
+  /// now() + delay overflows SimTime.
+  void arm_timer(wsn::NodeId node, int timer_id, SimTime delay,
+                 bool frame_clock);
+  /// True when a popped expiry's arming generation is still current, i.e.
+  /// the timer was neither re-armed nor cancelled since.
+  [[nodiscard]] bool timer_current(const TimerEvent& timer) const noexcept;
   /// Invalidates any pending expiry of timer `timer_id` of `node`. A no-op
   /// for a timer that was never armed (no generation entry is created).
   void disarm_timer(wsn::NodeId node, int timer_id) noexcept;
@@ -284,7 +301,7 @@ class Simulator {
 // are complete, and collapses to a generation bump plus a queue push.
 
 inline void Simulator::arm_timer(wsn::NodeId node, int timer_id,
-                                 SimTime delay) {
+                                 SimTime delay, bool frame_clock) {
   if (timer_id < 0) {
     throw std::invalid_argument("Process::set_timer: negative timer id");
   }
@@ -297,7 +314,20 @@ inline void Simulator::arm_timer(wsn::NodeId node, int timer_id,
   const std::uint64_t generation =
       ++timer_generations_[static_cast<std::size_t>(node) * timer_stride_ +
                            static_cast<std::size_t>(timer_id)];
-  queue_.push_timer(now_ + delay, node, timer_id, generation);
+  if (frame_clock) {
+    queue_.push_frame_timer(now_ + delay, node, timer_id, generation);
+  } else {
+    queue_.push_timer(now_ + delay, node, timer_id, generation);
+  }
+}
+
+inline bool Simulator::timer_current(const TimerEvent& timer) const noexcept {
+  // An armed timer's id is always < timer_stride_ (arm_timer grows the
+  // table first), so the indexed load needs no bounds check.
+  return timer_generations_[static_cast<std::size_t>(timer.node) *
+                                timer_stride_ +
+                            static_cast<std::size_t>(timer.timer_id)] ==
+         timer.generation;
 }
 
 inline void Simulator::disarm_timer(wsn::NodeId node, int timer_id) noexcept {
@@ -317,7 +347,17 @@ inline void Process::set_timer(int timer_id, SimTime delay) {
   if (delay < 0) {
     throw std::invalid_argument("Process::set_timer: negative delay");
   }
-  simulator_->arm_timer(id_, timer_id, delay);
+  simulator_->arm_timer(id_, timer_id, delay, /*frame_clock=*/false);
+}
+
+inline void Process::set_frame_timer(int timer_id, SimTime delay) {
+  if (simulator_ == nullptr) {
+    throw std::logic_error("Process::set_frame_timer before registration");
+  }
+  if (delay < 0) {
+    throw std::invalid_argument("Process::set_frame_timer: negative delay");
+  }
+  simulator_->arm_timer(id_, timer_id, delay, /*frame_clock=*/true);
 }
 
 inline void Process::cancel_timer(int timer_id) {

@@ -51,7 +51,7 @@ void ProtectionlessDas::on_start() {
   ninfo_ = simulator().arena().allocate<NodeInfo>(nodes);
   neighbor_known_ = simulator().arena().allocate<std::uint8_t>(nodes);
   others_.resize(nodes);
-  set_timer(kPeriodTimer, 0);
+  set_frame_timer(kPeriodTimer, 0);
 }
 
 void ProtectionlessDas::reset_run() {
@@ -89,7 +89,7 @@ void ProtectionlessDas::on_timer(int timer_id) {
   switch (timer_id) {
     case kPeriodTimer: {
       ++period_index_;
-      set_timer(kPeriodTimer, config_.period());
+      set_frame_timer(kPeriodTimer, config_.period());
 
       if (period_index_ < config_.neighbor_discovery_periods) {
         // Neighbour discovery: one HELLO per period at a random offset, so
@@ -123,11 +123,11 @@ void ProtectionlessDas::on_timer(int timer_id) {
       }
       // The paper's process:: action runs once "all messages" of the
       // dissemination window have been received, i.e. at the window's end.
-      set_timer(kProcessTimer, config_.frame.dissem_period);
+      set_frame_timer(kProcessTimer, config_.frame.dissem_period);
 
       if (data_phase() && slot_assigned() && !is_sink()) {
-        set_timer(kDataTimer,
-                  config_.frame.slot_offset(config_.frame.clamp_slot(slot_)));
+        set_frame_timer(kDataTimer, config_.frame.slot_offset(
+                                        config_.frame.clamp_slot(slot_)));
       }
       if (data_phase() && is_source()) {
         // One fresh datum per source period (Psrc == one TDMA period).

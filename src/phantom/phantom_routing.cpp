@@ -23,7 +23,7 @@ PhantomRouting::PhantomRouting(const PhantomConfig& config, wsn::NodeId sink,
   }
 }
 
-void PhantomRouting::on_start() { set_timer(kPeriodTimer, 0); }
+void PhantomRouting::on_start() { set_frame_timer(kPeriodTimer, 0); }
 
 void PhantomRouting::reset_run() {
   period_index_ = -1;
@@ -44,7 +44,7 @@ void PhantomRouting::on_timer(int timer_id) {
   switch (timer_id) {
     case kPeriodTimer: {
       ++period_index_;
-      set_timer(kPeriodTimer, config_.period);
+      set_frame_timer(kPeriodTimer, config_.period);
       if (period_index_ < config_.hello_periods) {
         set_timer(kHelloTimer,
                   static_cast<sim::SimTime>(rng().uniform(

@@ -252,19 +252,31 @@ bool Simulator::step(SimTime end) {
       break;
     }
     case EventKind::kTimer: {
-      const auto timer_id = static_cast<std::size_t>(event.timer.timer_id);
       // A stale generation means the timer was re-armed or cancelled after
       // this expiry was pushed: skip it. It still counts as an executed
-      // event (exactly as the old closure-based no-op expiry did). An
-      // armed timer's id is always < timer_stride_ (arm_timer grows the
-      // table first), so the indexed load needs no bounds check.
-      if (timer_generations_[static_cast<std::size_t>(event.timer.node) *
-                                 timer_stride_ +
-                             timer_id] == event.timer.generation) {
+      // event (exactly as the old closure-based no-op expiry did).
+      if (timer_current(event.timer)) {
         ++timers_fired_;
         processes_[static_cast<std::size_t>(event.timer.node)]->on_timer(
             event.timer.timer_id);
       }
+      break;
+    }
+    case EventKind::kTimerGroup: {
+      // The frame clock: every member in arming order, each skipped when
+      // stale exactly like a lone expiry. stop() takes effect after the
+      // current member, as it would between individual timer events.
+      bool fired = false;
+      std::uint32_t cursor = queue_.take_group(event);
+      while (cursor != EventQueue::kNoSlot) {
+        const TimerEvent timer = queue_.next_member(cursor);
+        if (!stopped_ && timer_current(timer)) {
+          fired = true;
+          processes_[static_cast<std::size_t>(timer.node)]->on_timer(
+              timer.timer_id);
+        }
+      }
+      timers_fired_ += fired ? 1 : 0;
       break;
     }
     case EventKind::kControl: {

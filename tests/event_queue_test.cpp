@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -40,6 +41,13 @@ std::vector<EventKind> drain(EventQueue& queue, SimTime& now) {
         break;
       case EventKind::kTimer:
         break;
+      case EventKind::kTimerGroup: {
+        std::uint32_t cursor = queue.take_group(event);
+        while (cursor != EventQueue::kNoSlot) {
+          (void)queue.next_member(cursor);
+        }
+        break;
+      }
     }
   }
   return kinds;
@@ -296,6 +304,28 @@ TEST(EventQueueBackendTest, DegradesToHeapOnOvercrowdedSortedWindow) {
   EXPECT_EQ(drain_keys(calendar), drain_keys(heap));
 }
 
+TEST(EventQueueBackendTest, FarFirstPushDoesNotPullTheWindowAhead) {
+  // The frame clock drains the queue at every period boundary, and the
+  // first thing armed next is the following boundary, a whole period
+  // ahead. The sorted window must stay on `now`: were it anchored on that
+  // far event, every later push for the period in between would be a
+  // front insert into the window — quadratic shifting, then a heap
+  // degradation.
+  constexpr int kEvents = 3000;
+  EventQueue calendar;
+  EventQueue heap(EventQueue::Backend::kHeap);
+  calendar.push_timer(5'000'000, 0, 1, 0);
+  heap.push_timer(5'000'000, 0, 1, 0);
+  for (int i = 0; i < kEvents; ++i) {
+    const SimTime at = 4'000'000 - static_cast<SimTime>(i) * 1000;
+    calendar.push_timer(at, 0, 2, 0);
+    heap.push_timer(at, 0, 2, 0);
+  }
+  EXPECT_EQ(calendar.backend(), EventQueue::Backend::kCalendar);
+  EXPECT_EQ(drain_keys(calendar), drain_keys(heap));
+  EXPECT_EQ(calendar.backend(), EventQueue::Backend::kCalendar);
+}
+
 TEST(EventQueueBackendTest, ReserveKeepsOrderAndSize) {
   EventQueue queue;
   queue.push_timer(30, 0, 1, 1);
@@ -307,6 +337,137 @@ TEST(EventQueueBackendTest, ReserveKeepsOrderAndSize) {
   EXPECT_EQ(queue.pop(now).at, 10);
   EXPECT_EQ(queue.pop(now).at, 20);
   EXPECT_EQ(queue.pop(now).at, 30);
+}
+
+// ---------------------------------------------------------------------------
+// Frame clock: expiries for one instant share a TimerGroup event.
+// ---------------------------------------------------------------------------
+
+/// One dispatched timer expiry: (timestamp, node, timer id, generation).
+using Expiry = std::tuple<SimTime, wsn::NodeId, std::int32_t, std::uint64_t>;
+
+/// Pops one event of a timer-only queue and appends the expiries it
+/// dispatches: a group's members in order, or the lone timer.
+void pop_expiries(EventQueue& queue, SimTime& now, std::vector<Expiry>& out) {
+  const Event event = queue.pop(now);
+  if (event.kind() == EventKind::kTimer) {
+    out.emplace_back(event.at, event.timer.node, event.timer.timer_id,
+                     event.timer.generation);
+    return;
+  }
+  std::uint32_t cursor = queue.take_group(event);
+  while (cursor != EventQueue::kNoSlot) {
+    const TimerEvent timer = queue.next_member(cursor);
+    out.emplace_back(event.at, timer.node, timer.timer_id, timer.generation);
+  }
+}
+
+TEST(FrameClockQueueTest, ExpiriesForOneInstantShareOneEvent) {
+  EventQueue queue;
+  for (wsn::NodeId node = 0; node < 5; ++node) {
+    queue.push_frame_timer(100, node, 1, 1);
+  }
+  queue.push_frame_timer(200, 0, 2, 1);  // another instant, its own group
+  EXPECT_EQ(queue.size(), 2u);
+  SimTime now = 0;
+  const Event first = queue.pop(now);
+  ASSERT_EQ(first.kind(), EventKind::kTimerGroup);
+  std::vector<wsn::NodeId> members;
+  std::uint32_t cursor = queue.take_group(first);
+  while (cursor != EventQueue::kNoSlot) {
+    members.push_back(queue.next_member(cursor).node);
+  }
+  EXPECT_EQ(members, (std::vector<wsn::NodeId>{0, 1, 2, 3, 4}));
+  // The popped group is closed: a frame timer armed for the current
+  // instant starts a new group instead of joining the dispatched one.
+  queue.push_frame_timer(100, 7, 1, 1);
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_EQ(queue.next_time(), 100);
+}
+
+TEST(FrameClockQueueTest, AnyOtherPushForTheInstantClosesTheGroup) {
+  EventQueue queue;
+  const std::uint32_t slot = queue.stage_message(std::make_shared<TestMessage>());
+  queue.push_frame_timer(50, 0, 1, 1);
+  queue.push_frame_timer(60, 9, 1, 1);  // another instant: no effect on 50
+  queue.push_frame_timer(50, 1, 1, 1);
+  queue.push_delivery(50, 2, 3, slot);
+  queue.push_frame_timer(50, 2, 1, 1);
+  queue.push_timer(50, 3, 1, 1);
+  queue.push_frame_timer(50, 3, 2, 1);
+  queue.push_control(50, [] {});
+  queue.push_frame_timer(50, 4, 1, 1);
+  SimTime now = 0;
+  EXPECT_EQ(drain(queue, now),
+            (std::vector<EventKind>{
+                EventKind::kTimerGroup, EventKind::kDelivery,
+                EventKind::kTimerGroup, EventKind::kTimer,
+                EventKind::kTimerGroup, EventKind::kControl,
+                EventKind::kTimerGroup, EventKind::kTimerGroup}));
+  EXPECT_EQ(queue.staged_message_count(), 0u);
+}
+
+TEST(FrameClockQueueTest, FlattenedOrderEqualsPlainTimersOnBothBackends) {
+  // The same randomised push/pop interleaving, once with every frame timer
+  // pushed as a plain timer: the flattened expiry streams must be equal,
+  // on the calendar, on the forced heap, and across a reset_run.
+  for (const auto backend :
+       {EventQueue::Backend::kCalendar, EventQueue::Backend::kHeap}) {
+    EventQueue framed(backend);
+    EventQueue plain(backend);
+    for (int pass = 0; pass < 2; ++pass) {
+      Rng rng(77 + static_cast<std::uint64_t>(pass));
+      SimTime now = 0;
+      SimTime plain_now = 0;
+      std::vector<Expiry> framed_stream;
+      std::vector<Expiry> plain_stream;
+      for (int step = 0; step < 20000 || !framed.empty(); ++step) {
+        if (step < 20000 && (rng.uniform(100) < 55 || framed.empty())) {
+          // Shared instants on a 5 ms grid, private ones anywhere.
+          const bool shared = rng.uniform(4) != 0;
+          const SimTime at =
+              shared ? (now / 5000 + 1 + static_cast<SimTime>(rng.uniform(40))) *
+                           5000
+                     : now + static_cast<SimTime>(rng.uniform(200'000));
+          const auto node = static_cast<wsn::NodeId>(rng.uniform(64));
+          const auto generation = static_cast<std::uint64_t>(step);
+          if (shared) {
+            framed.push_frame_timer(at, node, 1, generation);
+          } else {
+            framed.push_timer(at, node, 2, generation);
+          }
+          plain.push_timer(at, node, shared ? 1 : 2, generation);
+        } else {
+          // One framed event, then the plain events it stands for.
+          pop_expiries(framed, now, framed_stream);
+          while (plain_stream.size() < framed_stream.size()) {
+            pop_expiries(plain, plain_now, plain_stream);
+          }
+        }
+      }
+      EXPECT_TRUE(plain.empty());
+      EXPECT_EQ(framed_stream, plain_stream);
+      framed.reset_run();
+      plain.reset_run();
+    }
+  }
+}
+
+TEST(FrameClockQueueTest, ClearReleasesGroups) {
+  EventQueue queue;
+  queue.push_frame_timer(10, 0, 1, 1);
+  queue.push_frame_timer(10, 1, 1, 1);
+  queue.push_frame_timer(20, 0, 1, 1);
+  queue.clear();
+  EXPECT_TRUE(queue.empty());
+  // Nothing stays open across a clear: the next arm opens a fresh group.
+  queue.push_frame_timer(10, 2, 1, 1);
+  EXPECT_EQ(queue.size(), 1u);
+  SimTime now = 0;
+  std::vector<Expiry> expiries;
+  pop_expiries(queue, now, expiries);
+  EXPECT_EQ(expiries, (std::vector<Expiry>{{10, 2, 1, 1}}));
+  EXPECT_TRUE(queue.empty());
 }
 
 // ---------------------------------------------------------------------------

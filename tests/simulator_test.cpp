@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "slpdas/wsn/topology.hpp"
@@ -264,6 +266,184 @@ TEST(SimulatorApiTest, RunUntilAdvancesClockToEnd) {
   simulator.add_process(1, std::make_unique<TimerProcess>());
   simulator.run_until(5 * kSecond);
   EXPECT_EQ(simulator.now(), 5 * kSecond);
+}
+
+// ---------------------------------------------------------------------------
+// Frame-clock timers: one queue event per shared instant, dispatch order
+// identical to per-node timers.
+// ---------------------------------------------------------------------------
+
+/// One handler call as observed from outside: (time, node, timer id), or
+/// timer id -1 - sender for a reception.
+using Call = std::tuple<SimTime, wsn::NodeId, int>;
+
+/// Arms a random mix of timers, mostly for instants the whole network
+/// shares (10 ms ticks) and some for private ones, cancels and re-arms
+/// them, and broadcasts so receptions land on shared instants too. With
+/// `frame_clock` off every set_frame_timer becomes a set_timer; the two
+/// runs must call the handlers in exactly the same order.
+class ClockMixProcess final : public Process {
+ public:
+  static constexpr SimTime kTick = 10 * kMillisecond;
+  static constexpr SimTime kHorizon = 3 * kSecond;
+
+  ClockMixProcess(bool frame_clock, std::vector<Call>& log)
+      : frame_clock_(frame_clock), log_(log) {}
+
+  void on_start() override { arm(1, 0, /*shared=*/true); }
+  void on_timer(int timer_id) override {
+    log_.emplace_back(now(), id(), timer_id);
+    if (now() >= kHorizon) {
+      return;
+    }
+    switch (rng().uniform(6)) {
+      case 0:
+        broadcast(ping_);  // receptions land 1 ms later, often on a tick
+        break;
+      case 1:
+        cancel_timer(static_cast<int>(2 + rng().uniform(2)));
+        break;
+      default:
+        break;
+    }
+    const SimTime to_tick = kTick - now() % kTick;
+    // Timer 1 keeps the node alive; 2 and 3 come and go.
+    arm(1, to_tick, /*shared=*/rng().uniform(5) != 0);
+    const int extra = static_cast<int>(2 + rng().uniform(2));
+    if (rng().uniform(3) == 0) {
+      arm(extra, static_cast<SimTime>(rng().uniform(3 * kTick)), false);
+    } else {
+      arm(extra, to_tick + kTick * static_cast<SimTime>(rng().uniform(2)),
+          true);
+    }
+  }
+  void on_message(wsn::NodeId from, const Message&) override {
+    log_.emplace_back(now(), id(), -1 - from);
+    if (rng().uniform(4) == 0) {
+      arm(2, kTick - now() % kTick, true);
+    }
+  }
+
+ private:
+  void arm(int timer_id, SimTime delay, bool shared) {
+    if (shared && frame_clock_) {
+      set_frame_timer(timer_id, delay);
+    } else {
+      set_timer(timer_id, delay);
+    }
+  }
+
+  bool frame_clock_;
+  std::vector<Call>& log_;
+  MessagePtr ping_ = std::make_shared<PingMessage>();
+};
+
+struct ClockMixRun {
+  std::vector<Call> log;
+  std::uint64_t events = 0;
+  std::uint64_t timers_fired = 0;
+};
+
+ClockMixRun run_clock_mix(bool frame_clock, std::uint64_t seed) {
+  const wsn::Topology grid = wsn::make_grid(5);
+  Simulator simulator(grid.graph, make_ideal_radio(), seed);
+  ClockMixRun run;
+  for (wsn::NodeId n = 0; n < grid.graph.node_count(); ++n) {
+    simulator.add_process(n,
+                          std::make_unique<ClockMixProcess>(frame_clock, run.log));
+  }
+  simulator.run_until(ClockMixProcess::kHorizon + kSecond);
+  run.events = simulator.events_executed();
+  run.timers_fired = simulator.timers_fired();
+  return run;
+}
+
+TEST(FrameClockTest, DispatchOrderMatchesPerNodeTimers) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    const ClockMixRun plain = run_clock_mix(false, seed);
+    const ClockMixRun framed = run_clock_mix(true, seed);
+    ASSERT_GT(plain.log.size(), 5000u);
+    EXPECT_EQ(framed.log, plain.log);
+    // Same handler calls, far fewer queue events.
+    EXPECT_LT(framed.events, plain.events);
+    EXPECT_LT(framed.timers_fired, plain.timers_fired);
+  }
+}
+
+/// Node `stopper` stops the simulator from inside its frame-clock expiry.
+class StopAtTickProcess final : public Process {
+ public:
+  explicit StopAtTickProcess(wsn::NodeId stopper) : stopper_(stopper) {}
+  void on_start() override { set_frame_timer(1, kSecond); }
+  void on_timer(int) override {
+    fired = true;
+    if (id() == stopper_) {
+      simulator().stop();
+    }
+  }
+  void on_message(wsn::NodeId, const Message&) override {}
+
+  bool fired = false;
+
+ private:
+  wsn::NodeId stopper_;
+};
+
+TEST(FrameClockTest, OneEventPerInstantAndStopEndsTheGroup) {
+  const wsn::Topology line = wsn::make_line(4);
+  Simulator simulator(line.graph, make_ideal_radio(), 1);
+  for (wsn::NodeId n = 0; n < 4; ++n) {
+    simulator.add_process(n, std::make_unique<StopAtTickProcess>(1));
+  }
+  simulator.run_until(10 * kSecond);
+  // Four expiries for one instant: one event, one fired timer event.
+  EXPECT_EQ(simulator.events_executed(), 1u);
+  EXPECT_EQ(simulator.timers_fired(), 1u);
+  // stop() from node 1 ends the run after node 1, exactly as it would
+  // between four individual timer events.
+  EXPECT_TRUE(simulator.stopped());
+  std::vector<bool> fired;
+  for (wsn::NodeId n = 0; n < 4; ++n) {
+    fired.push_back(
+        dynamic_cast<const StopAtTickProcess&>(simulator.process(n)).fired);
+  }
+  EXPECT_EQ(fired, (std::vector<bool>{true, true, false, false}));
+}
+
+class FrameTimerArgsProcess final : public Process {
+ public:
+  void on_start() override {
+    EXPECT_THROW(set_frame_timer(-1, kSecond), std::invalid_argument);
+    EXPECT_THROW(set_frame_timer(1, -kSecond), std::invalid_argument);
+    set_frame_timer(1, kSecond);
+    set_frame_timer(2, kSecond);
+    set_frame_timer(2, 2 * kSecond);  // re-arm supersedes
+    set_frame_timer(3, kSecond);
+    cancel_timer(3);
+    set_timer(4, kSecond);  // a plain timer for the same instant
+    set_frame_timer(5, kSecond);
+  }
+  void on_timer(int timer_id) override { fired.push_back({timer_id, now()}); }
+  void on_message(wsn::NodeId, const Message&) override {}
+
+  std::vector<std::pair<int, SimTime>> fired;
+};
+
+TEST(FrameClockTest, RearmCancelAndArgumentChecksMatchSetTimer) {
+  const wsn::Topology line = wsn::make_line(2);
+  Simulator simulator(line.graph, make_ideal_radio(), 1);
+  simulator.add_process(0, std::make_unique<FrameTimerArgsProcess>());
+  simulator.add_process(1, std::make_unique<FrameTimerArgsProcess>());
+  simulator.run_until(10 * kSecond);
+  for (wsn::NodeId n = 0; n < 2; ++n) {
+    const auto& fired =
+        dynamic_cast<const FrameTimerArgsProcess&>(simulator.process(n)).fired;
+    EXPECT_EQ(fired, (std::vector<std::pair<int, SimTime>>{{1, kSecond},
+                                                           {4, kSecond},
+                                                           {5, kSecond},
+                                                           {2, 2 * kSecond}}));
+  }
 }
 
 }  // namespace
