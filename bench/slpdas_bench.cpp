@@ -121,10 +121,11 @@ int usage(std::ostream& out, int code) {
          "\ntrend: GATING perf regression check. DIR (or FILE) holds a\n"
          "fresh BENCH_perf_sim.json; it is compared against the committed\n"
          "baseline. Deterministic fields (per-cell results, event counts)\n"
-         "gate EXACTLY — any drift fails. events/sec gates with a wide\n"
-         "noise band (see README 'Perf trend gate'): FAIL when the\n"
-         "geometric-mean per-cell throughput ratio drops below\n"
-         "--min-ratio (default 0.25 — runner speed varies >3x under\n"
+         "gate EXACTLY — any drift fails. Throughput (runs per\n"
+         "wall-second per cell) gates with a wide noise band (see README\n"
+         "'Perf trend gate'): FAIL when the geometric-mean per-cell\n"
+         "throughput ratio drops below --min-ratio\n"
+         "(default 0.25 — runner speed varies >3x under\n"
          "load, a real regression that survives the band is catastrophic,\n"
          "smaller ones show up in the per-cell ratio table this prints\n"
          "every run).\n"
@@ -512,11 +513,14 @@ int compare_command(const CliOptions& options) {
 ///      delivery / timer-fire counts inside the perf block — must match
 ///      the baseline bit-for-bit when run counts match. Any drift is a
 ///      simulation-behaviour regression, never noise, so it always fails.
-///   2. Throughput gate (banded): events/sec depends on the runner, so it
-///      gates on the geometric mean of per-cell fresh/baseline ratios
-///      with a deliberately wide floor (default 0.5; the noise band is
-///      documented in the README). The per-cell table prints every run so
-///      sub-band erosion stays visible in CI logs even while it passes.
+///   2. Throughput gate (banded): runs per wall-second depend on the
+///      runner, so it gates on the geometric mean of per-cell
+///      fresh/baseline ratios with a deliberately wide floor (default
+///      0.25; the noise band is documented in the README). It rates runs,
+///      not events: a change that executes fewer events for the same
+///      runs must not read as a slowdown. The per-cell table prints every
+///      run so sub-band erosion stays visible in CI logs even while it
+///      passes.
 int trend_command(const CliOptions& options) {
   if (options.names.size() != 1) {
     std::cerr << "usage: slpdas_bench trend DIR [--baseline FILE] "
@@ -592,22 +596,26 @@ int trend_command(const CliOptions& options) {
     }
   }
 
-  // Gate 2 — banded throughput over cells present in both documents.
+  // Gate 2 — banded throughput (runs per wall-second) over cells present
+  // in both documents and measured in real time on both sides.
+  const auto runs_per_sec = [](const core::SweepJsonCell& cell) {
+    return cell.has_perf && cell.runs > 0 && cell.wall_seconds > 0.0
+               ? cell.runs / cell.wall_seconds
+               : 0.0;
+  };
   double log_ratio_sum = 0.0;
   std::size_t rated = 0;
   for (const core::SweepJsonCell& fresh_cell : fresh.cells) {
+    const double fresh_rate = runs_per_sec(fresh_cell);
     for (const core::SweepJsonCell& base_cell : baseline.cells) {
-      if (base_cell.label != fresh_cell.label || !base_cell.has_perf ||
-          !fresh_cell.has_perf || base_cell.perf_events_per_sec <= 0.0 ||
-          fresh_cell.perf_events_per_sec <= 0.0) {
+      const double base_rate = runs_per_sec(base_cell);
+      if (base_cell.label != fresh_cell.label || fresh_rate <= 0.0 ||
+          base_rate <= 0.0) {
         continue;
       }
-      const double ratio =
-          fresh_cell.perf_events_per_sec / base_cell.perf_events_per_sec;
-      std::cout << "  " << fresh_cell.label << ": "
-                << fresh_cell.perf_events_per_sec / 1e6 << " M events/s vs "
-                << base_cell.perf_events_per_sec / 1e6 << " M ("
-                << ratio << "x)\n";
+      const double ratio = fresh_rate / base_rate;
+      std::cout << "  " << fresh_cell.label << ": " << fresh_rate
+                << " runs/s vs " << base_rate << " (" << ratio << "x)\n";
       log_ratio_sum += std::log(ratio);
       ++rated;
     }

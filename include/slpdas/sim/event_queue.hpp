@@ -9,11 +9,14 @@
 // the hot path — message delivery and timer expiry, millions of events
 // per experiment — executes with zero per-event heap allocation:
 //
-//   * Delivery{from, to, message_slot}: one broadcast stages its shared
-//     Message once in a slot table and pushes one POD entry per receiver;
-//     the slot's reference count frees the payload after the last
-//     delivery executes (so a broadcast costs one shared_ptr copy total,
-//     not one per receiver).
+//   * Delivery{from, message_slot}: one broadcast is one event. Every
+//     reception of a broadcast arrives at the same instant and would have
+//     been pushed back to back, so nothing could ever pop between them;
+//     push_broadcast stages the shared Message once in a slot table, the
+//     receivers that passed the radio draw are appended beside it, and
+//     the event pops once and dispatches them in neighbour order. The
+//     event owns its slot, which is recycled (receiver list capacity
+//     kept) after dispatch.
 //   * Timer{node, timer_id, generation}: armed timers carry the arming
 //     generation; the simulator compares it against its dense per-node
 //     generation table at pop time, so cancelling or re-arming a timer
@@ -88,11 +91,11 @@ namespace slpdas::sim {
 
 enum class EventKind : std::uint8_t { kDelivery, kTimer, kControl, kTimerGroup };
 
-/// One radio reception: `to` receives the broadcast `from` sent. The
-/// shared payload lives in the queue's message slot table.
+/// One broadcast's receptions: every receiver listed in the message slot
+/// receives the payload `from` sent. Payload and receivers live in the
+/// queue's message slot table.
 struct DeliveryEvent {
   wsn::NodeId from;
-  wsn::NodeId to;
   std::uint32_t message_slot;
 };
 
@@ -153,9 +156,9 @@ class EventQueue {
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   /// log2 of the bucket width in SimTime ticks (microseconds): 4096 µs.
-  /// A few propagation delays wide, so a broadcast's receptions usually
-  /// land in the active bucket (an O(1) append at the sorted window's
-  /// tail) and window refills stay rare; measured fastest on perf_sim
+  /// A few propagation delays wide, so a broadcast's delivery event
+  /// usually lands in the active bucket (an O(1) append at the sorted
+  /// window's tail) and window refills stay rare; measured fastest on perf_sim
   /// against 1024/2048/8192/16384 µs alternatives.
   static constexpr int kBucketShift = 12;
   /// Number of calendar bins (power of two); the calendar spans
@@ -171,10 +174,13 @@ class EventQueue {
 
   /// Pre-sizes internal storage for a simulation expected to keep up to
   /// `pending_events` events in flight with up to `staged_messages`
-  /// concurrently staged broadcast payloads, so steady-state operation
-  /// reaches its high-water capacity up front instead of reallocating
-  /// mid-run. Callable any time; never shrinks.
-  void reserve(std::size_t pending_events, std::size_t staged_messages) {
+  /// concurrently staged broadcast payloads of up to
+  /// `receivers_per_message` receivers each (every payload slot created
+  /// from then on reserves that many), so steady-state operation reaches
+  /// its high-water capacity up front instead of reallocating mid-run.
+  /// Callable any time; never shrinks.
+  void reserve(std::size_t pending_events, std::size_t staged_messages,
+               std::size_t receivers_per_message = 0) {
     if (backend_ == Backend::kHeap) {
       heap_.reserve(pending_events);
     } else {
@@ -192,31 +198,44 @@ class EventQueue {
     }
     messages_.reserve(staged_messages);
     free_messages_.reserve(staged_messages);
+    receiver_capacity_ = std::max(receiver_capacity_, receivers_per_message);
   }
 
-  // -- staging shared payloads ----------------------------------------------
+  // -- pushing --------------------------------------------------------------
 
-  /// Stages a broadcast payload in the slot table with zero references and
-  /// returns its slot. Each push_delivery for the slot adds a reference;
-  /// each release_message drops one, and the last drop frees the slot. A
-  /// staged slot with no deliveries pushed stays live until clear() frees
-  /// it — callers avoid even that by staging lazily, on the first
-  /// delivered receiver.
-  [[nodiscard]] std::uint32_t stage_message(MessagePtr message) {
+  /// Enqueues one broadcast: stages `message` in a payload slot and pushes
+  /// a single Delivery event for it at `at`. Returns the slot, to which
+  /// the caller appends the receivers (add_receiver) before the next pop;
+  /// the event dispatches them in append order. `at` may equal the
+  /// current head time but must never be in the past relative to the last
+  /// popped event; the Simulator enforces that invariant (here and for
+  /// the other push flavours).
+  [[nodiscard]] std::uint32_t push_broadcast(SimTime at, wsn::NodeId from,
+                                             MessagePtr message) {
     if (!message) {
-      throw std::invalid_argument("EventQueue::stage_message: null message");
+      throw std::invalid_argument("EventQueue::push_broadcast: null message");
     }
     std::uint32_t slot;
     if (free_messages_.empty()) {
       slot = static_cast<std::uint32_t>(messages_.size());
       messages_.emplace_back();
+      messages_.back().receivers.reserve(receiver_capacity_);
     } else {
       slot = free_messages_.back();
       free_messages_.pop_back();
     }
     messages_[slot].message = std::move(message);
-    messages_[slot].references = 0;
+    Event event;
+    event.at = at;
+    event.seq_kind = next_seq_kind(EventKind::kDelivery);
+    event.delivery = DeliveryEvent{from, slot};
+    push_event(event);
     return slot;
+  }
+
+  /// Appends one receiver to the broadcast queued in `slot`.
+  void add_receiver(std::uint32_t slot, wsn::NodeId to) {
+    messages_[slot].receivers.push_back(to);
   }
 
   /// The staged payload of `slot`. The reference stays valid across queue
@@ -226,37 +245,29 @@ class EventQueue {
     return *messages_[slot].message;
   }
 
-  /// Drops one reference from `slot`; the last drop releases the payload
-  /// and recycles the slot. Call once per popped delivery, after the
-  /// receiver ran.
+  /// Receivers appended to `slot`, and the one at `index`. Read by index
+  /// while dispatching: a handler that broadcasts may grow the slot table.
+  [[nodiscard]] std::size_t receiver_count(std::uint32_t slot) const {
+    return messages_[slot].receivers.size();
+  }
+  [[nodiscard]] wsn::NodeId receiver(std::uint32_t slot,
+                                     std::size_t index) const {
+    return messages_[slot].receivers[index];
+  }
+
+  /// Releases the payload of a popped Delivery event and recycles its slot
+  /// (the receiver list keeps its capacity). Call once, after dispatch.
   void release_message(std::uint32_t slot) {
     MessageSlot& staged = messages_[slot];
-    if (--staged.references == 0) {
-      staged.message.reset();
-      free_messages_.push_back(slot);
-    }
+    staged.message.reset();
+    staged.receivers.clear();
+    free_messages_.push_back(slot);
   }
 
-  /// Number of staged messages still referenced by queued or in-flight
-  /// deliveries (observability for tests).
+  /// Number of payload slots held by queued or in-flight deliveries
+  /// (observability for tests).
   [[nodiscard]] std::size_t staged_message_count() const noexcept {
     return messages_.size() - free_messages_.size();
-  }
-
-  // -- pushing --------------------------------------------------------------
-
-  /// Enqueues one reception of the payload staged in `message_slot`.
-  /// `at` may equal the current head time but must never be in the past
-  /// relative to the last popped event; the Simulator enforces that
-  /// invariant (here and for the other push flavours).
-  void push_delivery(SimTime at, wsn::NodeId from, wsn::NodeId to,
-                     std::uint32_t message_slot) {
-    ++messages_[message_slot].references;
-    Event event;
-    event.at = at;
-    event.seq_kind = next_seq_kind(EventKind::kDelivery);
-    event.delivery = DeliveryEvent{from, to, message_slot};
-    push_event(event);
   }
 
   /// Enqueues a timer expiry carrying its arming generation.
@@ -384,9 +395,9 @@ class EventQueue {
   }
 
   /// Removes and returns the next event by value, advancing `now` to its
-  /// timestamp. Delivery events still hold their message reference (the
-  /// caller releases it after dispatch); Control events still own their
-  /// callback slot (the caller takes it).
+  /// timestamp. Delivery events still own their message slot (the caller
+  /// releases it after dispatch); Control events still own their callback
+  /// slot (the caller takes it).
   [[nodiscard]] Event pop(SimTime& now) {
     materialise_head();
     --size_;
@@ -399,10 +410,9 @@ class EventQueue {
   }
 
   /// Drops every pending event and releases the resources they hold:
-  /// message references (freeing payloads whose last reference was
-  /// queued), staged-but-never-pushed payloads, and control callbacks.
-  /// Slots of deliveries popped but not yet released stay live — they
-  /// belong to the caller until release_message.
+  /// message slots, timer groups and control callbacks. Slots of
+  /// deliveries popped but not yet released stay live — they belong to
+  /// the caller until release_message.
   void clear() {
     for (std::size_t i = near_pos_; i < near_.size(); ++i) {
       release_event_resources(near_[i]);
@@ -419,16 +429,6 @@ class EventQueue {
     for (const Event& event : heap_) {
       release_event_resources(event);
     }
-    for (std::uint32_t slot = 0; slot < messages_.size(); ++slot) {
-      MessageSlot& staged = messages_[slot];
-      if (staged.message && staged.references == 0) {
-        // Staged but never pushed (e.g. a caller that cleared between
-        // staging and the first push_delivery): free it here so clear()
-        // leaves no payload behind.
-        staged.message.reset();
-        free_messages_.push_back(slot);
-      }
-    }
     near_.clear();
     near_.shrink_to_fit();
     near_pos_ = 0;
@@ -443,13 +443,13 @@ class EventQueue {
 
   /// Rewinds the queue to its just-constructed state while RETAINING every
   /// capacity a previous run grew (calendar bins, the sorted window, the
-  /// payload slot tables): pending events are dropped and their resources
-  /// released exactly as in clear(), but nothing is shrunk, so the next
-  /// run reaches its steady state with zero allocations. The sequence
-  /// counter, the calendar anchor and the degradation accounting all
-  /// restart from zero, and the backend reverts to the one selected at
-  /// construction — a degrade-to-heap verdict belongs to one run's
-  /// timestamp distribution, never to the next seed. This is what makes a
+  /// payload slot tables and their receiver lists): pending events are
+  /// dropped and their resources released exactly as in clear(), but
+  /// nothing is shrunk, so the next run reaches its steady state with zero
+  /// allocations. The sequence counter, the calendar anchor and the
+  /// degradation accounting all restart from zero, and the backend reverts
+  /// to the one selected at construction — a degrade-to-heap verdict
+  /// belongs to one run's timestamp distribution, never to the next seed. This is what makes a
   /// forked run bit-identical to a cold-constructed one.
   void reset_run() {
     for (std::size_t i = near_pos_; i < near_.size(); ++i) {
@@ -467,14 +467,16 @@ class EventQueue {
     for (const Event& event : heap_) {
       release_event_resources(event);
     }
-    for (MessageSlot& staged : messages_) {
-      // Any payload still staged (including popped-but-unreleased slots —
-      // there are none between runs) must not leak into the next seed.
-      staged.message.reset();
-      staged.references = 0;
-    }
-    messages_.clear();
+    // Any payload still staged (including popped-but-unreleased slots —
+    // there are none between runs) must not leak into the next seed. The
+    // slots themselves stay, receiver capacity included, all free and
+    // handed out lowest first as in a fresh queue.
     free_messages_.clear();
+    for (std::size_t slot = messages_.size(); slot-- > 0;) {
+      messages_[slot].message.reset();
+      messages_[slot].receivers.clear();
+      free_messages_.push_back(static_cast<std::uint32_t>(slot));
+    }
     controls_.clear();
     free_controls_.clear();
     members_.clear();
@@ -498,9 +500,11 @@ class EventQueue {
   }
 
  private:
+  /// One queued broadcast's payload and the receivers that passed its
+  /// radio draws, in neighbour order.
   struct MessageSlot {
     MessagePtr message;
-    std::uint32_t references = 0;
+    std::vector<wsn::NodeId> receivers;
   };
 
   /// One frame-clock expiry, singly linked to the next member of its
@@ -602,10 +606,10 @@ class EventQueue {
     if (near_pos_ == near_.size()) {
       // Drained but not yet refilled: restart the window. A push for the
       // very next bucket, when that bin is empty, moves the window onto
-      // it — a slot's receptions that spill past the slot's bucket then
-      // append here instead of filling a bin. Only one bucket ahead: a
-      // window moved further would put every later push for the buckets
-      // in between in front of it (an insert, not an append).
+      // it — a slot's delivery events that spill past the slot's bucket
+      // then append here instead of filling a bin. Only one bucket ahead:
+      // a window moved further would put every later push for the
+      // buckets in between in front of it (an insert, not an append).
       near_.clear();
       near_pos_ = 0;
       if (bucket == active_bucket_ + 1 && bucket < far_boundary_) {
@@ -637,7 +641,7 @@ class EventQueue {
 
   /// The sorted window's out-of-order insert, kept out of line so the
   /// append paths of push_event stay small enough to inline into every
-  /// push (the broadcast loop pushes one delivery per receiver).
+  /// push.
   [[gnu::noinline]] void insert_near(const Event& event) {
     const unsigned __int128 key = priority(event);
     const auto insert_at = std::upper_bound(
@@ -854,6 +858,7 @@ class EventQueue {
   // Payload slot tables, shared by both backends.
   std::vector<MessageSlot> messages_;
   std::vector<std::uint32_t> free_messages_;
+  std::size_t receiver_capacity_ = 0;
   std::vector<Action> controls_;
   std::vector<std::uint32_t> free_controls_;
 

@@ -15,9 +15,11 @@
 // allocation. Timer cancellation state lives in a dense per-node
 // generation table here, checked when an expiry pops, and the simulator
 // counts events/deliveries/timer-fires for the perf telemetry the sweep
-// JSON reports. Timers armed for network-wide instants (set_frame_timer)
-// share one queue event per instant — the frame clock — and fire in the
-// order per-node timer events would have.
+// JSON reports. A broadcast is one queue event that dispatches all its
+// receptions, and timers armed for network-wide instants
+// (set_frame_timer) share one queue event per instant — the frame clock;
+// both dispatch in exactly the order per-receiver and per-node events
+// would have.
 #pragma once
 
 #include <cstdint>
@@ -200,13 +202,16 @@ class Simulator {
   [[nodiscard]] std::uint64_t events_executed() const noexcept {
     return events_executed_;
   }
-  /// Delivery events executed (receptions dispatched to on_message).
+  /// Delivery events executed. One event carries every reception of one
+  /// broadcast, so a broadcast counts once however many neighbours hear
+  /// it (per-node receptions are in traffic()). Like timers_fired(), this
+  /// keeps events - deliveries - timers fired = stale timer events +
+  /// controls.
   [[nodiscard]] std::uint64_t deliveries_executed() const noexcept {
     return deliveries_executed_;
   }
   /// Timer events that made at least one on_timer call. A frame-clock
-  /// event counts once however many nodes it serves, so
-  /// events - deliveries - timers fired = stale timer events + controls.
+  /// event counts once however many nodes it serves.
   [[nodiscard]] std::uint64_t timers_fired() const noexcept {
     return timers_fired_;
   }

@@ -51,10 +51,15 @@ Simulator::Simulator(const wsn::Graph& graph, std::unique_ptr<RadioModel> radio,
   // radio_delivered): resolved once here, never changes afterwards.
   casino_ = dynamic_cast<CasinoLabNoise*>(radio_.get());
   // Pre-size the event queue for this topology's steady state: pending
-  // events scale with in-flight broadcasts (≈ degree per sender, the
-  // whole network in one dissemination slot) plus one armed timer set
-  // per node; staged payloads with concurrent senders.
-  queue_.reserve(64 + 8 * nodes, 16 + nodes);
+  // events scale with in-flight broadcasts (one event each, the whole
+  // network in one dissemination slot) plus one armed timer set per
+  // node; staged payloads with concurrent senders, each with room for the
+  // largest neighbourhood.
+  std::size_t max_degree = 0;
+  for (wsn::NodeId node = 0; node < graph.node_count(); ++node) {
+    max_degree = std::max(max_degree, graph.degree(node));
+  }
+  queue_.reserve(64 + 4 * nodes, 16 + nodes, max_degree);
   send_counters_.reserve(8);
 }
 
@@ -208,11 +213,11 @@ void Simulator::do_broadcast(wsn::NodeId from, MessagePtr message) {
     observer->on_transmission(from, *message, now_);
   }
 
-  // One staged payload shared by every receiver; each push is one POD
-  // heap entry — no per-receiver closure, no per-receiver refcount churn.
-  // The slot is staged lazily so an all-lost broadcast stages nothing,
-  // and radio decisions stay in neighbour order (the rng draw order the
-  // determinism contract pins).
+  // One queue event per broadcast: the payload is staged once and every
+  // receiver that passes its radio draw is appended to it. The event is
+  // pushed lazily, on the first such receiver, so an all-lost broadcast
+  // pushes nothing, and radio decisions stay in neighbour order (the rng
+  // draw order the determinism contract pins).
   const SimTime arrival = now_ + propagation_delay_;
   std::uint32_t slot = EventQueue::kNoSlot;
   for (wsn::NodeId to : graph_.neighbors(from)) {
@@ -220,9 +225,9 @@ void Simulator::do_broadcast(wsn::NodeId from, MessagePtr message) {
       continue;
     }
     if (slot == EventQueue::kNoSlot) {
-      slot = queue_.stage_message(std::move(message));
+      slot = queue_.push_broadcast(arrival, from, std::move(message));
     }
-    queue_.push_delivery(arrival, from, to, slot);
+    queue_.add_receiver(slot, to);
   }
 }
 
@@ -241,13 +246,21 @@ bool Simulator::step(SimTime end) {
   const Event event = queue_.pop(now_);
   switch (event.kind()) {
     case EventKind::kDelivery: {
-      const auto to = static_cast<std::size_t>(event.delivery.to);
-      ++traffic_[to].received;
-      if (auto& receiver = processes_[to]) {
-        receiver->on_message(event.delivery.from,
-                             queue_.message(event.delivery.message_slot));
+      // Every reception of one broadcast, in neighbour order — exactly
+      // the consecutive per-receiver events they stand for. Receivers are
+      // read by index because a handler that broadcasts may grow the slot
+      // table; stop() takes effect after the current receiver.
+      const std::uint32_t slot = event.delivery.message_slot;
+      const Message& message = queue_.message(slot);
+      const std::size_t receivers = queue_.receiver_count(slot);
+      for (std::size_t i = 0; i < receivers && !stopped_; ++i) {
+        const auto to = static_cast<std::size_t>(queue_.receiver(slot, i));
+        ++traffic_[to].received;
+        if (auto& receiver = processes_[to]) {
+          receiver->on_message(event.delivery.from, message);
+        }
       }
-      queue_.release_message(event.delivery.message_slot);
+      queue_.release_message(slot);
       ++deliveries_executed_;
       break;
     }

@@ -1,9 +1,9 @@
 // Tests for the deterministic typed event queue: time ordering plus FIFO
-// tie-breaking across all three event kinds (the property that makes runs
-// reproducible), shared-message staging/release, the calendar backend's
-// equivalence to the forced heap (including its deterministic degradation
-// on pathological horizons), and the simulator-level cancelled-timer skip
-// at pop time.
+// tie-breaking across every event kind (the property that makes runs
+// reproducible), one-event-per-broadcast staging/release, the calendar
+// backend's equivalence to the forced heap (including its deterministic
+// degradation on pathological horizons), and the simulator-level
+// cancelled-timer skip at pop time.
 #include "slpdas/sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -91,11 +91,12 @@ TEST(EventQueueTest, EqualTimesTieBreakAcrossKindsByInsertionOrder) {
   // (e.g. a reception and a period-boundary timer landing on the same
   // microsecond must not reorder between runs or refactors).
   EventQueue queue;
-  const std::uint32_t slot = queue.stage_message(std::make_shared<TestMessage>());
-  queue.push_delivery(7, /*from=*/0, /*to=*/1, slot);
+  queue.add_receiver(
+      queue.push_broadcast(7, /*from=*/0, std::make_shared<TestMessage>()), 1);
   queue.push_timer(7, /*node=*/1, /*timer_id=*/4, /*generation=*/1);
   queue.push_control(7, [] {});
-  queue.push_delivery(7, /*from=*/0, /*to=*/2, slot);
+  queue.add_receiver(
+      queue.push_broadcast(7, /*from=*/3, std::make_shared<TestMessage>()), 2);
   queue.push_timer(7, /*node=*/2, /*timer_id=*/4, /*generation=*/1);
 
   SimTime now = 0;
@@ -108,29 +109,58 @@ TEST(EventQueueTest, EqualTimesTieBreakAcrossKindsByInsertionOrder) {
   EXPECT_EQ(queue.staged_message_count(), 0u);
 }
 
-TEST(EventQueueTest, DeliveriesShareOneStagedMessage) {
+TEST(EventQueueTest, BroadcastIsOneEventListingItsReceivers) {
   EventQueue queue;
   auto message = std::make_shared<TestMessage>();
-  const std::uint32_t slot = queue.stage_message(message);
-  queue.push_delivery(1, 0, 1, slot);
-  queue.push_delivery(1, 0, 2, slot);
-  queue.push_delivery(1, 0, 3, slot);
-  // One reference in the slot table plus the test's own handle: pushing
-  // three deliveries copies nothing.
+  const std::uint32_t slot = queue.push_broadcast(1, /*from=*/9, message);
+  queue.add_receiver(slot, 3);
+  queue.add_receiver(slot, 1);
+  queue.add_receiver(slot, 2);
+  // One reference in the slot table plus the test's own handle, and one
+  // queued event for all three receptions.
   EXPECT_EQ(message.use_count(), 2);
   EXPECT_EQ(queue.staged_message_count(), 1u);
+  EXPECT_EQ(queue.size(), 1u);
 
   SimTime now = 0;
-  int popped = 0;
-  while (!queue.empty()) {
-    const Event event = queue.pop(now);
-    ASSERT_EQ(event.kind(), EventKind::kDelivery);
-    EXPECT_EQ(&queue.message(event.delivery.message_slot), message.get());
-    queue.release_message(event.delivery.message_slot);
-    ++popped;
+  const Event event = queue.pop(now);
+  ASSERT_EQ(event.kind(), EventKind::kDelivery);
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(event.delivery.from, 9);
+  EXPECT_EQ(event.delivery.message_slot, slot);
+  EXPECT_EQ(&queue.message(slot), message.get());
+  std::vector<wsn::NodeId> receivers;
+  for (std::size_t i = 0; i < queue.receiver_count(slot); ++i) {
+    receivers.push_back(queue.receiver(slot, i));
   }
-  EXPECT_EQ(popped, 3);
-  // The last release freed the slot.
+  EXPECT_EQ(receivers, (std::vector<wsn::NodeId>{3, 1, 2}));  // append order
+  queue.release_message(slot);
+  EXPECT_EQ(queue.staged_message_count(), 0u);
+  EXPECT_EQ(message.use_count(), 1);
+}
+
+TEST(EventQueueTest, ReleasedSlotsAreRecycledEmpty) {
+  EventQueue queue;
+  SimTime now = 0;
+  const std::uint32_t first =
+      queue.push_broadcast(1, 0, std::make_shared<TestMessage>());
+  queue.add_receiver(first, 1);
+  queue.add_receiver(first, 2);
+  // A second broadcast in flight takes its own slot.
+  const std::uint32_t second =
+      queue.push_broadcast(1, 1, std::make_shared<TestMessage>());
+  queue.add_receiver(second, 0);
+  EXPECT_NE(first, second);
+  EXPECT_EQ(queue.staged_message_count(), 2u);
+  queue.release_message(queue.pop(now).delivery.message_slot);
+  // The freed slot is handed out again, with no receivers left over from
+  // the broadcast it carried before.
+  auto message = std::make_shared<TestMessage>();
+  EXPECT_EQ(queue.push_broadcast(2, 2, message), first);
+  EXPECT_EQ(queue.receiver_count(first), 0u);
+  EXPECT_EQ(&queue.message(first), message.get());
+  EXPECT_EQ(queue.receiver_count(second), 1u);
+  drain(queue, now);
   EXPECT_EQ(queue.staged_message_count(), 0u);
   EXPECT_EQ(message.use_count(), 1);
 }
@@ -157,18 +187,18 @@ TEST(EventQueueTest, InterleavedPushPopKeepsOrder) {
 TEST(EventQueueTest, ClearReleasesMessageReferencesAndCallbacks) {
   EventQueue queue;
   auto message = std::make_shared<TestMessage>();
-  const std::uint32_t slot = queue.stage_message(message);
-  queue.push_delivery(1, 0, 1, slot);
-  queue.push_delivery(2, 0, 2, slot);
+  queue.add_receiver(queue.push_broadcast(1, 0, message), 1);
+  // The same payload queued by two broadcasts, and one broadcast beyond
+  // the calendar's span (the far overflow list).
+  queue.add_receiver(queue.push_broadcast(2, 0, message), 2);
+  auto far = std::make_shared<TestMessage>();
+  queue.add_receiver(queue.push_broadcast(100 * kSecond, 0, far), 1);
   auto witness = std::make_shared<int>(0);
   queue.push_control(3, [witness] { ++*witness; });
   queue.push_timer(4, 0, 1, 1);
-  // Staged but never pushed: clear() must free this one too.
-  auto orphan = std::make_shared<TestMessage>();
-  (void)queue.stage_message(orphan);
-  EXPECT_EQ(message.use_count(), 2);
+  EXPECT_EQ(message.use_count(), 3);
+  EXPECT_EQ(far.use_count(), 2);
   EXPECT_EQ(witness.use_count(), 2);
-  EXPECT_EQ(orphan.use_count(), 2);
 
   queue.clear();
   EXPECT_TRUE(queue.empty());
@@ -176,14 +206,41 @@ TEST(EventQueueTest, ClearReleasesMessageReferencesAndCallbacks) {
   // nothing but the test's own handles survive.
   EXPECT_EQ(queue.staged_message_count(), 0u);
   EXPECT_EQ(message.use_count(), 1);
+  EXPECT_EQ(far.use_count(), 1);
   EXPECT_EQ(witness.use_count(), 1);
-  EXPECT_EQ(orphan.use_count(), 1);
+}
+
+TEST(EventQueueTest, ResetRunReleasesStagedPayloadsAndRecyclesSlots) {
+  for (const auto backend :
+       {EventQueue::Backend::kCalendar, EventQueue::Backend::kHeap}) {
+    EventQueue queue(backend);
+    auto message = std::make_shared<TestMessage>();
+    for (int i = 0; i < 3; ++i) {
+      const std::uint32_t slot = queue.push_broadcast(10 + i, 0, message);
+      queue.add_receiver(slot, 1);
+      queue.add_receiver(slot, 2);
+    }
+    EXPECT_EQ(message.use_count(), 4);
+    queue.reset_run();
+    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(queue.staged_message_count(), 0u);
+    EXPECT_EQ(message.use_count(), 1);
+    // Slots are handed out lowest first again, each without receivers.
+    for (std::uint32_t expected = 0; expected < 3; ++expected) {
+      const std::uint32_t slot = queue.push_broadcast(5, 0, message);
+      EXPECT_EQ(slot, expected);
+      EXPECT_EQ(queue.receiver_count(slot), 0u);
+    }
+    queue.reset_run();
+    EXPECT_EQ(message.use_count(), 1);
+  }
 }
 
 TEST(EventQueueTest, RejectsNullMessageAndNullAction) {
   EventQueue queue;
-  EXPECT_THROW((void)queue.stage_message(nullptr), std::invalid_argument);
+  EXPECT_THROW((void)queue.push_broadcast(1, 0, nullptr), std::invalid_argument);
   EXPECT_THROW(queue.push_control(1, nullptr), std::invalid_argument);
+  EXPECT_TRUE(queue.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -387,11 +444,11 @@ TEST(FrameClockQueueTest, ExpiriesForOneInstantShareOneEvent) {
 
 TEST(FrameClockQueueTest, AnyOtherPushForTheInstantClosesTheGroup) {
   EventQueue queue;
-  const std::uint32_t slot = queue.stage_message(std::make_shared<TestMessage>());
   queue.push_frame_timer(50, 0, 1, 1);
   queue.push_frame_timer(60, 9, 1, 1);  // another instant: no effect on 50
   queue.push_frame_timer(50, 1, 1, 1);
-  queue.push_delivery(50, 2, 3, slot);
+  queue.add_receiver(
+      queue.push_broadcast(50, 2, std::make_shared<TestMessage>()), 3);
   queue.push_frame_timer(50, 2, 1, 1);
   queue.push_timer(50, 3, 1, 1);
   queue.push_frame_timer(50, 3, 2, 1);
