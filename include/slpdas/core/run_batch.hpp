@@ -19,12 +19,12 @@
 //
 // Determinism contract: Fork::run(seed) and run_one(seed) are pure
 // functions of (config, topology, seed) and bit-identical to each other
-// and to the unbatched run_single(config, topology, seed) — everything
+// and to the standalone run_single(config, topology, seed) — everything
 // in the prefix is itself a pure function of (config, topology), and
 // reset_run rewinds every per-run mutable field to its just-constructed
-// value. The sweep engine's batched-vs-unbatched fingerprint tests and
-// batch_test's forked-vs-cold suite pin that equality for every
-// registered scenario.
+// value. batch_test pins that equality: run_one against run_single in
+// any seed order, and the forked-vs-cold suite for every registered
+// scenario's cells; the golden fingerprints pin the sweep documents.
 #pragma once
 
 #include <cstdint>
@@ -78,8 +78,8 @@ class RunBatch {
   [[nodiscard]] RunResult run_one(std::uint64_t seed) const;
 
   /// Executes run indices [first, last) back-to-back through one local
-  /// Fork, seeding run i with derive_seed(base_seed, i) — exactly the
-  /// per-run derivation the unbatched engine uses — and writing run i's
+  /// Fork, seeding run i with derive_seed(base_seed, i) — the sweep's
+  /// per-run seed derivation — and writing run i's
   /// result to out[i - first]. `out` must have room for last - first
   /// results. Thread-safe: the Fork is local to the call, so concurrent
   /// run_range calls on one batch (the sweep slicing a cell across

@@ -16,9 +16,9 @@
 // to an unsharded run.
 //
 // Results serialise to the BENCH_*.json schema documented in README.md
-// ("slpdas.sweep.v2"; v1 documents still parse) via a single writer over
-// the SweepJson model, so a written-then-reparsed-then-rewritten document
-// is byte-stable — the property the shard merge relies on.
+// ("slpdas.sweep.v2") via a single writer over the SweepJson model, so a
+// written-then-reparsed-then-rewritten document is byte-stable — the
+// property the shard merge relies on.
 //
 // Long sweeps additionally stream: `SweepOptions::stream` appends one
 // "slpdas.cell.v1" JSONL record per completed cell, so a killed process
@@ -145,14 +145,10 @@ struct SweepOptions {
   /// skips the simulation entirely (the stored record is reported — and
   /// streamed — exactly like a computed cell, so folds and documents stay
   /// bit-identical to a cold run), a miss computes the cell and stores it
-  /// on completion. Not owned; nullptr disables caching.
+  /// on completion — after its stream record is written, so the cache
+  /// never holds a cell the stream lacks. Not owned; nullptr disables
+  /// caching.
   CellCache* cache = nullptr;
-  /// Escape hatch for A/B verification and benchmarking: schedule one
-  /// task per (cell, run) through the unbatched run_single path instead
-  /// of cell-granular RunBatch slices. Results are bit-identical either
-  /// way (the batched-vs-unbatched fingerprint tests pin this); batched
-  /// is faster, so leave this false outside comparisons.
-  bool unbatched = false;
 };
 
 /// Parsed/serialisable view of a sweep JSON document. This is the value
@@ -164,9 +160,8 @@ struct SweepJsonStats {
   std::uint64_t count = 0;
   double mean = 0.0;
   double stddev = 0.0;
-  /// NaN when count == 0 (serialised as null) — also the default, so an
-  /// absent stats block (legacy v1 document) re-serialises as null, not
-  /// as a fabricated 0.
+  /// NaN when count == 0 (serialised as null) — also the default, so a
+  /// default-constructed block serialises as null, not as a fabricated 0.
   double min = std::numeric_limits<double>::quiet_NaN();
   double max = std::numeric_limits<double>::quiet_NaN();
 };
@@ -180,8 +175,8 @@ struct SweepJsonCell {
   /// Per-cell "config" block: the canonical topology/protocol/attacker/
   /// radio spec strings of the experiment. Present in every document this
   /// library writes (deterministic ones included — the specs are part of
-  /// the experiment's identity, unlike the perf telemetry); absent only
-  /// in legacy documents, whose rewrite then stays byte-identical.
+  /// the experiment's identity, unlike the perf telemetry); a hand-built
+  /// cell without specs leaves it false and serialises without the block.
   bool has_config = false;
   std::string config_topology;
   std::string config_protocol;
@@ -288,11 +283,10 @@ struct SweepJson {
   std::string name;
   /// The sweep seed (SweepOptions::base_seed) recorded so documents are
   /// self-describing and merge can refuse mixed-seed shard sets, which
-  /// would silently break common-random-numbers pairings. 0 in legacy
-  /// v1 documents.
+  /// would silently break common-random-numbers pairings.
   std::uint64_t base_seed = 0;
   /// Full-grid fingerprint (see SweepResult::grid_hash); merge refuses
-  /// shard sets whose grids differ. 0 in legacy v1 documents.
+  /// shard sets whose grids differ.
   std::uint64_t grid_hash = 0;
   int shard_index = 0;
   int shard_count = 1;
@@ -320,10 +314,9 @@ void write_sweep_json(std::ostream& out, const SweepJson& document);
 void write_sweep_json(std::ostream& out, const SweepResult& result,
                       std::string_view name);
 
-/// Parses a "slpdas.sweep.v2" document ("slpdas.sweep.v1" is accepted for
-/// old files: shard metadata defaults to 1-of-1 and cell indices to their
-/// position). Throws std::runtime_error on malformed input or an unknown
-/// schema string.
+/// Parses a "slpdas.sweep.v2" document. Throws std::runtime_error on
+/// malformed input (an integer field that is not an exact integer in
+/// 0..INT_MAX included) or any other schema string.
 [[nodiscard]] SweepJson read_sweep_json(std::istream& in);
 
 /// Recombines shard documents of one sweep into the unsharded document:

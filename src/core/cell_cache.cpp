@@ -101,8 +101,7 @@ SweepJsonCell parse_entry(const std::string& text, const CellCacheKey& key) {
   stored.radio = config.at("radio").as_string();
   stored.parameters = header.at("parameters").as_string();
   stored.cell_seed = header.at("cell_seed").as_u64();
-  const double runs = header.at("runs").as_number();
-  stored.runs = static_cast<int>(runs);
+  stored.runs = header.at("runs").as_int();
   stored.deterministic = header.at("deterministic").as_bool();
   if (!(stored == key)) {
     throw std::runtime_error(
@@ -114,8 +113,7 @@ SweepJsonCell parse_entry(const std::string& text, const CellCacheKey& key) {
 
   detail::JsonParser record_parser(
       text.substr(first_newline + 1, second_newline - first_newline));
-  SweepJsonCell cell =
-      detail::parse_cell_json(record_parser.parse(), /*v2=*/true, 0);
+  SweepJsonCell cell = detail::parse_cell_json(record_parser.parse());
   if (cell.cell_seed != key.cell_seed ||
       cell.runs != key.runs) {
     throw std::runtime_error(
@@ -388,7 +386,7 @@ CellCacheScanReport scan_cell_cache(const std::string& directory) {
       claimed.radio = config.at("radio").as_string();
       claimed.parameters = header.at("parameters").as_string();
       claimed.cell_seed = header.at("cell_seed").as_u64();
-      claimed.runs = static_cast<int>(header.at("runs").as_number());
+      claimed.runs = header.at("runs").as_int();
       claimed.deterministic = header.at("deterministic").as_bool();
       if (name.substr(0, 16) != claimed.hex()) {
         throw std::runtime_error(

@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "../cell_record.hpp"
 #include "process.hpp"
 #include "slpdas/core/fleet.hpp"
 
@@ -135,16 +136,19 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
   // resume cannot silently change the document's `threads` field).
   if (const std::optional<ShardMapManifest> existing =
           read_shardmap_manifest(dir)) {
-    if (existing->name != manifest.name ||
-        existing->base_seed != manifest.base_seed ||
-        existing->grid_hash != manifest.grid_hash ||
-        existing->cells_total != manifest.cells_total ||
-        existing->deterministic != manifest.deterministic ||
+    std::string mismatch = detail::identity_mismatch(
+        detail::identity_of(*existing), detail::identity_of(manifest));
+    if (mismatch.empty() &&
         existing->threads_total != manifest.threads_total) {
-      throw std::runtime_error(
-          "fleet: " + dir +
-          " already holds a different sweep (or different fleet shape); "
-          "use a fresh --fleet-dir or matching options");
+      mismatch = "threads_total " + std::to_string(existing->threads_total) +
+                 " vs " + std::to_string(manifest.threads_total);
+    }
+    if (!mismatch.empty()) {
+      throw std::runtime_error("fleet: " + dir +
+                               " already holds a different sweep or fleet "
+                               "shape (" + mismatch +
+                               "); use a fresh --fleet-dir or matching "
+                               "options");
     }
     manifest = *existing;
     log_line(fleet_options.log,

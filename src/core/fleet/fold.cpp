@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "../cell_record.hpp"
 #include "slpdas/core/fleet.hpp"
 
 namespace slpdas::core {
@@ -31,46 +32,25 @@ namespace fs = std::filesystem;
   return std::move(out).str();
 }
 
-void verify_stream_header(const CellStreamHeader& header,
-                          const ShardMapManifest& manifest) {
-  const auto mismatch = [&header](const std::string& field) {
-    throw std::runtime_error("fleet fold: stream for sweep '" + header.name +
-                             "' does not match the manifest (" + field + ")");
-  };
-  if (header.name != manifest.name) {
-    mismatch("name");
-  }
-  if (header.base_seed != manifest.base_seed) {
-    mismatch("base_seed");
-  }
-  if (header.grid_hash != manifest.grid_hash) {
-    mismatch("grid_hash");
-  }
-  if (header.cells_total != manifest.cells_total) {
-    mismatch("cells_total");
-  }
-  if (header.deterministic != manifest.deterministic) {
-    mismatch("deterministic");
-  }
-  if (header.shard_index != 0 || header.shard_count != 1) {
-    mismatch("shard (fleet workers always see the full grid)");
-  }
-}
-
 }  // namespace
 
 SweepJson merge_worker_streams(const ShardMapManifest& manifest,
                                const std::vector<CellStream>& streams) {
-  // First stream (in the caller's order — fold_fleet_directory passes
-  // filename order) wins a duplicate, so the fold is deterministic in
-  // the directory contents alone.
-  std::map<std::uint64_t, const SweepJsonCell*> chosen;
+  // Duplicates are the fleet's own business (the shared fold refuses
+  // them): the first stream in the caller's order — fold_fleet_directory
+  // passes filename order — keeps its record, so the fold is
+  // deterministic in the directory contents alone.
+  std::map<std::uint64_t, const SweepJsonCell*> first;
+  std::vector<detail::FoldInput> inputs;
   for (const CellStream& stream : streams) {
-    verify_stream_header(stream.header, manifest);
+    detail::FoldInput& input = inputs.emplace_back();
+    input.identity = detail::identity_of(stream.header);
     for (const SweepJsonCell& cell : stream.cells) {
-      const auto [it, inserted] = chosen.emplace(cell.index, &cell);
-      if (!inserted && manifest.deterministic &&
-          record_bytes(cell) != record_bytes(*it->second)) {
+      const auto [it, inserted] = first.emplace(cell.index, &cell);
+      if (inserted) {
+        input.cells.push_back(cell);
+      } else if (manifest.deterministic &&
+                 record_bytes(cell) != record_bytes(*it->second)) {
         throw std::runtime_error(
             "fleet fold: cell " + std::to_string(cell.index) +
             " was recorded by two workers with DIFFERENT bytes — "
@@ -78,35 +58,13 @@ SweepJson merge_worker_streams(const ShardMapManifest& manifest,
       }
     }
   }
-  for (std::uint64_t index = 0; index < manifest.cells_total; ++index) {
-    if (chosen.count(index) == 0) {
-      throw std::runtime_error(
-          "fleet fold: cell " + std::to_string(index) +
-          " is missing from every worker stream (fleet run incomplete?)");
-    }
-  }
-
-  SweepJson document;
-  document.schema = "slpdas.sweep.v2";
-  document.name = manifest.name;
-  document.base_seed = manifest.base_seed;
-  document.grid_hash = manifest.grid_hash;
-  document.shard_index = 0;
-  document.shard_count = 1;
-  document.cells_total = manifest.cells_total;
+  SweepJson document = detail::fold_sweep(detail::identity_of(manifest),
+                                          std::move(inputs), "fleet fold");
   // workers x worker_threads: the pool size a single-process run would
   // have used, so the folded document is byte-identical to `run
   // --threads N` (results never depend on the pool size; the field is
   // descriptive).
   document.threads = manifest.threads_total;
-  document.distinct_worker_threads = 0;
-  document.cells.reserve(chosen.size());
-  double wall_seconds = 0.0;
-  for (const auto& [index, cell] : chosen) {
-    wall_seconds += cell->wall_seconds;
-    document.cells.push_back(*cell);
-  }
-  document.wall_seconds = wall_seconds;
   return document;
 }
 

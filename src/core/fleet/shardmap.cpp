@@ -24,6 +24,7 @@
 #include <unistd.h>
 #endif
 
+#include "../cell_record.hpp"
 #include "../json.hpp"
 
 namespace slpdas::core {
@@ -99,15 +100,6 @@ std::ostream& record_head(std::ostream& out, const char* type) {
                              "'");
   }
   return value;
-}
-
-[[nodiscard]] int as_int(const Value& value, const char* key) {
-  const std::uint64_t raw = value.as_u64();
-  if (raw > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-    throw std::runtime_error(std::string("shardmap: ") + key +
-                             " out of range");
-  }
-  return static_cast<int>(raw);
 }
 
 [[nodiscard]] std::int64_t as_pid(const Value& value) {
@@ -229,11 +221,20 @@ ShardMapManifest parse_shardmap_manifest(const std::string& text) {
   manifest.grid_hash = value.at("grid_hash").as_u64();
   manifest.cells_total = value.at("cells_total").as_u64();
   manifest.deterministic = value.at("deterministic").as_bool();
-  manifest.workers = as_int(value.at("workers"), "workers");
-  manifest.worker_threads =
-      as_int(value.at("worker_threads"), "worker_threads");
-  manifest.threads_total = as_int(value.at("threads_total"), "threads_total");
+  manifest.workers = value.at("workers").as_int();
+  manifest.worker_threads = value.at("worker_threads").as_int();
+  manifest.threads_total = value.at("threads_total").as_int();
   return manifest;
+}
+
+detail::SweepIdentity detail::identity_of(const ShardMapManifest& manifest) {
+  SweepIdentity identity;
+  identity.name = manifest.name;
+  identity.base_seed = manifest.base_seed;
+  identity.grid_hash = manifest.grid_hash;
+  identity.cells_total = manifest.cells_total;
+  identity.deterministic = manifest.deterministic;
+  return identity;
 }
 
 ShardMapClaim parse_shardmap_claim(const std::string& text) {

@@ -19,6 +19,7 @@
 #include <unistd.h>
 #endif
 
+#include "../cell_record.hpp"
 #include "slpdas/core/cell_cache.hpp"
 #include "slpdas/core/fleet.hpp"
 #include "slpdas/core/thread_pool.hpp"
@@ -114,31 +115,6 @@ class HeartbeatThread {
   }
 }
 
-void verify_manifest(const ShardMapManifest& manifest,
-                     const ShardMapManifest& expected) {
-  const auto mismatch = [](const std::string& field) {
-    throw std::runtime_error(
-        "fleet worker: manifest " + field +
-        " does not match this process's grid expansion — mixed binaries "
-        "or mismatched scenario options");
-  };
-  if (manifest.name != expected.name) {
-    mismatch("name");
-  }
-  if (manifest.base_seed != expected.base_seed) {
-    mismatch("base_seed");
-  }
-  if (manifest.grid_hash != expected.grid_hash) {
-    mismatch("grid_hash");
-  }
-  if (manifest.cells_total != expected.cells_total) {
-    mismatch("cells_total");
-  }
-  if (manifest.deterministic != expected.deterministic) {
-    mismatch("deterministic");
-  }
-}
-
 std::size_t worker_loop(const Scenario& scenario,
                         const ScenarioOptions& options,
                         const FleetWorkerOptions& worker_options,
@@ -147,7 +123,7 @@ std::size_t worker_loop(const Scenario& scenario,
   if (cells.empty()) {
     throw std::runtime_error("fleet worker: scenario expands to no cells");
   }
-  ShardMapManifest expected;
+  detail::SweepIdentity expected;
   expected.name = scenario.name;
   expected.base_seed = scenario.resolved_seed(options);
   expected.grid_hash = hash_sweep_grid(cells);
@@ -155,7 +131,14 @@ std::size_t worker_loop(const Scenario& scenario,
   expected.deterministic = worker_options.deterministic;
   const ShardMapManifest manifest =
       await_manifest(worker_options.directory);
-  verify_manifest(manifest, expected);
+  const std::string mismatch =
+      detail::identity_mismatch(detail::identity_of(manifest), expected);
+  if (!mismatch.empty()) {
+    throw std::runtime_error(
+        "fleet worker: manifest " + mismatch +
+        " (manifest vs this process's grid expansion) — mixed binaries or "
+        "mismatched scenario options");
+  }
 
   // One stream file per worker INCARNATION: the coordinator hands every
   // spawn (replacements included) a fresh name, so a stream never has a

@@ -123,6 +123,27 @@ class JsonParser {
       return value;
     }
 
+    /// Exact parse from the raw token into 0..INT_MAX — every int field
+    /// this library writes (run counts, thread counts, shard index/count,
+    /// failure counts). Going through the double instead would make null
+    /// (NaN) and 1e300 undefined behaviour on the int conversion and
+    /// silently truncate 2.5.
+    [[nodiscard]] int as_int() const {
+      int value = 0;
+      if (kind == Kind::kNumber && !raw.empty() &&
+          raw.find_first_not_of("0123456789") == std::string::npos) {
+        const auto [ptr, ec] =
+            std::from_chars(raw.data(), raw.data() + raw.size(), value);
+        if (ec == std::errc() && ptr == raw.data() + raw.size()) {
+          return value;
+        }
+      }
+      throw std::runtime_error(
+          "json: expected an integer in 0.." +
+          std::to_string(std::numeric_limits<int>::max()) + ", got " +
+          (kind == Kind::kNumber ? raw : std::string("a non-number")));
+    }
+
     [[nodiscard]] bool as_bool() const {
       if (kind != Kind::kBool) {
         throw std::runtime_error("json: expected boolean");

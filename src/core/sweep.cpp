@@ -9,6 +9,7 @@
 #include <exception>
 #include <iomanip>
 #include <istream>
+#include <iterator>
 #include <limits>
 #include <mutex>
 #include <ostream>
@@ -123,7 +124,6 @@ struct CellProgress {
   Clock::time_point started{};
   std::atomic<bool> started_set{false};
   std::atomic<bool> failed{false};
-  double wall_seconds = 0.0;
   /// The cell's materialised topology: built lazily by the FIRST worker
   /// to touch the cell (configs only carry specs) and shared read-only by
   /// the cell's other runs; released again when the last run finishes, so
@@ -135,9 +135,9 @@ struct CellProgress {
   /// TSan's pthread_once interceptor does not unwind its once-guard, so a
   /// throwing callable leaves every other waiter blocked forever.
   std::exception_ptr build_error;
-  /// The cell's shared run-invariant state, built right after the
-  /// topology (which it references — reset FIRST on release). Absent in
-  /// unbatched mode.
+  /// The cell's shared run-invariant state, built inside the same
+  /// call_once right after the topology (which it references — reset
+  /// FIRST on release).
   std::optional<RunBatch> batch;
 };
 
@@ -205,8 +205,9 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
   std::size_t cells_finished = 0;
   std::exception_ptr first_error;
   // Set when a stream record write fails (ENOSPC, a yanked volume): the
-  // sweep is then doomed to rethrow, so remaining simulations are skipped
-  // — their cells could not be recorded and a resume re-runs them anyway.
+  // sweep is then doomed to rethrow, so nothing further is recorded,
+  // stored or simulated — those cells could not be recorded and a resume
+  // re-runs them anyway.
   std::atomic<bool> stream_failed{false};
   // Progress lines accumulate here and flush as ONE stream write at most
   // once per progress_interval_ms (re-checked at every cell completion
@@ -237,15 +238,98 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
         format_radio_spec(cell.config.radio, cell.config.loss_probability);
   }
 
+  // The one completion step, for cache hits and computed cells alike:
+  // serialise the cell once, append its stream record (ONE write + flush,
+  // so a kill leaves whole lines — at worst one torn tail, which
+  // read_cell_stream drops), store a computed cell in the cache only once
+  // its record is durably written (the cache never holds a cell the
+  // stream lacks), and queue the progress line. A cell with a failed run
+  // is neither recorded nor stored: a resume, and a later cache hit, must
+  // not trust it. `elapsed` is a computed cell's real compute time, shown
+  // on its progress line even under deterministic timing.
+  const auto complete = [&](std::size_t m, bool recordable, double elapsed) {
+    const SweepCellResult& out = sweep.cells[m];
+    const bool hit = out.cached.has_value();
+    const SweepJsonCell record = to_json_cell(out);
+    std::string line;
+    if (options.stream != nullptr && recordable) {
+      std::ostringstream composed;
+      write_cell_stream_record(composed, record);
+      line = std::move(composed).str();
+    }
+    bool recorded = options.stream == nullptr;
+    {
+      const std::scoped_lock lock(mutex);
+      if (!line.empty() && !stream_failed.load(std::memory_order_relaxed)) {
+        *options.stream << line;
+        options.stream->flush();
+        recorded = options.stream->good();
+        if (!recorded) {
+          stream_failed.store(true, std::memory_order_relaxed);
+          if (!first_error) {
+            first_error = std::make_exception_ptr(std::runtime_error(
+                "cell stream write failed (disk full?) — cells completed "
+                "past this point are unrecorded; fix the volume and resume "
+                "from the stream file"));
+          }
+        }
+      }
+      ++cells_finished;
+      if (options.progress != nullptr) {
+        // Compose the whole line off-stream (std::to_chars for the float:
+        // locale-independent, and the shared stream's flags stay
+        // untouched).
+        progress_pending += '[';
+        progress_pending += std::to_string(cells_finished);
+        progress_pending += '/';
+        progress_pending += std::to_string(mine.size());
+        progress_pending += "] ";
+        progress_pending += out.label;
+        progress_pending += " capture=";
+        progress_pending += std::to_string(record.capture_successes);
+        progress_pending += '/';
+        progress_pending += std::to_string(record.capture_trials);
+        if (hit) {
+          progress_pending += " (cached)\n";
+        } else {
+          char wall[32];
+          const auto [end, ec] =
+              std::to_chars(wall, wall + sizeof(wall) - 1, elapsed,
+                            std::chars_format::fixed, 1);
+          *(ec == std::errc() ? end : wall) = '\0';
+          progress_pending += " (";
+          progress_pending += wall;
+          progress_pending += "s)\n";
+        }
+        const Clock::time_point now = Clock::now();
+        if (cells_finished == mine.size() ||
+            seconds_between(progress_last_flush, now) * 1000.0 >=
+                static_cast<double>(options.progress_interval_ms)) {
+          *options.progress << progress_pending;
+          options.progress->flush();
+          progress_pending.clear();
+          progress_last_flush = now;
+        }
+      }
+    }
+    if (options.cache != nullptr && !hit && recordable && recorded) {
+      // Store failures are non-fatal (counted in the cache's stats): the
+      // sweep still holds the computed result.
+      const ExperimentConfig& config = cells[out.index].config;
+      options.cache->store(make_cell_cache_key(config, out.cell_seed,
+                                               options.deterministic_timing),
+                           record);
+    }
+  };
+
   // Consult the result cache BEFORE any run is scheduled: a validated hit
-  // skips the cell entirely (not even its topology is built). Hits are
-  // reported — and streamed — right here, exactly like computed cells, so
-  // the stream and the folded document stay bit-identical to a cold run;
-  // no worker has started yet, so no lock is needed and a stream-write
-  // failure can simply throw.
+  // skips the cell entirely (not even its topology is built) and
+  // completes right here, so hit records precede every computed one in
+  // the stream, exactly as before any worker runs.
+  // A failed stream write stops both this probe and the scheduling below.
   std::vector<char> cached(mine.size(), 0);
   if (options.cache != nullptr) {
-    for (std::size_t m = 0; m < mine.size(); ++m) {
+    for (std::size_t m = 0; m < mine.size() && !stream_failed.load(); ++m) {
       const SweepCell& cell = cells[mine[m]];
       std::optional<SweepJsonCell> hit = options.cache->lookup(
           make_cell_cache_key(cell.config, cell_seeds[m],
@@ -274,37 +358,7 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
       out.record_perf = hit->has_perf;
       out.cached = std::move(hit);
       cached[m] = 1;
-      if (options.stream != nullptr) {
-        std::ostringstream line;
-        write_cell_stream_record(line, *out.cached);
-        *options.stream << line.str();
-        options.stream->flush();
-        if (!options.stream->good()) {
-          throw std::runtime_error(
-              "cell stream write failed (disk full?) — fix the volume and "
-              "resume from the stream file");
-        }
-      }
-      ++cells_finished;
-      if (options.progress != nullptr) {
-        progress_pending += '[';
-        progress_pending += std::to_string(cells_finished);
-        progress_pending += '/';
-        progress_pending += std::to_string(mine.size());
-        progress_pending += "] ";
-        progress_pending += cell.label;
-        progress_pending += " capture=";
-        progress_pending += std::to_string(out.cached->capture_successes);
-        progress_pending += '/';
-        progress_pending += std::to_string(out.cached->capture_trials);
-        progress_pending += " (cached)\n";
-      }
-    }
-    if (!progress_pending.empty() && options.progress != nullptr) {
-      *options.progress << progress_pending;
-      options.progress->flush();
-      progress_pending.clear();
-      progress_last_flush = Clock::now();
+      complete(m, /*recordable=*/true, /*elapsed=*/0.0);
     }
   }
 
@@ -322,7 +376,7 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
   }
   const int threads = pool.thread_count();
 
-  for (std::size_t m = 0; m < mine.size(); ++m) {
+  for (std::size_t m = 0; m < mine.size() && !stream_failed.load(); ++m) {
     if (cached[m] != 0) {
       continue;
     }
@@ -331,9 +385,7 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
     const int runs = cell.config.runs;
 
     int slices = 1;
-    if (options.unbatched) {
-      slices = runs;
-    } else if (live_cells < static_cast<std::size_t>(threads)) {
+    if (live_cells < static_cast<std::size_t>(threads)) {
       const auto live = static_cast<int>(live_cells);
       slices = std::min(runs, (threads + live - 1) / live);
     }
@@ -352,8 +404,7 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
           state.started = Clock::now();
         }
         try {
-          if (options.stream != nullptr &&
-              stream_failed.load(std::memory_order_relaxed)) {
+          if (stream_failed.load(std::memory_order_relaxed)) {
             state.failed.store(true);
           } else {
             // First worker on the cell materialises its topology and
@@ -364,13 +415,10 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
             // once-guard is never left locked — TSan's pthread_once
             // interceptor does not release the guard on unwind, so a
             // throwing callable would deadlock every waiting slice.
-            const bool unbatched = options.unbatched;
-            std::call_once(state.build_topology, [&state, &cell, unbatched] {
+            std::call_once(state.build_topology, [&state, &cell] {
               try {
                 state.topology = cell.config.topology.build();
-                if (!unbatched) {
-                  state.batch.emplace(cell.config, state.topology);
-                }
+                state.batch.emplace(cell.config, state.topology);
                 // slpdas-lint: allow(bare-catch): rethrown via exception_ptr below with full type; catching everything keeps the once-guard released
               } catch (...) {
                 state.build_error = std::current_exception();
@@ -379,18 +427,9 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
             if (state.build_error) {
               std::rethrow_exception(state.build_error);
             }
-            if (options.unbatched) {
-              for (int run = first; run < last; ++run) {
-                const std::uint64_t seed =
-                    derive_seed(cell_seed, static_cast<std::uint64_t>(run));
-                state.runs[static_cast<std::size_t>(run)] =
-                    run_single(cell.config, state.topology, seed);
-              }
-            } else {
-              state.batch->run_range(
-                  cell_seed, first, last,
-                  state.runs.data() + static_cast<std::size_t>(first));
-            }
+            state.batch->run_range(
+                cell_seed, first, last,
+                state.runs.data() + static_cast<std::size_t>(first));
           }
         } catch (const std::exception& error) {
           // Name the failing cell: a sweep can run thousands of them, and
@@ -418,92 +457,21 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
         }
         if (state.remaining.fetch_sub(1) == 1) {
           // Last slice of this cell: aggregate in run-index order so the
-          // result is independent of scheduling, then report. The cell's
-          // batch and topology are done with — release them (batch first:
-          // it references the topology) so sweep memory tracks the cells
-          // in flight, not every cell ever finished.
+          // result is independent of scheduling, then complete it. The
+          // cell's batch and topology are done with — release them (batch
+          // first: it references the topology) so sweep memory tracks the
+          // cells in flight, not every cell ever finished.
           state.batch.reset();
           state.topology = wsn::Topology{};
-          state.wall_seconds = seconds_between(state.started, Clock::now());
+          const double elapsed = seconds_between(state.started, Clock::now());
           SweepCellResult& out = sweep.cells[m];
           out.result = aggregate_runs(state.runs, cell.config.check_schedules);
-          out.wall_seconds =
-              options.deterministic_timing ? 0.0 : state.wall_seconds;
+          out.wall_seconds = options.deterministic_timing ? 0.0 : elapsed;
           // Perf telemetry rides along only when wall clocks are real;
           // deterministic documents stay byte-identical to the
           // pre-telemetry schema.
           out.record_perf = !options.deterministic_timing;
-          // Compose the stream record — and populate the cache — off-lock;
-          // a cell with a failed run is neither recorded nor stored (a
-          // resume, and a later cache hit, must not trust it).
-          std::string record;
-          if ((options.stream != nullptr || options.cache != nullptr) &&
-              !state.failed.load()) {
-            const SweepJsonCell json_cell = to_json_cell(out);
-            if (options.stream != nullptr) {
-              std::ostringstream line;
-              write_cell_stream_record(line, json_cell);
-              record = line.str();
-            }
-            if (options.cache != nullptr) {
-              // Store failures are non-fatal (counted in the cache's
-              // stats): the sweep still holds the computed result.
-              options.cache->store(
-                  make_cell_cache_key(cell.config, cell_seed,
-                                      options.deterministic_timing),
-                  json_cell);
-            }
-          }
-          const std::scoped_lock lock(mutex);
-          if (!record.empty()) {
-            // One write + flush per record: a kill leaves whole lines (at
-            // worst one torn tail, which read_cell_stream drops).
-            *options.stream << record;
-            options.stream->flush();
-            if (!options.stream->good()) {
-              stream_failed.store(true, std::memory_order_relaxed);
-              if (!first_error) {
-                first_error = std::make_exception_ptr(std::runtime_error(
-                    "cell stream write failed (disk full?) — cells "
-                    "completed past this point are unrecorded; fix the "
-                    "volume and resume from the stream file"));
-              }
-            }
-          }
-          ++cells_finished;
-          if (options.progress != nullptr) {
-            // Compose the whole line off-stream (std::to_chars for the
-            // float: locale-independent, and the shared stream's flags
-            // stay untouched).
-            char wall[32];
-            const auto [end, ec] =
-                std::to_chars(wall, wall + sizeof(wall) - 1,
-                              state.wall_seconds, std::chars_format::fixed, 1);
-            *(ec == std::errc() ? end : wall) = '\0';
-            progress_pending += '[';
-            progress_pending += std::to_string(cells_finished);
-            progress_pending += '/';
-            progress_pending += std::to_string(mine.size());
-            progress_pending += "] ";
-            progress_pending += cell.label;
-            progress_pending += " capture=";
-            progress_pending +=
-                std::to_string(out.result.capture.successes());
-            progress_pending += '/';
-            progress_pending += std::to_string(out.result.capture.trials());
-            progress_pending += " (";
-            progress_pending += wall;
-            progress_pending += "s)\n";
-            const Clock::time_point now = Clock::now();
-            const bool last = cells_finished == mine.size();
-            if (last || seconds_between(progress_last_flush, now) * 1000.0 >=
-                            static_cast<double>(options.progress_interval_ms)) {
-              *options.progress << progress_pending;
-              options.progress->flush();
-              progress_pending.clear();
-              progress_last_flush = now;
-            }
-          }
+          complete(m, !state.failed.load(), elapsed);
         }
       });
     }
@@ -533,7 +501,6 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
 
 namespace {
 
-constexpr std::string_view kSchemaV1 = "slpdas.sweep.v1";
 constexpr std::string_view kSchemaV2 = "slpdas.sweep.v2";
 constexpr std::string_view kCellSchemaV1 = "slpdas.cell.v1";
 
@@ -662,8 +629,8 @@ void write_cell_fields(std::ostream& out, const SweepJsonCell& cell,
   if (cell.has_config) {
     // Every document this library writes carries the block (the specs
     // are part of the experiment's identity, so unlike perf it is present
-    // under deterministic timing too); only reparsed legacy documents
-    // lack it, and their rewrite must stay byte-identical.
+    // under deterministic timing too); only hand-built cells without
+    // specs lack it.
     out << sep << "\"config\": {\"topology\": ";
     write_string(out, cell.config_topology);
     out << ", \"protocol\": ";
@@ -805,21 +772,20 @@ SweepJsonStats parse_stats(const JsonParser::Value& value) {
 
 namespace detail {
 
-// One cell object — shared between the v1/v2 document reader, the
-// cell-stream reader and the result cache (whose records all carry the
-// same field set as v2). Declared in cell_record.hpp.
-SweepJsonCell parse_cell_json(const JsonParser::Value& cell_value, bool v2,
-                              std::uint64_t fallback_index) {
+// One cell object — shared between the document reader, the cell-stream
+// reader and the result cache (whose records all carry the same field
+// set). Declared in cell_record.hpp.
+SweepJsonCell parse_cell_json(const JsonParser::Value& cell_value) {
   SweepJsonCell cell;
-  cell.index = v2 ? cell_value.at("index").as_u64() : fallback_index;
+  cell.index = cell_value.at("index").as_u64();
   cell.label = cell_value.at("label").as_string();
   for (const auto& [key, value] : cell_value.at("coordinates").as_object()) {
     cell.coordinates.emplace_back(key, value.as_string());
   }
   cell.cell_seed = cell_value.at("cell_seed").as_u64();
-  cell.runs = static_cast<int>(cell_value.at("runs").as_number());
+  cell.runs = cell_value.at("runs").as_int();
   if (const JsonParser::Value* config = cell_value.find("config")) {
-    // Optional: absent only in documents older than the spec layer.
+    // Optional: absent only from hand-built cells (has_config false).
     cell.has_config = true;
     cell.config_topology = config->at("topology").as_string();
     cell.config_protocol = config->at("protocol").as_string();
@@ -844,20 +810,16 @@ SweepJsonCell parse_cell_json(const JsonParser::Value& cell_value, bool v2,
   cell.normal_messages_per_node =
       parse_stats(cell_value.at("normal_messages_per_node"));
   cell.attacker_moves = parse_stats(cell_value.at("attacker_moves"));
-  if (v2) {
-    cell.slot_band_span = parse_stats(cell_value.at("slot_band_span"));
-    cell.schedule_density = parse_stats(cell_value.at("schedule_density"));
-  }
+  cell.slot_band_span = parse_stats(cell_value.at("slot_band_span"));
+  cell.schedule_density = parse_stats(cell_value.at("schedule_density"));
   cell.schedule_incomplete_runs =
-      static_cast<int>(cell_value.at("schedule_incomplete_runs").as_number());
-  cell.weak_das_failures =
-      static_cast<int>(cell_value.at("weak_das_failures").as_number());
-  cell.strong_das_failures =
-      static_cast<int>(cell_value.at("strong_das_failures").as_number());
+      cell_value.at("schedule_incomplete_runs").as_int();
+  cell.weak_das_failures = cell_value.at("weak_das_failures").as_int();
+  cell.strong_das_failures = cell_value.at("strong_das_failures").as_int();
   cell.wall_seconds = cell_value.at("wall_seconds").as_number();
   if (const JsonParser::Value* perf = cell_value.find("perf")) {
     // Optional: present only in real-clock documents (never under
-    // --deterministic), and in no legacy document at all.
+    // --deterministic).
     cell.has_perf = true;
     cell.perf_events = perf->at("events").as_u64();
     cell.perf_deliveries = perf->at("deliveries").as_u64();
@@ -875,121 +837,197 @@ SweepJson read_sweep_json(std::istream& in) {
 
   SweepJson document;
   document.schema = root.at("schema").as_string();
-  const bool v2 = document.schema == kSchemaV2;
-  if (!v2 && document.schema != kSchemaV1) {
+  if (document.schema != kSchemaV2) {
     throw std::runtime_error("sweep json: unknown schema '" + document.schema +
                              "'");
   }
   document.name = root.at("name").as_string();
-  if (v2) {
-    document.base_seed = root.at("base_seed").as_u64();
-    document.grid_hash = root.at("grid_hash").as_u64();
-    const JsonParser::Value& shard = root.at("shard");
-    document.shard_index = static_cast<int>(shard.at("index").as_number());
-    document.shard_count = static_cast<int>(shard.at("count").as_number());
-    document.cells_total = shard.at("cells_total").as_u64();
-  }
-  document.threads = static_cast<int>(root.at("threads").as_number());
-  if (const JsonParser::Value* distinct =
-          root.find("distinct_worker_threads")) {
-    document.distinct_worker_threads =
-        static_cast<int>(distinct->as_number());
-  }
+  document.base_seed = root.at("base_seed").as_u64();
+  document.grid_hash = root.at("grid_hash").as_u64();
+  const JsonParser::Value& shard = root.at("shard");
+  document.shard_index = shard.at("index").as_int();
+  document.shard_count = shard.at("count").as_int();
+  document.cells_total = shard.at("cells_total").as_u64();
+  document.threads = root.at("threads").as_int();
+  document.distinct_worker_threads =
+      root.at("distinct_worker_threads").as_int();
   document.wall_seconds = root.at("wall_seconds").as_number();
 
   for (const JsonParser::Value& cell_value : root.at("cells").as_array()) {
-    document.cells.push_back(detail::parse_cell_json(
-        cell_value, v2, static_cast<std::uint64_t>(document.cells.size())));
-  }
-  if (!v2) {
-    document.cells_total = document.cells.size();
+    document.cells.push_back(detail::parse_cell_json(cell_value));
   }
   return document;
 }
 
 // ---------------------------------------------------------------------------
-// Shard merging
+// Sweep identity and the one fold
 // ---------------------------------------------------------------------------
+
+namespace detail {
+
+SweepIdentity identity_of(const CellStreamHeader& header) {
+  return {header.name,        header.base_seed,     header.grid_hash,
+          header.cells_total, header.deterministic, header.shard_index,
+          header.shard_count};
+}
+
+SweepIdentity identity_of(const SweepJson& document) {
+  return {document.name,        document.base_seed,
+          document.grid_hash,   document.cells_total,
+          /*deterministic=*/false, document.shard_index,
+          document.shard_count};
+}
+
+std::string identity_mismatch(const SweepIdentity& have,
+                              const SweepIdentity& want) {
+  const auto differs = [](const char* field, const std::string& a,
+                          const std::string& b) {
+    return std::string(field) + " " + a + " vs " + b;
+  };
+  if (have.name != want.name) {
+    return differs("name", "'" + have.name + "'", "'" + want.name + "'");
+  }
+  if (have.base_seed != want.base_seed) {
+    // Mixed seeds would silently break the common-random-numbers pairing
+    // between cells that came from different inputs.
+    return differs("base_seed", std::to_string(have.base_seed),
+                   std::to_string(want.base_seed));
+  }
+  if (have.grid_hash != want.grid_hash) {
+    // Different full-grid fingerprints: the inputs came from different
+    // grids (another --sd, --runs or axis value); combining them would
+    // fabricate an experiment nobody ran.
+    return differs("grid_hash", std::to_string(have.grid_hash),
+                   std::to_string(want.grid_hash));
+  }
+  if (have.cells_total != want.cells_total) {
+    return differs("cells_total", std::to_string(have.cells_total),
+                   std::to_string(want.cells_total));
+  }
+  if (have.deterministic != want.deterministic) {
+    // Mixing zeroed and real wall clocks in one document would silently
+    // break the bit-reproducibility contract.
+    return differs("deterministic", have.deterministic ? "true" : "false",
+                   want.deterministic ? "true" : "false");
+  }
+  if (have.shard_index != want.shard_index ||
+      have.shard_count != want.shard_count) {
+    return differs("shard",
+                   std::to_string(have.shard_index) + "/" +
+                       std::to_string(have.shard_count),
+                   std::to_string(want.shard_index) + "/" +
+                       std::to_string(want.shard_count));
+  }
+  return {};
+}
+
+SweepJson fold_sweep(const SweepIdentity& expected,
+                     std::vector<FoldInput> inputs,
+                     std::string_view context) {
+  const std::string where(context);
+  if (expected.shard_count < 1 || expected.shard_index < 0 ||
+      expected.shard_index >= expected.shard_count) {
+    throw std::runtime_error(where + ": invalid shard spec " +
+                             std::to_string(expected.shard_index) + "/" +
+                             std::to_string(expected.shard_count));
+  }
+  SweepJson document;
+  document.schema = std::string(kSchemaV2);
+  document.name = expected.name;
+  document.base_seed = expected.base_seed;
+  document.grid_hash = expected.grid_hash;
+  document.shard_index = expected.shard_index;
+  document.shard_count = expected.shard_count;
+  document.cells_total = expected.cells_total;
+  for (FoldInput& input : inputs) {
+    const std::string mismatch = identity_mismatch(input.identity, expected);
+    if (!mismatch.empty()) {
+      throw std::runtime_error(where + ": inputs belong to different sweeps (" +
+                               mismatch + ")");
+    }
+    std::move(input.cells.begin(), input.cells.end(),
+              std::back_inserter(document.cells));
+  }
+  // Records arrive in completion (or shard) order; the document wants
+  // grid order.
+  std::sort(document.cells.begin(), document.cells.end(),
+            [](const SweepJsonCell& a, const SweepJsonCell& b) {
+              return a.index < b.index;
+            });
+  const auto stride = static_cast<std::uint64_t>(expected.shard_count);
+  std::uint64_t next = static_cast<std::uint64_t>(expected.shard_index);
+  const auto missing = [&where](std::uint64_t index) {
+    return std::runtime_error(
+        where + ": cell " + std::to_string(index) +
+        " has no record — complete the run (resume it, or supply every "
+        "shard) before folding");
+  };
+  for (const SweepJsonCell& cell : document.cells) {
+    if (next < expected.cells_total && cell.index == next) {
+      document.wall_seconds += cell.wall_seconds;
+      next += stride;
+      continue;
+    }
+    if (next < expected.cells_total && cell.index > next) {
+      throw missing(next);
+    }
+    throw std::runtime_error(
+        where + ": record for cell " + std::to_string(cell.index) +
+        " is a duplicate or lies outside shard " +
+        std::to_string(expected.shard_index) + "/" +
+        std::to_string(expected.shard_count) + " of the " +
+        std::to_string(expected.cells_total) + "-cell grid");
+  }
+  if (next < expected.cells_total) {
+    throw missing(next);
+  }
+  return document;
+}
+
+}  // namespace detail
 
 SweepJson merge_sweep_shards(std::vector<SweepJson> shards) {
   if (shards.empty()) {
     throw std::runtime_error("merge: no shard documents");
   }
   const int count = static_cast<int>(shards.size());
-
-  SweepJson merged;
-  merged.schema = std::string(kSchemaV2);
-  merged.name = shards.front().name;
-  merged.base_seed = shards.front().base_seed;
-  merged.grid_hash = shards.front().grid_hash;
-  merged.cells_total = shards.front().cells_total;
-  merged.shard_index = 0;
-  merged.shard_count = 1;
-
+  // Every shard is a slice of the same full (0-of-1) sweep; the shard set
+  // itself must name each of `count` slices exactly once.
+  detail::SweepIdentity expected = detail::identity_of(shards.front());
+  expected.shard_index = 0;
+  expected.shard_count = 1;
   std::set<int> seen_indices;
+  std::vector<detail::FoldInput> inputs;
+  int threads = 0;
+  int distinct_worker_threads = 0;
+  double wall_seconds = 0.0;
   for (SweepJson& shard : shards) {
-    if (shard.name != merged.name) {
-      throw std::runtime_error("merge: shard names differ ('" + merged.name +
-                               "' vs '" + shard.name + "')");
-    }
-    if (shard.base_seed != merged.base_seed) {
-      // Mixed seeds would silently break the common-random-numbers
-      // pairing between cells that landed on different shards.
-      throw std::runtime_error(
-          "merge: shard base seeds differ (" +
-          std::to_string(merged.base_seed) + " vs " +
-          std::to_string(shard.base_seed) + ")");
-    }
-    if (shard.grid_hash != merged.grid_hash) {
-      // Different full-grid fingerprints mean the shards were produced
-      // from different grids (e.g. one run used --sd 5 or another
-      // --runs value); interleaving them would fabricate an experiment
-      // nobody ran.
-      throw std::runtime_error(
-          "merge: shard grids differ (were the shards run with identical "
-          "scenario options?)");
-    }
     if (shard.shard_count != count) {
       throw std::runtime_error(
           "merge: document expects " + std::to_string(shard.shard_count) +
           " shard(s) but " + std::to_string(count) + " were given");
     }
-    if (!seen_indices.insert(shard.shard_index).second) {
-      throw std::runtime_error("merge: duplicate shard index " +
-                               std::to_string(shard.shard_index));
-    }
-    if (shard.shard_index < 0 || shard.shard_index >= count) {
+    if (shard.shard_index < 0 || shard.shard_index >= count ||
+        !seen_indices.insert(shard.shard_index).second) {
       throw std::runtime_error("merge: shard index " +
                                std::to_string(shard.shard_index) +
-                               " out of range");
+                               " is out of range or given twice");
     }
-    if (shard.cells_total != merged.cells_total) {
-      throw std::runtime_error("merge: cells_total differs across shards");
-    }
-    merged.threads = std::max(merged.threads, shard.threads);
-    merged.distinct_worker_threads = std::max(merged.distinct_worker_threads,
-                                              shard.distinct_worker_threads);
-    merged.wall_seconds += shard.wall_seconds;
-    for (SweepJsonCell& cell : shard.cells) {
-      merged.cells.push_back(std::move(cell));
-    }
+    threads = std::max(threads, shard.threads);
+    distinct_worker_threads =
+        std::max(distinct_worker_threads, shard.distinct_worker_threads);
+    wall_seconds += shard.wall_seconds;
+    detail::FoldInput& input = inputs.emplace_back();
+    input.identity = detail::identity_of(shard);
+    input.identity.shard_index = 0;
+    input.identity.shard_count = 1;
+    input.cells = std::move(shard.cells);
   }
-
-  std::sort(merged.cells.begin(), merged.cells.end(),
-            [](const SweepJsonCell& a, const SweepJsonCell& b) {
-              return a.index < b.index;
-            });
-  if (merged.cells.size() != merged.cells_total) {
-    throw std::runtime_error(
-        "merge: shards carry " + std::to_string(merged.cells.size()) +
-        " cells, expected " + std::to_string(merged.cells_total));
-  }
-  for (std::size_t i = 0; i < merged.cells.size(); ++i) {
-    if (merged.cells[i].index != i) {
-      throw std::runtime_error("merge: cell index " + std::to_string(i) +
-                               " is missing or duplicated");
-    }
-  }
+  SweepJson merged = detail::fold_sweep(expected, std::move(inputs), "merge");
+  merged.threads = threads;
+  merged.distinct_worker_threads = distinct_worker_threads;
+  // The shards' own clocks (sweep wall time), not the cell sum.
+  merged.wall_seconds = wall_seconds;
   return merged;
 }
 
@@ -1063,10 +1101,8 @@ CellStream read_cell_stream(std::istream& in) {
       stream.header.base_seed = root.at("base_seed").as_u64();
       stream.header.grid_hash = root.at("grid_hash").as_u64();
       const JsonParser::Value& shard = root.at("shard");
-      stream.header.shard_index =
-          static_cast<int>(shard.at("index").as_number());
-      stream.header.shard_count =
-          static_cast<int>(shard.at("count").as_number());
+      stream.header.shard_index = shard.at("index").as_int();
+      stream.header.shard_count = shard.at("count").as_int();
       stream.header.cells_total = shard.at("cells_total").as_u64();
       if (stream.header.shard_count < 1 || stream.header.shard_index < 0 ||
           stream.header.shard_index >= stream.header.shard_count) {
@@ -1076,11 +1112,11 @@ CellStream read_cell_stream(std::istream& in) {
                                  std::to_string(stream.header.shard_count));
       }
       stream.header.deterministic = root.at("deterministic").as_bool();
-      stream.header.threads = static_cast<int>(root.at("threads").as_number());
+      stream.header.threads = root.at("threads").as_int();
       have_header = true;
       continue;
     }
-    SweepJsonCell cell = detail::parse_cell_json(root, /*v2=*/true, 0);
+    SweepJsonCell cell = detail::parse_cell_json(root);
     if (cell.index >= stream.header.cells_total) {
       throw std::runtime_error("cell stream: cell index " +
                                std::to_string(cell.index) +
@@ -1108,90 +1144,26 @@ CellStream read_cell_stream(std::istream& in) {
 
 void verify_cell_stream_resumable(const CellStreamHeader& existing,
                                   const CellStreamHeader& expected) {
-  const auto refuse = [](const char* field, const std::string& stream_has,
-                         const std::string& run_wants) {
+  // `threads` is deliberately not part of the identity: seeds and
+  // aggregation are pool-size independent, so a resume on different
+  // hardware is fine (the fold keeps the original run's thread count).
+  const std::string mismatch = detail::identity_mismatch(
+      detail::identity_of(existing), detail::identity_of(expected));
+  if (!mismatch.empty()) {
     throw std::runtime_error(
-        std::string("cell stream: ") + field + " mismatch (stream has " +
-        stream_has + ", this run expects " + run_wants +
-        ") — the stream file belongs to a different sweep");
-  };
-  if (existing.name != expected.name) {
-    refuse("name", "'" + existing.name + "'", "'" + expected.name + "'");
+        "cell stream: " + mismatch +
+        " (stream vs this run) — the stream file belongs to a different "
+        "sweep");
   }
-  if (existing.base_seed != expected.base_seed) {
-    refuse("base_seed", std::to_string(existing.base_seed),
-           std::to_string(expected.base_seed));
-  }
-  if (existing.grid_hash != expected.grid_hash) {
-    refuse("grid_hash", std::to_string(existing.grid_hash),
-           std::to_string(expected.grid_hash));
-  }
-  if (existing.shard_index != expected.shard_index ||
-      existing.shard_count != expected.shard_count) {
-    refuse("shard",
-           std::to_string(existing.shard_index) + "/" +
-               std::to_string(existing.shard_count),
-           std::to_string(expected.shard_index) + "/" +
-               std::to_string(expected.shard_count));
-  }
-  if (existing.cells_total != expected.cells_total) {
-    refuse("cells_total", std::to_string(existing.cells_total),
-           std::to_string(expected.cells_total));
-  }
-  if (existing.deterministic != expected.deterministic) {
-    // Mixing zeroed and real wall clocks in one folded document would
-    // silently break the bit-reproducibility contract.
-    refuse("deterministic", existing.deterministic ? "true" : "false",
-           expected.deterministic ? "true" : "false");
-  }
-  // `threads` is deliberately not compared: seeds and aggregation are
-  // pool-size independent, so a resume on different hardware is fine (the
-  // fold keeps the original run's thread count).
 }
 
 SweepJson fold_cell_stream(const CellStream& stream) {
-  const CellStreamHeader& header = stream.header;
-  if (header.shard_count < 1 || header.shard_index < 0 ||
-      header.shard_index >= header.shard_count) {
-    throw std::runtime_error("cell stream: invalid shard spec " +
-                             std::to_string(header.shard_index) + "/" +
-                             std::to_string(header.shard_count));
-  }
-  SweepJson document;
-  document.schema = std::string(kSchemaV2);
-  document.name = header.name;
-  document.base_seed = header.base_seed;
-  document.grid_hash = header.grid_hash;
-  document.shard_index = header.shard_index;
-  document.shard_count = header.shard_count;
-  document.cells_total = header.cells_total;
-  document.threads = header.threads;
-  document.distinct_worker_threads = 0;
-  document.cells = stream.cells;
-  // Records arrive in completion order; the document wants grid order.
-  std::sort(document.cells.begin(), document.cells.end(),
-            [](const SweepJsonCell& a, const SweepJsonCell& b) {
-              return a.index < b.index;
-            });
-  std::size_t at = 0;
-  for (std::uint64_t i = 0; i < header.cells_total; ++i) {
-    if (i % static_cast<std::uint64_t>(header.shard_count) !=
-        static_cast<std::uint64_t>(header.shard_index)) {
-      continue;
-    }
-    if (at >= document.cells.size() || document.cells[at].index != i) {
-      throw std::runtime_error(
-          "cell stream: cell " + std::to_string(i) +
-          " has no record yet — resume the run to complete the stream "
-          "before folding it");
-    }
-    document.wall_seconds += document.cells[at].wall_seconds;
-    ++at;
-  }
-  if (at != document.cells.size()) {
-    throw std::runtime_error(
-        "cell stream: carries more records than the grid has cells");
-  }
+  const detail::SweepIdentity identity = detail::identity_of(stream.header);
+  std::vector<detail::FoldInput> inputs;
+  inputs.push_back({identity, stream.cells});
+  SweepJson document =
+      detail::fold_sweep(identity, std::move(inputs), "cell stream");
+  document.threads = stream.header.threads;
   return document;
 }
 

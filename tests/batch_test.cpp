@@ -2,9 +2,6 @@
 // run-invariant state of a cell out of the per-seed loop must not change
 // a single output bit.
 //
-//   * For every registered scenario, the batched sweep document and the
-//     SweepOptions::unbatched one serialise to identical bytes (same FNV
-//     fingerprint the golden tests pin).
 //   * RunBatch::run_one(seed) equals run_single(config, topology, seed)
 //     for every seed, in any execution order — each run owns its seed's
 //     whole RNG stream, so batch-mates cannot bleed randomness into each
@@ -18,9 +15,7 @@
 #include "slpdas/core/run_batch.hpp"
 
 #include <cstdint>
-#include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,15 +26,6 @@
 
 namespace slpdas::core {
 namespace {
-
-std::uint64_t fnv1a_bytes(std::string_view text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 /// Field-by-field equality over the whole RunResult, exact on doubles.
 void expect_identical(const RunResult& a, const RunResult& b) {
@@ -71,50 +57,12 @@ ExperimentConfig small_config(ProtocolKind protocol) {
   return config;
 }
 
-TEST(RunBatchTest, BatchedSweepMatchesUnbatchedForEveryScenario) {
-  // The whole registry, smoke-sized but multi-run, through both
-  // scheduling paths of run_sweep. Byte equality of the serialised
-  // documents is the same bar the golden fingerprint tests set, so any
-  // divergence hoisting introduced — a stale config field, an RNG draw
-  // moved across runs — fails here naming the scenario.
-  ScenarioRegistry registry;
-  register_builtin_scenarios(registry);
-
-  ScenarioOptions scenario_options;
-  scenario_options.smoke = true;
-  scenario_options.runs = 3;  // exercise real per-cell seed ranges
-  ThreadPool pool(3);
-
-  for (const Scenario& scenario : registry.scenarios()) {
-    SCOPED_TRACE(scenario.name);
-    const std::vector<SweepCell> cells =
-        scenario.make_cells(scenario_options);
-    ASSERT_FALSE(cells.empty());
-
-    SweepOptions options;
-    options.threads = 3;
-    options.base_seed = scenario.resolved_seed(scenario_options);
-    options.deterministic_timing = true;
-
-    std::ostringstream batched;
-    write_sweep_json(batched, run_sweep(cells, options, pool),
-                     scenario.name);
-    options.unbatched = true;
-    std::ostringstream unbatched;
-    write_sweep_json(unbatched, run_sweep(cells, options, pool),
-                     scenario.name);
-
-    EXPECT_EQ(batched.str(), unbatched.str());
-    EXPECT_EQ(fnv1a_bytes(batched.str()), fnv1a_bytes(unbatched.str()));
-  }
-}
-
 TEST(RunBatchTest, RunOneMatchesRunSingleInAnyOrder) {
   // Seed isolation: a batch executes seeds against shared hoisted state,
   // so each run's randomness must come only from its own seed — never
   // from batch construction or from whichever seeds ran before it.
   // run_one must therefore reproduce run_single exactly even when the
-  // seeds execute in a different order than the unbatched engine used.
+  // seeds execute in a different order than a sweep slice would.
   for (const ProtocolKind protocol :
        {ProtocolKind::kProtectionlessDas, ProtocolKind::kSlpDas,
         ProtocolKind::kPhantomRouting}) {

@@ -350,6 +350,35 @@ TEST_F(CellCacheTest, ScanAndGcSeparateValidInvalidAndForeignFiles) {
   EXPECT_TRUE(after.temp_files.empty());
 }
 
+TEST_F(CellCacheTest, ScanAndLookupRejectANonIntegerRunCount) {
+  // `cache verify` (scan_cell_cache) and lookup both rebuild the key from
+  // the entry header; its run count must be an exact integer in
+  // 0..INT_MAX — 2.5 used to truncate into a valid-looking key.
+  const CellCacheKey key = make_cell_cache_key(cheap_config(), 42, true);
+  {
+    CellCache cache(dir_);
+    ASSERT_TRUE(cache.store(key, record_for(key)));
+  }
+  const std::string path = CellCache(dir_).entry_path(key);
+  const std::string good = slurp(path);
+  const std::string runs = "\"runs\": " + std::to_string(key.runs);
+  for (const char* bad : test::kBadIntegerTokens) {
+    SCOPED_TRACE(bad);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << test::replace_first(good, runs, std::string("\"runs\": ") + bad);
+    }
+    const CellCacheScanReport scan = scan_cell_cache(dir_);
+    ASSERT_EQ(scan.entries.size(), 1u);
+    EXPECT_FALSE(scan.entries[0].valid);
+    EXPECT_TRUE(test::is_bad_integer_error(scan.entries[0].error))
+        << scan.entries[0].error;
+    CellCache fresh(dir_);
+    EXPECT_FALSE(fresh.lookup(key).has_value());
+    EXPECT_EQ(fresh.stats().rejected, 1u);
+  }
+}
+
 TEST_F(CellCacheTest, ScanThrowsOnAMissingDirectory) {
   EXPECT_THROW((void)scan_cell_cache(dir_ + "/nope"), std::runtime_error);
 }

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -176,6 +177,26 @@ TEST(CellStreamTest, RejectsMalformedStreams) {
     EXPECT_THROW(
         (void)parse_text(stream_text(sharded, {reference.cells[1]})),
         std::runtime_error);
+  }
+  // Int fields take exact integers in 0..INT_MAX only — the header's
+  // thread and shard counts and a record's run count alike.
+  const std::string good = stream_text(header, {reference.cells[0]});
+  ASSERT_NO_THROW((void)parse_text(good));
+  const std::pair<std::string, std::string> fields[] = {
+      {"\"threads\": ", std::to_string(header.threads) + "}"},
+      {"\"count\": ", "1,"},
+      {"\"runs\": ", std::to_string(reference.cells[0].runs) + ","}};
+  for (const auto& [field, value] : fields) {
+    for (const char* bad : test::kBadIntegerTokens) {
+      SCOPED_TRACE(field + bad);
+      try {
+        (void)parse_text(test::replace_first(good, field + value,
+                                             field + bad + value.back()));
+        ADD_FAILURE() << "accepted";
+      } catch (const std::runtime_error& error) {
+        EXPECT_TRUE(test::is_bad_integer_error(error.what())) << error.what();
+      }
+    }
   }
 }
 

@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <clocale>
 #include <cmath>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 
+#include "slpdas/core/cell_cache.hpp"
 #include "slpdas/core/scenario.hpp"
 #include "test_util.hpp"
 
@@ -214,28 +218,137 @@ TEST(SweepRunTest, RejectsCellWithNoRuns) {
 }
 
 TEST(SweepRunTest, ProgressReportsEveryCell) {
-  std::ostringstream progress;
-  SweepOptions options;
-  options.threads = 2;
-  options.progress = &progress;
-  (void)run_sweep(small_cells(2), options);
-  const std::string text = progress.str();
-  for (const SweepCell& cell : small_cells(2)) {
-    EXPECT_NE(text.find(cell.label), std::string::npos) << text;
+  // Cold, then half-warm: cache hits and computed cells go through one
+  // completion step, so each cell is reported exactly once either way.
+  const std::vector<SweepCell> cells = small_cells(2);
+  const std::string dir = testing::TempDir() + "/slpdas_sweep_progress_cache";
+  std::filesystem::remove_all(dir);
+  CellCache cache(dir);
+  for (const bool half_warm : {false, true}) {
+    SCOPED_TRACE(half_warm ? "half-warm cache" : "no cache");
+    SweepOptions options;
+    options.threads = 2;
+    options.deterministic_timing = true;
+    if (half_warm) {
+      // Warm cells 0 and 2 only: shard 0 of 2.
+      options.cache = &cache;
+      options.shard_count = 2;
+      (void)run_sweep(cells, options);
+      options.shard_count = 1;
+    }
+    std::ostringstream progress;
+    options.progress = &progress;
+    (void)run_sweep(cells, options);
+
+    // Output is line-buffered: whole lines only, each a complete record.
+    const std::string text = progress.str();
+    ASSERT_FALSE(text.empty());
+    EXPECT_EQ(text.back(), '\n');
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) {
+      lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), cells.size()) << text;
+    // Counters run 1..N, in completion order.
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      const std::string counter = "[" + std::to_string(i + 1) + "/" +
+                                  std::to_string(cells.size()) + "] ";
+      EXPECT_EQ(lines[i].rfind(counter, 0), 0u) << lines[i];
+      EXPECT_NE(lines[i].find(" capture="), std::string::npos) << lines[i];
+    }
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      // Hits are marked "(cached)"; computed cells show their compute
+      // time, "(X.Ys)".
+      const std::string tail =
+          half_warm && c % 2 == 0 ? " (cached)" : "s)";
+      int reported = 0;
+      for (const std::string& line : lines) {
+        if (line.find("] " + cells[c].label + " ") == std::string::npos) {
+          continue;
+        }
+        ++reported;
+        ASSERT_GE(line.size(), tail.size());
+        EXPECT_EQ(line.substr(line.size() - tail.size()), tail) << line;
+      }
+      EXPECT_EQ(reported, 1) << cells[c].label << "\n" << text;
+    }
   }
-  EXPECT_NE(text.find("[4/4]"), std::string::npos) << text;
-  // Output is line-buffered: whole lines only, each a complete record.
-  ASSERT_FALSE(text.empty());
-  EXPECT_EQ(text.back(), '\n');
-  std::istringstream lines(text);
-  std::string line;
-  int count = 0;
-  while (std::getline(lines, line)) {
-    EXPECT_EQ(line.front(), '[') << line;
-    EXPECT_NE(line.find(" capture="), std::string::npos) << line;
-    ++count;
+  std::filesystem::remove_all(dir);
+}
+
+/// Accepts `budget` bytes, then fails every write — a volume that fills
+/// up right after the stream header.
+class FullVolumeBuffer : public std::streambuf {
+ public:
+  explicit FullVolumeBuffer(std::size_t budget) : budget_(budget) {}
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (traits_type::eq_int_type(c, traits_type::eof())) {
+      return traits_type::not_eof(c);
+    }
+    const char byte = traits_type::to_char_type(c);
+    return xsputn(&byte, 1) == 1 ? c : traits_type::eof();
   }
-  EXPECT_EQ(count, 4);
+  std::streamsize xsputn(const char* /*data*/, std::streamsize n) override {
+    const auto take = std::min(n, static_cast<std::streamsize>(budget_));
+    budget_ -= static_cast<std::size_t>(take);
+    return take;
+  }
+
+ private:
+  std::size_t budget_;
+};
+
+TEST(SweepRunTest, StreamWriteFailureThrowsAndNeverOutrunsTheCache) {
+  const std::vector<SweepCell> cells = small_cells(2);
+  const std::string dir = testing::TempDir() + "/slpdas_sweep_full_volume";
+  // warm = false: the first record to fail is a computed cell; true: it
+  // is a cache hit (hits are recorded before any cell is scheduled).
+  for (const bool warm : {false, true}) {
+    SCOPED_TRACE(warm ? "cache hit first" : "computed cell first");
+    std::filesystem::remove_all(dir);
+    SweepOptions options;
+    options.threads = 2;
+    options.deterministic_timing = true;
+    if (warm) {
+      CellCache warmer(dir);
+      options.cache = &warmer;
+      options.shard_count = 2;
+      (void)run_sweep(cells, options);
+      options.shard_count = 1;
+    }
+    CellCache cache(dir);
+    options.cache = &cache;
+
+    CellStreamHeader header;
+    header.name = "full_volume";
+    header.base_seed = options.base_seed;
+    header.grid_hash = hash_sweep_grid(cells);
+    header.cells_total = cells.size();
+    header.deterministic = true;
+    header.threads = options.threads;
+    std::ostringstream header_text;
+    write_cell_stream_header(header_text, header);
+    FullVolumeBuffer buffer(header_text.str().size());
+    std::ostream stream(&buffer);
+    write_cell_stream_header(stream, header);
+    ASSERT_TRUE(stream.good());
+    options.stream = &stream;
+
+    try {
+      (void)run_sweep(cells, options);
+      ADD_FAILURE() << "a failed stream write did not fail the sweep";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("cell stream write failed"),
+                std::string::npos)
+          << error.what();
+    }
+    // The stream recorded no cell, so the cache stored none either.
+    EXPECT_EQ(cache.stats().stores, 0u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SweepJsonTest, RoundTripsThroughTheV2Schema) {
@@ -287,39 +400,20 @@ TEST(SweepJsonTest, RoundTripsThroughTheV2Schema) {
   }
 }
 
-TEST(SweepJsonTest, ReadsLegacyV1Documents) {
-  // v1 documents carry no shard object, no per-cell index, and no
-  // slot-band stats; the reader defaults all of them.
-  const std::string v1 =
+TEST(SweepJsonTest, RejectsLegacyV1DocumentsAsAnUnknownSchema) {
+  // The v1 read path is gone: no v1 document exists any more, and one
+  // must fail loudly rather than parse with fabricated shard metadata.
+  std::stringstream stream(
       "{\"schema\": \"slpdas.sweep.v1\", \"name\": \"old\", \"threads\": 2, "
-      "\"wall_seconds\": 0, \"cells\": [{\"label\": \"side=5\", "
-      "\"coordinates\": {\"side\": \"5\"}, \"cell_seed\": 7, \"runs\": 1, "
-      "\"capture\": {\"trials\": 1, \"successes\": 0, \"ratio\": 0, "
-      "\"wilson95\": [0, 0.5]}, "
-      "\"capture_time_s\": {\"count\": 0, \"mean\": 0, \"stddev\": 0, "
-      "\"min\": null, \"max\": null}, "
-      "\"delivery_ratio\": {\"count\": 1, \"mean\": 1, \"stddev\": 0, "
-      "\"min\": 1, \"max\": 1}, "
-      "\"delivery_latency_s\": {\"count\": 1, \"mean\": 0, \"stddev\": 0, "
-      "\"min\": 0, \"max\": 0}, "
-      "\"control_messages_per_node\": {\"count\": 1, \"mean\": 0, "
-      "\"stddev\": 0, \"min\": 0, \"max\": 0}, "
-      "\"normal_messages_per_node\": {\"count\": 1, \"mean\": 0, "
-      "\"stddev\": 0, \"min\": 0, \"max\": 0}, "
-      "\"attacker_moves\": {\"count\": 1, \"mean\": 0, \"stddev\": 0, "
-      "\"min\": 0, \"max\": 0}, "
-      "\"schedule_incomplete_runs\": 0, \"weak_das_failures\": 0, "
-      "\"strong_das_failures\": 0, \"wall_seconds\": 0}]}";
-  std::stringstream stream(v1);
-  const SweepJson parsed = read_sweep_json(stream);
-  EXPECT_EQ(parsed.schema, "slpdas.sweep.v1");
-  EXPECT_EQ(parsed.base_seed, 0u);
-  EXPECT_EQ(parsed.shard_index, 0);
-  EXPECT_EQ(parsed.shard_count, 1);
-  EXPECT_EQ(parsed.cells_total, 1u);
-  ASSERT_EQ(parsed.cells.size(), 1u);
-  EXPECT_EQ(parsed.cells[0].index, 0u);
-  EXPECT_EQ(parsed.cells[0].slot_band_span.count, 0u);
+      "\"wall_seconds\": 0, \"cells\": []}");
+  try {
+    (void)read_sweep_json(stream);
+    ADD_FAILURE() << "a v1 document parsed";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("unknown schema"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(SweepJsonTest, EmptyStatsSerialiseMinMaxAsNull) {
@@ -336,43 +430,66 @@ TEST(SweepJsonTest, EmptyStatsSerialiseMinMaxAsNull) {
   EXPECT_TRUE(std::isnan(parsed.cells[0].capture_time_s.max));
 }
 
+/// Minimal parseable v2 document with no cells; `name_json` and
+/// `wall_seconds` are spliced in verbatim.
+std::string minimal_document(const std::string& name_json,
+                             const std::string& wall_seconds = "0") {
+  return "{\"schema\": \"slpdas.sweep.v2\", \"name\": " + name_json +
+         ", \"base_seed\": 1, \"grid_hash\": 2, \"shard\": {\"index\": 0, "
+         "\"count\": 1, \"cells_total\": 0}, \"threads\": 1, "
+         "\"distinct_worker_threads\": 1, \"wall_seconds\": " +
+         wall_seconds + ", \"cells\": []}";
+}
+
+SweepJson parse_text(const std::string& text) {
+  std::stringstream stream(text);
+  return read_sweep_json(stream);
+}
+
 TEST(SweepJsonTest, RejectsMalformedAndUnknownSchema) {
-  {
-    std::stringstream stream("{\"schema\": \"slpdas.sweep.v999\"}");
-    EXPECT_THROW((void)read_sweep_json(stream), std::runtime_error);
-  }
-  {
-    std::stringstream stream("{\"schema\": ");
-    EXPECT_THROW((void)read_sweep_json(stream), std::runtime_error);
-  }
-  {
-    std::stringstream stream("not json at all");
-    EXPECT_THROW((void)read_sweep_json(stream), std::runtime_error);
-  }
-  {
-    // Wrong-typed fields must throw, not parse as empty.
-    std::stringstream stream(
-        "{\"schema\": \"slpdas.sweep.v1\", \"name\": \"x\", \"threads\": 1, "
-        "\"wall_seconds\": 0, \"distinct_worker_threads\": 1, \"cells\": 0}");
-    EXPECT_THROW((void)read_sweep_json(stream), std::runtime_error);
-  }
-  {
-    // Numbers with trailing garbage must not silently truncate.
-    std::stringstream stream(
-        "{\"schema\": \"slpdas.sweep.v1\", \"name\": \"x\", \"threads\": 1, "
-        "\"wall_seconds\": 1-2, \"cells\": []}");
-    EXPECT_THROW((void)read_sweep_json(stream), std::runtime_error);
+  EXPECT_THROW((void)parse_text("{\"schema\": \"slpdas.sweep.v999\"}"),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_text("{\"schema\": "), std::runtime_error);
+  EXPECT_THROW((void)parse_text("not json at all"), std::runtime_error);
+  ASSERT_NO_THROW((void)parse_text(minimal_document("\"x\"")));
+  // Wrong-typed fields must throw, not parse as empty.
+  EXPECT_THROW((void)parse_text(test::replace_first(
+                   minimal_document("\"x\""), "\"cells\": []", "\"cells\": 0")),
+               std::runtime_error);
+  // Numbers with trailing garbage must not silently truncate.
+  EXPECT_THROW((void)parse_text(minimal_document("\"x\"", "1-2")),
+               std::runtime_error);
+  // Int fields take exact integers in 0..INT_MAX only: through a double,
+  // null (NaN) and 1e300 were undefined behaviour and 2.5 truncated.
+  SweepJson document;
+  document.name = "x";
+  document.threads = 2;
+  document.cells_total = 1;
+  document.cells.resize(1);
+  document.cells[0].runs = 3;
+  std::ostringstream written;
+  write_sweep_json(written, document);
+  ASSERT_NO_THROW((void)parse_text(written.str()));
+  const std::pair<std::string, std::string> fields[] = {
+      {"\"runs\": ", "3"}, {"\"threads\": ", "2"}, {"\"count\": ", "1"}};
+  for (const auto& [field, value] : fields) {
+    for (const char* bad : test::kBadIntegerTokens) {
+      SCOPED_TRACE(field + bad);
+      try {
+        (void)parse_text(test::replace_first(written.str(), field + value + ",",
+                                             field + bad + ","));
+        ADD_FAILURE() << "accepted";
+      } catch (const std::runtime_error& error) {
+        EXPECT_TRUE(test::is_bad_integer_error(error.what())) << error.what();
+      }
+    }
   }
 }
 
-/// Minimal parseable v1 document with `name` spliced in verbatim, for
+/// Minimal parseable document with `name` spliced in verbatim, for
 /// exercising the string-escape grammar through the public reader.
 SweepJson parse_with_name(const std::string& name_json) {
-  std::stringstream stream(
-      "{\"schema\": \"slpdas.sweep.v1\", \"name\": " + name_json +
-      ", \"threads\": 1, \"wall_seconds\": 0, "
-      "\"distinct_worker_threads\": 1, \"cells\": []}");
-  return read_sweep_json(stream);
+  return parse_text(minimal_document(name_json));
 }
 
 TEST(SweepJsonTest, UnicodeEscapesRequireExactlyFourHexDigits) {
@@ -402,13 +519,9 @@ TEST(SweepJsonTest, NumberParsingIgnoresTheProcessLocale) {
   if (applied == nullptr) {
     GTEST_SKIP() << "no de_DE locale available on this system";
   }
-  std::stringstream stream(
-      "{\"schema\": \"slpdas.sweep.v1\", \"name\": \"x\", \"threads\": 1, "
-      "\"wall_seconds\": 0.05, \"distinct_worker_threads\": 1, "
-      "\"cells\": []}");
   SweepJson parsed;
   try {
-    parsed = read_sweep_json(stream);
+    parsed = parse_text(minimal_document("\"x\"", "0.05"));
   } catch (...) {
     std::setlocale(LC_NUMERIC, "C");
     throw;

@@ -1,9 +1,13 @@
 // Shared helpers for protocol-level tests: build a simulator running the
 // protectionless or SLP protocol on a topology with fast (test-sized)
-// timing, and run it through its setup phase.
+// timing, and run it through its setup phase. Also the malformed-integer
+// inputs every JSON reader test feeds its int fields.
 #pragma once
 
 #include <memory>
+#include <string>
+
+#include <gtest/gtest.h>
 
 #include "slpdas/core/parameters.hpp"
 #include "slpdas/das/protocol.hpp"
@@ -83,6 +87,29 @@ inline TestNet make_slp_net(wsn::Topology topology,
 /// Runs the network through its full setup phase (periods [0, MSP)).
 inline void run_setup(TestNet& net) {
   net.simulator->run_until(net.setup_end());
+}
+
+/// Tokens no int field of a serialised record may accept: null (NaN
+/// through a double), out of range, negative, fractional.
+inline constexpr const char* kBadIntegerTokens[] = {"null", "1e300", "-1",
+                                                    "2.5"};
+
+/// Whether `message` is the typed refusal of an int field
+/// (JsonParser::Value::as_int).
+inline bool is_bad_integer_error(const std::string& message) {
+  return message.find("expected an integer") != std::string::npos;
+}
+
+/// `text` with the first occurrence of `from` replaced by `to`; an absent
+/// `from` is a test bug and fails the calling test.
+inline std::string replace_first(std::string text, const std::string& from,
+                                 const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << "fixture lacks " << from;
+  if (at != std::string::npos) {
+    text.replace(at, from.size(), to);
+  }
+  return text;
 }
 
 }  // namespace slpdas::test
