@@ -36,11 +36,11 @@
 //     individual timer events would have had, so the dispatch order —
 //     and every result — is exactly the per-node timers' order.
 //
-// Ordering structure: a two-level calendar queue instead of the previous
-// 4-ary heap. The simulator's event mix is dominated by short horizons
-// (propagation delay ~1 ms, slot period 50 ms), so events are binned by
-// time into fixed-width buckets (kBucketWidth = 4096 µs, one arithmetic
-// shift) and only the bucket currently being drained is kept sorted:
+// Ordering structure: a two-level calendar queue. The simulator's event
+// mix is dominated by short horizons (propagation delay ~1 ms, slot
+// period 50 ms), so events are binned by time into fixed-width buckets
+// (kBucketWidth = 4096 µs, one arithmetic shift) and only the bucket
+// currently being drained is kept sorted:
 //
 //   * `near_` — every pending event whose bucket is <= the active bucket,
 //     kept sorted ascending by (timestamp, sequence); pops read the next
@@ -62,16 +62,15 @@
 //     most once per calendar revolution (~4 s of simulated time),
 //     amortised O(1) for every horizon the protocols use.
 //
-// Pop order is identical to the heap's: keys (timestamp, sequence) are
-// unique and both structures emit them in strictly ascending key order,
-// so golden document fingerprints do not move. For pathological
-// workloads — horizons so sparse that far_ rescans dominate the real
-// work — the queue detects the wasted motion (scanned-to-pushed ratio)
-// and irreversibly migrates the pending set onto the old 4-ary heap,
-// which is O(log n) regardless of horizon. The trigger depends only on
-// the pushed timestamps, never on wall clock, so a run that degrades
-// does so identically on every machine. Tests and benchmarks can force
-// either backend at construction.
+// Keys (timestamp, sequence) are unique and pop in strictly ascending
+// order whatever the timestamp distribution. The cost bounds above hold
+// only while pending events are clustered within a few revolutions and
+// out-of-order pushes into one bucket stay short. Two shapes break them
+// and go quadratic: thousands of pending events each more than one
+// revolution apart (every refill rescans all of `far_` to surface one
+// event), and long runs of descending pushes inside one bucket (every
+// push shifts the whole window tail). No protocol or scenario produces
+// either; tests/event_queue_test.cpp pins the order on both.
 #pragma once
 
 #include <algorithm>
@@ -147,11 +146,6 @@ class EventQueue {
  public:
   using Action = std::function<void()>;
 
-  /// Ordering backend. kCalendar is the default and self-degrades to
-  /// kHeap when its amortisation assumptions break; kHeap can be forced
-  /// at construction for tests and A/B benchmarks.
-  enum class Backend : std::uint8_t { kCalendar, kHeap };
-
   /// "No slot" sentinel for the message/control slot tables.
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
@@ -165,13 +159,6 @@ class EventQueue {
   /// kNumBuckets << kBucketShift ≈ 4.2 s past the active bucket.
   static constexpr std::size_t kNumBuckets = 1024;
 
-  explicit EventQueue(Backend backend = Backend::kCalendar)
-      : backend_(backend), initial_backend_(backend) {}
-
-  /// The ordering structure currently in use (observability: tests assert
-  /// the pathological-workload degradation fires).
-  [[nodiscard]] Backend backend() const noexcept { return backend_; }
-
   /// Pre-sizes internal storage for a simulation expected to keep up to
   /// `pending_events` events in flight with up to `staged_messages`
   /// concurrently staged broadcast payloads of up to
@@ -181,20 +168,15 @@ class EventQueue {
   /// Callable any time; never shrinks.
   void reserve(std::size_t pending_events, std::size_t staged_messages,
                std::size_t receivers_per_message = 0) {
-    if (backend_ == Backend::kHeap) {
-      heap_.reserve(pending_events);
-    } else {
-      near_.reserve(pending_events);
-      far_.reserve(pending_events);
-      // Every bin gets a floor capacity: the periodic-timer trickle that
-      // cycles through all bins each calendar revolution then never
-      // triggers a first-touch allocation. Burst bins (whole-network
-      // slot broadcasts) grow once to their own high water and stay.
-      const std::size_t per_bucket =
-          std::max<std::size_t>(8, pending_events / 64);
-      for (auto& bucket : buckets_) {
-        bucket.reserve(per_bucket);
-      }
+    near_.reserve(pending_events);
+    far_.reserve(pending_events);
+    // Every bin gets a floor capacity: the periodic-timer trickle that
+    // cycles through all bins each calendar revolution then never
+    // triggers a first-touch allocation. Burst bins (whole-network slot
+    // broadcasts) grow once to their own high water and stay.
+    const std::size_t per_bucket = std::max<std::size_t>(8, pending_events / 64);
+    for (auto& bucket : buckets_) {
+      bucket.reserve(per_bucket);
     }
     messages_.reserve(staged_messages);
     free_messages_.reserve(staged_messages);
@@ -385,13 +367,11 @@ class EventQueue {
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-  /// Timestamp of the next event; undefined when empty. Amortised O(1) on
-  /// both backends (the calendar refills its sorted window here when the
-  /// last pop drained it).
+  /// Timestamp of the next event; undefined when empty. Amortised O(1)
+  /// (the sorted window is refilled here when the last pop drained it).
   [[nodiscard]] SimTime next_time() {
     materialise_head();
-    return backend_ == Backend::kCalendar ? near_[near_pos_].at
-                                          : heap_.front().at;
+    return near_[near_pos_].at;
   }
 
   /// Removes and returns the next event by value, advancing `now` to its
@@ -401,72 +381,28 @@ class EventQueue {
   [[nodiscard]] Event pop(SimTime& now) {
     materialise_head();
     --size_;
-    if (backend_ == Backend::kCalendar) {
-      const Event top = near_[near_pos_++];
-      now = top.at;
-      return top;
-    }
-    return pop_heap_event(now);
-  }
-
-  /// Drops every pending event and releases the resources they hold:
-  /// message slots, timer groups and control callbacks. Slots of
-  /// deliveries popped but not yet released stay live — they belong to
-  /// the caller until release_message.
-  void clear() {
-    for (std::size_t i = near_pos_; i < near_.size(); ++i) {
-      release_event_resources(near_[i]);
-    }
-    for (auto& bucket : buckets_) {
-      for (const Event& event : bucket) {
-        release_event_resources(event);
-      }
-      bucket.clear();
-    }
-    for (const Event& event : far_) {
-      release_event_resources(event);
-    }
-    for (const Event& event : heap_) {
-      release_event_resources(event);
-    }
-    near_.clear();
-    near_.shrink_to_fit();
-    near_pos_ = 0;
-    far_.clear();
-    far_.shrink_to_fit();
-    occupancy_.fill(0);
-    heap_.clear();
-    heap_.shrink_to_fit();
-    open_groups_.fill(OpenGroup{});
-    size_ = 0;
+    const Event top = near_[near_pos_++];
+    now = top.at;
+    return top;
   }
 
   /// Rewinds the queue to its just-constructed state while RETAINING every
   /// capacity a previous run grew (calendar bins, the sorted window, the
-  /// payload slot tables and their receiver lists): pending events are
-  /// dropped and their resources released exactly as in clear(), but
-  /// nothing is shrunk, so the next run reaches its steady state with zero
-  /// allocations. The sequence counter, the calendar anchor and the
-  /// degradation accounting all restart from zero, and the backend reverts
-  /// to the one selected at construction — a degrade-to-heap verdict
-  /// belongs to one run's timestamp distribution, never to the next seed. This is what makes a
-  /// forked run bit-identical to a cold-constructed one.
+  /// payload slot tables and their receiver lists), so the next run
+  /// reaches its steady state with zero allocations. It is the queue's one
+  /// way to drop pending events: the slot tables they point into are
+  /// rewound wholesale, which releases every payload, control callback
+  /// and timer group they hold. The sequence counter and the calendar
+  /// anchor restart from zero. This is what makes a forked run
+  /// bit-identical to a cold-constructed one.
   void reset_run() {
-    for (std::size_t i = near_pos_; i < near_.size(); ++i) {
-      release_event_resources(near_[i]);
-    }
     for (auto& bucket : buckets_) {
-      for (const Event& event : bucket) {
-        release_event_resources(event);
-      }
       bucket.clear();
     }
-    for (const Event& event : far_) {
-      release_event_resources(event);
-    }
-    for (const Event& event : heap_) {
-      release_event_resources(event);
-    }
+    near_.clear();
+    near_pos_ = 0;
+    far_.clear();
+    occupancy_.fill(0);
     // Any payload still staged (including popped-but-unreleased slots —
     // there are none between runs) must not leak into the next seed. The
     // slots themselves stay, receiver capacity included, all free and
@@ -484,19 +420,10 @@ class EventQueue {
     groups_.clear();
     free_group_ = kNoSlot;
     open_groups_.fill(OpenGroup{});
-    near_.clear();
-    near_pos_ = 0;
-    far_.clear();
-    heap_.clear();
-    occupancy_.fill(0);
     size_ = 0;
     next_sequence_ = 0;
-    total_pushed_ = 0;
-    far_scanned_ = 0;
-    near_shifted_ = 0;
     active_bucket_ = 0;
     far_boundary_ = static_cast<std::int64_t>(kNumBuckets);
-    backend_ = initial_backend_;
   }
 
  private:
@@ -554,38 +481,12 @@ class EventQueue {
            event.seq_kind;
   }
 
-  /// True when `a` fires after `b`. Sequence numbers increase with every
-  /// push, so the packed seq_kind word compares like the bare sequence.
-  [[nodiscard]] static bool later(const Event& a, const Event& b) noexcept {
-    return priority(a) > priority(b);
-  }
-
   [[nodiscard]] std::uint64_t next_seq_kind(EventKind kind) noexcept {
     return (next_sequence_++ << 2) | static_cast<std::uint64_t>(kind);
   }
 
   [[nodiscard]] static std::int64_t bucket_of(SimTime at) noexcept {
     return static_cast<std::int64_t>(at) >> kBucketShift;
-  }
-
-  void release_event_resources(const Event& event) {
-    switch (event.kind()) {
-      case EventKind::kDelivery:
-        release_message(event.delivery.message_slot);
-        break;
-      case EventKind::kControl:
-        (void)take_control(event.control.callback_slot);
-        break;
-      case EventKind::kTimer:
-        break;
-      case EventKind::kTimerGroup: {
-        std::uint32_t cursor = take_group(event);
-        while (cursor != kNoSlot) {
-          (void)next_member(cursor);
-        }
-        break;
-      }
-    }
   }
 
   /// Routes one new event into whichever level owns its timestamp.
@@ -597,11 +498,6 @@ class EventQueue {
       open.at = kClosed;
     }
     ++size_;
-    ++total_pushed_;
-    if (backend_ == Backend::kHeap) {
-      push_heap_event(event);
-      return;
-    }
     const std::int64_t bucket = bucket_of(event.at);
     if (near_pos_ == near_.size()) {
       // Drained but not yet refilled: restart the window. A push for the
@@ -649,18 +545,9 @@ class EventQueue {
         key, [](unsigned __int128 lhs, const Event& rhs) {
           return lhs < priority(rhs);
         });
-    // The tail past the insertion point shifts one slot. Shifts are
-    // contiguous 32-byte moves — hundreds of them cost less than one
-    // pointer-chasing heap sift — but when the window is so overcrowded
-    // that each insert moves thousands of events (occupancies far beyond
-    // any simulated topology), a log-time heap is strictly better. Same
-    // deterministic degradation rule as far_scanned_: a pure function of
-    // the pushed timestamps.
-    near_shifted_ += static_cast<std::size_t>(near_.end() - insert_at);
+    // The tail past the insertion point shifts one slot (contiguous
+    // 32-byte moves).
     near_.insert(insert_at, event);
-    if (near_shifted_ > 256 * total_pushed_ + 4096) {
-      degrade_to_heap();
-    }
   }
 
   /// Refills a drained sorted window before the head is read. Lazily, not
@@ -669,7 +556,7 @@ class EventQueue {
   /// pushes append instead of being inserted in front of a bin that a
   /// refill pulled in from further ahead.
   void materialise_head() {
-    if (backend_ == Backend::kCalendar && near_pos_ == near_.size()) {
+    if (near_pos_ == near_.size()) {
       refill();
     }
   }
@@ -691,15 +578,8 @@ class EventQueue {
       sort_near();
       return;
     }
-    // Calendar empty: every pending event sits in far_. Each event here
-    // is rescanned at most once per revolution; if that bookkeeping ever
-    // outweighs the events actually pushed, the horizon distribution is
-    // pathological for a calendar and the heap is strictly better.
-    far_scanned_ += far_.size();
-    if (far_scanned_ > 16 * total_pushed_ + 4096) {
-      degrade_to_heap();
-      return;
-    }
+    // Calendar empty: every pending event sits in far_, and each one is
+    // rescanned here at most once per revolution.
     std::int64_t earliest = bucket_of(far_.front().at);
     for (const Event& event : far_) {
       earliest = std::min(earliest, bucket_of(event.at));
@@ -749,90 +629,6 @@ class EventQueue {
     return -1;
   }
 
-  /// One-way migration onto the 4-ary heap; pop order is unaffected
-  /// because both backends emit strictly ascending (timestamp, sequence)
-  /// keys. Triggered only by the pushed-timestamp distribution, so a
-  /// degrading run degrades identically everywhere.
-  void degrade_to_heap() {
-    backend_ = Backend::kHeap;
-    heap_.reserve(size_);
-    for (std::size_t i = near_pos_; i < near_.size(); ++i) {
-      push_heap_event(near_[i]);
-    }
-    for (auto& bucket : buckets_) {
-      for (const Event& event : bucket) {
-        push_heap_event(event);
-      }
-      bucket.clear();
-      bucket.shrink_to_fit();
-    }
-    for (const Event& event : far_) {
-      push_heap_event(event);
-    }
-    near_.clear();
-    near_.shrink_to_fit();
-    near_pos_ = 0;
-    far_.clear();
-    far_.shrink_to_fit();
-    occupancy_.fill(0);
-  }
-
-  /// 4-ary sift-up insertion (hole-based: one copy per level, not a swap).
-  void push_heap_event(const Event& event) {
-    std::size_t hole = heap_.size();
-    heap_.push_back(event);
-    while (hole > 0) {
-      const std::size_t parent = (hole - 1) >> 2;
-      if (!later(heap_[parent], event)) {
-        break;
-      }
-      heap_[hole] = heap_[parent];
-      hole = parent;
-    }
-    heap_[hole] = event;
-  }
-
-  [[nodiscard]] Event pop_heap_event(SimTime& now) {
-    const Event top = heap_.front();
-    now = top.at;
-    const Event tail = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-      // Sift the former tail down from the root, stopping as soon as it
-      // fits — in a simulation the tail is usually among the latest
-      // events, so it sinks deep, and a 4-ary tree halves the depth. The
-      // min-of-four-children selection runs on branchless 128-bit keys.
-      const std::size_t size = heap_.size();
-      const unsigned __int128 tail_key = priority(tail);
-      std::size_t hole = 0;
-      for (;;) {
-        const std::size_t first_child = (hole << 2) + 1;
-        if (first_child >= size) {
-          break;
-        }
-        std::size_t best = first_child;
-        unsigned __int128 best_key = priority(heap_[first_child]);
-        const std::size_t end_child = std::min(first_child + 4, size);
-        for (std::size_t child = first_child + 1; child < end_child; ++child) {
-          const unsigned __int128 key = priority(heap_[child]);
-          const bool earlier = key < best_key;
-          best = earlier ? child : best;
-          best_key = earlier ? key : best_key;
-        }
-        if (tail_key <= best_key) {
-          break;
-        }
-        heap_[hole] = heap_[best];
-        hole = best;
-      }
-      heap_[hole] = tail;
-    }
-    return top;
-  }
-
-  Backend backend_;
-  /// The backend chosen at construction; reset_run() reverts to it.
-  Backend initial_backend_;
   std::size_t size_ = 0;
   std::uint64_t next_sequence_ = 0;
 
@@ -848,22 +644,16 @@ class EventQueue {
   std::vector<Event> far_;
   std::int64_t active_bucket_ = 0;
   std::int64_t far_boundary_ = static_cast<std::int64_t>(kNumBuckets);
-  std::uint64_t total_pushed_ = 0;
-  std::uint64_t far_scanned_ = 0;
-  std::uint64_t near_shifted_ = 0;
 
-  // Heap state (fallback backend).
-  std::vector<Event> heap_;
-
-  // Payload slot tables, shared by both backends.
+  // Payload slot tables.
   std::vector<MessageSlot> messages_;
   std::vector<std::uint32_t> free_messages_;
   std::size_t receiver_capacity_ = 0;
   std::vector<Action> controls_;
   std::vector<std::uint32_t> free_controls_;
 
-  // Frame-clock state, shared by both backends. Free members and free
-  // group slots are intrusive lists threaded through the pools.
+  // Frame-clock state. Free members and free group slots are intrusive
+  // lists threaded through the pools.
   std::vector<GroupMember> members_;
   std::uint32_t free_member_ = kNoSlot;
   std::vector<TimerGroup> groups_;

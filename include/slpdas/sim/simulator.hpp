@@ -216,13 +216,6 @@ class Simulator {
     return timers_fired_;
   }
 
-  /// The event queue's current ordering backend (observability: tests
-  /// assert realistic protocol workloads stay on the calendar and that
-  /// pathological ones degrade to the heap).
-  [[nodiscard]] EventQueue::Backend queue_backend() const noexcept {
-    return queue_.backend();
-  }
-
   /// One-way propagation + processing latency applied to every delivery.
   /// Small relative to the 50 ms slot period; configurable for tests.
   void set_propagation_delay(SimTime delay);

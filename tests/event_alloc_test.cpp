@@ -157,7 +157,7 @@ TEST(EventAllocTest, SteadyStateDeliveryAndTimerPathAllocatesNothing) {
     simulator.add_process(n, std::make_unique<PingProcess>());
   }
 
-  // Warm-up: heap vector, slot tables, traffic counters and the per-type
+  // Warm-up: queue storage, slot tables, traffic counters and the per-type
   // send map all reach their steady sizes.
   simulator.run_until(100 * kMillisecond);
   run_measured_window(simulator);
@@ -182,32 +182,26 @@ TEST(EventAllocTest, ReservedQueueAbsorbsItsPendingBudgetWithoutAllocating) {
   // EventQueue::reserve(pending, staged) must cover repeated fill/drain
   // cycles of up to `pending` timer events across the whole calendar —
   // active-window inserts, bucket bins, far overflow and the refill
-  // shuffles between them — without a single further allocation. Also
-  // exercised on the forced heap backend.
-  for (const auto backend :
-       {EventQueue::Backend::kCalendar, EventQueue::Backend::kHeap}) {
-    EventQueue queue(backend);
-    constexpr std::size_t kPending = 1000;
-    queue.reserve(kPending, 8);
-    const std::uint64_t allocations_before =
-        g_allocations.load(std::memory_order_relaxed);
-    SimTime now = 0;
-    for (int cycle = 0; cycle < 3; ++cycle) {
-      for (std::size_t i = 0; i < kPending; ++i) {
-        // Spread across bins, the active window and the far overflow.
-        queue.push_timer(now + static_cast<SimTime>(i) * 4096, 0, 1, i);
-      }
-      while (!queue.empty()) {
-        (void)queue.pop(now);
-      }
+  // shuffles between them — without a single further allocation.
+  EventQueue queue;
+  constexpr std::size_t kPending = 1000;
+  queue.reserve(kPending, 8);
+  const std::uint64_t allocations_before =
+      g_allocations.load(std::memory_order_relaxed);
+  SimTime now = 0;
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    for (std::size_t i = 0; i < kPending; ++i) {
+      // Spread across bins, the active window and the far overflow.
+      queue.push_timer(now + static_cast<SimTime>(i) * 4096, 0, 1, i);
     }
-    const std::uint64_t allocations =
-        g_allocations.load(std::memory_order_relaxed) - allocations_before;
-    EXPECT_EQ(allocations, 0u)
-        << "reserved queue allocated " << allocations << " times (backend "
-        << (backend == EventQueue::Backend::kCalendar ? "calendar" : "heap")
-        << ")";
+    while (!queue.empty()) {
+      (void)queue.pop(now);
+    }
   }
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - allocations_before;
+  EXPECT_EQ(allocations, 0u)
+      << "reserved queue allocated " << allocations << " times";
 }
 
 TEST(EventAllocTest, BroadcastSlotsKeepReceiverCapacityAcrossReuseAndReset) {

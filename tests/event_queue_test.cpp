@@ -1,15 +1,18 @@
 // Tests for the deterministic typed event queue: time ordering plus FIFO
 // tie-breaking across every event kind (the property that makes runs
-// reproducible), one-event-per-broadcast staging/release, the calendar
-// backend's equivalence to the forced heap (including its deterministic
-// degradation on pathological horizons), and the simulator-level
-// cancelled-timer skip at pop time.
+// reproducible), one-event-per-broadcast staging/release, reset_run's
+// release of every pending resource, the calendar's pop order against a
+// test-local reference heap (including the far-horizon and
+// descending-window shapes that are its worst cases), the frame clock,
+// and the simulator-level cancelled-timer skip at pop time.
 #include "slpdas/sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -51,6 +54,25 @@ std::vector<EventKind> drain(EventQueue& queue, SimTime& now) {
     }
   }
   return kinds;
+}
+
+/// One dispatched timer expiry: (timestamp, node, timer id, generation).
+using Expiry = std::tuple<SimTime, wsn::NodeId, std::int32_t, std::uint64_t>;
+
+/// Pops one event of a timer-only queue and appends the expiries it
+/// dispatches: a group's members in order, or the lone timer.
+void pop_expiries(EventQueue& queue, SimTime& now, std::vector<Expiry>& out) {
+  const Event event = queue.pop(now);
+  if (event.kind() == EventKind::kTimer) {
+    out.emplace_back(event.at, event.timer.node, event.timer.timer_id,
+                     event.timer.generation);
+    return;
+  }
+  std::uint32_t cursor = queue.take_group(event);
+  while (cursor != EventQueue::kNoSlot) {
+    const TimerEvent timer = queue.next_member(cursor);
+    out.emplace_back(event.at, timer.node, timer.timer_id, timer.generation);
+  }
 }
 
 TEST(EventQueueTest, StartsEmpty) {
@@ -184,23 +206,30 @@ TEST(EventQueueTest, InterleavedPushPopKeepsOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueueTest, ClearReleasesMessageReferencesAndCallbacks) {
+TEST(EventQueueTest, ResetRunReleasesStagedPayloadsAndRecyclesSlots) {
   EventQueue queue;
   auto message = std::make_shared<TestMessage>();
-  queue.add_receiver(queue.push_broadcast(1, 0, message), 1);
-  // The same payload queued by two broadcasts, and one broadcast beyond
-  // the calendar's span (the far overflow list).
-  queue.add_receiver(queue.push_broadcast(2, 0, message), 2);
+  for (int i = 0; i < 3; ++i) {
+    const std::uint32_t slot = queue.push_broadcast(10 + i, 0, message);
+    queue.add_receiver(slot, 1);
+    queue.add_receiver(slot, 2);
+  }
+  // A broadcast beyond the calendar's span (the far overflow list), a
+  // captured control callback, a plain timer and two open frame-clock
+  // groups.
   auto far = std::make_shared<TestMessage>();
   queue.add_receiver(queue.push_broadcast(100 * kSecond, 0, far), 1);
   auto witness = std::make_shared<int>(0);
   queue.push_control(3, [witness] { ++*witness; });
   queue.push_timer(4, 0, 1, 1);
-  EXPECT_EQ(message.use_count(), 3);
+  queue.push_frame_timer(20, 0, 1, 1);
+  queue.push_frame_timer(20, 1, 1, 1);
+  queue.push_frame_timer(30, 0, 1, 1);
+  EXPECT_EQ(message.use_count(), 4);
   EXPECT_EQ(far.use_count(), 2);
   EXPECT_EQ(witness.use_count(), 2);
 
-  queue.clear();
+  queue.reset_run();
   EXPECT_TRUE(queue.empty());
   // The staged payloads and the captured callback state were all released:
   // nothing but the test's own handles survive.
@@ -208,32 +237,28 @@ TEST(EventQueueTest, ClearReleasesMessageReferencesAndCallbacks) {
   EXPECT_EQ(message.use_count(), 1);
   EXPECT_EQ(far.use_count(), 1);
   EXPECT_EQ(witness.use_count(), 1);
-}
-
-TEST(EventQueueTest, ResetRunReleasesStagedPayloadsAndRecyclesSlots) {
-  for (const auto backend :
-       {EventQueue::Backend::kCalendar, EventQueue::Backend::kHeap}) {
-    EventQueue queue(backend);
-    auto message = std::make_shared<TestMessage>();
-    for (int i = 0; i < 3; ++i) {
-      const std::uint32_t slot = queue.push_broadcast(10 + i, 0, message);
-      queue.add_receiver(slot, 1);
-      queue.add_receiver(slot, 2);
-    }
-    EXPECT_EQ(message.use_count(), 4);
-    queue.reset_run();
-    EXPECT_TRUE(queue.empty());
-    EXPECT_EQ(queue.staged_message_count(), 0u);
-    EXPECT_EQ(message.use_count(), 1);
-    // Slots are handed out lowest first again, each without receivers.
-    for (std::uint32_t expected = 0; expected < 3; ++expected) {
-      const std::uint32_t slot = queue.push_broadcast(5, 0, message);
-      EXPECT_EQ(slot, expected);
-      EXPECT_EQ(queue.receiver_count(slot), 0u);
-    }
-    queue.reset_run();
-    EXPECT_EQ(message.use_count(), 1);
+  // No group stays open across the reset: the next arm for an instant
+  // that had one opens a fresh group.
+  queue.push_frame_timer(20, 2, 1, 1);
+  EXPECT_EQ(queue.size(), 1u);
+  SimTime now = 0;
+  std::vector<Expiry> expiries;
+  pop_expiries(queue, now, expiries);
+  EXPECT_EQ(expiries, (std::vector<Expiry>{{20, 2, 1, 1}}));
+  EXPECT_TRUE(queue.empty());
+  // Nor does the dropped far broadcast resurface when the calendar next
+  // re-anchors on the far overflow.
+  queue.push_timer(200 * kSecond, 3, 1, 1);
+  EXPECT_EQ(queue.pop(now).at, 200 * kSecond);
+  EXPECT_TRUE(queue.empty());
+  // Slots are handed out lowest first again, each without receivers.
+  for (std::uint32_t expected = 0; expected < 3; ++expected) {
+    const std::uint32_t slot = queue.push_broadcast(5, 0, message);
+    EXPECT_EQ(slot, expected);
+    EXPECT_EQ(queue.receiver_count(slot), 0u);
   }
+  queue.reset_run();
+  EXPECT_EQ(message.use_count(), 1);
 }
 
 TEST(EventQueueTest, RejectsNullMessageAndNullAction) {
@@ -244,13 +269,37 @@ TEST(EventQueueTest, RejectsNullMessageAndNullAction) {
 }
 
 // ---------------------------------------------------------------------------
-// Calendar backend: equivalence to the forced heap, and the deterministic
-// degradation triggers.
+// Calendar pop order against a test-local reference, including the shapes
+// that are the calendar's worst cases.
 // ---------------------------------------------------------------------------
 
+using Key = std::pair<SimTime, std::uint64_t>;
+
+/// The reference order: a binary heap over (timestamp, insertion
+/// sequence), each entry carrying the expiry it stands for. Keys are
+/// unique, so this is the one order the calendar must reproduce.
+class ReferenceQueue {
+ public:
+  using Entry = std::pair<Key, Expiry>;
+
+  void push(SimTime at, const Expiry& expiry = {}) {
+    pending_.emplace(Key{at, next_sequence_++}, expiry);
+  }
+  [[nodiscard]] bool empty() const { return pending_.empty(); }
+  Entry pop() {
+    Entry top = pending_.top();
+    pending_.pop();
+    return top;
+  }
+
+ private:
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pending_;
+  std::uint64_t next_sequence_ = 0;
+};
+
 /// Pops every event of a timer-only queue, recording (timestamp, sequence).
-std::vector<std::pair<SimTime, std::uint64_t>> drain_keys(EventQueue& queue) {
-  std::vector<std::pair<SimTime, std::uint64_t>> keys;
+std::vector<Key> drain_keys(EventQueue& queue) {
+  std::vector<Key> keys;
   SimTime now = 0;
   while (!queue.empty()) {
     const Event event = queue.pop(now);
@@ -259,31 +308,26 @@ std::vector<std::pair<SimTime, std::uint64_t>> drain_keys(EventQueue& queue) {
   return keys;
 }
 
-TEST(EventQueueBackendTest, ForcedHeapBackendIsConstructible) {
-  EventQueue queue(EventQueue::Backend::kHeap);
-  EXPECT_EQ(queue.backend(), EventQueue::Backend::kHeap);
-  queue.push_timer(20, 0, 1, 1);
-  queue.push_timer(10, 0, 1, 2);
-  SimTime now = 0;
-  EXPECT_EQ(queue.pop(now).at, 10);
-  EXPECT_EQ(queue.pop(now).at, 20);
-  EXPECT_EQ(now, 20);
+std::vector<Key> drain_keys(ReferenceQueue& reference) {
+  std::vector<Key> keys;
+  while (!reference.empty()) {
+    keys.push_back(reference.pop().first);
+  }
+  return keys;
 }
 
-TEST(EventQueueBackendTest, CalendarMatchesHeapOnMixedHorizonWorkload) {
-  // The same randomised push/pop interleaving — propagation-scale pushes,
+TEST(CalendarOrderTest, MatchesReferenceOnMixedHorizonWorkload) {
+  // A randomised push/pop interleaving — propagation-scale pushes,
   // dissemination bursts, far-horizon tails, duplicate timestamps — must
-  // pop in the identical (timestamp, sequence) order on both backends.
-  // Sequence numbers advance identically on every push flavour, so equal
-  // key streams mean bit-identical simulations.
-  EventQueue calendar(EventQueue::Backend::kCalendar);
-  EventQueue heap(EventQueue::Backend::kHeap);
+  // pop in the reference (timestamp, sequence) order. Sequence numbers
+  // advance identically on every push flavour, so an equal key stream
+  // means a bit-identical simulation.
+  EventQueue calendar;
+  ReferenceQueue reference;
   Rng rng(2024);
-  SimTime calendar_now = 0;
-  SimTime heap_now = 0;
-  std::vector<std::pair<SimTime, std::uint64_t>> calendar_keys;
-  std::vector<std::pair<SimTime, std::uint64_t>> heap_keys;
   SimTime now = 0;
+  std::vector<Key> calendar_keys;
+  std::vector<Key> reference_keys;
   for (int step = 0; step < 20000; ++step) {
     const std::uint64_t action = rng.uniform(100);
     if (action < 60 || calendar.empty()) {
@@ -298,92 +342,78 @@ TEST(EventQueueBackendTest, CalendarMatchesHeapOnMixedHorizonWorkload) {
       }
       const auto node = static_cast<wsn::NodeId>(rng.uniform(64));
       calendar.push_timer(now + delay, node, 1, 0);
-      heap.push_timer(now + delay, node, 1, 0);
+      reference.push(now + delay);
     } else {
-      const Event from_calendar = calendar.pop(calendar_now);
-      const Event from_heap = heap.pop(heap_now);
-      calendar_keys.emplace_back(from_calendar.at, from_calendar.sequence());
-      heap_keys.emplace_back(from_heap.at, from_heap.sequence());
-      now = calendar_now;
+      const Event popped = calendar.pop(now);
+      calendar_keys.emplace_back(popped.at, popped.sequence());
+      reference_keys.push_back(reference.pop().first);
     }
   }
   const auto calendar_tail = drain_keys(calendar);
-  const auto heap_tail = drain_keys(heap);
+  const auto reference_tail = drain_keys(reference);
   calendar_keys.insert(calendar_keys.end(), calendar_tail.begin(),
                        calendar_tail.end());
-  heap_keys.insert(heap_keys.end(), heap_tail.begin(), heap_tail.end());
-  ASSERT_EQ(calendar_keys.size(), heap_keys.size());
-  EXPECT_EQ(calendar_keys, heap_keys);
-  // This workload is calendar-friendly: no degradation.
-  EXPECT_EQ(calendar.backend(), EventQueue::Backend::kCalendar);
+  reference_keys.insert(reference_keys.end(), reference_tail.begin(),
+                        reference_tail.end());
+  ASSERT_EQ(calendar_keys.size(), reference_keys.size());
+  EXPECT_EQ(calendar_keys, reference_keys);
 }
 
-TEST(EventQueueBackendTest, DegradesToHeapOnPathologicalFarHorizon) {
+TEST(CalendarOrderTest, MatchesReferenceOnPathologicalFarHorizon) {
   // Thousands of events, each a calendar revolution apart: every refill
   // re-anchors and re-partitions the whole far overflow to surface ONE
-  // event. The far-scan accounting must notice and migrate to the heap —
-  // and the pop order must be unaffected.
+  // event. Quadratic, but the order must hold.
   constexpr int kEvents = 4000;
   constexpr SimTime kStride =
       (static_cast<SimTime>(EventQueue::kNumBuckets) + 7)
       << EventQueue::kBucketShift;
   EventQueue calendar;
-  EventQueue heap(EventQueue::Backend::kHeap);
+  ReferenceQueue reference;
   for (int i = 0; i < kEvents; ++i) {
     // Ascending, so all but the anchor land in the far overflow and every
     // pop's refill re-partitions the remaining far events.
     const SimTime at = static_cast<SimTime>(i + 1) * kStride;
     calendar.push_timer(at, 0, 1, 0);
-    heap.push_timer(at, 0, 1, 0);
+    reference.push(at);
   }
-  EXPECT_EQ(calendar.backend(), EventQueue::Backend::kCalendar);
-  const auto calendar_keys = drain_keys(calendar);
-  EXPECT_EQ(calendar.backend(), EventQueue::Backend::kHeap)
-      << "far-horizon workload should have degraded the calendar";
-  EXPECT_EQ(calendar_keys, drain_keys(heap));
+  EXPECT_EQ(drain_keys(calendar), drain_keys(reference));
 }
 
-TEST(EventQueueBackendTest, DegradesToHeapOnOvercrowdedSortedWindow) {
+TEST(CalendarOrderTest, MatchesReferenceOnDescendingPushesInOneBucket) {
   // Descending timestamps inside one bucket: every push inserts at the
-  // window's front, shifting the whole tail. Once the cumulative shift
-  // cost dwarfs the push count the queue must switch to the heap rather
-  // than go quadratic — again without reordering anything.
+  // window's front, shifting the whole tail. Quadratic, but the order
+  // must hold.
   constexpr int kEvents = 3000;
   EventQueue calendar;
-  EventQueue heap(EventQueue::Backend::kHeap);
+  ReferenceQueue reference;
   for (int i = 0; i < kEvents; ++i) {
     const SimTime at = static_cast<SimTime>(kEvents - i);
     calendar.push_timer(at, 0, 1, 0);
-    heap.push_timer(at, 0, 1, 0);
+    reference.push(at);
   }
-  EXPECT_EQ(calendar.backend(), EventQueue::Backend::kHeap)
-      << "descending same-bucket pushes should have degraded the calendar";
-  EXPECT_EQ(drain_keys(calendar), drain_keys(heap));
+  EXPECT_EQ(drain_keys(calendar), drain_keys(reference));
 }
 
-TEST(EventQueueBackendTest, FarFirstPushDoesNotPullTheWindowAhead) {
+TEST(CalendarOrderTest, FarFirstPushDoesNotPullTheWindowAhead) {
   // The frame clock drains the queue at every period boundary, and the
   // first thing armed next is the following boundary, a whole period
   // ahead. The sorted window must stay on `now`: were it anchored on that
   // far event, every later push for the period in between would be a
-  // front insert into the window — quadratic shifting, then a heap
-  // degradation.
+  // quadratic front insert into the window.
   constexpr int kEvents = 3000;
   EventQueue calendar;
-  EventQueue heap(EventQueue::Backend::kHeap);
+  ReferenceQueue reference;
   calendar.push_timer(5'000'000, 0, 1, 0);
-  heap.push_timer(5'000'000, 0, 1, 0);
+  reference.push(5'000'000);
   for (int i = 0; i < kEvents; ++i) {
     const SimTime at = 4'000'000 - static_cast<SimTime>(i) * 1000;
     calendar.push_timer(at, 0, 2, 0);
-    heap.push_timer(at, 0, 2, 0);
+    reference.push(at);
   }
-  EXPECT_EQ(calendar.backend(), EventQueue::Backend::kCalendar);
-  EXPECT_EQ(drain_keys(calendar), drain_keys(heap));
-  EXPECT_EQ(calendar.backend(), EventQueue::Backend::kCalendar);
+  EXPECT_EQ(drain_keys(calendar), drain_keys(reference));
 }
 
-TEST(EventQueueBackendTest, ReserveKeepsOrderAndSize) {
+TEST(CalendarOrderTest, ReserveKeepsOrderAndSize) {
   EventQueue queue;
   queue.push_timer(30, 0, 1, 1);
   queue.push_timer(10, 0, 1, 2);
@@ -399,25 +429,6 @@ TEST(EventQueueBackendTest, ReserveKeepsOrderAndSize) {
 // ---------------------------------------------------------------------------
 // Frame clock: expiries for one instant share a TimerGroup event.
 // ---------------------------------------------------------------------------
-
-/// One dispatched timer expiry: (timestamp, node, timer id, generation).
-using Expiry = std::tuple<SimTime, wsn::NodeId, std::int32_t, std::uint64_t>;
-
-/// Pops one event of a timer-only queue and appends the expiries it
-/// dispatches: a group's members in order, or the lone timer.
-void pop_expiries(EventQueue& queue, SimTime& now, std::vector<Expiry>& out) {
-  const Event event = queue.pop(now);
-  if (event.kind() == EventKind::kTimer) {
-    out.emplace_back(event.at, event.timer.node, event.timer.timer_id,
-                     event.timer.generation);
-    return;
-  }
-  std::uint32_t cursor = queue.take_group(event);
-  while (cursor != EventQueue::kNoSlot) {
-    const TimerEvent timer = queue.next_member(cursor);
-    out.emplace_back(event.at, timer.node, timer.timer_id, timer.generation);
-  }
-}
 
 TEST(FrameClockQueueTest, ExpiriesForOneInstantShareOneEvent) {
   EventQueue queue;
@@ -464,67 +475,45 @@ TEST(FrameClockQueueTest, AnyOtherPushForTheInstantClosesTheGroup) {
   EXPECT_EQ(queue.staged_message_count(), 0u);
 }
 
-TEST(FrameClockQueueTest, FlattenedOrderEqualsPlainTimersOnBothBackends) {
-  // The same randomised push/pop interleaving, once with every frame timer
-  // pushed as a plain timer: the flattened expiry streams must be equal,
-  // on the calendar, on the forced heap, and across a reset_run.
-  for (const auto backend :
-       {EventQueue::Backend::kCalendar, EventQueue::Backend::kHeap}) {
-    EventQueue framed(backend);
-    EventQueue plain(backend);
-    for (int pass = 0; pass < 2; ++pass) {
-      Rng rng(77 + static_cast<std::uint64_t>(pass));
-      SimTime now = 0;
-      SimTime plain_now = 0;
-      std::vector<Expiry> framed_stream;
-      std::vector<Expiry> plain_stream;
-      for (int step = 0; step < 20000 || !framed.empty(); ++step) {
-        if (step < 20000 && (rng.uniform(100) < 55 || framed.empty())) {
-          // Shared instants on a 5 ms grid, private ones anywhere.
-          const bool shared = rng.uniform(4) != 0;
-          const SimTime at =
-              shared ? (now / 5000 + 1 + static_cast<SimTime>(rng.uniform(40))) *
-                           5000
-                     : now + static_cast<SimTime>(rng.uniform(200'000));
-          const auto node = static_cast<wsn::NodeId>(rng.uniform(64));
-          const auto generation = static_cast<std::uint64_t>(step);
-          if (shared) {
-            framed.push_frame_timer(at, node, 1, generation);
-          } else {
-            framed.push_timer(at, node, 2, generation);
-          }
-          plain.push_timer(at, node, shared ? 1 : 2, generation);
+TEST(FrameClockQueueTest, FlattenedOrderEqualsPlainTimers) {
+  // A randomised push/pop interleaving against the reference fed the same
+  // arms as plain timers: the flattened expiry streams must be equal,
+  // also across a reset_run.
+  EventQueue framed;
+  for (int pass = 0; pass < 2; ++pass) {
+    ReferenceQueue plain;
+    Rng rng(77 + static_cast<std::uint64_t>(pass));
+    SimTime now = 0;
+    std::vector<Expiry> framed_stream;
+    std::vector<Expiry> plain_stream;
+    for (int step = 0; step < 20000 || !framed.empty(); ++step) {
+      if (step < 20000 && (rng.uniform(100) < 55 || framed.empty())) {
+        // Shared instants on a 5 ms grid, private ones anywhere.
+        const bool shared = rng.uniform(4) != 0;
+        const SimTime at =
+            shared ? (now / 5000 + 1 + static_cast<SimTime>(rng.uniform(40))) *
+                         5000
+                   : now + static_cast<SimTime>(rng.uniform(200'000));
+        const auto node = static_cast<wsn::NodeId>(rng.uniform(64));
+        const auto generation = static_cast<std::uint64_t>(step);
+        if (shared) {
+          framed.push_frame_timer(at, node, 1, generation);
         } else {
-          // One framed event, then the plain events it stands for.
-          pop_expiries(framed, now, framed_stream);
-          while (plain_stream.size() < framed_stream.size()) {
-            pop_expiries(plain, plain_now, plain_stream);
-          }
+          framed.push_timer(at, node, 2, generation);
+        }
+        plain.push(at, Expiry{at, node, shared ? 1 : 2, generation});
+      } else {
+        // One framed event, then the plain expiries it stands for.
+        pop_expiries(framed, now, framed_stream);
+        while (plain_stream.size() < framed_stream.size()) {
+          plain_stream.push_back(plain.pop().second);
         }
       }
-      EXPECT_TRUE(plain.empty());
-      EXPECT_EQ(framed_stream, plain_stream);
-      framed.reset_run();
-      plain.reset_run();
     }
+    EXPECT_TRUE(plain.empty());
+    EXPECT_EQ(framed_stream, plain_stream);
+    framed.reset_run();
   }
-}
-
-TEST(FrameClockQueueTest, ClearReleasesGroups) {
-  EventQueue queue;
-  queue.push_frame_timer(10, 0, 1, 1);
-  queue.push_frame_timer(10, 1, 1, 1);
-  queue.push_frame_timer(20, 0, 1, 1);
-  queue.clear();
-  EXPECT_TRUE(queue.empty());
-  // Nothing stays open across a clear: the next arm opens a fresh group.
-  queue.push_frame_timer(10, 2, 1, 1);
-  EXPECT_EQ(queue.size(), 1u);
-  SimTime now = 0;
-  std::vector<Expiry> expiries;
-  pop_expiries(queue, now, expiries);
-  EXPECT_EQ(expiries, (std::vector<Expiry>{{10, 2, 1, 1}}));
-  EXPECT_TRUE(queue.empty());
 }
 
 // ---------------------------------------------------------------------------

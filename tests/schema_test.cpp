@@ -1,10 +1,11 @@
 // Validates every serialised document shape against the versioned schema
-// files in tests/schemas/ — the same files CI's validate.py applies to
-// generated artifacts — using the C++ subset validator in
-// schema_validator.hpp. Covers freshly generated sweep documents (both
-// timing modes), cell-stream lines, cell-cache entry files, the
-// committed bench_results/ baselines, and that the validator actually
-// rejects shape violations (so a green run means something).
+// files in tests/schemas/ using the C++ subset validator in
+// schema_validator.hpp — the same validator and files CI applies to
+// generated artifacts through the slpdas_schema_validate CLI. Covers
+// freshly generated sweep documents (both timing modes), cell-stream
+// lines, cell-cache entry files, the committed bench_results/ baselines,
+// and that the validator actually rejects shape violations (so a green
+// run means something).
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -199,7 +200,7 @@ TEST(SchemaCacheTest, StoredEntryLinesValidate) {
 TEST(SchemaShardMapTest, EveryRecordKindValidatesAgainstItsDefinition) {
   // The exact bytes the fleet writers produce, one fragment per marker
   // kind — the same fragments CI applies to a real fleet directory via
-  // validate.py.
+  // slpdas_schema_validate.
   ShardMapManifest manifest;
   manifest.name = "schema_smoke";
   manifest.base_seed = 7;

@@ -1,14 +1,15 @@
 // A JSON-Schema *subset* validator over the library's own strict parser
-// (src/core/json.hpp), used by schema_test to check every serialised
-// document shape against the versioned schema files in tests/schemas/.
+// (src/core/json.hpp), used by schema_test and by the
+// slpdas_schema_validate CLI (schema_validate.cpp, what CI runs on
+// generated artifacts) to check every serialised document shape against
+// the versioned schema files in tests/schemas/.
 //
 // Supported keywords: type (string or array of strings), const (string),
 // enum (scalars), required, properties, additionalProperties (bool or
 // schema), items, minItems/maxItems, minimum, minLength/maxLength,
 // definitions and $ref — where a ref is '#/definitions/x' within the
 // current file or 'other.schema.json#/definitions/x' across files in the
-// same directory. tests/schemas/validate.py mirrors these semantics for
-// CI; keep the two implementations in sync.
+// same directory.
 #pragma once
 
 #include <fstream>
