@@ -132,9 +132,8 @@ class CellCache {
  private:
   std::string directory_;
   bool read_only_ = false;
-  mutable std::mutex mutex_;  ///< guards stats_ and the tmp-name counter
+  mutable std::mutex mutex_;  ///< guards stats_
   CellCacheStats stats_;
-  std::uint64_t tmp_counter_ = 0;
 };
 
 // ---------------------------------------------------------------------------

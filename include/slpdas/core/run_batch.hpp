@@ -9,8 +9,9 @@
 // (config, topology) and shared read-only by every seed.
 //
 // On top of the prefix sits the FORK: a Fork owns one Simulator (with its
-// processes, attacker runtime, event-queue capacity and node-state arena)
-// and replays seed after seed through Simulator::reset_run, so seed N+1
+// processes, attacker runtime, event-queue capacity and per-node state
+// vectors) and replays seed after seed through Simulator::reset_run, which
+// clears that state but keeps its capacity, so seed N+1
 // starts from warm capacity with zero construction and, in steady state,
 // zero heap allocation. Per-run outputs land in caller-provided dense
 // RunResult arrays (one contiguous slot per seed), so a cell's results

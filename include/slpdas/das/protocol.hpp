@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "slpdas/das/messages.hpp"
@@ -188,24 +187,28 @@ class ProtectionlessDas : public sim::Process {
   wsn::NodeId source_;
 
   void add_neighbor(wsn::NodeId node);
+  /// Others[neighbor]; `neighbor` must be a graph neighbour of this node.
+  [[nodiscard]] std::vector<wsn::NodeId>& others_of(wsn::NodeId neighbor);
 
   // Figure 2 variables.
   std::vector<wsn::NodeId> my_neighbors_;              // myN (discovery order)
-  /// Dense membership mirror of my_neighbors_ (arena-carved, one byte per
-  /// node): add_neighbor runs on every HELLO and DISSEM reception, and an
-  /// indexed load replaces a linear scan of the discovery-order list.
-  std::span<std::uint8_t> neighbor_known_;
+  /// Dense membership mirror of my_neighbors_ (one byte per node):
+  /// add_neighbor runs on every HELLO and DISSEM reception, and an indexed
+  /// load replaces a linear scan of the discovery-order list.
+  std::vector<std::uint8_t> neighbor_known_;
   util::FlatSet<wsn::NodeId> potential_parents_;            // Npar
   util::FlatSet<wsn::NodeId> children_;                     // children
-  std::vector<std::vector<wsn::NodeId>> others_;  // Others[j], dense by node
+  /// Others[j], one list per graph neighbour j, at j's position in the
+  /// sorted graph().neighbors(id()) (see others_of): a DISSEM only ever
+  /// arrives along a graph edge, so no other j is ever written.
+  std::vector<std::vector<wsn::NodeId>> others_;
   /// Ninfo[] as a dense per-node table — the merge in handle_dissem runs
   /// millions of times per experiment, and an indexed load beats a tree
   /// walk plus node allocation. Unwritten entries read as NodeInfo{}
-  /// (unassigned), exactly like an absent map key did. Carved out of the
-  /// simulator's node-state arena in on_start (N entries per node makes
-  /// this the N^2 table of the protocol); reset_run drops the span and the
-  /// next on_start re-carves it from the rewound arena.
-  std::span<NodeInfo> ninfo_;
+  /// (unassigned), exactly like an absent map key did. N entries per node
+  /// make this, with neighbor_known_, the protocol's N^2 state; on_start
+  /// refills both in the capacity reset_run keeps.
+  std::vector<NodeInfo> ninfo_;
   /// Node ids (never our own) whose ninfo_ entry is assigned, in first-
   /// learned order. Assignment is monotone (slots never unassign), so each
   /// node appears at most once; collision resolution scans this compact
@@ -214,8 +217,6 @@ class ProtectionlessDas : public sim::Process {
   /// Scratch for resolve_collisions' occupied-slot probe (reused so the
   /// collision path does not allocate once warmed).
   std::vector<mac::SlotId> taken_scratch_;
-  /// Scratch for handle_dissem's competitor listing, same rationale.
-  std::vector<wsn::NodeId> competitors_scratch_;
   /// HELLO beacons are immutable and payload-free: build one and
   /// re-broadcast it every discovery period (no per-send allocation).
   sim::MessagePtr hello_message_;

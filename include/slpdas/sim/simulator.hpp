@@ -34,7 +34,6 @@
 #include "slpdas/rng.hpp"
 #include "slpdas/sim/event_queue.hpp"
 #include "slpdas/sim/message.hpp"
-#include "slpdas/sim/node_arena.hpp"
 #include "slpdas/sim/radio.hpp"
 #include "slpdas/sim/time.hpp"
 #include "slpdas/wsn/graph.hpp"
@@ -135,9 +134,10 @@ class Simulator {
   void add_observer(TransmissionObserver* observer);
 
   /// Rewinds the simulator to time 0 under a fresh seed WITHOUT releasing
-  /// any capacity: the event queue, timer tables, counters and the node
-  /// state arena all reset in place; every registered process and the
-  /// radio model get their reset_run() hook; observers stay registered.
+  /// any capacity: the event queue, timer tables and counters all reset in
+  /// place; every registered process and the radio model get their
+  /// reset_run() hook (which clears per-node state but keeps its
+  /// capacity); observers stay registered.
   /// The next step() re-fires on_start in node order, exactly like a
   /// cold-constructed simulator — this is the seed N+1 path of batched
   /// cell execution (RunBatch forks one simulator per worker and resets
@@ -164,10 +164,6 @@ class Simulator {
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
   [[nodiscard]] const wsn::Graph& graph() const noexcept { return graph_; }
   [[nodiscard]] RadioModel& radio() noexcept { return *radio_; }
-
-  /// Per-run node state pools (see node_arena.hpp). Processes carve their
-  /// dense tables here during on_start; reset_run rewinds the cursor.
-  [[nodiscard]] NodeStateArena& arena() noexcept { return arena_; }
 
   /// One reception decision through the simulator's radio model and RNG —
   /// the single choke point for radio draws, used by the broadcast loop
@@ -284,8 +280,6 @@ class Simulator {
   };
   std::vector<SendCounter> send_counters_;
   mutable std::unordered_map<std::string, std::uint64_t> sends_by_type_;
-  /// Per-run node state pools; rewound (not freed) by reset_run.
-  NodeStateArena arena_;
   /// Cached downcast of radio_ when it is the CasinoLabNoise model —
   /// lets radio_delivered() skip the virtual call on the hot path.
   CasinoLabNoise* casino_ = nullptr;

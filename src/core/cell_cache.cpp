@@ -8,10 +8,7 @@
 #include <string_view>
 #include <system_error>
 
-#ifndef _WIN32
-#include <unistd.h>
-#endif
-
+#include "atomic_file.hpp"
 #include "cell_record.hpp"
 #include "fnv.hpp"
 #include "json.hpp"
@@ -273,42 +270,12 @@ bool CellCache::store(const CellCacheKey& key, const SweepJsonCell& cell) {
   if (read_only_) {
     return false;
   }
-  const std::string path = entry_path(key);
-  std::uint64_t token = 0;
-  {
-    const std::scoped_lock lock(mutex_);
-    token = tmp_counter_++;
-  }
-  // Unique tmp name per writer (pid + in-process counter), then an atomic
-  // rename: a reader never observes a partial entry, and two processes
-  // storing the same key race benignly — both rename identical canonical
-  // bytes over the same path.
-  const std::string tmp = path + ".tmp." +
-                          std::to_string(static_cast<long long>(
-#ifdef _WIN32
-                              0
-#else
-                              ::getpid()
-#endif
-                              )) +
-                          "." + std::to_string(token);
-  const std::string payload = compose_entry(key, cell);
-  bool ok = false;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << payload;
-    out.flush();
-    ok = out.good();
-  }
-  if (ok) {
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    ok = !ec;
-  }
-  if (!ok) {
-    std::error_code ec;
-    fs::remove(tmp, ec);
-  }
+  // Written whole: a reader never observes a partial entry, and two
+  // processes storing the same key race benignly — both rename identical
+  // canonical bytes over the same path.
+  const bool ok =
+      detail::write_file_atomically(entry_path(key), compose_entry(key, cell))
+          .empty();
   const std::scoped_lock lock(mutex_);
   ++(ok ? stats_.stores : stats_.store_failures);
   return ok;

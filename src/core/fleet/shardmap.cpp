@@ -2,11 +2,11 @@
 // ("slpdas.shardmap.v1"): the on-disk wire protocol between the fleet
 // coordinator and its workers. Claims are exclusive-create files (the
 // open(2) is the lock); everything else — manifest, done markers,
-// heartbeats, error markers — is written whole via unique-tmp + rename,
-// the CellCache pattern, so a reader only ever sees complete records.
+// heartbeats, error markers — is written whole via unique-tmp + rename
+// (detail::write_file_atomically, shared with the cell cache), so a
+// reader only ever sees complete records.
 #include "slpdas/core/fleet.hpp"
 
-#include <atomic>
 #include <cerrno>
 #include <cstddef>
 #include <filesystem>
@@ -24,6 +24,7 @@
 #include <unistd.h>
 #endif
 
+#include "../atomic_file.hpp"
 #include "../cell_record.hpp"
 #include "../json.hpp"
 
@@ -33,41 +34,15 @@ namespace {
 namespace fs = std::filesystem;
 using Value = detail::JsonParser::Value;
 
-/// Unique-tmp counter for the rename-based writers (claims use O_EXCL and
-/// never come through here).
-std::atomic<std::uint64_t> g_tmp_counter{0};
-
-[[nodiscard]] long long current_pid() {
-#ifdef _WIN32
-  return 0;
-#else
-  return static_cast<long long>(::getpid());
-#endif
-}
-
-/// Writes `line` + '\n' to `path` atomically (unique tmp, then rename —
-/// which REPLACES any previous file, exactly right for heartbeats and
-/// idempotent markers). Throws std::runtime_error on failure.
+/// Writes `line` + '\n' to `path` whole (the rename REPLACES any previous
+/// file, exactly right for heartbeats and idempotent markers; claims use
+/// O_EXCL and never come through here). Throws std::runtime_error on
+/// failure.
 void atomic_write_line(const std::string& path, const std::string& line) {
-  const std::string tmp = path + ".tmp." + std::to_string(current_pid()) +
-                          "." + std::to_string(g_tmp_counter++);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << line << '\n';
-    out.flush();
-    if (!out.good()) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      throw std::runtime_error("shardmap: cannot write " + tmp);
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    std::error_code remove_ec;
-    fs::remove(tmp, remove_ec);
-    throw std::runtime_error("shardmap: cannot rename " + tmp + " to " +
-                             path + ": " + ec.message());
+  const std::string failure =
+      detail::write_file_atomically(path, line + '\n');
+  if (!failure.empty()) {
+    throw std::runtime_error("shardmap: " + failure);
   }
 }
 

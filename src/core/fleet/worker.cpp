@@ -15,10 +15,7 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
-#include <unistd.h>
-#endif
-
+#include "../atomic_file.hpp"
 #include "../cell_record.hpp"
 #include "slpdas/core/cell_cache.hpp"
 #include "slpdas/core/fleet.hpp"
@@ -28,14 +25,6 @@ namespace slpdas::core {
 namespace {
 
 namespace fs = std::filesystem;
-
-[[nodiscard]] std::int64_t current_pid() {
-#ifdef _WIN32
-  return 0;
-#else
-  return static_cast<std::int64_t>(::getpid());
-#endif
-}
 
 [[nodiscard]] bool valid_worker_name(const std::string& name) {
   if (name.empty()) {
@@ -172,7 +161,7 @@ std::size_t worker_loop(const Scenario& scenario,
                              stream_path);
   }
 
-  const std::int64_t pid = current_pid();
+  const std::int64_t pid = detail::current_pid();
   const HeartbeatThread heartbeat(claims, worker_options.worker, pid,
                                   worker_options.heartbeat_interval_ms);
   ThreadPool pool(worker_options.threads);

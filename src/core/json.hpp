@@ -6,6 +6,9 @@
 // (so a process running under LC_NUMERIC=de_DE still reads "0.05" as five
 // hundredths, not zero), \uXXXX escapes require exactly four hex digits
 // and reject surrogate halves, and every scalar accessor type-checks.
+// Nesting is bounded (JsonParser::kMaxDepth), so a damaged or hostile
+// input fails the parse instead of overflowing the recursive descent's
+// stack.
 #pragma once
 
 #include <charconv>
@@ -58,6 +61,12 @@ inline void write_json_string(std::ostream& out, std::string_view text) {
 
 class JsonParser {
  public:
+  /// Deepest '['/'{' nesting parse() accepts; deeper input throws
+  /// std::runtime_error. Every document this library writes or validates
+  /// against (sweep documents, cell streams, cache entries, shardmap
+  /// markers, the schemas in tests/schemas/) nests under 10 levels.
+  static constexpr int kMaxDepth = 128;
+
   explicit JsonParser(std::istream& in) : text_(read_all(in)) {}
   explicit JsonParser(std::string text) : text_(std::move(text)) {}
 
@@ -245,12 +254,21 @@ class JsonParser {
     Value value;
     switch (c) {
       case '{':
-        value.kind = Value::Kind::kObject;
-        value.object = parse_object();
-        return value;
       case '[':
-        value.kind = Value::Kind::kArray;
-        value.array = parse_array();
+        if (++depth_ > kMaxDepth) {
+          throw std::runtime_error("json: nesting deeper than " +
+                                   std::to_string(kMaxDepth) +
+                                   " levels at offset " +
+                                   std::to_string(pos_));
+        }
+        if (c == '{') {
+          value.kind = Value::Kind::kObject;
+          value.object = parse_object();
+        } else {
+          value.kind = Value::Kind::kArray;
+          value.array = parse_array();
+        }
+        --depth_;
         return value;
       case '"':
         value.kind = Value::Kind::kString;
@@ -433,6 +451,7 @@ class JsonParser {
 
   std::string text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open '['/'{' around the value being parsed
 };
 
 }  // namespace slpdas::core::detail

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 namespace slpdas::das {
@@ -47,10 +48,12 @@ ProtectionlessDas::ProtectionlessDas(const DasConfig& config, wsn::NodeId sink,
 }
 
 void ProtectionlessDas::on_start() {
+  // assign() reuses the capacity reset_run kept, so a forked batch's
+  // second seed refills both tables without allocating.
   const auto nodes = static_cast<std::size_t>(graph().node_count());
-  ninfo_ = simulator().arena().allocate<NodeInfo>(nodes);
-  neighbor_known_ = simulator().arena().allocate<std::uint8_t>(nodes);
-  others_.resize(nodes);
+  ninfo_.assign(nodes, NodeInfo{});
+  neighbor_known_.assign(nodes, 0);
+  others_.resize(graph().degree(id()));
   set_frame_timer(kPeriodTimer, 0);
 }
 
@@ -61,11 +64,10 @@ void ProtectionlessDas::reset_run() {
   for (auto& competitors : others_) {
     competitors.clear();
   }
-  ninfo_ = {};  // dead once the arena rewinds; on_start re-carves both
-  neighbor_known_ = {};
+  ninfo_.clear();  // on_start refills both
+  neighbor_known_.clear();
   known_assigned_.clear();
   taken_scratch_.clear();
-  competitors_scratch_.clear();
   // hello_message_ / dissem_pool_ / normal_pool_ persist: the beacon is
   // immutable and the pools are rebuilt per send (the queue was reset
   // before us, so any staged reference has already drained).
@@ -184,6 +186,14 @@ void ProtectionlessDas::add_neighbor(wsn::NodeId node) {
   }
 }
 
+std::vector<wsn::NodeId>& ProtectionlessDas::others_of(wsn::NodeId neighbor) {
+  const std::span<const wsn::NodeId> neighbors = graph().neighbors(id());
+  const auto position =
+      std::lower_bound(neighbors.begin(), neighbors.end(), neighbor) -
+      neighbors.begin();
+  return others_[static_cast<std::size_t>(position)];
+}
+
 void ProtectionlessDas::handle_hello(wsn::NodeId from) {
   add_neighbor(from);
 }
@@ -235,16 +245,15 @@ void ProtectionlessDas::handle_dissem(wsn::NodeId from,
   // parents, and their unassigned neighbours as slot competitors.
   if (message.normal && !slot_assigned() && sender_assigned) {
     potential_parents_.insert(from);
-    competitors_scratch_.clear();  // in the sender's listing order
+    // Rebuilt in place, in the sender's listing order: clear() keeps the
+    // list's capacity, so re-learning it during setup does not allocate.
+    std::vector<wsn::NodeId>& competitors = others_of(from);
+    competitors.clear();
     for (const auto& [node, info] : message.ninfo) {
       if (!info.assigned()) {
-        competitors_scratch_.push_back(node);
+        competitors.push_back(node);
       }
     }
-    // assign() keeps the entry's existing capacity, so re-learning a
-    // sender's competitor list during setup does not allocate.
-    others_[from].assign(competitors_scratch_.begin(),
-                         competitors_scratch_.end());
   }
 
   // Children discovery: a sender that names us as parent is our child.
@@ -308,7 +317,7 @@ void ProtectionlessDas::run_process_action() {
     }
     hop_ = best_hop + 1;
     parent_ = chosen;
-    slot_ = ninfo_[chosen].slot - rank_in(id(), others_[chosen]) - 1;
+    slot_ = ninfo_[chosen].slot - rank_in(id(), others_of(chosen)) - 1;
     ninfo_[id()] = NodeInfo{hop_, slot_};
     repair_check_pending_ = true;
     request_dissemination();

@@ -193,7 +193,6 @@ void Simulator::reset_run(std::uint64_t seed) {
   std::fill(timer_generations_.begin(), timer_generations_.end(), 0);
   send_counters_.clear();
   sends_by_type_.clear();
-  arena_.begin_run();
   radio_->reset_run();
   for (auto& process : processes_) {
     if (process) {

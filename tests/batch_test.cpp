@@ -95,8 +95,8 @@ TEST(RunBatchTest, RunOneMatchesRunSingleInAnyOrder) {
 TEST(RunBatchTest, ForkMatchesColdConstructionForEveryScenario) {
   // The fork path reuses one warm Simulator across seeds via reset_run;
   // the cold path (run_one) constructs a fresh one per seed. Any per-run
-  // state reset_run fails to rewind — a live timer generation, an arena
-  // span still holding the previous seed's values, a stale attacker
+  // state reset_run fails to rewind — a live timer generation, a DAS
+  // table still holding the previous seed's values, a stale attacker
   // position — diverges here, naming the scenario, cell and seed. Seeds
   // run out of order and one is replayed through the already-used fork,
   // so "warm" covers both fresh-after-reset and ran-before states.

@@ -231,6 +231,11 @@ TEST_F(CellCacheTest, RejectsCorruptTruncatedAndMiskeyedEntries) {
   expect_rejected(good.substr(0, good.size() / 2));   // torn write
   expect_rejected("not json at all\n{}\n");           // unparseable header
   expect_rejected("");                                // empty file
+  // Nesting past the JSON parser's bound, in either line: a typed parse
+  // error, where unbounded recursion overflowed the stack.
+  const std::string deep(1'000'000, '[');
+  expect_rejected(deep + "\n{}\n");
+  expect_rejected(good.substr(0, good.find('\n') + 1) + deep + "\n");
   // A record stored under a DIFFERENT key (a renamed file, say) fails
   // identity validation even though both lines parse.
   const CellCacheKey other = make_cell_cache_key(cheap_config(), 43, true);

@@ -139,6 +139,17 @@ TEST(CellStreamTest, DropsTheTornTailOfAKilledWriter) {
   EXPECT_EQ(parsed.cells[1].index, 1u);
 }
 
+TEST(CellStreamTest, DeepNestingIsATypedErrorNotACrash) {
+  // Unbounded recursive descent overflowed the stack on these lines.
+  const std::string deep(1'000'000, '[');
+  const CellStreamHeader header =
+      header_for(five_cells(), deterministic_options());
+  // As the header line, and as a whole record line after a good header.
+  EXPECT_THROW((void)parse_text(deep + "\n"), std::runtime_error);
+  EXPECT_THROW((void)parse_text(stream_text(header, {}) + deep + "\n"),
+               std::runtime_error);
+}
+
 TEST(CellStreamTest, RejectsMalformedStreams) {
   const auto cells = five_cells();
   const SweepJson reference = reference_document(cells);

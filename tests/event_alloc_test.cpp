@@ -5,7 +5,8 @@
 // tens of thousands of events after a warm-up phase (which is allowed to
 // allocate: vectors grow to their high-water marks, counters intern their
 // keys). Any closure, map node or refcount block sneaking back onto the
-// hot path turns the delta positive and fails loudly.
+// hot path turns the delta positive and fails loudly. The wrappers also
+// count bytes, which bounds the DAS protocol's per-node start-up state.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +24,12 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
+
+void count_allocation(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 
 }  // namespace
 
@@ -30,7 +37,7 @@ std::atomic<std::uint64_t> g_allocations{0};
 // test binary links them; gtest and the warm-up phase allocate freely —
 // the assertion is on the DELTA across the measured window.
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   if (void* pointer = std::malloc(size != 0 ? size : 1)) {
     return pointer;
   }
@@ -38,14 +45,14 @@ void* operator new(std::size_t size) {
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   return std::malloc(size != 0 ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
 }
 void* operator new(std::size_t size, std::align_val_t alignment) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   // aligned_alloc requires size to be a multiple of the alignment.
   const auto align = static_cast<std::size_t>(alignment);
   const std::size_t rounded = (size != 0 ? size + align - 1 : align) &
@@ -237,14 +244,14 @@ TEST(EventAllocTest, BroadcastSlotsKeepReceiverCapacityAcrossReuseAndReset) {
 }
 
 /// The phase-prefix fork's allocation contract: the FIRST seed of a batch
-/// may allocate freely (vectors, pools and the node-state arena all grow
-/// to their high-water marks), but once reset_run rewinds everything in
+/// may allocate freely (vectors and pools all grow to their high-water
+/// marks), but once reset_run rewinds everything in
 /// place, a subsequent seed's steady state — here, the data phase, after
 /// a couple of warm periods let this seed's payload pools and counters
 /// settle — must not allocate at all. Runs the REAL protocols (DAS and
 /// the SLP extension) under the production noise model, not the ping
 /// fixture, so any per-seed allocation sneaking into a protocol handler,
-/// the pooled-message path or the queue/arena reset fails here.
+/// the pooled-message path or the queue and node-state reset fails here.
 /// Phantom routing is deliberately not covered: its std::set/map-based
 /// bookkeeping allocates per insert by design (it is not on the paper's
 /// hot sweep path).
@@ -300,6 +307,32 @@ TEST(EventAllocTest, SecondSeedOfForkedSlpBatchAllocatesNothing) {
     return std::make_unique<slp::SlpDas>(slp::SlpConfig{}, topology.sink,
                                          topology.source);
   });
+}
+
+/// Bounds what a DAS network allocates to start: building the processes
+/// and running every node's on_start. Each node keeps N-entry Ninfo[] and
+/// neighbour-membership tables (9 bytes per node pair) and one Others[j]
+/// list per graph neighbour j; a per-node table of N competitor lists
+/// (24 more bytes per node pair) would break the 16-byte bound.
+TEST(EventAllocTest, DasStartupStateStaysUnderSixteenBytesPerNodePair) {
+  const wsn::Topology grid = wsn::TopologySpec::grid(31).build();
+  const auto nodes = static_cast<std::uint64_t>(grid.graph.node_count());
+  ASSERT_EQ(nodes, 961u);
+
+  const std::uint64_t bytes_before =
+      g_allocated_bytes.load(std::memory_order_relaxed);
+  Simulator simulator(grid.graph, std::make_unique<CasinoLabNoise>(), 1);
+  for (wsn::NodeId n = 0; n < grid.graph.node_count(); ++n) {
+    simulator.add_process(n, std::make_unique<das::ProtectionlessDas>(
+                                 das::DasConfig{}, grid.sink, grid.source));
+  }
+  simulator.run_until(1);
+  const std::uint64_t bytes =
+      g_allocated_bytes.load(std::memory_order_relaxed) - bytes_before;
+  EXPECT_LT(bytes, 16 * nodes * nodes)
+      << bytes << " bytes for " << nodes << " nodes ("
+      << static_cast<double>(bytes) / static_cast<double>(nodes * nodes)
+      << " per node pair)";
 }
 
 }  // namespace

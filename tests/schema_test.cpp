@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -97,6 +98,17 @@ TEST(SchemaFilesTest, AllSchemaFilesParse) {
         kShardMapSchemaFile, kFleetBenchSchema}) {
     EXPECT_NO_THROW(set.load(name)) << name;
   }
+}
+
+TEST(JsonParserTest, NestingIsBoundedAtMaxDepth) {
+  using detail::JsonParser;
+  const auto nested = [](int depth) {
+    const auto levels = static_cast<std::size_t>(depth);
+    return std::string(levels, '[') + std::string(levels, ']');
+  };
+  EXPECT_NO_THROW((void)JsonParser(nested(JsonParser::kMaxDepth)).parse());
+  EXPECT_THROW((void)JsonParser(nested(JsonParser::kMaxDepth + 1)).parse(),
+               std::runtime_error);
 }
 
 TEST(SchemaSweepTest, DeterministicDocumentValidates) {

@@ -486,6 +486,22 @@ TEST(SweepJsonTest, RejectsMalformedAndUnknownSchema) {
   }
 }
 
+TEST(SweepJsonTest, DeepNestingIsATypedErrorNotACrash) {
+  // Unbounded recursive descent overflowed the stack on this input.
+  const std::string deep(1'000'000, '[');
+  for (const std::string& text :
+       {deep, "{\"schema\": " + deep, minimal_document(deep)}) {
+    try {
+      (void)parse_text(text);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("nesting deeper"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 /// Minimal parseable document with `name` spliced in verbatim, for
 /// exercising the string-escape grammar through the public reader.
 SweepJson parse_with_name(const std::string& name_json) {
