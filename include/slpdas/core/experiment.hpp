@@ -6,6 +6,9 @@
 // attacker reaches the source within the safety period. An "experiment"
 // repeats runs over distinct seeds and aggregates capture ratio, capture
 // time, message overhead, delivery and schedule-validity statistics.
+// This header holds the configuration and result types; RunBatch
+// (run_batch.hpp) executes the runs and run_sweep (sweep.hpp) drives
+// whole grids of configurations through it.
 #pragma once
 
 #include <cstdint>
@@ -81,9 +84,7 @@ struct ExperimentConfig {
   double loss_probability = 0.05;        ///< for RadioKind::kLossy
   sim::CasinoLabParams casino{};         ///< for RadioKind::kCasinoLab
   int runs = 100;
-  std::uint64_t base_seed = 1;
   bool check_schedules = true;  ///< run Def 1-3 checkers on every run
-  int threads = 0;              ///< 0 = hardware concurrency
 };
 
 /// Outcome of one seeded run.
@@ -162,19 +163,6 @@ void apply_radio_spec(std::string_view text, ExperimentConfig& config);
 [[nodiscard]] std::unique_ptr<sim::RadioModel> make_radio(
     const ExperimentConfig& config);
 
-/// Executes one seeded run, materialising config.topology first.
-/// Deterministic in (config, seed).
-[[nodiscard]] RunResult run_single(const ExperimentConfig& config,
-                                   std::uint64_t seed);
-
-/// Same, against a caller-materialised topology (callers that run many
-/// seeds — run_experiment, the sweep engine — build once per cell and
-/// reuse it). `topology` must be config.topology.build()'s result; a
-/// mismatched graph silently simulates a different experiment.
-[[nodiscard]] RunResult run_single(const ExperimentConfig& config,
-                                   const wsn::Topology& topology,
-                                   std::uint64_t seed);
-
 /// Folds per-run results into an aggregate IN THE GIVEN ORDER, so callers
 /// that collect runs by index get bit-identical aggregates regardless of
 /// how many threads produced them. `check_schedules` mirrors
@@ -182,9 +170,5 @@ void apply_radio_spec(std::string_view text, ExperimentConfig& config);
 /// failure counters stay zero.
 [[nodiscard]] ExperimentResult aggregate_runs(const std::vector<RunResult>& runs,
                                               bool check_schedules);
-
-/// Runs `config.runs` seeded runs (seed = derive_seed(base_seed, i)) across
-/// `config.threads` workers and aggregates.
-[[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
 
 }  // namespace slpdas::core

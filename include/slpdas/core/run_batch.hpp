@@ -20,11 +20,10 @@
 //
 // Determinism contract: Fork::run(seed) and run_one(seed) are pure
 // functions of (config, topology, seed) and bit-identical to each other
-// and to the standalone run_single(config, topology, seed) — everything
-// in the prefix is itself a pure function of (config, topology), and
-// reset_run rewinds every per-run mutable field to its just-constructed
-// value. batch_test pins that equality: run_one against run_single in
-// any seed order, and the forked-vs-cold suite for every registered
+// — everything in the prefix is itself a pure function of (config,
+// topology), and reset_run rewinds every per-run mutable field to its
+// just-constructed value. batch_test pins that equality: forked runs
+// against cold run_one calls in any seed order, and for every registered
 // scenario's cells; the golden fingerprints pin the sweep documents.
 #pragma once
 

@@ -3,8 +3,8 @@
 // A sweep runs a grid of ExperimentConfigs — network sizes x protocols x
 // attacker specs x radio models — over ONE shared thread pool scheduled
 // at (cell, run) granularity, so a 3x3 grid with 100 seeds each is 900
-// independent work items rather than nine sequential run_experiment
-// calls. Per-cell seeds derive deterministically from the sweep seed and
+// independent work items rather than nine sequential 100-run loops.
+// Per-cell seeds derive deterministically from the sweep seed and
 // the cell label, so adding, removing or reordering cells never changes
 // any other cell's results, and aggregation happens in run-index order so
 // a sweep's output is byte-identical for any thread count.
@@ -266,8 +266,7 @@ struct SweepResult {
 /// Runs every (cell, run) pair of this shard on an internally owned pool
 /// of `options.threads` workers. `config.runs` supplies the run count; run
 /// `i` of a cell uses derive_seed(derive_cell_seed(options.base_seed,
-/// seed label), i) — each cell's `config.base_seed` and `config.threads`
-/// are ignored (seeds are sweep-derived, the pool is shared). Throws
+/// seed label), i): seeds are sweep-derived and the pool is shared. Throws
 /// std::invalid_argument on duplicate labels, a cell with runs < 1, or an
 /// invalid shard spec. Deterministic in (cells, options.base_seed).
 [[nodiscard]] SweepResult run_sweep(const std::vector<SweepCell>& cells,

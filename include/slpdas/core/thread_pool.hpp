@@ -1,7 +1,7 @@
 // A fixed-size worker pool shared across sweep cells.
 //
 // The sweep engine schedules every (cell, run) pair onto ONE pool instead
-// of letting each run_experiment spin up its own threads; with dozens of
+// of letting each cell spin up its own threads; with dozens of
 // grid cells that is the difference between `threads` workers total and
 // `cells * threads` oversubscription.
 #pragma once

@@ -21,9 +21,6 @@
 //     generation; the simulator compares it against its dense per-node
 //     generation table at pop time, so cancelling or re-arming a timer
 //     never allocates and a stale expiry is skipped for free.
-//   * Control{callback_slot}: the rare arbitrary-callback case
-//     (Simulator::call_at) keeps the old std::function flexibility; the
-//     callable lives in a slot table beside the queue.
 //   * TimerGroup{group_slot}: the frame clock. Protocols arm most timers
 //     at instants the whole network shares (TDMA period boundaries, the
 //     dissemination window's end, data slots), so N nodes would push N
@@ -77,7 +74,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -88,7 +84,7 @@
 
 namespace slpdas::sim {
 
-enum class EventKind : std::uint8_t { kDelivery, kTimer, kControl, kTimerGroup };
+enum class EventKind : std::uint8_t { kDelivery, kTimer, kTimerGroup };
 
 /// One broadcast's receptions: every receiver listed in the message slot
 /// receives the payload `from` sent. Payload and receivers live in the
@@ -108,11 +104,6 @@ struct TimerEvent {
   std::uint64_t generation;
 };
 
-/// One scheduled arbitrary callback (harness phase changes and the like).
-struct ControlEvent {
-  std::uint32_t callback_slot;
-};
-
 /// The frame-clock expiries of one instant; members live in the queue's
 /// member pool (see EventQueue::push_frame_timer).
 struct TimerGroupEvent {
@@ -130,7 +121,6 @@ struct Event {
   union {
     DeliveryEvent delivery;
     TimerEvent timer;
-    ControlEvent control;
     TimerGroupEvent group;
   };
 
@@ -144,9 +134,7 @@ struct Event {
 
 class EventQueue {
  public:
-  using Action = std::function<void()>;
-
-  /// "No slot" sentinel for the message/control slot tables.
+  /// "No slot" sentinel for the slot tables.
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   /// log2 of the bucket width in SimTime ticks (microseconds): 4096 µs.
@@ -262,38 +250,6 @@ class EventQueue {
     push_event(event);
   }
 
-  /// Enqueues an arbitrary callback. The one push flavour that may
-  /// allocate (the callable's closure) — deliberately kept off the
-  /// delivery/timer hot path.
-  void push_control(SimTime at, Action action) {
-    if (!action) {
-      throw std::invalid_argument("EventQueue::push_control: null action");
-    }
-    std::uint32_t slot;
-    if (free_controls_.empty()) {
-      slot = static_cast<std::uint32_t>(controls_.size());
-      controls_.emplace_back();
-    } else {
-      slot = free_controls_.back();
-      free_controls_.pop_back();
-    }
-    controls_[slot] = std::move(action);
-    Event event;
-    event.at = at;
-    event.seq_kind = next_seq_kind(EventKind::kControl);
-    event.control = ControlEvent{slot};
-    push_event(event);
-  }
-
-  /// Moves the callback of a popped Control event out of its slot and
-  /// recycles the slot.
-  [[nodiscard]] Action take_control(std::uint32_t slot) {
-    Action action = std::move(controls_[slot]);
-    controls_[slot] = nullptr;
-    free_controls_.push_back(slot);
-    return action;
-  }
-
   /// Enqueues a timer expiry on the frame clock: appended to the group
   /// already queued for `at` if that group is still open, else queued as
   /// the first member of a new TimerGroup event. Either way the expiry
@@ -376,8 +332,7 @@ class EventQueue {
 
   /// Removes and returns the next event by value, advancing `now` to its
   /// timestamp. Delivery events still own their message slot (the caller
-  /// releases it after dispatch); Control events still own their callback
-  /// slot (the caller takes it).
+  /// releases it after dispatch).
   [[nodiscard]] Event pop(SimTime& now) {
     materialise_head();
     --size_;
@@ -391,10 +346,10 @@ class EventQueue {
   /// payload slot tables and their receiver lists), so the next run
   /// reaches its steady state with zero allocations. It is the queue's one
   /// way to drop pending events: the slot tables they point into are
-  /// rewound wholesale, which releases every payload, control callback
-  /// and timer group they hold. The sequence counter and the calendar
-  /// anchor restart from zero. This is what makes a forked run
-  /// bit-identical to a cold-constructed one.
+  /// rewound wholesale, which releases every payload and timer group they
+  /// hold. The sequence counter and the calendar anchor restart from zero.
+  /// This is what makes a forked run bit-identical to a cold-constructed
+  /// one.
   void reset_run() {
     for (auto& bucket : buckets_) {
       bucket.clear();
@@ -413,8 +368,6 @@ class EventQueue {
       messages_[slot].receivers.clear();
       free_messages_.push_back(static_cast<std::uint32_t>(slot));
     }
-    controls_.clear();
-    free_controls_.clear();
     members_.clear();
     free_member_ = kNoSlot;
     groups_.clear();
@@ -649,8 +602,6 @@ class EventQueue {
   std::vector<MessageSlot> messages_;
   std::vector<std::uint32_t> free_messages_;
   std::size_t receiver_capacity_ = 0;
-  std::vector<Action> controls_;
-  std::vector<std::uint32_t> free_controls_;
 
   // Frame-clock state. Free members and free group slots are intrusive
   // lists threaded through the pools.

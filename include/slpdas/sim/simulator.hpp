@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -144,11 +143,6 @@ class Simulator {
   /// it between seeds instead of reconstructing it).
   void reset_run(std::uint64_t seed);
 
-  /// Schedules an arbitrary callback `delay` from now (used by harnesses
-  /// for phase changes, e.g. "activate the source at period 80").
-  void call_at(SimTime at, std::function<void()> action);
-  void call_after(SimTime delay, std::function<void()> action);
-
   /// Runs until the queue drains, `end` is reached, or stop() is called.
   /// Returns the number of events executed.
   std::uint64_t run_until(SimTime end);
@@ -201,8 +195,7 @@ class Simulator {
   /// Delivery events executed. One event carries every reception of one
   /// broadcast, so a broadcast counts once however many neighbours hear
   /// it (per-node receptions are in traffic()). Like timers_fired(), this
-  /// keeps events - deliveries - timers fired = stale timer events +
-  /// controls.
+  /// keeps events - deliveries - timers fired = stale timer events.
   [[nodiscard]] std::uint64_t deliveries_executed() const noexcept {
     return deliveries_executed_;
   }

@@ -1,8 +1,17 @@
 #include "slpdas/attacker/runtime.hpp"
 
+#include <cstring>
 #include <stdexcept>
 
 namespace slpdas::attacker {
+
+namespace {
+
+/// The one message type the eavesdropper traces. Compared by text: each
+/// protocol family defines its own kName array for it.
+constexpr const char* kTracedType = "NORMAL";
+
+}  // namespace
 
 AttackerRuntime::AttackerRuntime(sim::Simulator& simulator,
                                  const mac::FrameConfig& frame,
@@ -63,7 +72,7 @@ void AttackerRuntime::on_transmission(wsn::NodeId from,
   }
   // The eavesdropper traces data traffic only (by message-type name, so it
   // works against any protocol whose payload traffic is labelled NORMAL).
-  if (traced_type_ != message.name()) {
+  if (std::strcmp(message.name(), kTracedType) != 0) {
     return;
   }
   roll_period(at);

@@ -1,5 +1,6 @@
-// Internal whole-file writer and process id, shared by the cell cache
-// and the fleet's claim directory and worker loop. Not installed.
+// Internal whole-file writer and process id, shared by the cell cache,
+// the fleet's claim directory and worker loop, and the stream resume
+// rewrite. Not installed.
 #pragma once
 
 #include <cstdint>

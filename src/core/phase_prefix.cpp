@@ -13,7 +13,7 @@ PhasePrefix PhasePrefix::capture(const ExperimentConfig& config,
   const wsn::Graph& graph = topology.graph;
   if (!graph.contains(topology.source) || !graph.contains(topology.sink) ||
       topology.source == topology.sink) {
-    throw std::invalid_argument("run_single: invalid source/sink");
+    throw std::invalid_argument("RunBatch: invalid source/sink");
   }
 
   PhasePrefix prefix;

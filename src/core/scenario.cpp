@@ -1,7 +1,6 @@
 #include "slpdas/core/scenario.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -9,6 +8,7 @@
 #include <string_view>
 #include <utility>
 
+#include "atomic_file.hpp"
 #include "scenarios/common.hpp"
 
 namespace slpdas::core {
@@ -116,6 +116,32 @@ bool slurp_existing_file(const std::string& path, std::string& text) {
   return true;
 }
 
+/// Throws std::runtime_error naming the cell and the field when a record
+/// kept from a resumed stream describes a different experiment than
+/// `cell`, this run's cell at the record's index. The header's grid hash
+/// covers labels and run counts but not the cells' configs, so a resume
+/// with the same labels on, say, another radio passes the header check.
+void verify_kept_record(const SweepJsonCell& kept, const SweepCell& cell) {
+  const auto check = [&kept](const char* field, const std::string& have,
+                             const std::string& want) {
+    if (have != want) {
+      throw std::runtime_error(
+          "cell stream: cell " + std::to_string(kept.index) + " ('" +
+          kept.label + "') has " + field + " '" + have +
+          "' in the stream but '" + want +
+          "' in this run — the stream file belongs to a different sweep");
+    }
+  };
+  const ExperimentConfig& config = cell.config;
+  check("config.topology", kept.config_topology, config.topology.to_string());
+  check("config.protocol", kept.config_protocol,
+        format_protocol_spec(config.protocol, config.phantom_walk_length));
+  check("config.attacker", kept.config_attacker, config.attacker.to_spec());
+  check("config.radio", kept.config_radio,
+        format_radio_spec(config.radio, config.loss_probability));
+  check("runs", std::to_string(kept.runs), std::to_string(config.runs));
+}
+
 }  // namespace
 
 SweepJson run_scenario(const Scenario& scenario,
@@ -177,30 +203,23 @@ SweepJson run_scenario(const Scenario& scenario,
     std::istringstream existing_in(existing_text);
     const CellStream existing = read_cell_stream(existing_in);
     verify_cell_stream_resumable(existing.header, header);
-    // Crash-safe rewrite: re-serialise the verified whole-line content
-    // (byte-stable through the single writer) into a sibling file and
-    // rename it over, so a torn tail never precedes appended records and
-    // a kill during the rewrite still leaves the original stream intact.
-    const std::string rewrite_path = path + ".resume-tmp";
-    {
-      std::ofstream rewrite(rewrite_path,
-                            std::ios::binary | std::ios::trunc);
-      if (!rewrite) {
-        throw std::runtime_error("cannot open " + rewrite_path +
-                                 " for writing");
-      }
-      write_cell_stream_header(rewrite, existing.header);
-      for (const SweepJsonCell& cell : existing.cells) {
-        write_cell_stream_record(rewrite, cell);
-      }
-      rewrite.flush();
-      if (!rewrite) {
-        throw std::runtime_error("cannot rewrite " + rewrite_path);
-      }
+    for (const SweepJsonCell& kept : existing.cells) {
+      verify_kept_record(kept, cells[static_cast<std::size_t>(kept.index)]);
     }
-    if (std::rename(rewrite_path.c_str(), path.c_str()) != 0) {
-      throw std::runtime_error("cannot replace " + path +
-                               " with its resume rewrite");
+    // Crash-safe rewrite: re-serialise the verified whole-line content
+    // (byte-stable through the single writer) and atomically replace the
+    // stream with it, so a torn tail never precedes appended records and
+    // a kill during the rewrite still leaves the original stream intact.
+    std::ostringstream rewrite;
+    write_cell_stream_header(rewrite, existing.header);
+    for (const SweepJsonCell& cell : existing.cells) {
+      write_cell_stream_record(rewrite, cell);
+    }
+    const std::string failure =
+        detail::write_file_atomically(path, rewrite.str());
+    if (!failure.empty()) {
+      throw std::runtime_error("cannot rewrite stream file " + path +
+                               " for resume: " + failure);
     }
     sweep_options.skip_cells.reserve(existing.cells.size());
     for (const SweepJsonCell& cell : existing.cells) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -84,22 +83,6 @@ void Simulator::add_observer(TransmissionObserver* observer) {
     throw std::invalid_argument("Simulator::add_observer: null observer");
   }
   observers_.push_back(observer);
-}
-
-void Simulator::call_at(SimTime at, std::function<void()> action) {
-  if (at < now_) {
-    throw std::invalid_argument("Simulator::call_at: time in the past");
-  }
-  queue_.push_control(at, std::move(action));
-}
-
-void Simulator::call_after(SimTime delay, std::function<void()> action) {
-  if (delay > 0 && now_ > std::numeric_limits<SimTime>::max() - delay) {
-    // Unchecked, now_ + delay would wrap negative (signed overflow is UB)
-    // and sail PAST the call_at past-time check as a bogus early event.
-    throw std::overflow_error("Simulator::call_after: delay overflows SimTime");
-  }
-  call_at(now_ + delay, std::move(action));
 }
 
 void Simulator::grow_timer_table(int timer_id) {
@@ -289,12 +272,6 @@ bool Simulator::step(SimTime end) {
         }
       }
       timers_fired_ += fired ? 1 : 0;
-      break;
-    }
-    case EventKind::kControl: {
-      const EventQueue::Action action =
-          queue_.take_control(event.control.callback_slot);
-      action();
       break;
     }
   }

@@ -2,7 +2,7 @@
 // run-invariant state of a cell out of the per-seed loop must not change
 // a single output bit.
 //
-//   * RunBatch::run_one(seed) equals run_single(config, topology, seed)
+//   * RunBatch::run_one(seed) equals a one-shot batch's run_one(seed)
 //     for every seed, in any execution order — each run owns its seed's
 //     whole RNG stream, so batch-mates cannot bleed randomness into each
 //     other.
@@ -53,16 +53,17 @@ ExperimentConfig small_config(ProtocolKind protocol) {
   config.parameters = test::fast_parameters(24);
   config.radio = RadioKind::kCasinoLab;
   config.runs = 6;
-  config.base_seed = 2017;
   return config;
 }
 
-TEST(RunBatchTest, RunOneMatchesRunSingleInAnyOrder) {
+constexpr std::uint64_t kBaseSeed = 2017;
+
+TEST(RunBatchTest, RunOneMatchesOneShotBatchInAnyOrder) {
   // Seed isolation: a batch executes seeds against shared hoisted state,
   // so each run's randomness must come only from its own seed — never
   // from batch construction or from whichever seeds ran before it.
-  // run_one must therefore reproduce run_single exactly even when the
-  // seeds execute in a different order than a sweep slice would.
+  // run_one must therefore reproduce a fresh one-shot batch exactly even
+  // when the seeds execute in a different order than a sweep slice would.
   for (const ProtocolKind protocol :
        {ProtocolKind::kProtectionlessDas, ProtocolKind::kSlpDas,
         ProtocolKind::kPhantomRouting}) {
@@ -72,11 +73,11 @@ TEST(RunBatchTest, RunOneMatchesRunSingleInAnyOrder) {
 
     std::vector<std::uint64_t> seeds;
     for (int run = 0; run < config.runs; ++run) {
-      seeds.push_back(derive_seed(config.base_seed, run));
+      seeds.push_back(derive_seed(kBaseSeed, run));
     }
     std::vector<RunResult> expected;
     for (const std::uint64_t seed : seeds) {
-      expected.push_back(run_single(config, topology, seed));
+      expected.push_back(test::run_one(config, seed));
     }
 
     const RunBatch batch(config, topology);
@@ -146,7 +147,7 @@ TEST(RunBatchTest, RunRangeSlicesComposeExactly) {
   const RunBatch batch(config, topology);
 
   std::vector<RunResult> whole(config.runs);
-  batch.run_range(config.base_seed, 0, config.runs, whole.data());
+  batch.run_range(kBaseSeed, 0, config.runs, whole.data());
 
   for (const RunResult& result : whole) {
     EXPECT_GT(result.safety_periods, 0.0);
@@ -155,13 +156,13 @@ TEST(RunBatchTest, RunRangeSlicesComposeExactly) {
   std::vector<RunResult> seedwise;
   for (int run = 0; run < config.runs; ++run) {
     seedwise.push_back(
-        batch.run_one(derive_seed(config.base_seed, run)));
+        batch.run_one(derive_seed(kBaseSeed, run)));
   }
 
   const int boundaries[][2] = {{0, 2}, {2, 3}, {3, 6}};
   std::vector<RunResult> sliced(config.runs);
   for (const auto& range : boundaries) {
-    batch.run_range(config.base_seed, range[0], range[1],
+    batch.run_range(kBaseSeed, range[0], range[1],
                     sliced.data() + range[0]);
   }
 

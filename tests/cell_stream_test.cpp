@@ -5,6 +5,7 @@
 // uninterrupted run, composition with the shard merge, and the
 // kill-and-resume path through run_scenario.
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -24,11 +25,11 @@ namespace {
 
 /// Five cheap cells (not a multiple of 2 or 3, so shard interplay is
 /// uneven) — the same fixture shape the shard/merge tests use.
-std::vector<SweepCell> five_cells() {
+std::vector<SweepCell> five_cells(RadioKind radio = RadioKind::kCasinoLab) {
   ExperimentConfig base;
   base.topology = wsn::TopologySpec::grid(5);
   base.parameters = test::fast_parameters(24);
-  base.radio = RadioKind::kCasinoLab;
+  base.radio = radio;
   base.runs = 2;
   base.check_schedules = false;
   SweepGrid grid(base);
@@ -434,14 +435,16 @@ TEST(CellStreamTest, MergeWorkerStreamsRejectsAForeignStream) {
 // Kill-and-resume through run_scenario
 // ---------------------------------------------------------------------------
 
-Scenario tiny_scenario() {
+Scenario tiny_scenario(RadioKind radio = RadioKind::kCasinoLab) {
   Scenario scenario;
   scenario.name = "cell_stream_test";
   scenario.reference = "test fixture";
   scenario.summary = "five cheap cells";
   scenario.default_runs = 2;
   scenario.default_seed = 77;
-  scenario.make_cells = [](const ScenarioOptions&) { return five_cells(); };
+  scenario.make_cells = [radio](const ScenarioOptions&) {
+    return five_cells(radio);
+  };
   scenario.report = [](std::ostream&, const SweepJson&,
                        const ScenarioOptions&) { return 0; };
   return scenario;
@@ -459,6 +462,22 @@ std::string slurp(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+/// Files next to `path` whose names extend its file name — where a
+/// rewrite's temporaries would be left behind.
+std::vector<std::string> siblings_of(const std::string& path) {
+  const std::filesystem::path file(path);
+  const std::string name = file.filename().string();
+  std::vector<std::string> siblings;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(file.parent_path())) {
+    const std::string other = entry.path().filename().string();
+    if (other != name && other.rfind(name, 0) == 0) {
+      siblings.push_back(other);
+    }
+  }
+  return siblings;
 }
 
 class ScenarioStreamTest : public ::testing::Test {
@@ -516,6 +535,9 @@ TEST_F(ScenarioStreamTest, ResumingAnInterruptedStreamReproducesTheRun) {
   std::ifstream reread(path_, std::ios::binary);
   EXPECT_EQ(to_text(fold_cell_stream(read_cell_stream(reread))),
             to_text(uninterrupted));
+  // The rewrite went through an atomic replace that left no temporary
+  // (".tmp.<pid>.<n>") behind.
+  EXPECT_EQ(siblings_of(path_), std::vector<std::string>{});
 }
 
 TEST_F(ScenarioStreamTest, ResumingACompleteStreamRunsNothingAndRefolds) {
@@ -559,6 +581,39 @@ TEST_F(ScenarioStreamTest, ATornHeaderFromAKilledStartIsOverwritten) {
   const SweepJson streamed = run_scenario(
       scenario, ScenarioOptions{}, streamed_execution(path_), pool);
   EXPECT_EQ(to_text(streamed), to_text(unstreamed));
+}
+
+TEST_F(ScenarioStreamTest, RefusesToResumeRecordsOfADifferentExperiment) {
+  // The header's grid hash covers labels and run counts, not the cells'
+  // configs: a stream cut short on one radio and resumed with the same
+  // labels on another passes the header check, and would fold the two
+  // experiments into one document. Every kept record must match this
+  // run's cell at its index.
+  ThreadPool pool(2);
+  (void)run_scenario(tiny_scenario(RadioKind::kIdeal), ScenarioOptions{},
+                     streamed_execution(path_), pool);
+  std::istringstream complete(slurp(path_));
+  std::string header;
+  std::string first_record;
+  ASSERT_TRUE(std::getline(complete, header));
+  ASSERT_TRUE(std::getline(complete, first_record));
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out << header << '\n' << first_record << '\n';
+  }
+  const std::string cut = slurp(path_);
+  try {
+    (void)run_scenario(tiny_scenario(RadioKind::kLossy), ScenarioOptions{},
+                       streamed_execution(path_), pool);
+    ADD_FAILURE() << "resume on another radio was accepted";
+  } catch (const std::runtime_error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("config.radio 'ideal'"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("'lossy:p=0.05'"), std::string::npos) << message;
+  }
+  // The refused stream is left exactly as the interrupted run left it.
+  EXPECT_EQ(slurp(path_), cut);
 }
 
 TEST_F(ScenarioStreamTest, RefusesAStreamFromADifferentSweep) {

@@ -39,9 +39,6 @@ std::vector<EventKind> drain(EventQueue& queue, SimTime& now) {
       case EventKind::kDelivery:
         queue.release_message(event.delivery.message_slot);
         break;
-      case EventKind::kControl:
-        queue.take_control(event.control.callback_slot)();
-        break;
       case EventKind::kTimer:
         break;
       case EventKind::kTimerGroup: {
@@ -82,41 +79,52 @@ TEST(EventQueueTest, StartsEmpty) {
   EXPECT_EQ(queue.staged_message_count(), 0u);
 }
 
+/// Pops every event of a timer-only queue, returning the nodes of the
+/// dispatched expiries in order.
+std::vector<wsn::NodeId> drain_timer_nodes(EventQueue& queue, SimTime& now) {
+  std::vector<Expiry> expiries;
+  while (!queue.empty()) {
+    pop_expiries(queue, now, expiries);
+  }
+  std::vector<wsn::NodeId> nodes;
+  for (const Expiry& expiry : expiries) {
+    nodes.push_back(std::get<1>(expiry));
+  }
+  return nodes;
+}
+
 TEST(EventQueueTest, PopsInTimeOrder) {
   EventQueue queue;
-  std::vector<int> order;
-  queue.push_control(30, [&] { order.push_back(3); });
-  queue.push_control(10, [&] { order.push_back(1); });
-  queue.push_control(20, [&] { order.push_back(2); });
+  queue.push_timer(30, /*node=*/3, 1, 1);
+  queue.push_timer(10, /*node=*/1, 1, 1);
+  queue.push_timer(20, /*node=*/2, 1, 1);
   SimTime now = 0;
-  drain(queue, now);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(drain_timer_nodes(queue, now),
+            (std::vector<wsn::NodeId>{1, 2, 3}));
   EXPECT_EQ(now, 30);
 }
 
 TEST(EventQueueTest, EqualTimesFireInInsertionOrder) {
   EventQueue queue;
-  std::vector<int> order;
-  for (int i = 0; i < 50; ++i) {
-    queue.push_control(5, [&order, i] { order.push_back(i); });
+  std::vector<wsn::NodeId> pushed;
+  for (wsn::NodeId node = 0; node < 50; ++node) {
+    queue.push_timer(5, node, 1, 1);
+    pushed.push_back(node);
   }
   SimTime now = 0;
-  drain(queue, now);
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  }
+  EXPECT_EQ(drain_timer_nodes(queue, now), pushed);
 }
 
 TEST(EventQueueTest, EqualTimesTieBreakAcrossKindsByInsertionOrder) {
-  // A delivery, a timer and a control pushed at one timestamp pop in push
-  // order — the cross-kind FIFO guarantee the protocol stack relies on
-  // (e.g. a reception and a period-boundary timer landing on the same
-  // microsecond must not reorder between runs or refactors).
+  // A delivery, a timer and a frame-clock group pushed at one timestamp
+  // pop in push order — the cross-kind FIFO guarantee the protocol stack
+  // relies on (e.g. a reception and a period-boundary timer landing on
+  // the same microsecond must not reorder between runs or refactors).
   EventQueue queue;
   queue.add_receiver(
       queue.push_broadcast(7, /*from=*/0, std::make_shared<TestMessage>()), 1);
   queue.push_timer(7, /*node=*/1, /*timer_id=*/4, /*generation=*/1);
-  queue.push_control(7, [] {});
+  queue.push_frame_timer(7, /*node=*/0, /*timer_id=*/4, /*generation=*/1);
   queue.add_receiver(
       queue.push_broadcast(7, /*from=*/3, std::make_shared<TestMessage>()), 2);
   queue.push_timer(7, /*node=*/2, /*timer_id=*/4, /*generation=*/1);
@@ -125,8 +133,8 @@ TEST(EventQueueTest, EqualTimesTieBreakAcrossKindsByInsertionOrder) {
   const std::vector<EventKind> kinds = drain(queue, now);
   EXPECT_EQ(kinds,
             (std::vector<EventKind>{EventKind::kDelivery, EventKind::kTimer,
-                                    EventKind::kControl, EventKind::kDelivery,
-                                    EventKind::kTimer}));
+                                    EventKind::kTimerGroup,
+                                    EventKind::kDelivery, EventKind::kTimer}));
   EXPECT_EQ(now, 7);
   EXPECT_EQ(queue.staged_message_count(), 0u);
 }
@@ -196,14 +204,12 @@ TEST(EventQueueTest, NextTimeReportsHead) {
 
 TEST(EventQueueTest, InterleavedPushPopKeepsOrder) {
   EventQueue queue;
-  std::vector<int> order;
-  queue.push_control(10, [&] { order.push_back(1); });
+  queue.push_timer(10, /*node=*/1, 1, 1);
   SimTime now = 0;
-  queue.take_control(queue.pop(now).control.callback_slot)();
-  queue.push_control(5, [&] { order.push_back(2); });   // earlier absolute time,
-  queue.push_control(20, [&] { order.push_back(3); });  // pushed later
-  drain(queue, now);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(queue.pop(now).timer.node, 1);
+  queue.push_timer(5, /*node=*/2, 1, 1);   // earlier absolute time,
+  queue.push_timer(20, /*node=*/3, 1, 1);  // pushed later
+  EXPECT_EQ(drain_timer_nodes(queue, now), (std::vector<wsn::NodeId>{2, 3}));
 }
 
 TEST(EventQueueTest, ResetRunReleasesStagedPayloadsAndRecyclesSlots) {
@@ -215,28 +221,23 @@ TEST(EventQueueTest, ResetRunReleasesStagedPayloadsAndRecyclesSlots) {
     queue.add_receiver(slot, 2);
   }
   // A broadcast beyond the calendar's span (the far overflow list), a
-  // captured control callback, a plain timer and two open frame-clock
-  // groups.
+  // plain timer and two open frame-clock groups.
   auto far = std::make_shared<TestMessage>();
   queue.add_receiver(queue.push_broadcast(100 * kSecond, 0, far), 1);
-  auto witness = std::make_shared<int>(0);
-  queue.push_control(3, [witness] { ++*witness; });
   queue.push_timer(4, 0, 1, 1);
   queue.push_frame_timer(20, 0, 1, 1);
   queue.push_frame_timer(20, 1, 1, 1);
   queue.push_frame_timer(30, 0, 1, 1);
   EXPECT_EQ(message.use_count(), 4);
   EXPECT_EQ(far.use_count(), 2);
-  EXPECT_EQ(witness.use_count(), 2);
 
   queue.reset_run();
   EXPECT_TRUE(queue.empty());
-  // The staged payloads and the captured callback state were all released:
-  // nothing but the test's own handles survive.
+  // The staged payloads were all released: nothing but the test's own
+  // handles survive.
   EXPECT_EQ(queue.staged_message_count(), 0u);
   EXPECT_EQ(message.use_count(), 1);
   EXPECT_EQ(far.use_count(), 1);
-  EXPECT_EQ(witness.use_count(), 1);
   // No group stays open across the reset: the next arm for an instant
   // that had one opens a fresh group.
   queue.push_frame_timer(20, 2, 1, 1);
@@ -261,10 +262,9 @@ TEST(EventQueueTest, ResetRunReleasesStagedPayloadsAndRecyclesSlots) {
   EXPECT_EQ(message.use_count(), 1);
 }
 
-TEST(EventQueueTest, RejectsNullMessageAndNullAction) {
+TEST(EventQueueTest, RejectsNullMessage) {
   EventQueue queue;
   EXPECT_THROW((void)queue.push_broadcast(1, 0, nullptr), std::invalid_argument);
-  EXPECT_THROW(queue.push_control(1, nullptr), std::invalid_argument);
   EXPECT_TRUE(queue.empty());
 }
 
@@ -463,14 +463,14 @@ TEST(FrameClockQueueTest, AnyOtherPushForTheInstantClosesTheGroup) {
   queue.push_frame_timer(50, 2, 1, 1);
   queue.push_timer(50, 3, 1, 1);
   queue.push_frame_timer(50, 3, 2, 1);
-  queue.push_control(50, [] {});
+  queue.push_timer(50, 4, 2, 1);
   queue.push_frame_timer(50, 4, 1, 1);
   SimTime now = 0;
   EXPECT_EQ(drain(queue, now),
             (std::vector<EventKind>{
                 EventKind::kTimerGroup, EventKind::kDelivery,
                 EventKind::kTimerGroup, EventKind::kTimer,
-                EventKind::kTimerGroup, EventKind::kControl,
+                EventKind::kTimerGroup, EventKind::kTimer,
                 EventKind::kTimerGroup, EventKind::kTimerGroup}));
   EXPECT_EQ(queue.staged_message_count(), 0u);
 }

@@ -1,4 +1,5 @@
-// Tests for the experiment harness (run_single / run_experiment).
+// Tests for the experiment harness: single seeded runs, seeded series
+// and their aggregate, and the attacker/protocol/radio spec grammars.
 #include "slpdas/core/experiment.hpp"
 
 #include <gtest/gtest.h>
@@ -16,16 +17,16 @@ ExperimentConfig small_config(ProtocolKind protocol, RadioKind radio,
   config.parameters = test::fast_parameters(24);
   config.radio = radio;
   config.runs = runs;
-  config.base_seed = 7;
-  config.threads = 2;
   return config;
 }
 
-TEST(RunSingleTest, DeterministicForSeed) {
+constexpr std::uint64_t kBaseSeed = 7;
+
+TEST(RunOneTest, DeterministicForSeed) {
   const auto config =
       small_config(ProtocolKind::kProtectionlessDas, RadioKind::kCasinoLab);
-  const RunResult a = run_single(config, 123);
-  const RunResult b = run_single(config, 123);
+  const RunResult a = test::run_one(config, 123);
+  const RunResult b = test::run_one(config, 123);
   EXPECT_EQ(a.captured, b.captured);
   EXPECT_EQ(a.capture_time_s, b.capture_time_s);
   EXPECT_EQ(a.control_messages_per_node, b.control_messages_per_node);
@@ -33,29 +34,29 @@ TEST(RunSingleTest, DeterministicForSeed) {
   EXPECT_EQ(a.attacker_moves, b.attacker_moves);
 }
 
-TEST(RunSingleTest, ReportsScheduleValidity) {
+TEST(RunOneTest, ReportsScheduleValidity) {
   const auto config =
       small_config(ProtocolKind::kProtectionlessDas, RadioKind::kIdeal);
-  const RunResult result = run_single(config, 5);
+  const RunResult result = test::run_one(config, 5);
   EXPECT_TRUE(result.schedule_complete);
   EXPECT_TRUE(result.weak_das_ok);
   // Strong DAS is reported but not guaranteed: Phase 1 only orders a node
   // after its chosen parent, not after every shortest-path neighbour.
 }
 
-TEST(RunSingleTest, SafetyPeriodFieldsFilled) {
+TEST(RunOneTest, SafetyPeriodFieldsFilled) {
   const auto config =
       small_config(ProtocolKind::kProtectionlessDas, RadioKind::kIdeal);
-  const RunResult result = run_single(config, 5);
+  const RunResult result = test::run_one(config, 5);
   EXPECT_EQ(result.source_sink_distance, 4);  // 5x5 grid corner->centre
   EXPECT_EQ(result.safety_periods, 8);        // ceil(1.5 * 5)
 }
 
-TEST(RunSingleTest, CaptureTimeWithinSafetyWhenCaptured) {
+TEST(RunOneTest, CaptureTimeWithinSafetyWhenCaptured) {
   const auto config =
       small_config(ProtocolKind::kProtectionlessDas, RadioKind::kIdeal);
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const RunResult result = run_single(config, seed);
+    const RunResult result = test::run_one(config, seed);
     if (result.captured) {
       ASSERT_TRUE(result.capture_time_s.has_value());
       const double safety_s =
@@ -66,27 +67,27 @@ TEST(RunSingleTest, CaptureTimeWithinSafetyWhenCaptured) {
   }
 }
 
-TEST(RunSingleTest, SlpRunsProduceValidSchedulesToo) {
+TEST(RunOneTest, SlpRunsProduceValidSchedulesToo) {
   const auto config = small_config(ProtocolKind::kSlpDas, RadioKind::kIdeal);
-  const RunResult result = run_single(config, 9);
+  const RunResult result = test::run_one(config, 9);
   EXPECT_TRUE(result.schedule_complete);
   EXPECT_TRUE(result.weak_das_ok);
 }
 
-TEST(RunSingleTest, InvalidTopologyRejected) {
+TEST(RunOneTest, InvalidTopologyRejected) {
   const auto config =
       small_config(ProtocolKind::kProtectionlessDas, RadioKind::kIdeal);
-  // Specs cannot express source == sink, but the materialised overload
-  // still guards against a degenerate caller-built topology.
+  // Specs cannot express source == sink, but a batch over a
+  // caller-built topology still guards against a degenerate one.
   wsn::Topology topology = config.topology.build();
   topology.source = topology.sink;
-  EXPECT_THROW((void)run_single(config, topology, 1), std::invalid_argument);
+  EXPECT_THROW((void)RunBatch(config, topology), std::invalid_argument);
 }
 
-TEST(RunExperimentTest, AggregatesAllRuns) {
+TEST(RunRunsTest, AggregatesAllRuns) {
   const auto config =
       small_config(ProtocolKind::kProtectionlessDas, RadioKind::kCasinoLab, 6);
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = test::run_runs(config, kBaseSeed);
   EXPECT_EQ(result.runs, 6);
   EXPECT_EQ(result.capture.trials(), 6u);
   EXPECT_EQ(result.delivery_ratio.count(), 6u);
@@ -94,30 +95,12 @@ TEST(RunExperimentTest, AggregatesAllRuns) {
   EXPECT_LE(result.capture.ratio(), 1.0);
 }
 
-TEST(RunExperimentTest, ThreadCountDoesNotChangeResults) {
-  auto config =
-      small_config(ProtocolKind::kProtectionlessDas, RadioKind::kCasinoLab, 6);
-  config.threads = 1;
-  const auto serial = run_experiment(config);
-  config.threads = 4;
-  const auto parallel = run_experiment(config);
-  EXPECT_EQ(serial.capture.successes(), parallel.capture.successes());
-  EXPECT_DOUBLE_EQ(serial.control_messages_per_node.mean(),
-                   parallel.control_messages_per_node.mean());
-}
-
-TEST(RunExperimentTest, RejectsZeroRuns) {
-  auto config =
-      small_config(ProtocolKind::kProtectionlessDas, RadioKind::kIdeal);
-  config.runs = 0;
-  EXPECT_THROW((void)run_experiment(config), std::invalid_argument);
-}
-
-TEST(RunExperimentTest, SlpOverheadIsSmall) {
-  const auto base = run_experiment(
-      small_config(ProtocolKind::kProtectionlessDas, RadioKind::kIdeal, 3));
-  const auto slp =
-      run_experiment(small_config(ProtocolKind::kSlpDas, RadioKind::kIdeal, 3));
+TEST(RunRunsTest, SlpOverheadIsSmall) {
+  const auto base = test::run_runs(
+      small_config(ProtocolKind::kProtectionlessDas, RadioKind::kIdeal, 3),
+      kBaseSeed);
+  const auto slp = test::run_runs(
+      small_config(ProtocolKind::kSlpDas, RadioKind::kIdeal, 3), kBaseSeed);
   // The paper's "negligible message overhead": a few control messages per
   // node extra at most.
   EXPECT_LT(slp.control_messages_per_node.mean(),

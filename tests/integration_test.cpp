@@ -29,9 +29,8 @@ TEST(IntegrationTest, SimulationAgreesWithVerifierOnLine) {
   attacker::AttackerRuntime eavesdropper(*net.simulator, net.params.frame(),
                                          params, net.topology.source);
   const sim::SimTime activation = net.setup_end();
-  net.simulator->call_at(activation,
-                         [&] { eavesdropper.activate(activation); });
   run_setup(net);
+  eavesdropper.activate(activation);
   const auto schedule = das::extract_schedule(*net.simulator);
   ASSERT_TRUE(schedule.complete());
 
@@ -65,9 +64,8 @@ TEST(IntegrationTest, VerifierCounterexampleReplaysInSimulation) {
     attacker::AttackerRuntime eavesdropper(*net.simulator, net.params.frame(),
                                            params, net.topology.source);
     const sim::SimTime activation = net.setup_end();
-    net.simulator->call_at(activation,
-                           [&] { eavesdropper.activate(activation); });
     run_setup(net);
+    eavesdropper.activate(activation);
     const auto schedule = das::extract_schedule(*net.simulator);
     ASSERT_TRUE(schedule.complete()) << "seed " << seed;
 
@@ -99,13 +97,12 @@ TEST(IntegrationTest, SlpReducesCaptureAcrossSeeds) {
   base.protocol = core::ProtocolKind::kProtectionlessDas;
   base.radio = core::RadioKind::kCasinoLab;
   base.runs = 24;
-  base.base_seed = 11;
 
   core::ExperimentConfig slp = base;
   slp.protocol = core::ProtocolKind::kSlpDas;
 
-  const auto base_result = core::run_experiment(base);
-  const auto slp_result = core::run_experiment(slp);
+  const auto base_result = test::run_runs(base, 11);
+  const auto slp_result = test::run_runs(slp, 11);
   EXPECT_LE(slp_result.capture.successes(), base_result.capture.successes());
 }
 
@@ -116,8 +113,7 @@ TEST(IntegrationTest, SchedulesStayValidUnderBurstyRadio) {
   config.protocol = core::ProtocolKind::kSlpDas;
   config.radio = core::RadioKind::kCasinoLab;
   config.runs = 12;
-  config.base_seed = 3;
-  const auto result = core::run_experiment(config);
+  const auto result = test::run_runs(config, 3);
   // Bursty loss may rarely delay full convergence, but the overwhelming
   // majority of runs must produce complete weak-DAS schedules.
   EXPECT_LE(result.schedule_incomplete_runs, 1);

@@ -96,12 +96,12 @@ TEST(PhantomRoutingTest, MessageOverheadIsMuchHigherThanDas) {
   das_config.radio = core::RadioKind::kIdeal;
   das_config.runs = 2;
   das_config.check_schedules = false;
-  const auto das_result = core::run_experiment(das_config);
+  const auto das_result = test::run_runs(das_config, 1);
 
   core::ExperimentConfig phantom_config = das_config;
   phantom_config.protocol = core::ProtocolKind::kPhantomRouting;
   phantom_config.phantom_walk_length = 4;
-  const auto phantom_result = core::run_experiment(phantom_config);
+  const auto phantom_result = test::run_runs(phantom_config, 1);
 
   EXPECT_GT(phantom_result.delivery_ratio.mean(), 0.8);
   EXPECT_GT(das_result.delivery_ratio.mean(), 0.8);
@@ -125,8 +125,8 @@ TEST(PhantomRoutingTest, AttackerRunsAgainstPhantomTraffic) {
                                          net.topology.source);
   const sim::SimTime activation =
       net.config.setup_periods * net.config.period;
-  net.simulator->call_at(activation,
-                         [&] { eavesdropper.activate(activation); });
+  net.simulator->run_until(activation);
+  eavesdropper.activate(activation);
   net.simulator->run_until(activation + 12 * net.config.period);
   // The attacker moved at least once (phantom traffic is audible)...
   EXPECT_GE(eavesdropper.moves_made(), 1);

@@ -191,7 +191,7 @@ class BadTimerProcess final : public Process {
   void on_timer(int) override {
     // now() is past zero here, so the maximum delay must be rejected:
     // unchecked, now() + delay would wrap SimTime (signed overflow) and
-    // sail past call_at's past-time check as a bogus early event.
+    // queue a bogus expiry in the past.
     EXPECT_THROW(set_timer(1, std::numeric_limits<SimTime>::max()),
                  std::overflow_error);
     // The largest still-representable delay remains accepted.
@@ -226,34 +226,19 @@ TEST(SimulatorApiTest, RegistrationErrors) {
   EXPECT_THROW(Simulator(line.graph, nullptr, 1), std::invalid_argument);
 }
 
-TEST(SimulatorApiTest, CallAtRejectsPast) {
-  const wsn::Topology line = wsn::make_line(2);
-  Simulator simulator(line.graph, make_ideal_radio(), 1);
-  simulator.add_process(0, std::make_unique<TimerProcess>());
-  simulator.add_process(1, std::make_unique<TimerProcess>());
-  simulator.run_until(kSecond);
-  EXPECT_THROW(simulator.call_at(0, [] {}), std::invalid_argument);
-}
-
-TEST(SimulatorApiTest, CallAfterRejectsOverflowingDelay) {
-  const wsn::Topology line = wsn::make_line(2);
-  Simulator simulator(line.graph, make_ideal_radio(), 1);
-  simulator.add_process(0, std::make_unique<TimerProcess>());
-  simulator.add_process(1, std::make_unique<TimerProcess>());
-  simulator.run_until(kSecond);  // now > 0, so max delay wraps
-  EXPECT_THROW(simulator.call_after(std::numeric_limits<SimTime>::max(), [] {}),
-               std::overflow_error);
-  // A far-future but representable callback is still fine.
-  simulator.call_after(std::numeric_limits<SimTime>::max() - simulator.now(),
-                       [] {});
-}
+/// Stops the whole simulation from its own timer, half a second in.
+class StopProcess final : public Process {
+ public:
+  void on_start() override { set_timer(0, kSecond / 2); }
+  void on_timer(int) override { simulator().stop(); }
+  void on_message(wsn::NodeId, const Message&) override {}
+};
 
 TEST(SimulatorApiTest, StopHaltsRun) {
   const wsn::Topology line = wsn::make_line(2);
   Simulator simulator(line.graph, make_ideal_radio(), 1);
   simulator.add_process(0, std::make_unique<TimerProcess>());
-  simulator.add_process(1, std::make_unique<TimerProcess>());
-  simulator.call_after(kSecond / 2, [&] { simulator.stop(); });
+  simulator.add_process(1, std::make_unique<StopProcess>());
   simulator.run_until(10 * kSecond);
   EXPECT_TRUE(simulator.stopped());
   EXPECT_EQ(simulator.now(), kSecond / 2);

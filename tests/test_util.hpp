@@ -1,15 +1,20 @@
 // Shared helpers for protocol-level tests: build a simulator running the
 // protectionless or SLP protocol on a topology with fast (test-sized)
-// timing, and run it through its setup phase. Also the malformed-integer
-// inputs every JSON reader test feeds its int fields.
+// timing, and run it through its setup phase; run one seed or a seeded
+// series of one experiment config through RunBatch. Also the
+// malformed-integer inputs every JSON reader test feeds its int fields.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "slpdas/core/experiment.hpp"
 #include "slpdas/core/parameters.hpp"
+#include "slpdas/core/run_batch.hpp"
 #include "slpdas/das/protocol.hpp"
 #include "slpdas/sim/simulator.hpp"
 #include "slpdas/slp/slp_das.hpp"
@@ -87,6 +92,25 @@ inline TestNet make_slp_net(wsn::Topology topology,
 /// Runs the network through its full setup phase (periods [0, MSP)).
 inline void run_setup(TestNet& net) {
   net.simulator->run_until(net.setup_end());
+}
+
+/// One seeded run of `config` on a fresh batch over a freshly built
+/// topology.
+inline core::RunResult run_one(const core::ExperimentConfig& config,
+                               std::uint64_t seed) {
+  const wsn::Topology topology = config.topology.build();
+  return core::RunBatch(config, topology).run_one(seed);
+}
+
+/// `config.runs` runs of `config`, run i seeded with
+/// derive_seed(base_seed, i), aggregated in run order.
+inline core::ExperimentResult run_runs(const core::ExperimentConfig& config,
+                                       std::uint64_t base_seed) {
+  const wsn::Topology topology = config.topology.build();
+  std::vector<core::RunResult> runs(static_cast<std::size_t>(config.runs));
+  core::RunBatch(config, topology)
+      .run_range(base_seed, 0, config.runs, runs.data());
+  return core::aggregate_runs(runs, config.check_schedules);
 }
 
 /// Tokens no int field of a serialised record may accept: null (NaN
