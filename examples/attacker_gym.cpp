@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   {
     Contender c{"(2,0,1) min-slot     [buffers two messages]", {}};
     c.params.messages_per_move = 2;
-    c.params.decision = attacker::make_min_slot();
+    c.params.decision = attacker::Decision::kMinSlot;
     c.params.start = topology.sink;
     roster.push_back(c);
   }
@@ -72,14 +72,14 @@ int main(int argc, char** argv) {
     c.params.messages_per_move = 2;
     c.params.history_size = 3;
     c.params.moves_per_period = 2;
-    c.params.decision = attacker::make_history_avoiding();
+    c.params.decision = attacker::Decision::kHistoryAvoiding;
     c.params.start = topology.sink;
     roster.push_back(c);
   }
   {
     Contender c{"(2,0,1) random       [control: no strategy]", {}};
     c.params.messages_per_move = 2;
-    c.params.decision = attacker::make_random_choice();
+    c.params.decision = attacker::Decision::kRandom;
     c.params.start = topology.sink;
     roster.push_back(c);
   }

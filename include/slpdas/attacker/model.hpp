@@ -8,14 +8,15 @@
 //   D  — decision function mapping (captured messages, history) to the
 //        next location.
 //
-// The classic attacker of most SLP work — and the one the paper evaluates
-// (Section VI-C) — is (1, 0, 1, sink, D): move to the sender of the first
-// message heard each period.
+// D is a value: one of four named strategies, applied by decide(). The
+// classic attacker of most SLP work — and the one the paper evaluates
+// (Section VI-C) — is (1, 0, 1, sink, first-heard): move to the sender of
+// the first message heard each period.
 #pragma once
 
 #include <deque>
-#include <memory>
-#include <string>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "slpdas/mac/schedule.hpp"
@@ -32,83 +33,54 @@ struct HeardMessage {
   mac::SlotId sender_slot = mac::kNoSlot;
 };
 
-/// The attacker's decision function D: given the messages captured since
-/// the last move (|msgs| <= R) and the H most recent locations, return the
-/// next location. Implementations must return either kNoNode ("stay") or
-/// the sender of one of the captured messages — the attacker can only move
-/// toward a transmission it actually heard, one hop at a time.
-class DecisionFunction {
- public:
-  virtual ~DecisionFunction() = default;
-
-  [[nodiscard]] virtual wsn::NodeId decide(
-      const std::vector<HeardMessage>& messages,
-      const std::deque<wsn::NodeId>& history, Rng& rng) = 0;
-
-  /// Stable name for reports ("first-heard", "min-slot", ...).
-  [[nodiscard]] virtual std::string name() const = 0;
+/// The attacker's decision function D.
+enum class Decision {
+  /// The sender of the first captured message — with R = 1 this is the
+  /// classic panda-hunter attacker.
+  kFirstHeard,
+  /// The captured sender with the smallest slot (the earliest
+  /// transmitter), ties broken by lower id.
+  kMinSlot,
+  /// Like kMinSlot, but never re-enters one of the H most recently
+  /// visited locations unless every captured sender is one of them — an
+  /// attacker that cannot be parked on a decoy dead end forever.
+  kHistoryAvoiding,
+  /// A uniformly random captured sender (a weak, baseline attacker).
+  kRandom,
 };
 
-/// Moves to the sender of the first captured message — with R = 1 this is
-/// the classic panda-hunter attacker.
-class FirstHeardD final : public DecisionFunction {
- public:
-  [[nodiscard]] wsn::NodeId decide(const std::vector<HeardMessage>& messages,
-                                   const std::deque<wsn::NodeId>& history,
-                                   Rng& rng) override;
-  [[nodiscard]] std::string name() const override { return "first-heard"; }
-};
+/// Every Decision, in declaration order.
+inline constexpr Decision kDecisions[] = {
+    Decision::kFirstHeard, Decision::kMinSlot, Decision::kHistoryAvoiding,
+    Decision::kRandom};
 
-/// Moves to the captured sender with the smallest slot (the earliest
-/// transmitter). Equal to FirstHeardD when R = 1 over a loss-free radio.
-class MinSlotD final : public DecisionFunction {
- public:
-  [[nodiscard]] wsn::NodeId decide(const std::vector<HeardMessage>& messages,
-                                   const std::deque<wsn::NodeId>& history,
-                                   Rng& rng) override;
-  [[nodiscard]] std::string name() const override { return "min-slot"; }
-};
+/// The stable name of `decision` ("first-heard", "min-slot",
+/// "history-avoiding", "random"), as spec strings and reports print it.
+[[nodiscard]] const char* to_string(Decision decision) noexcept;
 
-/// Like MinSlotD but refuses to re-enter any of the H most recently
-/// visited locations unless no alternative exists — a strictly stronger
-/// attacker that cannot be parked on a decoy dead end forever.
-class HistoryAvoidingD final : public DecisionFunction {
- public:
-  [[nodiscard]] wsn::NodeId decide(const std::vector<HeardMessage>& messages,
-                                   const std::deque<wsn::NodeId>& history,
-                                   Rng& rng) override;
-  [[nodiscard]] std::string name() const override { return "history-avoiding"; }
-};
+/// The Decision named `name` (exactly as to_string prints it), or nullopt.
+[[nodiscard]] std::optional<Decision> parse_decision(std::string_view name);
 
-/// Moves to a uniformly random captured sender (a weak, baseline attacker).
-class RandomChoiceD final : public DecisionFunction {
- public:
-  [[nodiscard]] wsn::NodeId decide(const std::vector<HeardMessage>& messages,
-                                   const std::deque<wsn::NodeId>& history,
-                                   Rng& rng) override;
-  [[nodiscard]] std::string name() const override { return "random-choice"; }
-};
+/// Applies D to the messages captured since the last move (|messages| <= R)
+/// and the H most recent locations. Returns kNoNode ("stay") when nothing
+/// was captured, else the sender of one of the captured messages — the
+/// attacker can only move toward a transmission it actually heard, one hop
+/// at a time. Only kRandom draws from `rng`.
+[[nodiscard]] wsn::NodeId decide(Decision decision,
+                                 const std::vector<HeardMessage>& messages,
+                                 const std::deque<wsn::NodeId>& history,
+                                 Rng& rng);
 
-[[nodiscard]] std::unique_ptr<DecisionFunction> make_first_heard();
-[[nodiscard]] std::unique_ptr<DecisionFunction> make_min_slot();
-[[nodiscard]] std::unique_ptr<DecisionFunction> make_history_avoiding();
-[[nodiscard]] std::unique_ptr<DecisionFunction> make_random_choice();
-
-/// The full parameter tuple. `decision` is shared so one configuration can
-/// drive many runs.
+/// The full parameter tuple.
 struct AttackerParams {
   int messages_per_move = 1;  ///< R
   int history_size = 0;       ///< H
   int moves_per_period = 1;   ///< M
   wsn::NodeId start = wsn::kNoNode;  ///< s0 (default: the sink)
-  std::shared_ptr<DecisionFunction> decision;  ///< D (default: first-heard)
+  Decision decision = Decision::kFirstHeard;  ///< D
 
-  /// Validates and fills defaults; throws std::invalid_argument on R/M < 1
-  /// or H < 0.
-  void validate_and_default();
-
-  /// "(R,H,M)-first-heard" style label for reports.
-  [[nodiscard]] std::string label() const;
+  /// Throws std::invalid_argument on R < 1, H < 0 or M < 1.
+  void validate() const;
 };
 
 }  // namespace slpdas::attacker

@@ -7,6 +7,8 @@
 // per its (R, H, M, s0, D) parameters. Only data-phase messages (type
 // name "NORMAL") are traced — Section VI-C: the attacker
 // reacts to the source's traffic pattern, not to setup control traffic.
+// Capturing the source stops the simulation: the capture-ratio
+// experiments need nothing after a capture.
 // The runtime is protocol-agnostic: it traces by message-type name, so the
 // same eavesdropper hunts TDMA DAS traffic and phantom-routing traffic.
 #pragma once
@@ -36,15 +38,9 @@ class AttackerRuntime final : public sim::TransmissionObserver {
 
   /// Rewinds every per-run field to its just-constructed value so the same
   /// runtime instance (still registered as an observer) can serve the next
-  /// seed of a batched cell. Configuration (params, frame,
-  /// stop-on-capture) persists; the shipped decision functions are
-  /// stateless, so nothing inside D needs rewinding.
+  /// seed of a batched cell. Configuration (params, frame) persists; D is a
+  /// stateless value, so nothing inside it needs rewinding.
   void reset_run();
-
-  /// Whether capturing the source halts the simulation (default true; the
-  /// capture-ratio experiments need nothing after a capture). Disable to
-  /// keep collecting delivery metrics for the full safety period.
-  void set_stop_on_capture(bool stop) noexcept { stop_on_capture_ = stop; }
 
   [[nodiscard]] bool active() const noexcept { return active_; }
   [[nodiscard]] wsn::NodeId location() const noexcept { return location_; }
@@ -94,7 +90,6 @@ class AttackerRuntime final : public sim::TransmissionObserver {
   std::int64_t current_period_ = -1;
   std::optional<sim::SimTime> captured_;
   std::vector<wsn::NodeId> trail_;
-  bool stop_on_capture_ = true;
 };
 
 }  // namespace slpdas::attacker

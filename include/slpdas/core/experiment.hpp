@@ -42,8 +42,7 @@ enum class RadioKind {
 
 [[nodiscard]] const char* to_string(RadioKind kind) noexcept;
 
-/// Attacker specification by value (a fresh DecisionFunction is built per
-/// run so parallel runs never share state).
+/// Attacker specification by value.
 ///
 /// Specs have a canonical string grammar mirroring the paper's
 /// (R,H,M,s0,D) model: "R=2,H=4,M=1,D=min-slot". Every key is optional in
@@ -54,18 +53,18 @@ struct AttackerSpec {
   int messages_per_move = 1;  ///< R
   int history_size = 0;       ///< H
   int moves_per_period = 1;   ///< M
-  enum class Decision { kFirstHeard, kMinSlot, kHistoryAvoiding, kRandom };
-  Decision decision = Decision::kFirstHeard;
+  attacker::Decision decision = attacker::Decision::kFirstHeard;  ///< D
 
-  /// Parses "R=..,H=..,M=..,D=.." (any subset, any order; D is one of
-  /// first-heard, min-slot, history-avoiding, random). Throws
-  /// std::invalid_argument naming the bad key or value.
+  /// Parses "R=..,H=..,M=..,D=.." (any subset, any order; R, M >= 1,
+  /// H >= 0; D is one of first-heard, min-slot, history-avoiding,
+  /// random). Throws std::invalid_argument naming the bad key or value.
   [[nodiscard]] static AttackerSpec parse(std::string_view text);
   /// Canonical spec string, e.g. "R=1,H=0,M=1,D=first-heard".
   [[nodiscard]] std::string to_spec() const;
 
+  /// The runtime parameters with s0 = `start`; throws
+  /// std::invalid_argument on out-of-range R, H or M.
   [[nodiscard]] attacker::AttackerParams build(wsn::NodeId start) const;
-  [[nodiscard]] std::string label() const;
 
   friend bool operator==(const AttackerSpec&, const AttackerSpec&) = default;
 };

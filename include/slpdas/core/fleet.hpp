@@ -261,7 +261,9 @@ std::size_t run_fleet_worker(const Scenario& scenario,
 /// hook (local fork/exec today, ssh/slurm later) consumes.
 struct FleetSpawnRequest {
   /// Wire form: {program, "fleet-worker", scenario, "--fleet-dir", dir,
-  /// "--worker-name", name, ...scenario and execution flags...}. A remote
+  /// "--worker-name", name, ...scenario and execution flags...}, where
+  /// program is this executable (empty when FleetOptions::spawn is set:
+  /// the hook chooses what to run). A remote
   /// launcher runs exactly this argv on the target host (the fleet
   /// directory must be a shared filesystem).
   std::vector<std::string> argv;
@@ -281,13 +283,6 @@ struct FleetOptions {
   /// (e.g. left by a previous crashed coordinator).
   int claim_expiry_ms = 10'000;
   int poll_interval_ms = 25;
-  /// Total spawn budget, replacements included (0 = workers * 8): a
-  /// backstop against respawn loops when workers die before reaching any
-  /// cell (so no error marker ever appears).
-  int max_spawns = 0;
-  /// Worker executable for the default local launcher; "" = this binary
-  /// (/proc/self/exe).
-  std::string program;
   std::ostream* log = nullptr;  ///< coordinator event lines
   std::string cache_dir;        ///< forwarded to workers as --cache
   bool cache_readonly = false;
@@ -304,8 +299,8 @@ struct FleetOptions {
 /// run with --threads workers*worker_threads. An existing fleet directory
 /// for the SAME sweep resumes (done cells are kept, their claims stay);
 /// one for a different sweep throws. Throws when any cell fails, when the
-/// spawn budget is exhausted, or on filesystem failure — after killing
-/// every worker it launched.
+/// spawn budget (workers * 8 spawns, replacements included) is exhausted,
+/// or on filesystem failure — after killing every worker it launched.
 [[nodiscard]] SweepJson run_fleet(const Scenario& scenario,
                                   const ScenarioOptions& options,
                                   const FleetOptions& fleet_options);

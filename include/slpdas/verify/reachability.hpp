@@ -6,6 +6,8 @@
 // questions the single-source verifier cannot: which nodes are exposed
 // within a given safety period, how large the protected region around a
 // prospective source is, and how a refinement reshapes the exposed set.
+// It runs verify_schedule's 0-1 BFS with no source to stop at, so every
+// node's period here equals min_capture_period with that node as source.
 #pragma once
 
 #include <vector>

@@ -19,6 +19,9 @@
 // Two interchangeable engines are provided:
 //  * verify_schedule            — 0-1 BFS over attacker states; finds the
 //                                 minimum-period capture, polynomial time.
+//                                 min_capture_period and
+//                                 attacker_reachability (reachability.hpp)
+//                                 run the same search.
 //  * verify_schedule_exhaustive — literal Algorithm 1: depth-first
 //                                 enumeration of all attacker traces.
 // Property tests assert they always agree; benchmarks compare their cost.

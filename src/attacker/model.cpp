@@ -5,78 +5,74 @@
 
 namespace slpdas::attacker {
 
-wsn::NodeId FirstHeardD::decide(const std::vector<HeardMessage>& messages,
-                                const std::deque<wsn::NodeId>& history,
-                                Rng& rng) {
-  (void)history;
-  (void)rng;
-  return messages.empty() ? wsn::kNoNode : messages.front().sender;
+namespace {
+
+/// Earliest slot first, then lower id.
+bool earlier(const HeardMessage& a, const HeardMessage& b) {
+  if (a.sender_slot != b.sender_slot) return a.sender_slot < b.sender_slot;
+  return a.sender < b.sender;
 }
 
-wsn::NodeId MinSlotD::decide(const std::vector<HeardMessage>& messages,
-                             const std::deque<wsn::NodeId>& history, Rng& rng) {
-  (void)history;
-  (void)rng;
-  if (messages.empty()) {
-    return wsn::kNoNode;
+}  // namespace
+
+const char* to_string(Decision decision) noexcept {
+  switch (decision) {
+    case Decision::kFirstHeard:
+      return "first-heard";
+    case Decision::kMinSlot:
+      return "min-slot";
+    case Decision::kHistoryAvoiding:
+      return "history-avoiding";
+    case Decision::kRandom:
+      return "random";
   }
-  const auto it = std::min_element(
-      messages.begin(), messages.end(),
-      [](const HeardMessage& a, const HeardMessage& b) {
-        if (a.sender_slot != b.sender_slot) return a.sender_slot < b.sender_slot;
-        return a.sender < b.sender;
-      });
-  return it->sender;
+  return "unknown";
 }
 
-wsn::NodeId HistoryAvoidingD::decide(const std::vector<HeardMessage>& messages,
-                                     const std::deque<wsn::NodeId>& history,
-                                     Rng& rng) {
-  (void)rng;
-  if (messages.empty()) {
-    return wsn::kNoNode;
-  }
-  std::vector<HeardMessage> fresh;
-  fresh.reserve(messages.size());
-  for (const HeardMessage& message : messages) {
-    if (std::find(history.begin(), history.end(), message.sender) ==
-        history.end()) {
-      fresh.push_back(message);
+std::optional<Decision> parse_decision(std::string_view name) {
+  for (const Decision decision : kDecisions) {
+    if (name == to_string(decision)) {
+      return decision;
     }
   }
-  const auto& pool = fresh.empty() ? messages : fresh;
-  const auto it = std::min_element(
-      pool.begin(), pool.end(), [](const HeardMessage& a, const HeardMessage& b) {
-        if (a.sender_slot != b.sender_slot) return a.sender_slot < b.sender_slot;
-        return a.sender < b.sender;
-      });
-  return it->sender;
+  return std::nullopt;
 }
 
-wsn::NodeId RandomChoiceD::decide(const std::vector<HeardMessage>& messages,
-                                  const std::deque<wsn::NodeId>& history,
-                                  Rng& rng) {
-  (void)history;
+wsn::NodeId decide(Decision decision, const std::vector<HeardMessage>& messages,
+                   const std::deque<wsn::NodeId>& history, Rng& rng) {
   if (messages.empty()) {
     return wsn::kNoNode;
   }
-  return messages[rng.pick_index(messages.size())].sender;
+  switch (decision) {
+    case Decision::kFirstHeard:
+      return messages.front().sender;
+    case Decision::kMinSlot:
+      return std::min_element(messages.begin(), messages.end(), earlier)
+          ->sender;
+    case Decision::kHistoryAvoiding: {
+      // The earliest sender not among the last H locations; when every
+      // sender was visited, the earliest of them all.
+      const auto visited = [&history](const HeardMessage& message) {
+        return std::find(history.begin(), history.end(), message.sender) !=
+               history.end();
+      };
+      return std::min_element(messages.begin(), messages.end(),
+                              [&visited](const HeardMessage& a,
+                                         const HeardMessage& b) {
+                                if (visited(a) != visited(b)) {
+                                  return visited(b);
+                                }
+                                return earlier(a, b);
+                              })
+          ->sender;
+    }
+    case Decision::kRandom:
+      return messages[rng.pick_index(messages.size())].sender;
+  }
+  return wsn::kNoNode;
 }
 
-std::unique_ptr<DecisionFunction> make_first_heard() {
-  return std::make_unique<FirstHeardD>();
-}
-std::unique_ptr<DecisionFunction> make_min_slot() {
-  return std::make_unique<MinSlotD>();
-}
-std::unique_ptr<DecisionFunction> make_history_avoiding() {
-  return std::make_unique<HistoryAvoidingD>();
-}
-std::unique_ptr<DecisionFunction> make_random_choice() {
-  return std::make_unique<RandomChoiceD>();
-}
-
-void AttackerParams::validate_and_default() {
+void AttackerParams::validate() const {
   if (messages_per_move < 1) {
     throw std::invalid_argument("AttackerParams: R must be >= 1");
   }
@@ -86,23 +82,6 @@ void AttackerParams::validate_and_default() {
   if (moves_per_period < 1) {
     throw std::invalid_argument("AttackerParams: M must be >= 1");
   }
-  if (!decision) {
-    decision = make_first_heard();
-  }
-}
-
-std::string AttackerParams::label() const {
-  // Built with += (not operator+ chains) to dodge GCC 12's -Wrestrict
-  // false positive on `const char* + std::string&&` (GCC bug 105651).
-  std::string label = "(";
-  label += std::to_string(messages_per_move);
-  label += ',';
-  label += std::to_string(history_size);
-  label += ',';
-  label += std::to_string(moves_per_period);
-  label += ")-";
-  label += decision ? decision->name() : "first-heard";
-  return label;
 }
 
 }  // namespace slpdas::attacker

@@ -20,7 +20,7 @@ AttackerRuntime::AttackerRuntime(sim::Simulator& simulator,
       frame_(frame),
       params_(std::move(params)),
       source_(source) {
-  params_.validate_and_default();
+  params_.validate();
   if (params_.start == wsn::kNoNode || !simulator.graph().contains(params_.start)) {
     throw std::invalid_argument("AttackerRuntime: invalid start location");
   }
@@ -126,7 +126,7 @@ void AttackerRuntime::maybe_decide() {
     return;
   }
   const wsn::NodeId next =
-      params_.decision->decide(messages_, history_, simulator_.rng());
+      decide(params_.decision, messages_, history_, simulator_.rng());
   messages_.clear();
   if (next == wsn::kNoNode || next == location_) {
     return;
@@ -142,9 +142,7 @@ void AttackerRuntime::maybe_decide() {
   trail_.push_back(location_);
   if (location_ == source_) {
     captured_ = simulator_.now();
-    if (stop_on_capture_) {
-      simulator_.stop();
-    }
+    simulator_.stop();
   }
 }
 

@@ -41,48 +41,22 @@ attacker::AttackerParams AttackerSpec::build(wsn::NodeId start) const {
   params.history_size = history_size;
   params.moves_per_period = moves_per_period;
   params.start = start;
-  switch (decision) {
-    case Decision::kFirstHeard:
-      params.decision = attacker::make_first_heard();
-      break;
-    case Decision::kMinSlot:
-      params.decision = attacker::make_min_slot();
-      break;
-    case Decision::kHistoryAvoiding:
-      params.decision = attacker::make_history_avoiding();
-      break;
-    case Decision::kRandom:
-      params.decision = attacker::make_random_choice();
-      break;
-  }
-  params.validate_and_default();
+  params.decision = decision;
+  params.validate();
   return params;
 }
 
 namespace {
 
-const char* decision_name(AttackerSpec::Decision decision) {
-  switch (decision) {
-    case AttackerSpec::Decision::kFirstHeard:
-      return "first-heard";
-    case AttackerSpec::Decision::kMinSlot:
-      return "min-slot";
-    case AttackerSpec::Decision::kHistoryAvoiding:
-      return "history-avoiding";
-    case AttackerSpec::Decision::kRandom:
-      return "random";
-  }
-  return "first-heard";
-}
-
+/// Parses the value of key R, H or M: an integer >= `minimum`.
 int parse_spec_int(std::string_view spec, std::string_view key,
-                   std::string_view token) {
+                   std::string_view token, int minimum) {
   const std::optional<int> value = detail::parse_int_token(token);
-  if (!value || *value < 0) {
-    throw std::invalid_argument("attacker spec '" + std::string(spec) +
-                                "': " + std::string(key) +
-                                " must be a non-negative integer, got '" +
-                                std::string(token) + "'");
+  if (!value || *value < minimum) {
+    throw std::invalid_argument(
+        "attacker spec '" + std::string(spec) + "': " + std::string(key) +
+        " must be an integer >= " + std::to_string(minimum) + ", got '" +
+        std::string(token) + "'");
   }
   return *value;
 }
@@ -104,29 +78,30 @@ AttackerSpec AttackerSpec::parse(std::string_view text) {
     }
     const std::string_view key = item.substr(0, eq);
     const std::string_view value = item.substr(eq + 1);
+    // The same bounds as attacker::AttackerParams::validate, so a bad
+    // spec is refused here rather than when a cell first runs.
     if (key == "R") {
-      spec.messages_per_move = parse_spec_int(text, key, value);
+      spec.messages_per_move = parse_spec_int(text, key, value, 1);
     } else if (key == "H") {
-      spec.history_size = parse_spec_int(text, key, value);
+      spec.history_size = parse_spec_int(text, key, value, 0);
     } else if (key == "M") {
-      spec.moves_per_period = parse_spec_int(text, key, value);
+      spec.moves_per_period = parse_spec_int(text, key, value, 1);
     } else if (key == "D") {
       // '_' accepted for '-' (min_slot), like the protocol/radio specs.
-      const std::string name = detail::normalize_spec_name(value);
-      if (name == "first-heard") {
-        spec.decision = Decision::kFirstHeard;
-      } else if (name == "min-slot") {
-        spec.decision = Decision::kMinSlot;
-      } else if (name == "history-avoiding") {
-        spec.decision = Decision::kHistoryAvoiding;
-      } else if (name == "random") {
-        spec.decision = Decision::kRandom;
-      } else {
-        throw std::invalid_argument(
-            "attacker spec '" + std::string(text) + "': unknown decision '" +
-            std::string(value) +
-            "' (valid: first-heard, min-slot, history-avoiding, random)");
+      const std::optional<attacker::Decision> decision =
+          attacker::parse_decision(detail::normalize_spec_name(value));
+      if (!decision) {
+        std::string valid;
+        for (const attacker::Decision d : attacker::kDecisions) {
+          valid += valid.empty() ? "" : ", ";
+          valid += attacker::to_string(d);
+        }
+        throw std::invalid_argument("attacker spec '" + std::string(text) +
+                                    "': unknown decision '" +
+                                    std::string(value) + "' (valid: " +
+                                    valid + ")");
       }
+      spec.decision = *decision;
     } else {
       throw std::invalid_argument("attacker spec '" + std::string(text) +
                                   "': unknown key '" + std::string(key) +
@@ -144,23 +119,8 @@ std::string AttackerSpec::to_spec() const {
   out += ",M=";
   out += std::to_string(moves_per_period);
   out += ",D=";
-  out += decision_name(decision);
+  out += attacker::to_string(decision);
   return out;
-}
-
-std::string AttackerSpec::label() const {
-  const char* d = decision_name(decision);
-  // Built with += (not operator+ chains) to dodge GCC 12's -Wrestrict
-  // false positive on `const char* + std::string&&` (GCC bug 105651).
-  std::string label = "(";
-  label += std::to_string(messages_per_move);
-  label += ',';
-  label += std::to_string(history_size);
-  label += ',';
-  label += std::to_string(moves_per_period);
-  label += ")-";
-  label += d;
-  return label;
 }
 
 std::unique_ptr<sim::RadioModel> make_radio(const ExperimentConfig& config) {

@@ -157,12 +157,11 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
     write_shardmap_manifest(dir, manifest);
   }
 
-  std::string program = fleet_options.program;
-  if (program.empty() && !fleet_options.spawn) {
+  std::string program;
+  if (!fleet_options.spawn) {
     program = fleet_detail::current_executable();
     if (program.empty()) {
-      throw std::runtime_error(
-          "fleet: cannot resolve this executable; pass FleetOptions::program");
+      throw std::runtime_error("fleet: cannot resolve this executable");
     }
   }
 
@@ -218,9 +217,9 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
                                                      request.log_path);
                 });
 
-  int spawn_budget = fleet_options.max_spawns > 0
-                         ? fleet_options.max_spawns
-                         : fleet_options.workers * 8;
+  // A backstop against respawn loops when workers die before reaching any
+  // cell (so no error marker ever appears).
+  int spawn_budget = fleet_options.workers * 8;
   std::size_t worker_id = next_worker_id(streams_dir);
   std::vector<LiveWorker> live;
 

@@ -194,13 +194,10 @@ std::size_t worker_loop(const Scenario& scenario,
       sweep_options.stream = &stream;
       sweep_options.cache = worker_options.cache;
       sweep_options.progress = worker_options.log;
-      sweep_options.skip_cells.clear();
-      sweep_options.skip_cells.reserve(cells.size() - 1);
-      for (std::size_t other = 0; other < cells.size(); ++other) {
-        if (other != index) {
-          sweep_options.skip_cells.push_back(other);
-        }
-      }
+      // A claim is a one-cell shard: of the full grid (whose seeds it
+      // derives from) this sweep runs cell `index` alone.
+      sweep_options.shard_index = static_cast<int>(index);
+      sweep_options.shard_count = static_cast<int>(cells.size());
       try {
         (void)run_sweep(cells, sweep_options, pool);
       } catch (const std::exception& error) {

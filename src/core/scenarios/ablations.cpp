@@ -141,22 +141,22 @@ struct AttackerRow {
   int messages_per_move;
   int history_size;
   int moves_per_period;
-  AttackerSpec::Decision decision;
+  attacker::Decision decision;
 };
 
 const AttackerRow kAttackerRows[] = {
     {"1-0-1-first-heard", "(1,0,1) first-heard (paper)", 1, 0, 1,
-     AttackerSpec::Decision::kFirstHeard},
+     attacker::Decision::kFirstHeard},
     {"2-0-1-min-slot", "(2,0,1) min-slot", 2, 0, 1,
-     AttackerSpec::Decision::kMinSlot},
+     attacker::Decision::kMinSlot},
     {"1-0-2-first-heard", "(1,0,2) first-heard", 1, 0, 2,
-     AttackerSpec::Decision::kFirstHeard},
+     attacker::Decision::kFirstHeard},
     {"2-2-1-history-avoiding", "(2,2,1) history-avoiding", 2, 2, 1,
-     AttackerSpec::Decision::kHistoryAvoiding},
+     attacker::Decision::kHistoryAvoiding},
     {"2-4-2-history-avoiding", "(2,4,2) history-avoiding", 2, 4, 2,
-     AttackerSpec::Decision::kHistoryAvoiding},
+     attacker::Decision::kHistoryAvoiding},
     {"2-0-1-random", "(2,0,1) random", 2, 0, 1,
-     AttackerSpec::Decision::kRandom},
+     attacker::Decision::kRandom},
 };
 
 std::vector<SweepCell> make_attacker_cells(const ScenarioOptions& options) {

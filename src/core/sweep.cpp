@@ -285,21 +285,26 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
         progress_pending += std::to_string(mine.size());
         progress_pending += "] ";
         progress_pending += out.label;
-        progress_pending += " capture=";
-        progress_pending += std::to_string(record.capture_successes);
-        progress_pending += '/';
-        progress_pending += std::to_string(record.capture_trials);
-        if (hit) {
-          progress_pending += " (cached)\n";
+        if (!recordable) {
+          // No result to show: the record holds default-constructed runs.
+          progress_pending += " FAILED\n";
         } else {
-          char wall[32];
-          const auto [end, ec] =
-              std::to_chars(wall, wall + sizeof(wall) - 1, elapsed,
-                            std::chars_format::fixed, 1);
-          *(ec == std::errc() ? end : wall) = '\0';
-          progress_pending += " (";
-          progress_pending += wall;
-          progress_pending += "s)\n";
+          progress_pending += " capture=";
+          progress_pending += std::to_string(record.capture_successes);
+          progress_pending += '/';
+          progress_pending += std::to_string(record.capture_trials);
+          if (hit) {
+            progress_pending += " (cached)\n";
+          } else {
+            char wall[32];
+            const auto [end, ec] =
+                std::to_chars(wall, wall + sizeof(wall) - 1, elapsed,
+                              std::chars_format::fixed, 1);
+            *(ec == std::errc() ? end : wall) = '\0';
+            progress_pending += " (";
+            progress_pending += wall;
+            progress_pending += "s)\n";
+          }
         }
         const Clock::time_point now = Clock::now();
         if (cells_finished == mine.size() ||

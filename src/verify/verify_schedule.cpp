@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "slpdas/verify/reachability.hpp"
+
 namespace slpdas::verify {
 
 namespace {
@@ -15,8 +17,8 @@ struct Search {
   const wsn::Graph& graph;
   const mac::Schedule& schedule;
   const VerifyAttacker& attacker;
-  wsn::NodeId source;
-  int delta;
+  wsn::NodeId source;  ///< where the search stops; kNoNode explores all
+  int delta;           ///< the last period a trace may use
 };
 
 /// Mutable attacker state; period is tracked outside (BFS layer / DFS arg).
@@ -34,6 +36,13 @@ History push_history(const History& history, wsn::NodeId location,
     next.erase(next.begin());
   }
   return next;
+}
+
+/// H as the search tracks it: only the history-avoiding D reads history.
+int history_capacity(const VerifyAttacker& attacker) {
+  return attacker.policy == DPolicy::kHistoryAvoidingMinSlot
+             ? attacker.history_size
+             : 0;
 }
 
 /// Candidate next locations allowed by D given B and the history.
@@ -71,27 +80,34 @@ int step_cost(const Search& search, wsn::NodeId location, wsn::NodeId next) {
   return search.schedule.slot(location) > search.schedule.slot(next) ? 1 : 0;
 }
 
-struct BfsOutcome {
-  std::optional<int> capture_period;
+/// What the search settled.
+struct Settled {
+  /// Per node: the first (so minimum) period a trace reached it in, or
+  /// ReachabilityResult::kUnreachablePeriod.
+  std::vector<int> first_period;
+  /// The locations s0 ... source of a minimum-period capture; empty when
+  /// the source was not reached.
   std::vector<wsn::NodeId> trace;
 };
 
-/// 0-1 BFS over (location, moves, history) states; periods are the 0/1 edge
-/// weights, so the first time the source is settled gives the minimum
-/// capture period.
-BfsOutcome bfs_capture(const Search& search) {
+/// The one 0-1 BFS over (location, moves, history) states, shared by
+/// verify_schedule, min_capture_period and attacker_reachability. Periods
+/// are the 0/1 edge weights, so states settle in non-decreasing period
+/// order: a location's first settled period is its minimum, and settling
+/// the source ends the search.
+Settled bfs_periods(const Search& search) {
   struct Node {
     StateKey key;
     int period;
   };
-  // Settled best periods and predecessor links for trace recovery.
+  Settled settled;
+  settled.first_period.assign(
+      static_cast<std::size_t>(search.graph.node_count()),
+      ReachabilityResult::kUnreachablePeriod);
+  // Best periods and predecessor links for trace recovery.
   std::map<StateKey, int> best;
   std::map<StateKey, StateKey> predecessor;
-
-  const int history_capacity =
-      search.attacker.policy == DPolicy::kHistoryAvoidingMinSlot
-          ? search.attacker.history_size
-          : 0;
+  const int capacity = history_capacity(search.attacker);
 
   const StateKey start{search.attacker.start, 0, History{}};
   std::deque<Node> queue;
@@ -105,20 +121,20 @@ BfsOutcome bfs_capture(const Search& search) {
     if (current.period > best.at(current.key)) {
       continue;  // stale queue entry
     }
-    if (current.period > search.delta) {
-      continue;
+    int& first = settled.first_period[static_cast<std::size_t>(location)];
+    if (first == ReachabilityResult::kUnreachablePeriod) {
+      first = current.period;
     }
     if (location == search.source) {
       // Recover the location trace by walking predecessors.
-      std::vector<wsn::NodeId> trace;
       StateKey at = current.key;
-      trace.push_back(std::get<0>(at));
+      settled.trace.push_back(std::get<0>(at));
       while (predecessor.contains(at)) {
         at = predecessor.at(at);
-        trace.push_back(std::get<0>(at));
+        settled.trace.push_back(std::get<0>(at));
       }
-      std::reverse(trace.begin(), trace.end());
-      return {current.period, std::move(trace)};
+      std::reverse(settled.trace.begin(), settled.trace.end());
+      return settled;
     }
     if (!search.schedule.assigned(location)) {
       continue;  // silent location: the attacker hears nothing new
@@ -139,7 +155,7 @@ BfsOutcome bfs_capture(const Search& search) {
         continue;
       }
       StateKey next_key{next, next_moves,
-                        push_history(history, location, history_capacity)};
+                        push_history(history, location, capacity)};
       const auto it = best.find(next_key);
       if (it != best.end() && it->second <= next_period) {
         continue;
@@ -147,13 +163,13 @@ BfsOutcome bfs_capture(const Search& search) {
       best[next_key] = next_period;
       predecessor[next_key] = current.key;
       if (cost == 0) {
-        queue.push_front({next_key, next_period});
+        queue.push_front({std::move(next_key), next_period});
       } else {
-        queue.push_back({next_key, next_period});
+        queue.push_back({std::move(next_key), next_period});
       }
     }
   }
-  return {std::nullopt, {}};
+  return settled;
 }
 
 /// Literal Algorithm 1: depth-first enumeration of attacker traces with a
@@ -176,10 +192,6 @@ struct DfsEngine {
       return it->second;
     }
     memo[key] = false;  // cycle guard
-    const int history_capacity =
-        search.attacker.policy == DPolicy::kHistoryAvoidingMinSlot
-            ? search.attacker.history_size
-            : 0;
     bool found = false;
     for (wsn::NodeId next : allowed_moves(search, location, history)) {
       int next_period = period;
@@ -194,7 +206,8 @@ struct DfsEngine {
       }
       trace.push_back(next);
       if (captures(next, next_period, next_moves,
-                   push_history(history, location, history_capacity))) {
+                   push_history(history, location,
+                                history_capacity(search.attacker)))) {
         found = true;
         break;
       }
@@ -205,22 +218,25 @@ struct DfsEngine {
   }
 };
 
-void validate(const Search& search) {
-  if (!search.graph.contains(search.source)) {
-    throw std::out_of_range("verify_schedule: source out of range");
+/// `caller` prefixes every error message. Only attacker_reachability
+/// searches without a source; everywhere else kNoNode is a bad source.
+void validate(const Search& search, const std::string& caller,
+              bool has_source = true) {
+  if (has_source && !search.graph.contains(search.source)) {
+    throw std::out_of_range(caller + ": source out of range");
   }
   if (!search.graph.contains(search.attacker.start)) {
-    throw std::out_of_range("verify_schedule: attacker start out of range");
+    throw std::out_of_range(caller + ": attacker start out of range");
   }
   if (search.attacker.messages_per_move < 1 ||
       search.attacker.moves_per_period < 1 || search.attacker.history_size < 0) {
-    throw std::invalid_argument("verify_schedule: invalid attacker parameters");
+    throw std::invalid_argument(caller + ": invalid attacker parameters");
   }
   if (search.delta < 0) {
-    throw std::invalid_argument("verify_schedule: negative safety period");
+    throw std::invalid_argument(caller + ": negative period bound");
   }
   if (search.schedule.node_count() != search.graph.node_count()) {
-    throw std::invalid_argument("verify_schedule: schedule/graph size mismatch");
+    throw std::invalid_argument(caller + ": schedule/graph size mismatch");
   }
 }
 
@@ -280,17 +296,14 @@ VerifyResult verify_schedule(const wsn::Graph& graph,
                              const VerifyAttacker& attacker, int delta,
                              wsn::NodeId source) {
   const Search search{graph, schedule, attacker, source, delta};
-  validate(search);
-  const BfsOutcome outcome = bfs_capture(search);
+  validate(search, "verify_schedule");
+  Settled settled = bfs_periods(search);
   VerifyResult result;
-  if (outcome.capture_period && *outcome.capture_period <= delta) {
-    result.slp_aware = false;
-    result.counterexample = outcome.trace;
-    result.period = *outcome.capture_period;
-  } else {
-    result.slp_aware = true;
-    result.period = delta;
-  }
+  result.slp_aware = settled.trace.empty();
+  result.period = result.slp_aware
+                      ? delta
+                      : settled.first_period[static_cast<std::size_t>(source)];
+  result.counterexample = std::move(settled.trace);
   return result;
 }
 
@@ -299,7 +312,7 @@ VerifyResult verify_schedule_exhaustive(const wsn::Graph& graph,
                                         const VerifyAttacker& attacker,
                                         int delta, wsn::NodeId source) {
   const Search search{graph, schedule, attacker, source, delta};
-  validate(search);
+  validate(search, "verify_schedule");
   DfsEngine engine{search, {}, {attacker.start}};
   VerifyResult result;
   if (engine.captures(attacker.start, 0, 0, History{})) {
@@ -325,8 +338,40 @@ std::optional<int> min_capture_period(const wsn::Graph& graph,
                                       const VerifyAttacker& attacker,
                                       wsn::NodeId source, int period_cap) {
   const Search search{graph, schedule, attacker, source, period_cap};
-  validate(search);
-  return bfs_capture(search).capture_period;
+  validate(search, "min_capture_period");
+  const int period =
+      bfs_periods(search).first_period[static_cast<std::size_t>(source)];
+  if (period == ReachabilityResult::kUnreachablePeriod) {
+    return std::nullopt;
+  }
+  return period;
+}
+
+ReachabilityResult attacker_reachability(const wsn::Graph& graph,
+                                         const mac::Schedule& schedule,
+                                         const VerifyAttacker& attacker,
+                                         int period_cap) {
+  const Search search{graph, schedule, attacker, wsn::kNoNode, period_cap};
+  validate(search, "attacker_reachability", /*has_source=*/false);
+  return {bfs_periods(search).first_period};
+}
+
+std::vector<wsn::NodeId> ReachabilityResult::reached_within(int delta) const {
+  std::vector<wsn::NodeId> nodes;
+  for (wsn::NodeId node = 0;
+       node < static_cast<wsn::NodeId>(min_periods.size()); ++node) {
+    const int periods = min_periods[static_cast<std::size_t>(node)];
+    if (periods != kUnreachablePeriod && periods <= delta) {
+      nodes.push_back(node);
+    }
+  }
+  return nodes;
+}
+
+int ReachabilityResult::reachable_count() const {
+  return static_cast<int>(
+      std::count_if(min_periods.begin(), min_periods.end(),
+                    [](int p) { return p != kUnreachablePeriod; }));
 }
 
 }  // namespace slpdas::verify

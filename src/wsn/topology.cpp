@@ -3,38 +3,15 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 #include <string>
 
 #include "slpdas/rng.hpp"
+#include "slpdas/wsn/paths.hpp"
 
 namespace slpdas::wsn {
 
 namespace {
-
-bool is_connected(const Graph& graph) {
-  if (graph.node_count() == 0) {
-    return true;
-  }
-  std::vector<char> seen(static_cast<std::size_t>(graph.node_count()), 0);
-  std::queue<NodeId> frontier;
-  frontier.push(0);
-  seen[0] = 1;
-  NodeId visited = 1;
-  while (!frontier.empty()) {
-    const NodeId at = frontier.front();
-    frontier.pop();
-    for (NodeId next : graph.neighbors(at)) {
-      if (!seen[static_cast<std::size_t>(next)]) {
-        seen[static_cast<std::size_t>(next)] = 1;
-        ++visited;
-        frontier.push(next);
-      }
-    }
-  }
-  return visited == graph.node_count();
-}
 
 double squared_distance(const Position& a, const Position& b) {
   const double dx = a.x - b.x;

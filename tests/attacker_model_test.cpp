@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 namespace slpdas::attacker {
 namespace {
@@ -15,95 +16,101 @@ const std::vector<HeardMessage> kMessages{
     {.sender = 9, .sender_slot = 30},
 };
 
-TEST(FirstHeardDTest, PicksFirstMessage) {
-  FirstHeardD d;
+TEST(DecideTest, NothingHeardMeansStayForEveryDecision) {
   Rng rng(1);
-  EXPECT_EQ(d.decide(kMessages, {}, rng), 7);
-  EXPECT_EQ(d.decide({}, {}, rng), wsn::kNoNode);
-  EXPECT_EQ(d.name(), "first-heard");
+  for (const Decision decision : kDecisions) {
+    SCOPED_TRACE(to_string(decision));
+    EXPECT_EQ(decide(decision, {}, {3, 7}, rng), wsn::kNoNode);
+  }
 }
 
-TEST(MinSlotDTest, PicksEarliestTransmitter) {
-  MinSlotD d;
+TEST(DecideTest, FirstHeardPicksFirstMessage) {
   Rng rng(1);
-  EXPECT_EQ(d.decide(kMessages, {}, rng), 3);
-  EXPECT_EQ(d.decide({}, {}, rng), wsn::kNoNode);
+  EXPECT_EQ(decide(Decision::kFirstHeard, kMessages, {}, rng), 7);
 }
 
-TEST(MinSlotDTest, TieBreaksById) {
-  MinSlotD d;
+TEST(DecideTest, MinSlotPicksEarliestTransmitter) {
+  Rng rng(1);
+  EXPECT_EQ(decide(Decision::kMinSlot, kMessages, {}, rng), 3);
+}
+
+TEST(DecideTest, MinSlotTieBreaksById) {
   Rng rng(1);
   const std::vector<HeardMessage> tie{{.sender = 9, .sender_slot = 4},
                                       {.sender = 3, .sender_slot = 4}};
-  EXPECT_EQ(d.decide(tie, {}, rng), 3);
+  EXPECT_EQ(decide(Decision::kMinSlot, tie, {}, rng), 3);
 }
 
-TEST(HistoryAvoidingDTest, SkipsVisitedLocations) {
-  HistoryAvoidingD d;
+TEST(DecideTest, HistoryAvoidingSkipsVisitedLocations) {
   Rng rng(1);
-  const std::deque<wsn::NodeId> history{3};
-  EXPECT_EQ(d.decide(kMessages, history, rng), 7);  // 3 avoided, next-min is 7
+  // 3 avoided, next-min is 7.
+  EXPECT_EQ(decide(Decision::kHistoryAvoiding, kMessages, {3}, rng), 7);
+  // Nothing visited: plain min-slot.
+  EXPECT_EQ(decide(Decision::kHistoryAvoiding, kMessages, {}, rng), 3);
 }
 
-TEST(HistoryAvoidingDTest, FallsBackWhenAllVisited) {
-  HistoryAvoidingD d;
+TEST(DecideTest, HistoryAvoidingFallsBackWhenAllVisited) {
   Rng rng(1);
-  const std::deque<wsn::NodeId> history{3, 7, 9};
-  EXPECT_EQ(d.decide(kMessages, history, rng), 3);  // min slot of everything
+  // Min slot of everything.
+  EXPECT_EQ(decide(Decision::kHistoryAvoiding, kMessages, {3, 7, 9}, rng), 3);
 }
 
-TEST(RandomChoiceDTest, OnlyReturnsHeardSenders) {
-  RandomChoiceD d;
+TEST(DecideTest, RandomOnlyReturnsHeardSenders) {
   Rng rng(5);
   for (int i = 0; i < 100; ++i) {
-    const auto choice = d.decide(kMessages, {}, rng);
+    const auto choice = decide(Decision::kRandom, kMessages, {}, rng);
     EXPECT_TRUE(choice == 7 || choice == 3 || choice == 9);
   }
-  EXPECT_EQ(d.decide({}, {}, rng), wsn::kNoNode);
 }
 
-TEST(RandomChoiceDTest, EventuallyPicksEveryone) {
-  RandomChoiceD d;
+TEST(DecideTest, RandomEventuallyPicksEveryone) {
   Rng rng(6);
   std::set<wsn::NodeId> seen;
   for (int i = 0; i < 200; ++i) {
-    seen.insert(d.decide(kMessages, {}, rng));
+    seen.insert(decide(Decision::kRandom, kMessages, {}, rng));
   }
   EXPECT_EQ(seen.size(), 3u);
 }
 
-TEST(AttackerParamsTest, ValidationAndDefaults) {
+TEST(DecideTest, OnlyRandomDrawsFromTheRng) {
+  for (const Decision decision : kDecisions) {
+    SCOPED_TRACE(to_string(decision));
+    Rng used(11);
+    Rng untouched(11);
+    (void)decide(decision, kMessages, {3}, used);
+    EXPECT_EQ(used() != untouched(), decision == Decision::kRandom);
+  }
+}
+
+TEST(DecisionNameTest, NamesRoundTrip) {
+  const std::set<std::string> expected{"first-heard", "min-slot",
+                                       "history-avoiding", "random"};
+  std::set<std::string> names;
+  for (const Decision decision : kDecisions) {
+    const std::string name = to_string(decision);
+    names.insert(name);
+    EXPECT_EQ(parse_decision(name), decision) << name;
+  }
+  EXPECT_EQ(names, expected);
+  EXPECT_EQ(parse_decision("random-choice"), std::nullopt);
+  EXPECT_EQ(parse_decision(""), std::nullopt);
+}
+
+TEST(AttackerParamsTest, Validation) {
   AttackerParams params;
   params.start = 0;
-  params.validate_and_default();
-  EXPECT_NE(params.decision, nullptr);
-  EXPECT_EQ(params.label(), "(1,0,1)-first-heard");
+  EXPECT_NO_THROW(params.validate());
+  EXPECT_EQ(params.decision, Decision::kFirstHeard);
 
   AttackerParams bad;
   bad.messages_per_move = 0;
-  EXPECT_THROW(bad.validate_and_default(), std::invalid_argument);
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad = {};
   bad.history_size = -1;
-  EXPECT_THROW(bad.validate_and_default(), std::invalid_argument);
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad = {};
   bad.moves_per_period = 0;
-  EXPECT_THROW(bad.validate_and_default(), std::invalid_argument);
-}
-
-TEST(AttackerParamsTest, LabelReflectsParameters) {
-  AttackerParams params;
-  params.messages_per_move = 2;
-  params.history_size = 3;
-  params.moves_per_period = 4;
-  params.decision = make_min_slot();
-  EXPECT_EQ(params.label(), "(2,3,4)-min-slot");
-}
-
-TEST(FactoryTest, NamesMatch) {
-  EXPECT_EQ(make_first_heard()->name(), "first-heard");
-  EXPECT_EQ(make_min_slot()->name(), "min-slot");
-  EXPECT_EQ(make_history_avoiding()->name(), "history-avoiding");
-  EXPECT_EQ(make_random_choice()->name(), "random-choice");
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
 }
 
 }  // namespace

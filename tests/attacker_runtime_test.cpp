@@ -15,7 +15,6 @@ using test::make_protectionless_net;
 AttackerParams default_params(wsn::NodeId start) {
   AttackerParams params;
   params.start = start;
-  params.validate_and_default();
   return params;
 }
 
@@ -95,7 +94,6 @@ TEST(AttackerRuntimeTest, OneMovePerPeriodForClassicAttacker) {
   AttackerRuntime attacker(*net.simulator, net.params.frame(),
                            default_params(net.topology.sink),
                            net.topology.source);
-  attacker.set_stop_on_capture(false);
   const sim::SimTime activation = net.setup_end();
   net.simulator->run_until(activation);
   attacker.activate(activation);
@@ -116,22 +114,6 @@ TEST(AttackerRuntimeTest, StopOnCaptureHaltsSimulation) {
   ASSERT_TRUE(attacker.captured());
   EXPECT_TRUE(net.simulator->stopped());
   EXPECT_EQ(net.simulator->now(), *attacker.capture_time());
-}
-
-TEST(AttackerRuntimeTest, KeepsRunningWhenStopDisabled) {
-  auto net = make_protectionless_net(wsn::make_line(4), fast_parameters(12), 8);
-  AttackerRuntime attacker(*net.simulator, net.params.frame(),
-                           default_params(net.topology.sink),
-                           net.topology.source);
-  attacker.set_stop_on_capture(false);
-  const sim::SimTime activation = net.setup_end();
-  const sim::SimTime horizon = activation + 20 * net.period();
-  net.simulator->run_until(activation);
-  attacker.activate(activation);
-  net.simulator->run_until(horizon);
-  ASSERT_TRUE(attacker.captured());
-  EXPECT_FALSE(net.simulator->stopped());
-  EXPECT_EQ(net.simulator->now(), horizon);
 }
 
 TEST(AttackerSlotInferenceTest, MapsArrivalTimesToDataSlots) {
@@ -189,10 +171,9 @@ TEST(AttackerRuntimeTest, HistoryAttackerRecordsBoundedHistory) {
   params.start = net.topology.sink;
   params.history_size = 2;
   params.moves_per_period = 2;
-  params.decision = make_history_avoiding();
+  params.decision = Decision::kHistoryAvoiding;
   AttackerRuntime attacker(*net.simulator, net.params.frame(), params,
                            net.topology.source);
-  attacker.set_stop_on_capture(false);
   const sim::SimTime activation = net.setup_end();
   net.simulator->run_until(activation);
   attacker.activate(activation);

@@ -107,16 +107,20 @@ TEST(RunRunsTest, SlpOverheadIsSmall) {
             base.control_messages_per_node.mean() + 5.0);
 }
 
-TEST(AttackerSpecTest, BuildAndLabel) {
+TEST(AttackerSpecTest, Build) {
   AttackerSpec spec;
   spec.messages_per_move = 2;
   spec.history_size = 1;
   spec.moves_per_period = 2;
-  spec.decision = AttackerSpec::Decision::kHistoryAvoiding;
+  spec.decision = attacker::Decision::kHistoryAvoiding;
   const auto params = spec.build(3);
   EXPECT_EQ(params.start, 3);
-  EXPECT_EQ(params.decision->name(), "history-avoiding");
-  EXPECT_EQ(spec.label(), "(2,1,2)-history-avoiding");
+  EXPECT_EQ(params.messages_per_move, 2);
+  EXPECT_EQ(params.history_size, 1);
+  EXPECT_EQ(params.moves_per_period, 2);
+  EXPECT_EQ(params.decision, attacker::Decision::kHistoryAvoiding);
+  spec.moves_per_period = 0;
+  EXPECT_THROW((void)spec.build(3), std::invalid_argument);
 }
 
 TEST(AttackerSpecTest, SpecGrammarRoundTrips) {
@@ -129,23 +133,19 @@ TEST(AttackerSpecTest, SpecGrammarRoundTrips) {
   EXPECT_EQ(partial.messages_per_move, 2);
   EXPECT_EQ(partial.history_size, 4);
   EXPECT_EQ(partial.moves_per_period, 1);
-  EXPECT_EQ(partial.decision, AttackerSpec::Decision::kMinSlot);
+  EXPECT_EQ(partial.decision, attacker::Decision::kMinSlot);
   EXPECT_EQ(partial.to_spec(), "R=2,H=4,M=1,D=min-slot");
   EXPECT_EQ(AttackerSpec::parse("D=history-avoiding,M=2").to_spec(),
             "R=1,H=0,M=2,D=history-avoiding");
   // '_' accepted for '-' in decision names (shell-friendly spelling).
   EXPECT_EQ(AttackerSpec::parse("D=min_slot").decision,
-            AttackerSpec::Decision::kMinSlot);
+            attacker::Decision::kMinSlot);
   // Property over the grammar: every spec round-trips through its
   // canonical string.
   for (const int r : {1, 2, 3}) {
     for (const int h : {0, 2, 9}) {
       for (const int m : {1, 2}) {
-        for (const auto d :
-             {AttackerSpec::Decision::kFirstHeard,
-              AttackerSpec::Decision::kMinSlot,
-              AttackerSpec::Decision::kHistoryAvoiding,
-              AttackerSpec::Decision::kRandom}) {
+        for (const attacker::Decision d : attacker::kDecisions) {
           AttackerSpec spec;
           spec.messages_per_move = r;
           spec.history_size = h;
@@ -161,8 +161,8 @@ TEST(AttackerSpecTest, SpecGrammarRoundTrips) {
 
 TEST(AttackerSpecTest, SpecGrammarRejectsMalformedStrings) {
   for (const char* bad :
-       {"", "R", "R=", "R=x", "R=-1", "Z=3", "D=fastest", "R=1;H=0",
-        "r=1"}) {
+       {"", "R", "R=", "R=x", "R=-1", "R=0", "M=0", "Z=3", "D=fastest",
+        "R=1;H=0", "r=1"}) {
     SCOPED_TRACE(bad);
     EXPECT_THROW((void)AttackerSpec::parse(bad), std::invalid_argument);
   }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "slpdas/das/centralized.hpp"
 #include "slpdas/wsn/topology.hpp"
 
@@ -47,23 +49,33 @@ TEST(ReachabilityTest, PeriodCapTruncates) {
 }
 
 TEST(ReachabilityTest, MatchesMinCapturePeriodPerNode) {
+  // Every node's reach period is the single-source capture period, for
+  // every D policy and for R in {1, 2}, H in {0, 2}.
   const wsn::Topology grid = wsn::make_grid(5);
   const auto das = das::build_centralized_das(grid.graph, grid.sink);
-  VerifyAttacker attacker;
-  attacker.start = grid.sink;
   const int cap = 60;
-  const auto reach =
-      attacker_reachability(grid.graph, das.schedule, attacker, cap);
-  for (wsn::NodeId node = 0; node < grid.graph.node_count(); ++node) {
-    const auto capture =
-        min_capture_period(grid.graph, das.schedule, attacker, node, cap);
-    if (capture) {
-      EXPECT_EQ(reach.min_periods[static_cast<std::size_t>(node)], *capture)
-          << "node " << node;
-    } else {
-      EXPECT_EQ(reach.min_periods[static_cast<std::size_t>(node)],
-                ReachabilityResult::kUnreachablePeriod)
-          << "node " << node;
+  for (const DPolicy policy :
+       {DPolicy::kMinSlot, DPolicy::kAnyHeard,
+        DPolicy::kHistoryAvoidingMinSlot}) {
+    for (const int r : {1, 2}) {
+      for (const int h : {0, 2}) {
+        VerifyAttacker attacker;
+        attacker.start = grid.sink;
+        attacker.policy = policy;
+        attacker.messages_per_move = r;
+        attacker.history_size = h;
+        SCOPED_TRACE(std::string(to_string(policy)) + " R=" +
+                     std::to_string(r) + " H=" + std::to_string(h));
+        const auto reach =
+            attacker_reachability(grid.graph, das.schedule, attacker, cap);
+        for (wsn::NodeId node = 0; node < grid.graph.node_count(); ++node) {
+          const auto capture = min_capture_period(grid.graph, das.schedule,
+                                                  attacker, node, cap);
+          EXPECT_EQ(reach.min_periods[static_cast<std::size_t>(node)],
+                    capture.value_or(ReachabilityResult::kUnreachablePeriod))
+              << "node " << node;
+        }
+      }
     }
   }
 }

@@ -196,7 +196,7 @@ TEST(CustomScenarioTest, ComposesCellsFromRepeatedSets) {
   EXPECT_EQ(cells[1].config.protocol, ProtocolKind::kSlpDas);
   EXPECT_EQ(cells[1].config.attacker.messages_per_move, 2);
   EXPECT_EQ(cells[1].config.attacker.decision,
-            AttackerSpec::Decision::kMinSlot);
+            attacker::Decision::kMinSlot);
 }
 
 TEST(CustomScenarioTest, RunsAUnitDiskExperimentEndToEnd) {

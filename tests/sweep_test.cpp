@@ -277,6 +277,38 @@ TEST(SweepRunTest, ProgressReportsEveryCell) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(SweepRunTest, ProgressMarksAFailedCellInsteadOfReportingIt) {
+  // A cell whose runs throw has no result to report: its progress line
+  // says FAILED, never the aggregate of default-constructed runs.
+  SweepGrid grid(small_base(2));
+  grid.axis("R", {{"1", [](ExperimentConfig&) {}},
+                  {"0", [](ExperimentConfig& config) {
+                     config.attacker.messages_per_move = 0;
+                   }}});
+  const auto cells = grid.expand();
+  SweepOptions options;
+  options.threads = 1;
+  options.deterministic_timing = true;
+  std::ostringstream progress;
+  options.progress = &progress;
+  EXPECT_THROW((void)run_sweep(cells, options), std::runtime_error);
+
+  std::vector<std::string> lines;
+  std::istringstream in(progress.str());
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 2u) << progress.str();
+  for (const std::string& line : lines) {
+    if (line.find("] R=0") != std::string::npos) {
+      EXPECT_EQ(line.find(" capture="), std::string::npos) << line;
+      EXPECT_EQ(line.substr(line.size() - 7), " FAILED") << line;
+    } else {
+      EXPECT_NE(line.find("] R=1 capture="), std::string::npos) << line;
+    }
+  }
+}
+
 /// Accepts `budget` bytes, then fails every write — a volume that fills
 /// up right after the stream header.
 class FullVolumeBuffer : public std::streambuf {
@@ -349,6 +381,35 @@ TEST(SweepRunTest, StreamWriteFailureThrowsAndNeverOutrunsTheCache) {
     EXPECT_EQ(cache.stats().stores, 0u);
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(SweepRunTest, ProgressMarksCellsSkippedAfterAStreamFailure) {
+  // One thread runs the cells in order: the first completes and its
+  // record hits the full volume, so every later cell is skipped. Skipped
+  // cells have no result either, so they report FAILED too.
+  const std::vector<SweepCell> cells = small_cells(1);
+  SweepOptions options;
+  options.threads = 1;
+  options.deterministic_timing = true;
+  std::ostringstream progress;
+  options.progress = &progress;
+  FullVolumeBuffer buffer(0);
+  std::ostream stream(&buffer);
+  options.stream = &stream;
+  EXPECT_THROW((void)run_sweep(cells, options), std::runtime_error);
+
+  std::vector<std::string> lines;
+  std::istringstream in(progress.str());
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), cells.size()) << progress.str();
+  EXPECT_NE(lines.front().find(" capture="), std::string::npos)
+      << lines.front();
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i].find(" capture="), std::string::npos) << lines[i];
+    EXPECT_EQ(lines[i].substr(lines[i].size() - 7), " FAILED") << lines[i];
+  }
 }
 
 TEST(SweepJsonTest, RoundTripsThroughTheV2Schema) {
@@ -628,6 +689,48 @@ TEST(GoldenFingerprintTest, SmallSweepDocumentIsByteStable) {
   // is what keeps them byte-identical across schema-extending releases.
   EXPECT_FALSE(cell.has_perf);
   EXPECT_EQ(out.str().find("\"perf\""), std::string::npos);
+}
+
+TEST(GoldenFingerprintTest, EveryDecisionFunctionIsByteStable) {
+  // One cell per attacker decision function D on grid:7 with the Table I
+  // parameters. R = 2 gives D a choice, H = 2 gives the history-avoiding
+  // attacker a memory, and random draws the run's RNG. The axis is
+  // unseeded, so every D faces the same seeds.
+  ExperimentConfig base = small_base(4);
+  base.topology = wsn::TopologySpec::grid(7);
+  base.parameters = Parameters{};
+  SweepGrid grid(base);
+  std::vector<SweepGrid::AxisValue> attackers;
+  for (const char* d :
+       {"first-heard", "min-slot", "history-avoiding", "random"}) {
+    const AttackerSpec spec =
+        AttackerSpec::parse(std::string("R=2,H=2,M=1,D=") + d);
+    attackers.push_back({d, [spec](ExperimentConfig& config) {
+                           config.attacker = spec;
+                         }});
+  }
+  grid.axis("attacker", std::move(attackers), /*seeded=*/false);
+  const auto cells = grid.expand();
+
+  SweepOptions options;
+  options.threads = 2;
+  options.base_seed = 2017;
+  options.deterministic_timing = true;
+  const SweepResult sweep = run_sweep(cells, options);
+  std::ostringstream out;
+  write_sweep_json(out, sweep, "golden_decisions");
+  EXPECT_EQ(fnv1a_bytes(out.str()), 0xc06dbfa9fe7cc52eULL);
+
+  // Within one period the attacker hears transmissions in slot order, so
+  // first-heard and min-slot walk alike; history avoidance and random
+  // choice walk differently.
+  const SweepJson document = to_sweep_json(sweep, "golden_decisions");
+  ASSERT_EQ(document.cells.size(), 4u);
+  EXPECT_EQ(document.cells[3].config_attacker, "R=2,H=2,M=1,D=random");
+  EXPECT_EQ(document.cells[0].attacker_moves.mean, 8.25);
+  EXPECT_EQ(document.cells[1].attacker_moves.mean, 8.25);
+  EXPECT_EQ(document.cells[2].attacker_moves.mean, 7.5);
+  EXPECT_EQ(document.cells[3].attacker_moves.mean, 10.0);
 }
 
 TEST(GoldenFingerprintTest, BuiltinScenarioGridsAreStable) {

@@ -190,6 +190,16 @@ TEST(VerifyScheduleTest, InputValidation) {
   EXPECT_THROW(
       (void)verify_schedule(f.topology.graph, Schedule{3}, f.attacker, 5, 0),
       std::invalid_argument);
+  // An unset source (Topology's default) is bad input, never "safe".
+  EXPECT_THROW((void)verify_schedule(f.topology.graph, f.schedule, f.attacker,
+                                     10, wsn::kNoNode),
+               std::out_of_range);
+  EXPECT_THROW((void)verify_schedule_exhaustive(f.topology.graph, f.schedule,
+                                                f.attacker, 10, wsn::kNoNode),
+               std::out_of_range);
+  EXPECT_THROW((void)min_capture_period(f.topology.graph, f.schedule,
+                                        f.attacker, wsn::kNoNode, 10),
+               std::out_of_range);
 }
 
 TEST(VerifyScheduleTest, MinCapturePeriodMatchesVerify) {
