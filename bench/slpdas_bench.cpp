@@ -59,7 +59,7 @@ struct CliOptions {
   bool cache_readonly = false;
   int workers = 4;           ///< fleet: local worker process count
   int worker_threads = 1;    ///< fleet: pool size of each worker
-  std::string fleet_dir;     ///< fleet: claim/stream directory
+  std::string fleet_dir;     ///< fleet: claim/record/log directory
   std::string worker_name;   ///< fleet-worker: this incarnation's name
   int heartbeat_ms = 250;    ///< fleet / fleet-worker: liveness cadence
   bool fail_on_drift = false;  ///< compare: exit 1 on deterministic drift
@@ -107,10 +107,11 @@ int usage(std::ostream& out, int code) {
          "  --worker-threads N  pool size of EACH worker (default 1); the\n"
          "                   folded document matches a single-process run\n"
          "                   with --threads workers*worker-threads\n"
-         "  --fleet-dir DIR  claim/stream/log directory (default\n"
+         "  --fleet-dir DIR  claim/record/log directory (default\n"
          "                   OUT_DIR/fleet-<scenario>); an existing\n"
          "                   directory for the same sweep is resumed\n"
-         "  --heartbeat-ms N worker liveness cadence (default 250)\n"
+         "  --heartbeat-ms N worker liveness cadence (default 250; at most\n"
+         "                   2500, a quarter of the 10 s claim expiry)\n"
          "\nmerge: a DIR argument globs its *.json / *.jsonl shard\n"
          "artifacts — or, when DIR holds a shardmap.json, folds the whole\n"
          "fleet directory.\n"
@@ -419,8 +420,7 @@ int fleet_command(const CliOptions& options) {
   }
   if (options.shard_count > 1 || !options.stream_path.empty()) {
     std::cerr << "fleet: --shard/--stream do not compose with fleet (the "
-                 "claim directory already distributes cells and every "
-                 "worker streams)\n";
+                 "claim directory already distributes and records cells)\n";
     return 2;
   }
   core::FleetOptions fleet;

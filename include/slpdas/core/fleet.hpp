@@ -1,44 +1,42 @@
 // Distributed sweep fabric: a multi-process coordinator with
-// cell-granular work stealing ("slpdas.shardmap.v1").
+// cell-granular work stealing ("slpdas.shardmap.v2").
 //
 // A fleet run executes ONE scenario sweep across N worker processes that
 // share nothing but a directory. The coordinator writes a manifest
 // identifying the sweep, spawns the workers, and watches; each worker
 // re-expands the grid from the scenario registry, then pulls the next
-// unclaimed cell from the claim directory, runs it, appends the result to
-// its own "slpdas.cell.v1" stream file, and marks the cell done. Cells —
-// not static round-robin shards — are the unit of distribution, so a
+// unclaimed cell from the claim directory, runs it, and publishes the
+// cell's "slpdas.cell.v1" record as the cell's done marker. Cells — not
+// static round-robin shards — are the unit of distribution, so a
 // straggler cell (a big unit-disk topology, say) occupies one worker
 // while the others drain the rest of the grid.
 //
 // Claim protocol (the part a future ssh/slurm launcher reuses as-is):
 //   <dir>/shardmap.json            manifest (tmp+rename, like CellCache)
 //   <dir>/claims/cell-N.claim      exclusive-create (O_EXCL) = ownership
-//   <dir>/claims/cell-N.done       written AFTER the record is flushed
+//   <dir>/claims/cell-N.done       the cell's record (tmp+link, kept)
 //   <dir>/claims/cell-N.error      a cell's runs threw; coordinator aborts
 //   <dir>/claims/worker-W.heartbeat  liveness counter, rewritten in place
 //   <dir>/claims/worker-W.error    worker-fatal failure (bad manifest, IO)
-//   <dir>/streams/W.jsonl          one cell stream per worker incarnation
 //   <dir>/logs/W.log               worker stdout+stderr (local launcher)
 //
 // Exclusive create — not tmp+rename, which silently REPLACES on POSIX —
 // is what makes a claim a claim: exactly one process wins the open(2).
-// The done marker is only written after the worker's stream has flushed
-// the cell record, so "done" always means "durably recorded". A worker
-// that dies mid-cell leaves a claim without a done marker (and at most a
-// torn stream tail, which the stream reader drops); the coordinator reaps
-// the death — or, for workers it cannot reap, notices the heartbeat go
-// stale — releases the orphaned claims, and spawns a replacement. Because
-// every worker re-derives seeds from the full grid, reassignment is free:
-// the replacement recomputes the cell bit-identically.
+// The done marker IS the record: written whole to a temporary and then
+// link(2)ed into place, so "done" always means "recorded" and a record,
+// once published, is never replaced. A worker that dies mid-cell leaves
+// a claim without a done marker (and at most a torn temporary, which
+// nothing reads); the coordinator reaps the death — or, for workers it
+// cannot reap, notices the heartbeat go stale — releases the orphaned
+// claims, and spawns a replacement. Because every worker re-derives
+// seeds from the full grid, reassignment is free: the replacement
+// recomputes the cell bit-identically.
 //
 // The fold obeys the "parallel compute, single-threaded stable merge"
-// determinism rule: all worker streams are read back, deduplicated by
-// cell index (duplicates arise only from deaths between the stream flush
-// and the done marker; under --deterministic they must be byte-identical,
-// and a mismatch aborts the fold), sorted, and written through the one
-// sweep-JSON writer — so a fleet document is byte-identical to an
-// unsharded single-process run of the same sweep.
+// determinism rule: the done record of every cell is read back in index
+// order and written through the one sweep-JSON writer — so a fleet
+// document is byte-identical to an unsharded single-process run of the
+// same sweep.
 #pragma once
 
 #include <cstddef>
@@ -60,12 +58,12 @@ namespace slpdas::core {
 class CellCache;  // cell_cache.hpp
 
 // ---------------------------------------------------------------------------
-// Shardmap records ("slpdas.shardmap.v1")
+// Shardmap records ("slpdas.shardmap.v2")
 // ---------------------------------------------------------------------------
 
 /// Schema tag written into every shardmap record; the format_* writers
 /// emit it and the parse_* readers verify it.
-inline constexpr std::string_view kShardMapSchema = "slpdas.shardmap.v1";
+inline constexpr std::string_view kShardMapSchema = "slpdas.shardmap.v2";
 
 /// The sweep identity every participant must agree on, written once by
 /// the coordinator as <dir>/shardmap.json before any worker starts. A
@@ -94,13 +92,6 @@ struct ShardMapClaim {
   std::int64_t pid = 0;
 };
 
-/// Completion marker (cell-N.done): the named worker's stream durably
-/// holds this cell's record.
-struct ShardMapDone {
-  std::uint64_t cell = 0;
-  std::string worker;
-};
-
 /// Liveness counter (worker-W.heartbeat), rewritten via tmp+rename every
 /// interval. The coordinator tracks seq changes, not timestamps, so only
 /// IT needs a clock — workers stay wall-clock-free except for the beat
@@ -114,8 +105,8 @@ struct ShardMapHeartbeat {
 /// Failure marker. With a cell (cell-N.error) the cell's runs threw — a
 /// deterministic failure every reassignment would reproduce, so the
 /// coordinator aborts the whole fleet instead of burning workers on it.
-/// Without one (worker-W.error) the worker itself failed to start or to
-/// write its stream.
+/// Without one (worker-W.error) the worker itself failed to start, to
+/// publish a record, or hit a conflicting one.
 struct ShardMapError {
   std::optional<std::uint64_t> cell;
   std::string worker;
@@ -124,10 +115,10 @@ struct ShardMapError {
 
 /// Single-line serialisations (no trailing newline) of the shardmap
 /// records, through the same escaping/number discipline as every other
-/// document this library writes.
+/// document this library writes. (A done marker holds a "slpdas.cell.v1"
+/// record, written by the sweep itself — see ClaimDir::mark_done.)
 [[nodiscard]] std::string format_shardmap_manifest(const ShardMapManifest&);
 [[nodiscard]] std::string format_shardmap_claim(const ShardMapClaim&);
-[[nodiscard]] std::string format_shardmap_done(const ShardMapDone&);
 [[nodiscard]] std::string format_shardmap_heartbeat(const ShardMapHeartbeat&);
 [[nodiscard]] std::string format_shardmap_error(const ShardMapError&);
 
@@ -135,7 +126,6 @@ struct ShardMapError {
 /// schema string, or a wrong record type.
 [[nodiscard]] ShardMapManifest parse_shardmap_manifest(const std::string&);
 [[nodiscard]] ShardMapClaim parse_shardmap_claim(const std::string&);
-[[nodiscard]] ShardMapDone parse_shardmap_done(const std::string&);
 [[nodiscard]] ShardMapHeartbeat parse_shardmap_heartbeat(const std::string&);
 [[nodiscard]] ShardMapError parse_shardmap_error(const std::string&);
 
@@ -161,7 +151,7 @@ void write_shardmap_manifest(const std::string& directory,
 
 /// One coherent scan of the claim directory (coordinator view).
 struct ShardMapScan {
-  std::set<std::uint64_t> done;
+  std::set<std::uint64_t> done;  ///< by done-marker file name alone
   /// Claims whose content parsed, by cell. A claim file may coexist with
   /// its done marker (the normal completed state).
   std::map<std::uint64_t, ShardMapClaim> claims;
@@ -173,8 +163,9 @@ struct ShardMapScan {
   std::vector<ShardMapError> errors;
 };
 
-/// The claims/ subdirectory protocol: exclusive-create claims, atomically
-/// renamed done/heartbeat/error markers. All methods throw
+/// The claims/ subdirectory protocol: exclusive-create claims, linked
+/// (never replaced) done records, atomically renamed heartbeat/error
+/// markers. All methods throw
 /// std::runtime_error on filesystem failure (except where noted); the
 /// claim/done file layout is the wire protocol a remote launcher's shared
 /// filesystem (or a future object-store port) must reproduce.
@@ -205,15 +196,22 @@ class ClaimDir {
   void release_claim(std::uint64_t cell) const;
 
   [[nodiscard]] bool is_done(std::uint64_t cell) const;
-  void mark_done(const ShardMapDone& done) const;
+
+  /// Publishes `record`, the cell's whole "slpdas.cell.v1" line, as
+  /// cell-N.done (detail::write_file_exclusively: tmp + link). Returns
+  /// false when another worker published first (possible only after an
+  /// expired claim): the first record stands, and under `deterministic`
+  /// differing bytes throw — a real nondeterminism bug.
+  bool mark_done(std::uint64_t cell, const std::string& record,
+                 bool deterministic) const;
   void mark_error(const ShardMapError& error) const;
   void write_heartbeat(const ShardMapHeartbeat& heartbeat) const;
 
-  /// Reads every marker in the directory. Unparseable claim files are
-  /// reported as unreadable (see ShardMapScan); unparseable done markers
-  /// throw — a done marker is only ever written whole via rename, so a
-  /// bad one means real corruption. Tolerates files vanishing mid-scan
-  /// (a release racing the scan).
+  /// Reads every marker in the directory. Done markers are counted by
+  /// file name (their records are the fold's business, not the poll
+  /// loop's); unparseable claim files are reported as unreadable (see
+  /// ShardMapScan). Tolerates files vanishing mid-scan (a release racing
+  /// the scan).
   [[nodiscard]] ShardMapScan scan() const;
 
  private:
@@ -227,28 +225,26 @@ class ClaimDir {
 
 struct FleetWorkerOptions {
   std::string directory;  ///< the fleet directory
-  /// Unique worker name ([A-Za-z0-9._-]); also the stream/heartbeat/log
-  /// file stem. The coordinator hands out fresh names (w0, w1, ...) —
+  /// Unique worker name ([A-Za-z0-9._-]); also the heartbeat/log file
+  /// stem. The coordinator hands out fresh names (w0, w1, ...) —
   /// including for replacements — so no two incarnations ever share a
-  /// stream file.
+  /// heartbeat or a log.
   std::string worker;
   int threads = 1;  ///< this worker's pool size (>= 1)
   bool deterministic = false;
   int heartbeat_interval_ms = 250;
-  /// How long to sleep when every remaining cell is claimed by someone
-  /// else (the only idle state — an unclaimed cell is taken immediately).
-  int idle_wait_ms = 20;
   std::ostream* log = nullptr;  ///< event + per-cell progress lines
   CellCache* cache = nullptr;   ///< optional shared result cache (not owned)
 };
 
 /// The worker loop: verify the manifest against this process's own grid
-/// expansion, write the stream header, then claim-run-record-mark cells
-/// until every cell in the grid is done. Returns the number of cells THIS
-/// worker computed. Throws on a manifest mismatch, a cell whose runs
-/// threw (after writing the error marker), or stream IO failure — always
-/// writing a worker/cell error marker first so the coordinator aborts
-/// promptly instead of respawning into the same failure.
+/// expansion, then claim-run-publish cells until every cell in the grid
+/// is done. Returns the number of cells THIS worker computed. Throws on a
+/// manifest mismatch, a cell whose runs threw (after writing the error
+/// marker), a done record that conflicts with this worker's under
+/// `deterministic`, or IO failure — always writing a worker/cell error
+/// marker first so the coordinator aborts promptly instead of respawning
+/// into the same failure.
 std::size_t run_fleet_worker(const Scenario& scenario,
                              const ScenarioOptions& options,
                              const FleetWorkerOptions& worker_options);
@@ -268,7 +264,9 @@ struct FleetSpawnRequest {
   /// directory must be a shared filesystem).
   std::vector<std::string> argv;
   std::string worker;    ///< the worker name inside argv
-  std::string log_path;  ///< <dir>/logs/<worker>.log
+  /// <dir>/logs/<worker>.log, created (empty) before the hook runs, so
+  /// the worker name is taken even when a hook never opens the log.
+  std::string log_path;
 };
 
 struct FleetOptions {
@@ -280,9 +278,9 @@ struct FleetOptions {
   /// A live worker whose heartbeat seq has not advanced for this long is
   /// presumed hung or unreachable: it is killed, its claims released, and
   /// a replacement spawned. Also expires claims owned by no live worker
-  /// (e.g. left by a previous crashed coordinator).
+  /// (e.g. left by a previous crashed coordinator). Must be at least
+  /// 4 * heartbeat_interval_ms, or healthy workers would look stale.
   int claim_expiry_ms = 10'000;
-  int poll_interval_ms = 25;
   std::ostream* log = nullptr;  ///< coordinator event lines
   std::string cache_dir;        ///< forwarded to workers as --cache
   bool cache_readonly = false;
@@ -301,6 +299,8 @@ struct FleetOptions {
 /// one for a different sweep throws. Throws when any cell fails, when the
 /// spawn budget (workers * 8 spawns, replacements included) is exhausted,
 /// or on filesystem failure — after killing every worker it launched.
+/// Throws std::invalid_argument on bad options, including a
+/// claim_expiry_ms below 4 * heartbeat_interval_ms.
 [[nodiscard]] SweepJson run_fleet(const Scenario& scenario,
                                   const ScenarioOptions& options,
                                   const FleetOptions& fleet_options);
@@ -309,23 +309,14 @@ struct FleetOptions {
 // Fold
 // ---------------------------------------------------------------------------
 
-/// Pure fold of worker streams into the unsharded document. Every stream
-/// header must match the manifest (name, base_seed, grid_hash,
-/// cells_total, deterministic; full-grid shard). Records are deduplicated
-/// by cell index — first stream in the given order wins, and under
-/// `manifest.deterministic` a byte-differing duplicate throws (it would
-/// mean two workers disagreed on a cell's results) — then sorted;
-/// coverage of every index is required. The document takes threads from
-/// manifest.threads_total, distinct_worker_threads 0, wall_seconds as the
-/// cell sum — exactly what fold_cell_stream yields for one process.
-[[nodiscard]] SweepJson merge_worker_streams(const ShardMapManifest& manifest,
-                                             const std::vector<CellStream>&
-                                                 streams);
-
-/// Reads a fleet directory (manifest + streams/*.jsonl in filename order,
-/// skipping streams with no complete header line — a worker killed before
-/// its first flush) and folds it. How both the coordinator and
-/// `slpdas_bench merge DIR` produce the final document.
+/// Reads a fleet directory — the manifest and the done record of every
+/// cell below cells_total, in index order — and folds it into the
+/// unsharded document: threads from manifest.threads_total,
+/// distinct_worker_threads 0, wall_seconds as the cell sum — exactly what
+/// fold_cell_stream yields for one process. A missing, malformed or
+/// foreign (index != N) record is a std::runtime_error naming the cell.
+/// How both the coordinator and `slpdas_bench merge DIR` produce the
+/// final document.
 [[nodiscard]] SweepJson fold_fleet_directory(const std::string& directory);
 
 }  // namespace slpdas::core

@@ -1,4 +1,4 @@
-// Internal whole-file writer and process id, shared by the cell cache,
+// Internal whole-file writers and process id, shared by the cell cache,
 // the fleet's claim directory and worker loop, and the stream resume
 // rewrite. Not installed.
 #pragma once
@@ -21,5 +21,14 @@ namespace slpdas::core::detail {
 /// <tmp> to <path>: <reason>"), with the temporary removed.
 [[nodiscard]] std::string write_file_atomically(const std::string& path,
                                                 std::string_view bytes);
+
+/// Writes `bytes` to `path` whole unless `path` already exists: through
+/// the same unique temporary, which is then link(2)ed to `path` (a link,
+/// unlike a rename, never replaces its destination) and removed. Returns
+/// true when this call created `path`, false when it already existed.
+/// Throws std::runtime_error on any other failure, with the temporary
+/// removed.
+[[nodiscard]] bool write_file_exclusively(const std::string& path,
+                                          std::string_view bytes);
 
 }  // namespace slpdas::core::detail

@@ -1,8 +1,9 @@
 // Internal cell-record pipeline shared by the sweep engine
 // (src/core/sweep.cpp), the cell-result cache (src/core/cell_cache.cpp)
 // and the fleet (src/core/fleet/): the one cell parser — a
-// "slpdas.sweep.v2" cells[] entry, a "slpdas.cell.v1" stream record and a
-// "slpdas.cachecell.v1" payload line share one field set — plus the one
+// "slpdas.sweep.v2" cells[] entry, a "slpdas.cell.v1" stream record (also
+// the content of a fleet done marker) and a "slpdas.cachecell.v1"
+// payload line share one field set — plus the one
 // sweep-identity comparison and the one fold from cell records back to a
 // sweep document. Not installed.
 #pragma once
@@ -52,14 +53,14 @@ struct SweepIdentity {
                                             const SweepIdentity& want);
 
 /// One input of fold_sweep: the identity its producer declared (a stream
-/// header, a shard document, a worker stream) and its records.
+/// header, a shard document, a fleet manifest) and its records.
 struct FoldInput {
   SweepIdentity identity;
   std::vector<SweepJsonCell> cells;
 };
 
 /// The one fold from cell records to a "slpdas.sweep.v2" document, behind
-/// merge_sweep_shards, fold_cell_stream and merge_worker_streams. Every
+/// merge_sweep_shards, fold_cell_stream and fold_fleet_directory. Every
 /// input's identity must equal `expected`; the pooled records, sorted by
 /// index, must cover each cell of `expected`'s shard residue class
 /// (index % shard_count == shard_index, index < cells_total) exactly

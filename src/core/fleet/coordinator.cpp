@@ -2,17 +2,19 @@
 // processes (or whatever the spawn hook launches), supervises them via
 // child exits + heartbeat staleness, releases dead workers' claims so the
 // survivors steal their cells, respawns replacements under fresh names,
-// and folds every worker stream into the one unsharded document.
+// and folds every cell's done record into the one unsharded document.
 //
 // The coordinator itself never computes a cell and never holds a thread
 // pool: it is a single-threaded poll loop, so fork(2) in the local
 // launcher happens from a single-threaded process — the only portable
 // fork discipline.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <ostream>
 #include <set>
@@ -33,9 +35,12 @@ namespace {
 namespace fs = std::filesystem;
 // Supervision timing is inherently wall-clock: heartbeat staleness and
 // claim expiry measure REAL elapsed time, and none of it can reach the
-// result documents (those are folded purely from worker streams).
+// result documents (those are folded purely from the done records).
 // slpdas-lint: allow(wall-clock): fleet supervision timing, never in results
 using Clock = std::chrono::steady_clock;
+
+/// The supervision loop's cadence: one claim-directory scan per poll.
+constexpr int kPollIntervalMs = 25;
 
 struct LiveWorker {
   std::string name;
@@ -56,24 +61,28 @@ void log_line(std::ostream* log, const std::string& line) {
   }
 }
 
-/// Next fresh worker id: one past the largest w<N> stream file already in
+/// Next fresh worker id: one past the largest w<N> log file already in
 /// the directory, so a resumed coordinator never reuses a dead
-/// incarnation's stream.
-[[nodiscard]] std::size_t next_worker_id(const std::string& streams_dir) {
+/// incarnation's name (and with it its heartbeat file). Names that are
+/// not w<N>, or whose N does not fit, are someone else's files: skipped.
+[[nodiscard]] std::size_t next_worker_id(const std::string& logs_dir) {
   std::size_t next = 0;
   std::error_code ec;
-  fs::directory_iterator it(streams_dir, ec);
+  fs::directory_iterator it(logs_dir, ec);
   if (ec) {
     return next;
   }
   for (const fs::directory_entry& entry : it) {
     const std::string stem = entry.path().stem().string();
-    if (stem.size() < 2 || stem[0] != 'w' ||
-        stem.find_first_not_of("0123456789", 1) != std::string::npos) {
+    if (stem.size() < 2 || stem[0] != 'w') {
       continue;
     }
-    const std::size_t id =
-        static_cast<std::size_t>(std::stoull(stem.substr(1)));
+    std::size_t id = 0;
+    const char* last = stem.data() + stem.size();
+    const auto [end, parse_error] = std::from_chars(stem.data() + 1, last, id);
+    if (parse_error != std::errc() || end != last) {
+      continue;
+    }
     next = std::max(next, id + 1);
   }
   return next;
@@ -104,8 +113,17 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
     throw std::invalid_argument("fleet: worker threads must be >= 1");
   }
   if (fleet_options.heartbeat_interval_ms < 1 ||
-      fleet_options.claim_expiry_ms < 1 || fleet_options.poll_interval_ms < 1) {
+      fleet_options.claim_expiry_ms < 1) {
     throw std::invalid_argument("fleet: intervals must be >= 1 ms");
+  }
+  // A healthy worker beats once per interval; an expiry within a few
+  // beats would kill it between two of them.
+  if (fleet_options.claim_expiry_ms <
+      4 * static_cast<std::int64_t>(fleet_options.heartbeat_interval_ms)) {
+    throw std::invalid_argument(
+        "fleet: claim expiry " + std::to_string(fleet_options.claim_expiry_ms) +
+        " ms must be at least 4x the heartbeat interval " +
+        std::to_string(fleet_options.heartbeat_interval_ms) + " ms");
   }
   const std::vector<SweepCell> cells = scenario.make_cells(options);
   if (cells.empty()) {
@@ -126,9 +144,7 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
   const std::string& dir = fleet_options.directory;
   const ClaimDir claims(dir);
   claims.create();
-  const std::string streams_dir = dir + "/streams";
   const std::string logs_dir = dir + "/logs";
-  fs::create_directories(streams_dir);
   fs::create_directories(logs_dir);
 
   // Resume or initialise: an existing manifest must describe this very
@@ -220,7 +236,7 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
   // A backstop against respawn loops when workers die before reaching any
   // cell (so no error marker ever appears).
   int spawn_budget = fleet_options.workers * 8;
-  std::size_t worker_id = next_worker_id(streams_dir);
+  std::size_t worker_id = next_worker_id(logs_dir);
   std::vector<LiveWorker> live;
 
   const auto kill_everyone = [&] {
@@ -243,6 +259,11 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
     --spawn_budget;
     const std::string name = "w" + std::to_string(worker_id++);
     const FleetSpawnRequest request = build_request(name);
+    // The log file is the record that `name` is taken (next_worker_id),
+    // whether or not the hook ever writes to it.
+    if (!std::ofstream(request.log_path, std::ios::app)) {
+      throw std::runtime_error("fleet: cannot create " + request.log_path);
+    }
     LiveWorker worker;
     worker.name = name;
     worker.pid = spawn_fn(request);
@@ -368,13 +389,12 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
         }
       }
 
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(fleet_options.poll_interval_ms));
+      std::this_thread::sleep_for(std::chrono::milliseconds(kPollIntervalMs));
     }
 
     // All cells done. Workers observe the same and exit 0 on their own;
-    // give them a moment, then stop waiting (their streams are already
-    // complete — done markers are only written after the record flush).
+    // give them a moment, then stop waiting (every record is already
+    // published — a done marker IS the cell's record).
     for (const LiveWorker& worker : live) {
       if (!fleet_detail::wait_process(worker.pid, 5'000)) {
         fleet_detail::kill_process(worker.pid);
@@ -390,7 +410,7 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
 
   log_line(fleet_options.log,
            "fleet: all " + std::to_string(cells.size()) +
-               " cells done; folding worker streams");
+               " cells done; folding their done records");
   return fold_fleet_directory(dir);
 }
 

@@ -1,10 +1,11 @@
 // Shardmap record serialisation and the claim directory
-// ("slpdas.shardmap.v1"): the on-disk wire protocol between the fleet
+// ("slpdas.shardmap.v2"): the on-disk wire protocol between the fleet
 // coordinator and its workers. Claims are exclusive-create files (the
-// open(2) is the lock); everything else — manifest, done markers,
-// heartbeats, error markers — is written whole via unique-tmp + rename
-// (detail::write_file_atomically, shared with the cell cache), so a
-// reader only ever sees complete records.
+// open(2) is the lock); done records are written whole to a unique
+// temporary and link(2)ed into place, so a published record is never
+// replaced; the manifest, heartbeats and error markers are written whole
+// via unique-tmp + rename (detail::write_file_atomically, shared with
+// the cell cache). A reader only ever sees complete records.
 #include "slpdas/core/fleet.hpp"
 
 #include <cerrno>
@@ -35,8 +36,8 @@ namespace fs = std::filesystem;
 using Value = detail::JsonParser::Value;
 
 /// Writes `line` + '\n' to `path` whole (the rename REPLACES any previous
-/// file, exactly right for heartbeats and idempotent markers; claims use
-/// O_EXCL and never come through here). Throws std::runtime_error on
+/// file, exactly right for heartbeats and idempotent markers; claims and
+/// done records never come through here). Throws std::runtime_error on
 /// failure.
 void atomic_write_line(const std::string& path, const std::string& line) {
   const std::string failure =
@@ -159,14 +160,6 @@ std::string format_shardmap_claim(const ShardMapClaim& claim) {
   return std::move(out).str();
 }
 
-std::string format_shardmap_done(const ShardMapDone& done) {
-  std::ostringstream out;
-  record_head(out, "done") << ", \"cell\": " << done.cell;
-  append_string(out, "worker", done.worker);
-  out << '}';
-  return std::move(out).str();
-}
-
 std::string format_shardmap_heartbeat(const ShardMapHeartbeat& heartbeat) {
   std::ostringstream out;
   record_head(out, "heartbeat");
@@ -219,14 +212,6 @@ ShardMapClaim parse_shardmap_claim(const std::string& text) {
   claim.worker = value.at("worker").as_string();
   claim.pid = as_pid(value.at("pid"));
   return claim;
-}
-
-ShardMapDone parse_shardmap_done(const std::string& text) {
-  const Value value = parse_record(text, "done");
-  ShardMapDone done;
-  done.cell = value.at("cell").as_u64();
-  done.worker = value.at("worker").as_string();
-  return done;
 }
 
 ShardMapHeartbeat parse_shardmap_heartbeat(const std::string& text) {
@@ -362,8 +347,21 @@ bool ClaimDir::is_done(std::uint64_t cell) const {
   return fs::is_regular_file(done_path(cell), ec);
 }
 
-void ClaimDir::mark_done(const ShardMapDone& done) const {
-  atomic_write_line(done_path(done.cell), format_shardmap_done(done));
+bool ClaimDir::mark_done(std::uint64_t cell, const std::string& record,
+                         bool deterministic) const {
+  const std::string path = done_path(cell);
+  if (detail::write_file_exclusively(path, record)) {
+    return true;
+  }
+  // Another worker finished the cell first (its claim had expired). Its
+  // record stands; under deterministic timing the two must agree.
+  if (deterministic && slurp(path) != record) {
+    throw std::runtime_error(
+        "shardmap: cell " + std::to_string(cell) +
+        " already has a done record with DIFFERENT bytes — "
+        "nondeterministic worker results");
+  }
+  return false;
 }
 
 void ClaimDir::mark_error(const ShardMapError& error) const {
@@ -391,14 +389,6 @@ ShardMapScan ClaimDir::scan() const {
       continue;  // in-flight rename-writer temporary
     }
     if (const auto cell = cell_from_filename(name, ".done")) {
-      const std::optional<std::string> text = slurp(entry.path());
-      if (!text) {
-        throw std::runtime_error("shardmap: cannot read " +
-                                 entry.path().string());
-      }
-      // Done markers are written whole via rename and never removed — a
-      // malformed one is real corruption, not a race.
-      (void)parse_shardmap_done(*text);
       result.done.insert(*cell);
       continue;
     }

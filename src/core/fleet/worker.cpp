@@ -1,5 +1,5 @@
-// The fleet worker loop: claim a cell, run it, append the record to this
-// worker's own "slpdas.cell.v1" stream, mark it done; repeat until every
+// The fleet worker loop: claim a cell, run it, publish its
+// "slpdas.cell.v1" record as the cell's done marker; repeat until every
 // cell in the grid is done. Work distribution is nothing but the claim
 // directory — workers never talk to the coordinator, so the same loop
 // runs under the local launcher today and an ssh/slurm launcher later.
@@ -7,9 +7,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,7 +23,9 @@
 namespace slpdas::core {
 namespace {
 
-namespace fs = std::filesystem;
+/// How long to sleep when every remaining cell is claimed by someone
+/// else (the only idle state — an unclaimed cell is taken immediately).
+constexpr int kIdleWaitMs = 20;
 
 [[nodiscard]] bool valid_worker_name(const std::string& name) {
   if (name.empty()) {
@@ -44,7 +45,7 @@ namespace fs = std::filesystem;
 /// Keeps the worker's liveness counter advancing even while a long cell
 /// runs: a plain side thread that bumps seq every interval. Write
 /// failures are swallowed (a beat is advisory; the worker's real output
-/// goes through the stream + done markers) — but never allowed to escape
+/// goes through the done records) — but never allowed to escape
 /// a detached-context thread.
 class HeartbeatThread {
  public:
@@ -129,38 +130,6 @@ std::size_t worker_loop(const Scenario& scenario,
         "mismatched scenario options");
   }
 
-  // One stream file per worker INCARNATION: the coordinator hands every
-  // spawn (replacements included) a fresh name, so a stream never has a
-  // second writer and resume-rewrite machinery is unnecessary here.
-  const std::string streams_dir = worker_options.directory + "/streams";
-  fs::create_directories(streams_dir);
-  const std::string stream_path =
-      streams_dir + "/" + worker_options.worker + ".jsonl";
-  if (fs::exists(stream_path)) {
-    throw std::runtime_error(
-        "fleet worker: stream file already exists: " + stream_path +
-        " (worker names must be unique per incarnation)");
-  }
-  std::ofstream stream(stream_path, std::ios::binary);
-  if (!stream) {
-    throw std::runtime_error("fleet worker: cannot open " + stream_path);
-  }
-  CellStreamHeader header;
-  header.name = manifest.name;
-  header.base_seed = manifest.base_seed;
-  header.grid_hash = manifest.grid_hash;
-  header.shard_index = 0;
-  header.shard_count = 1;  // every worker sees the full grid
-  header.cells_total = manifest.cells_total;
-  header.deterministic = manifest.deterministic;
-  header.threads = worker_options.threads;
-  write_cell_stream_header(stream, header);
-  stream.flush();
-  if (!stream.good()) {
-    throw std::runtime_error("fleet worker: cannot write stream header to " +
-                             stream_path);
-  }
-
   const std::int64_t pid = detail::current_pid();
   const HeartbeatThread heartbeat(claims, worker_options.worker, pid,
                                   worker_options.heartbeat_interval_ms);
@@ -187,11 +156,15 @@ std::size_t worker_loop(const Scenario& scenario,
             << "worker " << worker_options.worker << ": claimed cell "
             << index << " (" << cells[index].label << ")" << std::endl;
       }
+      // The sweep's one completion step writes the cell's record line —
+      // cache hits included — into `record`; those bytes ARE the done
+      // marker.
+      std::ostringstream record;
       SweepOptions sweep_options;
       sweep_options.threads = worker_options.threads;
       sweep_options.base_seed = manifest.base_seed;
       sweep_options.deterministic_timing = manifest.deterministic;
-      sweep_options.stream = &stream;
+      sweep_options.stream = &record;
       sweep_options.cache = worker_options.cache;
       sweep_options.progress = worker_options.log;
       // A claim is a one-cell shard: of the full grid (whose seeds it
@@ -210,16 +183,8 @@ std::size_t worker_loop(const Scenario& scenario,
         claims.mark_error(marker);
         throw;
       }
-      if (!stream.good()) {
-        throw std::runtime_error("fleet worker: stream write failed for " +
-                                 stream_path);
-      }
-      // Only now — with the record durably flushed — does the cell become
-      // "done": the fold may trust every done marker unconditionally.
-      ShardMapDone done;
-      done.cell = index;
-      done.worker = worker_options.worker;
-      claims.mark_done(done);
+      claims.mark_done(index, std::move(record).str(),
+                       manifest.deterministic);
       ++computed;
     }
     if (all_done) {
@@ -228,8 +193,7 @@ std::size_t worker_loop(const Scenario& scenario,
     if (!ran_any) {
       // Every remaining cell is claimed by someone else: wait for either
       // their done markers or the coordinator expiring a dead owner.
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(worker_options.idle_wait_ms));
+      std::this_thread::sleep_for(std::chrono::milliseconds(kIdleWaitMs));
     }
   }
   if (worker_options.log != nullptr) {
@@ -255,9 +219,9 @@ std::size_t run_fleet_worker(const Scenario& scenario,
   if (worker_options.threads < 1) {
     throw std::invalid_argument("fleet worker: threads must be >= 1");
   }
-  if (worker_options.heartbeat_interval_ms < 1 ||
-      worker_options.idle_wait_ms < 1) {
-    throw std::invalid_argument("fleet worker: intervals must be >= 1 ms");
+  if (worker_options.heartbeat_interval_ms < 1) {
+    throw std::invalid_argument(
+        "fleet worker: heartbeat interval must be >= 1 ms");
   }
   const ClaimDir claims(worker_options.directory);
   claims.create();

@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "slpdas/core/fleet.hpp"
 #include "slpdas/core/scenario.hpp"
 #include "slpdas/core/sweep.hpp"
 #include "test_util.hpp"
@@ -318,117 +317,6 @@ TEST(CellStreamTest, RunSweepSkipsTheCellsAResumedStreamAlreadyHolds) {
             stream_text(header_for(cells, options),
                         {reference.cells[1], reference.cells[2],
                          reference.cells[4]}));
-}
-
-// ---------------------------------------------------------------------------
-// Fleet worker streams (cross-process stream handoff)
-// ---------------------------------------------------------------------------
-
-/// The manifest a 2-worker fleet over the five-cell fixture would write.
-ShardMapManifest fleet_manifest() {
-  const auto cells = five_cells();
-  ShardMapManifest manifest;
-  manifest.name = "cell_stream_test";
-  manifest.base_seed = 77;
-  manifest.grid_hash = hash_sweep_grid(cells);
-  manifest.cells_total = cells.size();
-  manifest.deterministic = true;
-  manifest.workers = 2;
-  manifest.worker_threads = 1;
-  manifest.threads_total = 2;  // folds like an unsharded --threads 2 run
-  return manifest;
-}
-
-/// A fleet worker's stream: full-grid shard, the worker's own pool size.
-CellStream worker_stream(const ShardMapManifest& manifest,
-                         std::vector<SweepJsonCell> cells) {
-  CellStream stream;
-  stream.header.schema = "slpdas.cell.v1";
-  stream.header.name = manifest.name;
-  stream.header.base_seed = manifest.base_seed;
-  stream.header.grid_hash = manifest.grid_hash;
-  stream.header.shard_index = 0;
-  stream.header.shard_count = 1;
-  stream.header.cells_total = manifest.cells_total;
-  stream.header.deterministic = manifest.deterministic;
-  stream.header.threads = manifest.worker_threads;
-  stream.cells = std::move(cells);
-  return stream;
-}
-
-TEST(CellStreamTest, MergeWorkerStreamsIsBitIdenticalToAnUnshardedRun) {
-  // The work-stealing partition is arbitrary and completion order within
-  // a worker is too — merge must reproduce the unsharded document from
-  // any disjoint split, in any order.
-  const SweepJson reference = reference_document(five_cells());
-  const ShardMapManifest manifest = fleet_manifest();
-  const std::vector<CellStream> streams = {
-      worker_stream(manifest, {reference.cells[4], reference.cells[0],
-                               reference.cells[2]}),
-      worker_stream(manifest, {reference.cells[3], reference.cells[1]}),
-  };
-  EXPECT_EQ(to_text(merge_worker_streams(manifest, streams)),
-            to_text(reference));
-}
-
-TEST(CellStreamTest, MergeWorkerStreamsToleratesAByteIdenticalDuplicate) {
-  // A worker killed between flushing its record and writing the done
-  // marker leaves a duplicate once the cell is reassigned; under
-  // --deterministic both copies are byte-identical and the merge keeps
-  // the first.
-  const SweepJson reference = reference_document(five_cells());
-  const ShardMapManifest manifest = fleet_manifest();
-  const std::vector<CellStream> streams = {
-      worker_stream(manifest, {reference.cells[0], reference.cells[2]}),
-      worker_stream(manifest, {reference.cells[2], reference.cells[1],
-                               reference.cells[3], reference.cells[4]}),
-  };
-  EXPECT_EQ(to_text(merge_worker_streams(manifest, streams)),
-            to_text(reference));
-}
-
-TEST(CellStreamTest, MergeWorkerStreamsRejectsAConflictingDuplicate) {
-  // Two workers disagreeing on a deterministic cell means a broken
-  // environment (mixed binaries, bad hardware) — never fold silently.
-  const SweepJson reference = reference_document(five_cells());
-  const ShardMapManifest manifest = fleet_manifest();
-  SweepJsonCell tampered = reference.cells[2];
-  tampered.capture_successes += 1;
-  const std::vector<CellStream> streams = {
-      worker_stream(manifest, {reference.cells[0], reference.cells[2]}),
-      worker_stream(manifest, {tampered, reference.cells[1],
-                               reference.cells[3], reference.cells[4]}),
-  };
-  EXPECT_THROW((void)merge_worker_streams(manifest, streams),
-               std::runtime_error);
-}
-
-TEST(CellStreamTest, MergeWorkerStreamsRequiresFullCoverage) {
-  // A dead worker's unrecorded cell (torn tail dropped by the stream
-  // reader) must surface as a hard error, not a silently shorter
-  // document.
-  const SweepJson reference = reference_document(five_cells());
-  const ShardMapManifest manifest = fleet_manifest();
-  const std::vector<CellStream> streams = {
-      worker_stream(manifest, {reference.cells[0], reference.cells[2]}),
-      worker_stream(manifest, {reference.cells[1], reference.cells[4]}),
-  };
-  EXPECT_THROW((void)merge_worker_streams(manifest, streams),
-               std::runtime_error);
-}
-
-TEST(CellStreamTest, MergeWorkerStreamsRejectsAForeignStream) {
-  const SweepJson reference = reference_document(five_cells());
-  const ShardMapManifest manifest = fleet_manifest();
-  CellStream foreign = worker_stream(manifest, {reference.cells[0]});
-  foreign.header.base_seed ^= 1;
-  const std::vector<CellStream> streams = {
-      foreign,
-      worker_stream(manifest, {reference.cells[1], reference.cells[2],
-                               reference.cells[3], reference.cells[4]}),
-  };
-  EXPECT_THROW((void)merge_worker_streams(manifest, streams),
-               std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-// The distributed sweep fabric ("slpdas.shardmap.v1"): shardmap record
-// round-trips, the exclusive-create claim protocol, the worker loop
-// in-process and across forked processes, and the coordinator's failure
+// The distributed sweep fabric ("slpdas.shardmap.v2"): shardmap record
+// round-trips, the exclusive-create claim protocol, done records that are
+// never replaced, the worker loop in-process and across forked
+// processes, the fold's per-cell checks, and the coordinator's failure
 // handling — a worker SIGKILLed mid-cell must have its claim released,
 // its cell reassigned to a replacement, and the folded document must
 // still be bit-identical to an unsharded single-process run.
@@ -102,7 +103,6 @@ FleetWorkerOptions worker_options(const std::string& dir,
   options.threads = threads;
   options.deterministic = true;
   options.heartbeat_interval_ms = 50;
-  options.idle_wait_ms = 5;
   return options;
 }
 
@@ -149,11 +149,6 @@ TEST(ShardMapRecordTest, AllRecordKindsRoundTrip) {
   EXPECT_EQ(claim2.worker, "w0");
   EXPECT_EQ(claim2.pid, 1234);
 
-  const ShardMapDone done2 =
-      parse_shardmap_done(format_shardmap_done({4, "w1"}));
-  EXPECT_EQ(done2.cell, 4u);
-  EXPECT_EQ(done2.worker, "w1");
-
   const ShardMapHeartbeat beat2 =
       parse_shardmap_heartbeat(format_shardmap_heartbeat({"w2", 99, 41}));
   EXPECT_EQ(beat2.worker, "w2");
@@ -180,16 +175,35 @@ TEST(ShardMapRecordTest, AllRecordKindsRoundTrip) {
 }
 
 TEST(ShardMapRecordTest, ParsersRejectWrongSchemaOrType) {
-  const std::string done = format_shardmap_done({1, "w0"});
-  // A done record is not a claim record.
-  EXPECT_THROW((void)parse_shardmap_claim(done), std::runtime_error);
+  const std::string heartbeat = format_shardmap_heartbeat({"w0", 1, 2});
+  // A heartbeat record is not a claim record.
+  EXPECT_THROW((void)parse_shardmap_claim(heartbeat), std::runtime_error);
   // An alien schema tag.
-  EXPECT_THROW((void)parse_shardmap_done(
-                   "{\"schema\": \"slpdas.shardmap.v9\", \"type\": \"done\", "
-                   "\"cell\": 1, \"worker\": \"w0\"}"),
+  EXPECT_THROW((void)parse_shardmap_claim(
+                   "{\"schema\": \"slpdas.shardmap.v9\", \"type\": \"claim\", "
+                   "\"cell\": 1, \"worker\": \"w0\", \"pid\": 1}"),
                std::runtime_error);
   // Not JSON at all.
   EXPECT_THROW((void)parse_shardmap_manifest("not json"), std::runtime_error);
+}
+
+TEST(ShardMapRecordTest, AVersionOneManifestIsAnUnknownSchema) {
+  // v1 directories kept each cell's record in a per-worker stream file;
+  // their done markers hold no record, so they are refused up front.
+  std::string v1 = format_shardmap_manifest(fixture_manifest(1, 1));
+  const std::string tag(kShardMapSchema);
+  ASSERT_EQ(tag.back(), '2');
+  const std::size_t at = v1.find(tag);
+  ASSERT_NE(at, std::string::npos);
+  v1[at + tag.size() - 1] = '1';
+  try {
+    (void)parse_shardmap_manifest(v1);
+    FAIL() << "a v1 manifest parsed";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("unknown schema"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -211,8 +225,55 @@ TEST_F(FleetTest, ClaimIsExclusiveUntilReleased) {
   claims.release_claim(3);
   EXPECT_TRUE(claims.try_claim(claim));
   EXPECT_FALSE(claims.is_done(3));
-  claims.mark_done({3, "w1"});
+  EXPECT_TRUE(claims.mark_done(3, "{\"index\": 3}\n", true));
   EXPECT_TRUE(claims.is_done(3));
+}
+
+/// Every file name in `directory`.
+std::vector<std::string> file_names(const std::string& directory) {
+  std::vector<std::string> names;
+  for (const fs::directory_entry& entry : fs::directory_iterator(directory)) {
+    names.push_back(entry.path().filename().string());
+  }
+  return names;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST_F(FleetTest, MarkDoneNeverReplacesAPublishedRecord) {
+  // Two workers can finish one cell only after the first one's claim
+  // expired. The first record always stands.
+  const ClaimDir claims(dir_);
+  claims.create();
+  const std::string first = "{\"index\": 1, \"capture_successes\": 3}\n";
+  const std::string other = "{\"index\": 1, \"capture_successes\": 4}\n";
+  EXPECT_TRUE(claims.mark_done(1, first, true));
+  // The same bytes again: accepted, nothing rewritten.
+  EXPECT_FALSE(claims.mark_done(1, first, true));
+  EXPECT_EQ(read_file(claims.done_path(1)), first);
+  // Different bytes under deterministic timing: two workers disagree on a
+  // cell whose results must not depend on who ran it.
+  try {
+    (void)claims.mark_done(1, other, true);
+    FAIL() << "a conflicting deterministic record was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("cell 1"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(read_file(claims.done_path(1)), first);
+  // Under real-clock timing records legitimately differ (wall clocks):
+  // the first one stands.
+  EXPECT_FALSE(claims.mark_done(1, other, false));
+  EXPECT_EQ(read_file(claims.done_path(1)), first);
+  // No publication leaves its temporary behind.
+  for (const std::string& name : file_names(claims.directory())) {
+    EXPECT_EQ(name.find(".tmp."), std::string::npos) << name;
+  }
 }
 
 TEST_F(FleetTest, ScanReportsEveryMarkerKind) {
@@ -220,7 +281,9 @@ TEST_F(FleetTest, ScanReportsEveryMarkerKind) {
   claims.create();
   ASSERT_TRUE(claims.try_claim({0, "w0", 10}));
   ASSERT_TRUE(claims.try_claim({1, "w1", 11}));
-  claims.mark_done({1, "w1"});
+  // Done markers are counted by name: the poll loop never parses a
+  // record (that is the fold's job).
+  EXPECT_TRUE(claims.mark_done(1, "not a record\n", true));
   claims.write_heartbeat({"w0", 10, 7});
   ShardMapError error;
   error.cell = 4;
@@ -334,10 +397,7 @@ TEST_F(FleetTest, TwoForkedWorkersPartitionTheGridByteIdentically) {
     EXPECT_EQ(wait_exit(pid), 0);
   }
   EXPECT_EQ(to_text(fold_fleet_directory(dir_)), reference_text());
-  // The claim protocol partitioned the grid: every cell ran exactly once,
-  // and both incarnations produced a stream file.
-  EXPECT_TRUE(fs::is_regular_file(dir_ + "/streams/w0.jsonl"));
-  EXPECT_TRUE(fs::is_regular_file(dir_ + "/streams/w1.jsonl"));
+  // The claim protocol partitioned the grid: every cell ran exactly once.
   const ShardMapScan scan = ClaimDir(dir_).scan();
   EXPECT_EQ(scan.done.size(), 5u);
 }
@@ -354,7 +414,6 @@ FleetOptions coordinator_options(const std::string& dir, std::ostream* log) {
   options.deterministic = true;
   options.heartbeat_interval_ms = 25;
   options.claim_expiry_ms = 2'000;
-  options.poll_interval_ms = 5;
   options.log = log;
   return options;
 }
@@ -381,35 +440,21 @@ TEST_F(FleetTest, SigkilledWorkerIsReassignedAndTheFoldStaysByteIdentical) {
     if (++spawns > 1) {
       return spawn_real_worker(scenario, request, dir);
     }
-    // First incarnation is the victim: it claims cell 0, writes a valid
-    // stream header plus a TORN record tail (exactly what a kill lands
-    // mid-write), then SIGKILLs itself without ever marking the cell
-    // done. The claim must be released and the cell recomputed by the
-    // replacement, and the torn tail must not reach the fold.
+    // First incarnation is the victim: it claims cell 0, writes a TORN
+    // done-record temporary (exactly what a kill lands mid-publication),
+    // then SIGKILLs itself before linking it into place. The claim must
+    // be released and the cell recomputed by the replacement, and the
+    // torn temporary must reach neither the scan nor the fold.
     return fork_child([&request, &dir] {
-      const std::optional<ShardMapManifest> manifest =
-          read_shardmap_manifest(dir);
-      if (!manifest) {
-        return 3;
-      }
       const ClaimDir claims(dir);
       if (!claims.try_claim({0, request.worker, ::getpid()})) {
         return 4;
       }
-      std::ofstream stream(dir + "/streams/" + request.worker + ".jsonl",
-                           std::ios::binary);
-      CellStreamHeader header;
-      header.name = manifest->name;
-      header.base_seed = manifest->base_seed;
-      header.grid_hash = manifest->grid_hash;
-      header.shard_index = 0;
-      header.shard_count = 1;
-      header.cells_total = manifest->cells_total;
-      header.deterministic = manifest->deterministic;
-      header.threads = 2;
-      write_cell_stream_header(stream, header);
-      stream << "{\"index\": 0, \"label\": \"cell=0\", \"coordi";
-      stream.flush();
+      std::ofstream torn(claims.done_path(0) + ".tmp." +
+                             std::to_string(::getpid()) + ".0",
+                         std::ios::binary);
+      torn << "{\"index\": 0, \"label\": \"cell=0\", \"coordi";
+      torn.flush();
       (void)::raise(SIGKILL);
       return 5;  // unreachable
     });
@@ -423,10 +468,19 @@ TEST_F(FleetTest, SigkilledWorkerIsReassignedAndTheFoldStaysByteIdentical) {
   EXPECT_NE(events.find("released 1 claim(s)"), std::string::npos) << events;
   EXPECT_NE(events.find("respawned replacement for w0"), std::string::npos)
       << events;
-  // Both incarnations left streams; the folded bytes above prove the
-  // victim's torn tail was dropped and cell 0 recomputed bit-identically.
-  EXPECT_TRUE(fs::is_regular_file(dir_ + "/streams/w0.jsonl"));
-  EXPECT_TRUE(fs::is_regular_file(dir_ + "/streams/w1.jsonl"));
+  // The victim's torn temporary is still there; the folded bytes above
+  // prove it was ignored and cell 0 recomputed bit-identically.
+  bool torn_left = false;
+  for (const std::string& name : file_names(ClaimDir(dir_).directory())) {
+    torn_left = torn_left || name.find(".done.tmp.") != std::string::npos;
+  }
+  EXPECT_TRUE(torn_left);
+  // The coordinator created each incarnation's log before calling the
+  // hook, so the name is taken although this hook never opened it.
+  EXPECT_TRUE(fs::is_regular_file(dir_ + "/logs/w0.log"));
+  EXPECT_TRUE(fs::is_regular_file(dir_ + "/logs/w1.log"));
+  // Every record is a done marker; there is no second record path.
+  EXPECT_FALSE(fs::exists(fs::path(dir_) / "streams"));
 }
 
 TEST_F(FleetTest, AnErrorMarkerAbortsTheFleetAndKillsTheWorkers) {
@@ -485,6 +539,77 @@ TEST_F(FleetTest, ResumingACompletedFleetFoldsWithoutSpawningAnyWorker) {
             std::string::npos);
 }
 
+TEST_F(FleetTest, AResumeSkipsAStrayWorkerLikeFileName) {
+  write_shardmap_manifest(dir_, fixture_manifest(1, 2));
+  const Scenario scenario = fleet_scenario();
+  (void)run_fleet_worker(scenario, ScenarioOptions{},
+                         worker_options(dir_, "w0", 2));
+  // A w<digits> name whose number fits no integer, where worker names
+  // are recorded now (logs) and where older layouts recorded them.
+  const fs::path root(dir_);
+  for (const fs::path& stray :
+       {root / "logs" / "w99999999999999999999999.log",
+        root / "streams" / "w99999999999999999999999.jsonl"}) {
+    fs::create_directories(stray.parent_path());
+    std::ofstream{stray};
+  }
+  std::ostringstream log;
+  FleetOptions options = coordinator_options(dir_, &log);
+  int spawns = 0;
+  options.spawn = [&spawns](const FleetSpawnRequest&) -> std::int64_t {
+    ++spawns;
+    return -1;
+  };
+  const SweepJson document = run_fleet(scenario, ScenarioOptions{}, options);
+  EXPECT_EQ(spawns, 0);
+  EXPECT_EQ(to_text(document), reference_text());
+}
+
+TEST_F(FleetTest, TheFoldNamesACellWithoutADoneRecord) {
+  write_shardmap_manifest(dir_, fixture_manifest(1, 2));
+  const Scenario scenario = fleet_scenario();
+  (void)run_fleet_worker(scenario, ScenarioOptions{},
+                         worker_options(dir_, "w0", 2));
+  fs::remove(ClaimDir(dir_).done_path(3));
+  try {
+    (void)fold_fleet_directory(dir_);
+    FAIL() << "a fleet directory missing a done record folded";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("cell 3"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST_F(FleetTest, TheFoldRejectsAForeignOrGarbageDoneRecord) {
+  write_shardmap_manifest(dir_, fixture_manifest(1, 2));
+  const Scenario scenario = fleet_scenario();
+  (void)run_fleet_worker(scenario, ScenarioOptions{},
+                         worker_options(dir_, "w0", 2));
+  const ClaimDir claims(dir_);
+  const std::string cell2 = read_file(claims.done_path(2));
+  const auto expect_fold_names_cell_2 = [&](const char* what) {
+    try {
+      (void)fold_fleet_directory(dir_);
+      FAIL() << "folded " << what;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("cell 2"), std::string::npos)
+          << what << ": " << error.what();
+    }
+  };
+  // Cell 1's (valid) record where cell 2's belongs.
+  std::ofstream(claims.done_path(2), std::ios::binary | std::ios::trunc)
+      << read_file(claims.done_path(1));
+  expect_fold_names_cell_2("a record naming another cell");
+  // Not a record at all.
+  std::ofstream(claims.done_path(2), std::ios::binary | std::ios::trunc)
+      << "garbage\n";
+  expect_fold_names_cell_2("a garbage record");
+  // The real record folds again.
+  std::ofstream(claims.done_path(2), std::ios::binary | std::ios::trunc)
+      << cell2;
+  EXPECT_EQ(to_text(fold_fleet_directory(dir_)), reference_text());
+}
+
 TEST_F(FleetTest, RefusesToResumeADirectoryHoldingADifferentSweep) {
   ShardMapManifest manifest = fixture_manifest(1, 2);
   manifest.base_seed = 78;  // same scenario, different seed
@@ -517,6 +642,24 @@ TEST_F(FleetTest, RunFleetValidatesItsOptions) {
   options.worker_threads = 0;
   EXPECT_THROW((void)run_fleet(scenario, ScenarioOptions{}, options),
                std::invalid_argument);
+  // A heartbeat interval the claim expiry does not cover several times
+  // over would get healthy workers killed as stale. Refused before any
+  // worker is spawned (the hook must never run).
+  options.worker_threads = 1;
+  options.heartbeat_interval_ms = 15'000;
+  options.claim_expiry_ms = 10'000;
+  options.spawn = [](const FleetSpawnRequest&) -> std::int64_t {
+    throw std::logic_error("spawned despite invalid intervals");
+  };
+  try {
+    (void)run_fleet(scenario, ScenarioOptions{}, options);
+    FAIL() << "run_fleet accepted an expiry below the heartbeat interval";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("15000"), std::string::npos)
+        << error.what();
+    EXPECT_NE(std::string(error.what()).find("10000"), std::string::npos)
+        << error.what();
+  }
 
   FleetWorkerOptions worker;
   worker.directory = dir_;

@@ -3,10 +3,12 @@
 // schema_validator.hpp — the same validator and files CI applies to
 // generated artifacts through the slpdas_schema_validate CLI. Covers
 // freshly generated sweep documents (both timing modes), cell-stream
-// lines, cell-cache entry files, the committed bench_results/ baselines,
+// lines, cell-cache entry files, fleet markers and done records, the
+// committed bench_results/ baselines,
 // and that the validator actually rejects shape violations (so a green
 // run means something).
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -34,7 +36,7 @@ constexpr const char* kSweepSchema = "slpdas.sweep.v2.schema.json";
 constexpr const char* kCellSchema = "slpdas.cell.v1.schema.json";
 constexpr const char* kCacheSchema = "slpdas.cachecell.v1.schema.json";
 constexpr const char* kMicroSchema = "benchmark.micro.v1.schema.json";
-constexpr const char* kShardMapSchemaFile = "slpdas.shardmap.v1.schema.json";
+constexpr const char* kShardMapSchemaFile = "slpdas.shardmap.v2.schema.json";
 constexpr const char* kFleetBenchSchema = "slpdas.fleetbench.v1.schema.json";
 
 ExperimentConfig small_base(int runs = 2) {
@@ -232,7 +234,6 @@ TEST(SchemaShardMapTest, EveryRecordKindValidatesAgainstItsDefinition) {
   const std::pair<const char*, std::string> records[] = {
       {"manifest", format_shardmap_manifest(manifest)},
       {"claim", format_shardmap_claim({2, "w0", 4321})},
-      {"done", format_shardmap_done({2, "w0"})},
       {"heartbeat", format_shardmap_heartbeat({"w0", 4321, 17})},
       {"error", format_shardmap_error(cell_error)},
       {"error", format_shardmap_error(worker_error)},
@@ -252,6 +253,54 @@ TEST(SchemaShardMapTest, EveryRecordKindValidatesAgainstItsDefinition) {
                             std::string(kShardMapSchemaFile) +
                                 "#/definitions/done")
                    .empty());
+}
+
+TEST(SchemaShardMapTest, RealDoneRecordsValidateAgainstTheDoneDefinition) {
+  // A lone fleet worker over the two-cell grid: its claims/*.done files
+  // are the exact records CI validates after its fleet run.
+  const std::string dir = ::testing::TempDir() + "slpdas_schema_fleet";
+  std::filesystem::remove_all(dir);
+  Scenario scenario;
+  scenario.name = "schema_fleet";
+  scenario.reference = "test fixture";
+  scenario.summary = "two cheap cells";
+  scenario.default_runs = 2;
+  scenario.default_seed = 7;
+  scenario.make_cells = [](const ScenarioOptions&) { return small_cells(); };
+  scenario.report = [](std::ostream&, const SweepJson&,
+                       const ScenarioOptions&) { return 0; };
+  const auto cells = small_cells();
+  ShardMapManifest manifest;
+  manifest.name = scenario.name;
+  manifest.base_seed = 7;
+  manifest.grid_hash = hash_sweep_grid(cells);
+  manifest.cells_total = cells.size();
+  manifest.deterministic = true;
+  manifest.workers = 1;
+  manifest.worker_threads = 1;
+  manifest.threads_total = 1;
+  write_shardmap_manifest(dir, manifest);
+  FleetWorkerOptions worker;
+  worker.directory = dir;
+  worker.worker = "w0";
+  worker.deterministic = true;
+  ASSERT_EQ(run_fleet_worker(scenario, ScenarioOptions{}, worker),
+            cells.size());
+
+  SchemaSet set = schemas();
+  const ClaimDir claims(dir);
+  for (std::uint64_t index = 0; index < cells.size(); ++index) {
+    std::ifstream in(claims.done_path(index), std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::vector<std::string> lines = split_lines(text.str());
+    ASSERT_EQ(lines.size(), 1u) << claims.done_path(index);
+    EXPECT_TRUE(no_errors(set.validate(
+        parse_text(lines[0]),
+        std::string(kShardMapSchemaFile) + "#/definitions/done")))
+        << lines[0];
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SchemaCommittedTest, BenchResultsBaselinesValidate) {
