@@ -90,7 +90,7 @@ int usage(std::ostream& out, int code) {
          "  --progress       per-cell progress lines on stderr\n"
          "  --smoke          smallest grid, one run per cell\n"
          "  --json           write BENCH_<name>.json (per scenario)\n"
-         "  --out-dir DIR    directory for --json files (default .)\n"
+         "  --out-dir DIR    existing directory for --json files (default .)\n"
          "  --shard I/N      run only this process's share of each grid\n"
          "  --stream FILE    append one JSONL record per completed cell to\n"
          "                   FILE (slpdas.cell.v1) and resume from it if it\n"
@@ -160,6 +160,27 @@ core::SweepJson load_document(const std::string& path) {
   return core::read_sweep_json(in);
 }
 
+/// Where --json writes scenario `name`'s document.
+std::string document_path(const CliOptions& options, const std::string& name) {
+  std::string path = options.out_dir + "/BENCH_" + name;
+  if (options.shard_count > 1) {
+    path += ".shard" + std::to_string(options.shard_index) + "of" +
+            std::to_string(options.shard_count);
+  }
+  return path + ".json";
+}
+
+/// The documents are written after the sweep, so a missing --out-dir is
+/// refused before any cell runs rather than after all of them.
+bool out_dir_usable(const CliOptions& options, const std::string& name) {
+  if (!options.json || std::filesystem::is_directory(options.out_dir)) {
+    return true;
+  }
+  std::cerr << "cannot open " << document_path(options, name)
+            << " for writing (no directory " << options.out_dir << ")\n";
+  return false;
+}
+
 int run_scenarios(const CliOptions& options) {
   const core::ScenarioRegistry& registry = core::ScenarioRegistry::global();
   std::vector<const core::Scenario*> selected;
@@ -209,6 +230,9 @@ int run_scenarios(const CliOptions& options) {
     std::cerr << "--stream takes exactly one scenario (the stream file "
                  "identifies a single sweep)\n";
     return 2;
+  }
+  if (!out_dir_usable(options, selected.front()->name)) {
+    return 1;
   }
 
   // One pool for everything: scenarios run back to back, their (cell,
@@ -260,12 +284,7 @@ int run_scenarios(const CliOptions& options) {
     }
 
     if (options.json) {
-      std::string path = options.out_dir + "/BENCH_" + scenario.name;
-      if (sharded) {
-        path += ".shard" + std::to_string(options.shard_index) + "of" +
-                std::to_string(options.shard_count);
-      }
-      path += ".json";
+      const std::string path = document_path(options, scenario.name);
       std::ofstream json(path);
       if (!json) {
         std::cerr << "cannot open " << path << " for writing\n";
@@ -423,6 +442,9 @@ int fleet_command(const CliOptions& options) {
                  "claim directory already distributes and records cells)\n";
     return 2;
   }
+  if (!out_dir_usable(options, scenario->name)) {
+    return 1;
+  }
   core::FleetOptions fleet;
   fleet.directory = options.fleet_dir.empty()
                         ? options.out_dir + "/fleet-" + scenario->name
@@ -443,8 +465,7 @@ int fleet_command(const CliOptions& options) {
       core::run_fleet(*scenario, options.scenario, fleet);
 
   if (options.json) {
-    const std::string path =
-        options.out_dir + "/BENCH_" + scenario->name + ".json";
+    const std::string path = document_path(options, scenario->name);
     std::ofstream json(path);
     if (!json) {
       std::cerr << "cannot open " << path << " for writing\n";

@@ -40,8 +40,15 @@ struct DissemMessage final : sim::Message {
   wsn::NodeId sender = wsn::kNoNode;
   wsn::NodeId parent = wsn::kNoNode;  ///< sender's chosen parent (or kNoNode)
   /// Sender's view of itself and its 1-hop neighbours: (node, info) pairs.
-  /// Receivers thereby learn (up to) their 2-hop neighbourhood.
+  /// Receivers thereby learn (up to) their 2-hop neighbourhood. The
+  /// sender's own entry is always ninfo[0].
   std::vector<std::pair<wsn::NodeId, NodeInfo>> ninfo;
+  /// The sender's listing version: changes iff (normal, ninfo) differs
+  /// from the sender's previous DISSEM of the run, starting at 1. A
+  /// simulation-side tag that lets a receiver skip a listing it has
+  /// already merged; not part of the paper's message, so wire_size leaves
+  /// it out.
+  std::uint32_t version = 0;
 
   [[nodiscard]] const char* name() const noexcept override { return kName; }
   [[nodiscard]] std::size_t wire_size() const noexcept override {

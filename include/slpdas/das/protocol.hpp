@@ -175,7 +175,17 @@ class ProtectionlessDas : public sim::Process {
 
  private:
   void handle_hello(wsn::NodeId from);
+  /// receiveN:: / receiveU:: for one DISSEM. Reads the sender's own entry
+  /// from message.ninfo[0], where send_dissem always puts it, and the
+  /// sender's per-neighbour state through delivery_link(). A repeat of the
+  /// listing version last merged from that sender skips only the merge
+  /// and the competitor rebuild; add_neighbor, the children bookkeeping
+  /// and the parent repair read our own, possibly moved, state and run
+  /// on every reception.
   void handle_dissem(wsn::NodeId from, const DissemMessage& message);
+  /// Merges a received Ninfo listing into ninfo_; true iff an entry moved.
+  bool merge_listing(
+      const std::vector<std::pair<wsn::NodeId, NodeInfo>>& listing);
   void handle_normal(wsn::NodeId from, const NormalMessage& message);
   void run_process_action();  // the paper's process:: action
   void resolve_collisions();  // Figure 2's collision-detection block
@@ -202,6 +212,12 @@ class ProtectionlessDas : public sim::Process {
   /// sorted graph().neighbors(id()) (see others_of): a DISSEM only ever
   /// arrives along a graph edge, so no other j is ever written.
   std::vector<std::vector<wsn::NodeId>> others_;
+  /// Parallel to others_: the last DissemMessage::version merged from each
+  /// graph neighbour (0: none yet this run), indexed by delivery_link().
+  /// A reception that repeats it carries a listing already merged; since
+  /// ninfo_ entries only ever move downward, re-merging it would change
+  /// nothing, so handle_dissem skips the merge and the competitor rebuild.
+  std::vector<std::uint32_t> merged_version_;
   /// Ninfo[] as a dense per-node table — the merge in handle_dissem runs
   /// millions of times per experiment, and an indexed load beats a tree
   /// walk plus node allocation. Unwritten entries read as NodeInfo{}
@@ -227,6 +243,12 @@ class ProtectionlessDas : public sim::Process {
   /// send, so reuse is invisible to receivers.
   std::shared_ptr<DissemMessage> dissem_pool_;
   std::shared_ptr<NormalMessage> normal_pool_;
+  /// This run's listing version and the (normal, ninfo) it was stamped
+  /// on. send_dissem compares each new listing with this one, so the
+  /// version moves exactly when what receivers would merge moves.
+  std::uint32_t listing_version_ = 0;
+  bool last_normal_ = false;
+  std::vector<std::pair<wsn::NodeId, NodeInfo>> last_listing_;
   int hop_ = -1;
   wsn::NodeId parent_ = wsn::kNoNode;
   mac::SlotId slot_ = mac::kNoSlot;

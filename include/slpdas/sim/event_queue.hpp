@@ -13,10 +13,11 @@
 //     reception of a broadcast arrives at the same instant and would have
 //     been pushed back to back, so nothing could ever pop between them;
 //     push_broadcast stages the shared Message once in a slot table, the
-//     receivers that passed the radio draw are appended beside it, and
-//     the event pops once and dispatches them in neighbour order. The
-//     event owns its slot, which is recycled (receiver list capacity
-//     kept) after dispatch.
+//     receptions that passed the radio draw — each a receiver with its
+//     reverse link, one entry — are appended beside it, and the event
+//     pops once and dispatches them in neighbour order. The event owns
+//     its slot, which is recycled (reception list capacity kept) after
+//     dispatch.
 //   * Timer{node, timer_id, generation}: armed timers carry the arming
 //     generation; the simulator compares it against its dense per-node
 //     generation table at pop time, so cancelling or re-arming a timer
@@ -87,11 +88,20 @@ namespace slpdas::sim {
 enum class EventKind : std::uint8_t { kDelivery, kTimer, kTimerGroup };
 
 /// One broadcast's receptions: every receiver listed in the message slot
-/// receives the payload `from` sent. Payload and receivers live in the
+/// receives the payload `from` sent. Payload and receptions live in the
 /// queue's message slot table.
 struct DeliveryEvent {
   wsn::NodeId from;
   std::uint32_t message_slot;
+};
+
+/// One reception of a staged broadcast: the receiver and its link, the
+/// position of the sender in the receiver's sorted neighbour row
+/// (wsn::Graph::reverse_links). One entry, so no path of the queue can
+/// separate the two.
+struct Reception {
+  wsn::NodeId to;
+  std::uint32_t link;
 };
 
 /// One armed timer expiry. Fires only if the owner's generation for this
@@ -150,7 +160,7 @@ class EventQueue {
   /// Pre-sizes internal storage for a simulation expected to keep up to
   /// `pending_events` events in flight with up to `staged_messages`
   /// concurrently staged broadcast payloads of up to
-  /// `receivers_per_message` receivers each (every payload slot created
+  /// `receivers_per_message` receptions each (every payload slot created
   /// from then on reserves that many), so steady-state operation reaches
   /// its high-water capacity up front instead of reallocating mid-run.
   /// Callable any time; never shrinks.
@@ -175,8 +185,8 @@ class EventQueue {
 
   /// Enqueues one broadcast: stages `message` in a payload slot and pushes
   /// a single Delivery event for it at `at`. Returns the slot, to which
-  /// the caller appends the receivers (add_receiver) before the next pop;
-  /// the event dispatches them in append order. `at` may equal the
+  /// the caller appends the receptions (add_reception) before the next
+  /// pop; the event dispatches them in append order. `at` may equal the
   /// current head time but must never be in the past relative to the last
   /// popped event; the Simulator enforces that invariant (here and for
   /// the other push flavours).
@@ -189,7 +199,7 @@ class EventQueue {
     if (free_messages_.empty()) {
       slot = static_cast<std::uint32_t>(messages_.size());
       messages_.emplace_back();
-      messages_.back().receivers.reserve(receiver_capacity_);
+      messages_.back().receptions.reserve(receiver_capacity_);
     } else {
       slot = free_messages_.back();
       free_messages_.pop_back();
@@ -203,9 +213,9 @@ class EventQueue {
     return slot;
   }
 
-  /// Appends one receiver to the broadcast queued in `slot`.
-  void add_receiver(std::uint32_t slot, wsn::NodeId to) {
-    messages_[slot].receivers.push_back(to);
+  /// Appends one reception to the broadcast queued in `slot`.
+  void add_reception(std::uint32_t slot, Reception reception) {
+    messages_[slot].receptions.push_back(reception);
   }
 
   /// The staged payload of `slot`. The reference stays valid across queue
@@ -215,22 +225,22 @@ class EventQueue {
     return *messages_[slot].message;
   }
 
-  /// Receivers appended to `slot`, and the one at `index`. Read by index
+  /// Receptions appended to `slot`, and the one at `index`. Read by index
   /// while dispatching: a handler that broadcasts may grow the slot table.
-  [[nodiscard]] std::size_t receiver_count(std::uint32_t slot) const {
-    return messages_[slot].receivers.size();
+  [[nodiscard]] std::size_t reception_count(std::uint32_t slot) const {
+    return messages_[slot].receptions.size();
   }
-  [[nodiscard]] wsn::NodeId receiver(std::uint32_t slot,
-                                     std::size_t index) const {
-    return messages_[slot].receivers[index];
+  [[nodiscard]] Reception reception(std::uint32_t slot,
+                                    std::size_t index) const {
+    return messages_[slot].receptions[index];
   }
 
   /// Releases the payload of a popped Delivery event and recycles its slot
-  /// (the receiver list keeps its capacity). Call once, after dispatch.
+  /// (the reception list keeps its capacity). Call once, after dispatch.
   void release_message(std::uint32_t slot) {
     MessageSlot& staged = messages_[slot];
     staged.message.reset();
-    staged.receivers.clear();
+    staged.receptions.clear();
     free_messages_.push_back(slot);
   }
 
@@ -343,7 +353,7 @@ class EventQueue {
 
   /// Rewinds the queue to its just-constructed state while RETAINING every
   /// capacity a previous run grew (calendar bins, the sorted window, the
-  /// payload slot tables and their receiver lists), so the next run
+  /// payload slot tables and their reception lists), so the next run
   /// reaches its steady state with zero allocations. It is the queue's one
   /// way to drop pending events: the slot tables they point into are
   /// rewound wholesale, which releases every payload and timer group they
@@ -360,12 +370,12 @@ class EventQueue {
     occupancy_.fill(0);
     // Any payload still staged (including popped-but-unreleased slots —
     // there are none between runs) must not leak into the next seed. The
-    // slots themselves stay, receiver capacity included, all free and
+    // slots themselves stay, reception capacity included, all free and
     // handed out lowest first as in a fresh queue.
     free_messages_.clear();
     for (std::size_t slot = messages_.size(); slot-- > 0;) {
       messages_[slot].message.reset();
-      messages_[slot].receivers.clear();
+      messages_[slot].receptions.clear();
       free_messages_.push_back(static_cast<std::uint32_t>(slot));
     }
     members_.clear();
@@ -380,11 +390,11 @@ class EventQueue {
   }
 
  private:
-  /// One queued broadcast's payload and the receivers that passed its
+  /// One queued broadcast's payload and the receptions that passed its
   /// radio draws, in neighbour order.
   struct MessageSlot {
     MessagePtr message;
-    std::vector<wsn::NodeId> receivers;
+    std::vector<Reception> receptions;
   };
 
   /// One frame-clock expiry, singly linked to the next member of its

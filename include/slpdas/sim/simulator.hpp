@@ -99,6 +99,12 @@ class Process {
   [[nodiscard]] SimTime now() const;
   [[nodiscard]] Rng& rng();
   [[nodiscard]] const wsn::Graph& graph() const;
+
+  /// Inside on_message: the position of the sender in this node's sorted
+  /// neighbour row, i.e. graph().neighbors(id())[delivery_link()] == from.
+  /// Lets a receiver index per-neighbour state without a search.
+  /// Meaningless outside a reception.
+  [[nodiscard]] std::uint32_t delivery_link() const noexcept;
   [[nodiscard]] Simulator& simulator() noexcept { return *simulator_; }
 
  private:
@@ -244,6 +250,8 @@ class Simulator {
 
   const wsn::Graph& graph_;
   std::unique_ptr<RadioModel> radio_;
+  /// The link of the reception being dispatched (Process::delivery_link).
+  std::uint32_t delivery_link_ = 0;
   Rng rng_;
   EventQueue queue_;
   SimTime now_ = 0;
@@ -343,6 +351,10 @@ inline void Process::set_frame_timer(int timer_id, SimTime delay) {
     throw std::invalid_argument("Process::set_frame_timer: negative delay");
   }
   simulator_->arm_timer(id_, timer_id, delay, /*frame_clock=*/true);
+}
+
+inline std::uint32_t Process::delivery_link() const noexcept {
+  return simulator_->delivery_link_;
 }
 
 inline void Process::cancel_timer(int timer_id) {

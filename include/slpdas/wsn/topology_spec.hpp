@@ -61,10 +61,19 @@ struct TopologySpec {
                                               double area_side = 100.0,
                                               std::uint64_t seed = 1);
 
+  /// Largest node count a spec may describe: the million-node networks
+  /// the project aims at. Parsing, the factories and build() refuse a
+  /// larger spec with std::invalid_argument naming this ceiling, before
+  /// anything is allocated, instead of running out of memory inside the
+  /// build. (A spec under it still has to fit the per-run protocol state
+  /// of whatever runs on it.)
+  static constexpr std::int64_t kMaxNodes = 1'000'000;
+
   /// Parses the canonical grammar above. Throws std::invalid_argument
   /// naming the offending token (unknown kind, bad key, zero side, even
-  /// square side, ...) — the same validation the factories apply, so a
-  /// spec that parses also builds (unit-disk connectivity aside).
+  /// square side, a node count above kMaxNodes, ...) — the same
+  /// validation the factories apply, so a spec that parses also builds
+  /// (unit-disk connectivity aside).
   [[nodiscard]] static TopologySpec parse(std::string_view text);
 
   /// Canonical string form; parse(to_string()) reproduces this spec.

@@ -53,7 +53,10 @@ void ProtectionlessDas::on_start() {
   const auto nodes = static_cast<std::size_t>(graph().node_count());
   ninfo_.assign(nodes, NodeInfo{});
   neighbor_known_.assign(nodes, 0);
-  others_.resize(graph().degree(id()));
+  const std::size_t degree = graph().degree(id());
+  others_.resize(degree);
+  merged_version_.assign(degree, 0);
+  last_listing_.reserve(1 + degree);
   set_frame_timer(kPeriodTimer, 0);
 }
 
@@ -64,8 +67,12 @@ void ProtectionlessDas::reset_run() {
   for (auto& competitors : others_) {
     competitors.clear();
   }
-  ninfo_.clear();  // on_start refills both
+  ninfo_.clear();  // on_start refills these three
   neighbor_known_.clear();
+  merged_version_.clear();
+  listing_version_ = 0;
+  last_normal_ = false;
+  last_listing_.clear();
   known_assigned_.clear();
   taken_scratch_.clear();
   // hello_message_ / dissem_pool_ / normal_pool_ persist: the beacon is
@@ -198,23 +205,13 @@ void ProtectionlessDas::handle_hello(wsn::NodeId from) {
   add_neighbor(from);
 }
 
-void ProtectionlessDas::handle_dissem(wsn::NodeId from,
-                                      const DissemMessage& message) {
-  add_neighbor(from);  // dissemination also proves adjacency
-
-  // Merge Ninfo. Slots only ever decrease in this protocol family (initial
-  // assignment, collision resolution and refinement all move downward), so
-  // "smaller slot wins" merges stale and fresh views correctly. The
-  // sender's own entry is picked up in the same pass (it is needed twice
-  // below), replacing a second scan of the message.
+bool ProtectionlessDas::merge_listing(
+    const std::vector<std::pair<wsn::NodeId, NodeInfo>>& listing) {
+  // Slots only ever decrease in this protocol family (initial assignment,
+  // collision resolution and refinement all move downward), so "smaller
+  // slot wins" merges stale and fresh views correctly.
   bool learned_something = false;
-  bool sender_assigned = false;
-  NodeInfo sender_info;
-  for (const auto& [node, info] : message.ninfo) {
-    if (node == from && info.assigned()) {
-      sender_assigned = true;
-      sender_info = info;
-    }
+  for (const auto& [node, info] : listing) {
     if (!info.assigned()) {
       continue;
     }
@@ -232,7 +229,23 @@ void ProtectionlessDas::handle_dissem(wsn::NodeId from,
       learned_something = true;
     }
   }
-  if (learned_something) {
+  return learned_something;
+}
+
+void ProtectionlessDas::handle_dissem(wsn::NodeId from,
+                                      const DissemMessage& message) {
+  add_neighbor(from);  // dissemination also proves adjacency
+
+  // The sender's own entry is ninfo[0]; it is needed twice below.
+  const NodeInfo sender_info = message.ninfo.front().second;
+  const bool sender_assigned = sender_info.assigned();
+  const std::uint32_t link = delivery_link();
+  const bool repeat = merged_version_[link] == message.version;
+  merged_version_[link] = message.version;
+
+  // Merge Ninfo — unless this listing was merged already: it can never
+  // win again, since ninfo_ entries only move downward (see merge_listing).
+  if (!repeat && merge_listing(message.ninfo)) {
     // Re-arm the DT dissemination budget: 2-hop collision detection relies
     // on middle nodes relaying fresh neighbour state, so news must keep a
     // node talking. Because slots strictly decrease, "news" is a finite
@@ -245,13 +258,17 @@ void ProtectionlessDas::handle_dissem(wsn::NodeId from,
   // parents, and their unassigned neighbours as slot competitors.
   if (message.normal && !slot_assigned() && sender_assigned) {
     potential_parents_.insert(from);
-    // Rebuilt in place, in the sender's listing order: clear() keeps the
-    // list's capacity, so re-learning it during setup does not allocate.
-    std::vector<wsn::NodeId>& competitors = others_of(from);
-    competitors.clear();
-    for (const auto& [node, info] : message.ninfo) {
-      if (!info.assigned()) {
-        competitors.push_back(node);
+    if (!repeat) {
+      // Rebuilt in place, in the sender's listing order: clear() keeps
+      // the list's capacity, so re-learning it during setup does not
+      // allocate. A repeat was rebuilt from this very listing (we were
+      // unassigned then too: assignment is monotone).
+      std::vector<wsn::NodeId>& competitors = others_[link];
+      competitors.clear();
+      for (const auto& [node, info] : message.ninfo) {
+        if (!info.assigned()) {
+          competitors.push_back(node);
+        }
       }
     }
   }
@@ -439,6 +456,12 @@ void ProtectionlessDas::send_dissem() {
   for (wsn::NodeId neighbor : my_neighbors_) {
     message.ninfo.emplace_back(neighbor, info_of(neighbor));
   }
+  if (message.normal != last_normal_ || message.ninfo != last_listing_) {
+    ++listing_version_;
+    last_normal_ = message.normal;
+    last_listing_ = message.ninfo;
+  }
+  message.version = listing_version_;
   update_pending_ = false;
   broadcast(dissem_pool_);
 }

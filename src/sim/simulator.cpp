@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -200,16 +201,20 @@ void Simulator::do_broadcast(wsn::NodeId from, MessagePtr message) {
   // pushed lazily, on the first such receiver, so an all-lost broadcast
   // pushes nothing, and radio decisions stay in neighbour order (the rng
   // draw order the determinism contract pins).
+  // Each reception carries its reverse link, read off the graph here, so
+  // the receiver learns the sender's position in its own row for free.
   const SimTime arrival = now_ + propagation_delay_;
+  const std::span<const wsn::NodeId> neighbors = graph_.neighbors(from);
+  const std::span<const std::uint32_t> links = graph_.reverse_links(from);
   std::uint32_t slot = EventQueue::kNoSlot;
-  for (wsn::NodeId to : graph_.neighbors(from)) {
-    if (!radio_delivered(from, to, now_)) {
+  for (std::size_t k = 0; k < neighbors.size(); ++k) {
+    if (!radio_delivered(from, neighbors[k], now_)) {
       continue;
     }
     if (slot == EventQueue::kNoSlot) {
       slot = queue_.push_broadcast(arrival, from, std::move(message));
     }
-    queue_.add_receiver(slot, to);
+    queue_.add_reception(slot, Reception{neighbors[k], links[k]});
   }
 }
 
@@ -229,16 +234,18 @@ bool Simulator::step(SimTime end) {
   switch (event.kind()) {
     case EventKind::kDelivery: {
       // Every reception of one broadcast, in neighbour order — exactly
-      // the consecutive per-receiver events they stand for. Receivers are
+      // the consecutive per-receiver events they stand for. Receptions are
       // read by index because a handler that broadcasts may grow the slot
       // table; stop() takes effect after the current receiver.
       const std::uint32_t slot = event.delivery.message_slot;
       const Message& message = queue_.message(slot);
-      const std::size_t receivers = queue_.receiver_count(slot);
-      for (std::size_t i = 0; i < receivers && !stopped_; ++i) {
-        const auto to = static_cast<std::size_t>(queue_.receiver(slot, i));
+      const std::size_t receptions = queue_.reception_count(slot);
+      for (std::size_t i = 0; i < receptions && !stopped_; ++i) {
+        const Reception reception = queue_.reception(slot, i);
+        const auto to = static_cast<std::size_t>(reception.to);
         ++traffic_[to].received;
         if (auto& receiver = processes_[to]) {
+          delivery_link_ = reception.link;
           receiver->on_message(event.delivery.from, message);
         }
       }

@@ -50,21 +50,23 @@ Topology make_grid(int width, int height, double spacing,
         " grid exceeds the NodeId range");
   }
   Topology topology;
-  topology.graph = Graph(static_cast<NodeId>(node_count));
   topology.positions.resize(static_cast<std::size_t>(node_count));
+  std::vector<Edge> edges;
+  edges.reserve(2 * static_cast<std::size_t>(node_count));
   for (int y = 0; y < height; ++y) {
     for (int x = 0; x < width; ++x) {
       const NodeId id = grid_node(width, x, y);
       topology.positions[static_cast<std::size_t>(id)] = {x * spacing,
                                                           y * spacing};
       if (x + 1 < width) {
-        topology.graph.add_edge(id, grid_node(width, x + 1, y));
+        edges.emplace_back(id, grid_node(width, x + 1, y));
       }
       if (y + 1 < height) {
-        topology.graph.add_edge(id, grid_node(width, x, y + 1));
+        edges.emplace_back(id, grid_node(width, x, y + 1));
       }
     }
   }
+  topology.graph = Graph(static_cast<NodeId>(node_count), edges);
   topology.source = source.value_or(grid_node(width, 0, 0));
   topology.sink = sink.value_or(grid_node(width, width / 2, height / 2));
   if (!topology.graph.contains(topology.source) ||
@@ -85,14 +87,16 @@ Topology make_line(int node_count, double spacing) {
     throw std::invalid_argument("make_line: need at least 2 nodes");
   }
   Topology topology;
-  topology.graph = Graph(node_count);
   topology.positions.resize(static_cast<std::size_t>(node_count));
+  std::vector<Edge> edges;
+  edges.reserve(static_cast<std::size_t>(node_count));
   for (int i = 0; i < node_count; ++i) {
     topology.positions[static_cast<std::size_t>(i)] = {i * spacing, 0.0};
     if (i + 1 < node_count) {
-      topology.graph.add_edge(i, i + 1);
+      edges.emplace_back(i, i + 1);
     }
   }
+  topology.graph = Graph(node_count, edges);
   topology.source = 0;
   topology.sink = node_count - 1;
   return topology;
@@ -103,8 +107,9 @@ Topology make_ring(int node_count, double spacing) {
     throw std::invalid_argument("make_ring: need at least 3 nodes");
   }
   Topology topology;
-  topology.graph = Graph(node_count);
   topology.positions.resize(static_cast<std::size_t>(node_count));
+  std::vector<Edge> edges;
+  edges.reserve(static_cast<std::size_t>(node_count));
   const double radius =
       spacing * static_cast<double>(node_count) / (2.0 * 3.14159265358979323846);
   for (int i = 0; i < node_count; ++i) {
@@ -112,8 +117,9 @@ Topology make_ring(int node_count, double spacing) {
         2.0 * 3.14159265358979323846 * static_cast<double>(i) / node_count;
     topology.positions[static_cast<std::size_t>(i)] = {
         radius * std::cos(angle), radius * std::sin(angle)};
-    topology.graph.add_edge(i, (i + 1) % node_count);
+    edges.emplace_back(i, (i + 1) % node_count);
   }
+  topology.graph = Graph(node_count, edges);
   topology.source = 0;
   topology.sink = node_count / 2;
   return topology;
@@ -129,23 +135,25 @@ Topology make_random_unit_disk(const UnitDiskParams& params) {
   }
   Rng rng(params.seed);
   const double range_sq = params.radio_range * params.radio_range;
+  std::vector<Edge> edges;
   for (int attempt = 0; attempt < params.max_attempts; ++attempt) {
     Topology topology;
-    topology.graph = Graph(params.node_count);
     topology.positions.resize(static_cast<std::size_t>(params.node_count));
     for (auto& position : topology.positions) {
       position = {rng.uniform_double() * params.area_side,
                   rng.uniform_double() * params.area_side};
     }
+    edges.clear();
     for (NodeId a = 0; a < params.node_count; ++a) {
       for (NodeId b = a + 1; b < params.node_count; ++b) {
         if (squared_distance(topology.positions[static_cast<std::size_t>(a)],
                              topology.positions[static_cast<std::size_t>(b)]) <=
             range_sq) {
-          topology.graph.add_edge(a, b);
+          edges.emplace_back(a, b);
         }
       }
     }
+    topology.graph = Graph(params.node_count, edges);
     if (!is_connected(topology.graph)) {
       continue;
     }

@@ -103,6 +103,12 @@ void validate(std::string_view text, const TopologySpec& spec) {
       }
       break;
   }
+  if (spec.node_count() > TopologySpec::kMaxNodes) {
+    reject(text, std::to_string(spec.node_count()) +
+                     " nodes exceeds the ceiling of " +
+                     std::to_string(TopologySpec::kMaxNodes) +
+                     " (TopologySpec::kMaxNodes)");
+  }
 }
 
 }  // namespace

@@ -530,5 +530,71 @@ TEST(BroadcastEventTest, BroadcastClosesTheFrameGroupOfItsArrivalInstant) {
   EXPECT_EQ(oracle_script.log, script.log);
 }
 
+/// Broadcasts on a jittered timer and checks, on every reception, that
+/// delivery_link() leads back to the sender; stops the run at the
+/// `stop_at`-th reception network-wide.
+class LinkCheckProcess final : public Process {
+ public:
+  struct Tally {
+    std::uint64_t received = 0;
+    std::uint64_t broken = 0;
+    std::uint64_t stop_at = 0;
+  };
+
+  explicit LinkCheckProcess(Tally& tally) : tally_(tally) {}
+  void on_start() override { set_timer(1, jitter()); }
+  void on_timer(int) override {
+    broadcast(message_);
+    set_timer(1, jitter());
+  }
+  void on_message(wsn::NodeId from, const Message&) override {
+    const auto row = graph().neighbors(id());
+    if (delivery_link() >= row.size() || row[delivery_link()] != from) {
+      ++tally_.broken;
+    }
+    if (++tally_.received == tally_.stop_at) {
+      simulator().stop();
+    }
+  }
+  void reset_run() override {}
+
+ private:
+  SimTime jitter() {
+    return 1 + static_cast<SimTime>(rng().uniform(5 * kMillisecond));
+  }
+
+  Tally& tally_;
+  MessagePtr message_ = std::make_shared<BurstMessage>(1, 0);
+};
+
+TEST(BroadcastEventTest, EveryReceptionCarriesItsLinkAcrossStopAndReset) {
+  // A unit disk (rows of every length) behind a lossy radio (a different
+  // subset of each row per broadcast). The first run stops with dozens of
+  // broadcasts in flight; the reset second seed then reuses their slots.
+  wsn::UnitDiskParams params;
+  params.node_count = 40;
+  params.area_side = 40.0;
+  params.radio_range = 12.0;
+  params.seed = 4;
+  const wsn::Topology disk = wsn::make_random_unit_disk(params);
+  Simulator simulator(disk.graph, make_lossy_radio(0.3), 1);
+  simulator.set_propagation_delay(20 * kMillisecond);
+  LinkCheckProcess::Tally tally;
+  for (wsn::NodeId node = 0; node < disk.graph.node_count(); ++node) {
+    simulator.add_process(node, std::make_unique<LinkCheckProcess>(tally));
+  }
+  tally.stop_at = 5000;
+  simulator.run_until(kSecond);
+  ASSERT_TRUE(simulator.stopped());
+  EXPECT_EQ(tally.broken, 0u);
+
+  tally = LinkCheckProcess::Tally{};
+  simulator.reset_run(2);
+  simulator.run_until(kSecond / 2);
+  EXPECT_FALSE(simulator.stopped());
+  EXPECT_GT(tally.received, 5000u);
+  EXPECT_EQ(tally.broken, 0u);
+}
+
 }  // namespace
 }  // namespace slpdas::sim

@@ -52,8 +52,7 @@ TEST(CentralizedDasTest, DeterministicConstruction) {
 TEST(CentralizedDasTest, ErrorsOnBadInput) {
   const wsn::Topology grid = wsn::make_grid(3);
   EXPECT_THROW(build_centralized_das(grid.graph, 99), std::out_of_range);
-  wsn::Graph disconnected(4);
-  disconnected.add_edge(0, 1);
+  const wsn::Graph disconnected(4, {{0, 1}});
   EXPECT_THROW(build_centralized_das(disconnected, 0), std::invalid_argument);
 }
 

@@ -224,7 +224,7 @@ TEST(EventAllocTest, BroadcastSlotsKeepReceiverCapacityAcrossReuseAndReset) {
         const std::uint32_t slot =
             queue.push_broadcast(now + kMillisecond, from, message);
         for (wsn::NodeId to = 0; to < 6 + from % 3; ++to) {
-          queue.add_receiver(slot, to);
+          queue.add_reception(slot, {to, 0});
         }
       }
       while (!queue.empty()) {

@@ -121,12 +121,12 @@ TEST(EventQueueTest, EqualTimesTieBreakAcrossKindsByInsertionOrder) {
   // relies on (e.g. a reception and a period-boundary timer landing on
   // the same microsecond must not reorder between runs or refactors).
   EventQueue queue;
-  queue.add_receiver(
-      queue.push_broadcast(7, /*from=*/0, std::make_shared<TestMessage>()), 1);
+  queue.add_reception(
+      queue.push_broadcast(7, /*from=*/0, std::make_shared<TestMessage>()), {1, 0});
   queue.push_timer(7, /*node=*/1, /*timer_id=*/4, /*generation=*/1);
   queue.push_frame_timer(7, /*node=*/0, /*timer_id=*/4, /*generation=*/1);
-  queue.add_receiver(
-      queue.push_broadcast(7, /*from=*/3, std::make_shared<TestMessage>()), 2);
+  queue.add_reception(
+      queue.push_broadcast(7, /*from=*/3, std::make_shared<TestMessage>()), {2, 0});
   queue.push_timer(7, /*node=*/2, /*timer_id=*/4, /*generation=*/1);
 
   SimTime now = 0;
@@ -143,9 +143,9 @@ TEST(EventQueueTest, BroadcastIsOneEventListingItsReceivers) {
   EventQueue queue;
   auto message = std::make_shared<TestMessage>();
   const std::uint32_t slot = queue.push_broadcast(1, /*from=*/9, message);
-  queue.add_receiver(slot, 3);
-  queue.add_receiver(slot, 1);
-  queue.add_receiver(slot, 2);
+  queue.add_reception(slot, {3, 5});
+  queue.add_reception(slot, {1, 0});
+  queue.add_reception(slot, {2, 7});
   // One reference in the slot table plus the test's own handle, and one
   // queued event for all three receptions.
   EXPECT_EQ(message.use_count(), 2);
@@ -160,10 +160,13 @@ TEST(EventQueueTest, BroadcastIsOneEventListingItsReceivers) {
   EXPECT_EQ(event.delivery.message_slot, slot);
   EXPECT_EQ(&queue.message(slot), message.get());
   std::vector<wsn::NodeId> receivers;
-  for (std::size_t i = 0; i < queue.receiver_count(slot); ++i) {
-    receivers.push_back(queue.receiver(slot, i));
+  std::vector<std::uint32_t> links;
+  for (std::size_t i = 0; i < queue.reception_count(slot); ++i) {
+    receivers.push_back(queue.reception(slot, i).to);
+    links.push_back(queue.reception(slot, i).link);
   }
   EXPECT_EQ(receivers, (std::vector<wsn::NodeId>{3, 1, 2}));  // append order
+  EXPECT_EQ(links, (std::vector<std::uint32_t>{5, 0, 7}));  // beside each
   queue.release_message(slot);
   EXPECT_EQ(queue.staged_message_count(), 0u);
   EXPECT_EQ(message.use_count(), 1);
@@ -174,12 +177,12 @@ TEST(EventQueueTest, ReleasedSlotsAreRecycledEmpty) {
   SimTime now = 0;
   const std::uint32_t first =
       queue.push_broadcast(1, 0, std::make_shared<TestMessage>());
-  queue.add_receiver(first, 1);
-  queue.add_receiver(first, 2);
+  queue.add_reception(first, {1, 0});
+  queue.add_reception(first, {2, 0});
   // A second broadcast in flight takes its own slot.
   const std::uint32_t second =
       queue.push_broadcast(1, 1, std::make_shared<TestMessage>());
-  queue.add_receiver(second, 0);
+  queue.add_reception(second, {0, 0});
   EXPECT_NE(first, second);
   EXPECT_EQ(queue.staged_message_count(), 2u);
   queue.release_message(queue.pop(now).delivery.message_slot);
@@ -187,9 +190,9 @@ TEST(EventQueueTest, ReleasedSlotsAreRecycledEmpty) {
   // the broadcast it carried before.
   auto message = std::make_shared<TestMessage>();
   EXPECT_EQ(queue.push_broadcast(2, 2, message), first);
-  EXPECT_EQ(queue.receiver_count(first), 0u);
+  EXPECT_EQ(queue.reception_count(first), 0u);
   EXPECT_EQ(&queue.message(first), message.get());
-  EXPECT_EQ(queue.receiver_count(second), 1u);
+  EXPECT_EQ(queue.reception_count(second), 1u);
   drain(queue, now);
   EXPECT_EQ(queue.staged_message_count(), 0u);
   EXPECT_EQ(message.use_count(), 1);
@@ -217,13 +220,13 @@ TEST(EventQueueTest, ResetRunReleasesStagedPayloadsAndRecyclesSlots) {
   auto message = std::make_shared<TestMessage>();
   for (int i = 0; i < 3; ++i) {
     const std::uint32_t slot = queue.push_broadcast(10 + i, 0, message);
-    queue.add_receiver(slot, 1);
-    queue.add_receiver(slot, 2);
+    queue.add_reception(slot, {1, 0});
+    queue.add_reception(slot, {2, 0});
   }
   // A broadcast beyond the calendar's span (the far overflow list), a
   // plain timer and two open frame-clock groups.
   auto far = std::make_shared<TestMessage>();
-  queue.add_receiver(queue.push_broadcast(100 * kSecond, 0, far), 1);
+  queue.add_reception(queue.push_broadcast(100 * kSecond, 0, far), {1, 0});
   queue.push_timer(4, 0, 1, 1);
   queue.push_frame_timer(20, 0, 1, 1);
   queue.push_frame_timer(20, 1, 1, 1);
@@ -256,7 +259,7 @@ TEST(EventQueueTest, ResetRunReleasesStagedPayloadsAndRecyclesSlots) {
   for (std::uint32_t expected = 0; expected < 3; ++expected) {
     const std::uint32_t slot = queue.push_broadcast(5, 0, message);
     EXPECT_EQ(slot, expected);
-    EXPECT_EQ(queue.receiver_count(slot), 0u);
+    EXPECT_EQ(queue.reception_count(slot), 0u);
   }
   queue.reset_run();
   EXPECT_EQ(message.use_count(), 1);
@@ -458,8 +461,8 @@ TEST(FrameClockQueueTest, AnyOtherPushForTheInstantClosesTheGroup) {
   queue.push_frame_timer(50, 0, 1, 1);
   queue.push_frame_timer(60, 9, 1, 1);  // another instant: no effect on 50
   queue.push_frame_timer(50, 1, 1, 1);
-  queue.add_receiver(
-      queue.push_broadcast(50, 2, std::make_shared<TestMessage>()), 3);
+  queue.add_reception(
+      queue.push_broadcast(50, 2, std::make_shared<TestMessage>()), {3, 0});
   queue.push_frame_timer(50, 2, 1, 1);
   queue.push_timer(50, 3, 1, 1);
   queue.push_frame_timer(50, 3, 2, 1);

@@ -62,8 +62,7 @@ TEST(FirstFitDasTest, DeterministicConstruction) {
 TEST(FirstFitDasTest, ErrorsOnBadInput) {
   const wsn::Topology grid = wsn::make_grid(3);
   EXPECT_THROW((void)build_first_fit_das(grid.graph, 99), std::out_of_range);
-  wsn::Graph disconnected(3);
-  disconnected.add_edge(0, 1);
+  const wsn::Graph disconnected(3, {{0, 1}});
   EXPECT_THROW((void)build_first_fit_das(disconnected, 0),
                std::invalid_argument);
 }

@@ -83,11 +83,7 @@ TEST(ReachabilityTest, MatchesMinCapturePeriodPerNode) {
 TEST(ReachabilityTest, DecoyShrinksExposedRegion) {
   // Y-shape with a decoy branch (as in verify_schedule_test): the min-slot
   // attacker reaches only the decoy side.
-  wsn::Graph graph(5);
-  graph.add_edge(0, 1);
-  graph.add_edge(1, 2);
-  graph.add_edge(0, 3);
-  graph.add_edge(3, 4);
+  const wsn::Graph graph(5, {{0, 1}, {1, 2}, {0, 3}, {3, 4}});
   Schedule schedule(5);
   schedule.set_slot(0, 10);
   schedule.set_slot(1, 6);

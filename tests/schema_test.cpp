@@ -35,7 +35,6 @@ using Value = core::detail::JsonParser::Value;
 constexpr const char* kSweepSchema = "slpdas.sweep.v2.schema.json";
 constexpr const char* kCellSchema = "slpdas.cell.v1.schema.json";
 constexpr const char* kCacheSchema = "slpdas.cachecell.v1.schema.json";
-constexpr const char* kMicroSchema = "benchmark.micro.v1.schema.json";
 constexpr const char* kShardMapSchemaFile = "slpdas.shardmap.v2.schema.json";
 constexpr const char* kFleetBenchSchema = "slpdas.fleetbench.v1.schema.json";
 
@@ -96,8 +95,8 @@ testing::AssertionResult no_errors(const std::vector<std::string>& errors) {
 TEST(SchemaFilesTest, AllSchemaFilesParse) {
   SchemaSet set = schemas();
   for (const char* name :
-       {kSweepSchema, kCellSchema, kCacheSchema, kMicroSchema,
-        kShardMapSchemaFile, kFleetBenchSchema}) {
+       {kSweepSchema, kCellSchema, kCacheSchema, kShardMapSchemaFile,
+        kFleetBenchSchema}) {
     EXPECT_NO_THROW(set.load(name)) << name;
   }
 }
@@ -306,7 +305,6 @@ TEST(SchemaShardMapTest, RealDoneRecordsValidateAgainstTheDoneDefinition) {
 TEST(SchemaCommittedTest, BenchResultsBaselinesValidate) {
   SchemaSet set = schemas();
   std::size_t sweeps = 0;
-  std::size_t micros = 0;
   std::size_t fleets = 0;
   for (const auto& file :
        std::filesystem::directory_iterator(SLPDAS_BENCH_RESULTS_DIR)) {
@@ -318,17 +316,14 @@ TEST(SchemaCommittedTest, BenchResultsBaselinesValidate) {
     std::ostringstream text;
     text << in.rdbuf();
     const Value document = parse_text(text.str());
-    const bool micro = name.rfind("BENCH_micro", 0) == 0;
     const bool fleet = name.rfind("BENCH_fleet", 0) == 0;
-    const char* schema =
-        micro ? kMicroSchema : (fleet ? kFleetBenchSchema : kSweepSchema);
+    const char* schema = fleet ? kFleetBenchSchema : kSweepSchema;
     EXPECT_TRUE(no_errors(set.validate(document, schema))) << name;
-    (micro ? micros : (fleet ? fleets : sweeps)) += 1;
+    (fleet ? fleets : sweeps) += 1;
   }
   // The committed baseline set: keep these counts in step with
   // bench_results/ so a new artifact cannot dodge validation.
   EXPECT_GE(sweeps, 2u);
-  EXPECT_GE(micros, 1u);
   EXPECT_GE(fleets, 1u);
 }
 

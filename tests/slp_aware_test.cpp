@@ -15,16 +15,12 @@ using mac::Schedule;
 
 /// Y-shape: sink 0, real branch 0-1-2 (source 2), decoy branch 0-3-4.
 struct YFixture {
-  wsn::Graph graph{5};
+  wsn::Graph graph{5, {{0, 1}, {1, 2}, {0, 3}, {3, 4}}};
   Schedule baseline{5};
   Schedule decoyed{5};
   VerifyAttacker attacker;
 
   YFixture() {
-    graph.add_edge(0, 1);
-    graph.add_edge(1, 2);
-    graph.add_edge(0, 3);
-    graph.add_edge(3, 4);
     // Baseline: the real branch fires earliest -> captured in 2 periods.
     baseline.set_slot(0, 10);
     baseline.set_slot(1, 4);

@@ -164,5 +164,29 @@ TEST(TopologySpecTest, NodeCountKnownWithoutBuilding) {
   EXPECT_EQ(TopologySpec::unit_disk(400, 10.0).node_count(), 400);
 }
 
+TEST(TopologySpecTest, NodeCountCeilingIsCheckedBeforeBuilding) {
+  // Specs past the ceiling used to reach the build and end in bad_alloc;
+  // now each is a typed error that names the ceiling.
+  for (const char* text :
+       {"line:300000000", "udisk:n=100000000", "ring:1000001",
+        "grid:1001x1000"}) {
+    try {
+      (void)TopologySpec::parse(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("ceiling of 1000000"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_THROW((void)TopologySpec::line(300000000), std::invalid_argument);
+  EXPECT_THROW((void)TopologySpec::unit_disk(100000000), std::invalid_argument);
+  // At and just under the ceiling a spec parses (and is not built here).
+  EXPECT_EQ(TopologySpec::parse("line:1000000").node_count(),
+            TopologySpec::kMaxNodes);
+  EXPECT_EQ(TopologySpec::parse("udisk:n=999999,r=1").node_count(), 999999);
+  EXPECT_EQ(TopologySpec::parse("grid:999x1001").node_count(), 999999);
+}
+
 }  // namespace
 }  // namespace slpdas::wsn

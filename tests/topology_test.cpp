@@ -197,6 +197,31 @@ TEST(UnitDiskTopologyTest, ImpossibleRangeThrows) {
   }
 }
 
+TEST(UnitDiskTopologyTest, EdgesAreExactlyThePairsWithinRange) {
+  // The edge set is the pair scan's: {a, b} iff the squared distance of
+  // the placed doubles is <= r^2, whatever order the CSR rows are built in.
+  UnitDiskParams params;
+  params.node_count = 50;
+  params.area_side = 50.0;
+  params.radio_range = 13.0;
+  params.seed = 3;
+  const Topology topology = make_random_unit_disk(params);
+  const double range_sq = params.radio_range * params.radio_range;
+  std::size_t within = 0;
+  for (NodeId a = 0; a < params.node_count; ++a) {
+    for (NodeId b = 0; b < params.node_count; ++b) {
+      const auto& pa = topology.positions[static_cast<std::size_t>(a)];
+      const auto& pb = topology.positions[static_cast<std::size_t>(b)];
+      const double dx = pa.x - pb.x;
+      const double dy = pa.y - pb.y;
+      const bool in_range = a != b && dx * dx + dy * dy <= range_sq;
+      within += in_range && a < b ? 1 : 0;
+      EXPECT_EQ(topology.graph.has_edge(a, b), in_range) << a << "-" << b;
+    }
+  }
+  EXPECT_EQ(topology.graph.edge_count(), within);
+}
+
 TEST(UnitDiskTopologyTest, InvalidParamsRejected) {
   UnitDiskParams params;
   params.node_count = 1;

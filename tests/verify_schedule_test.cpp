@@ -76,11 +76,7 @@ TEST(VerifyScheduleTest, DecoyDivertsMinSlotAttacker) {
   // Y-shape: sink 0 at the centre; real branch 0-1-2 (source at 2) and a
   // decoy branch 0-3-4 with smaller slots. The min-slot attacker always
   // prefers the decoy branch and never reaches the source.
-  wsn::Graph graph(5);
-  graph.add_edge(0, 1);
-  graph.add_edge(1, 2);
-  graph.add_edge(0, 3);
-  graph.add_edge(3, 4);
+  const wsn::Graph graph(5, {{0, 1}, {1, 2}, {0, 3}, {3, 4}});
   Schedule schedule(5);
   schedule.set_slot(0, 10);  // sink
   schedule.set_slot(1, 6);
@@ -105,11 +101,7 @@ TEST(VerifyScheduleTest, DecoyDivertsMinSlotAttacker) {
 TEST(VerifyScheduleTest, HistoryAvoidingEscapesDecoyDeadEnd) {
   // Same Y-shape: with H >= 2 the attacker refuses to bounce between 3 and
   // 4 forever and eventually explores the real branch.
-  wsn::Graph graph(5);
-  graph.add_edge(0, 1);
-  graph.add_edge(1, 2);
-  graph.add_edge(0, 3);
-  graph.add_edge(3, 4);
+  const wsn::Graph graph(5, {{0, 1}, {1, 2}, {0, 3}, {3, 4}});
   Schedule schedule(5);
   schedule.set_slot(0, 10);
   schedule.set_slot(1, 6);
