@@ -13,24 +13,25 @@
 //
 // Claim protocol (the part a future ssh/slurm launcher reuses as-is):
 //   <dir>/shardmap.json            manifest (tmp+rename, like CellCache)
-//   <dir>/claims/cell-N.claim      exclusive-create (O_EXCL) = ownership
+//   <dir>/claims/cell-N.claim      who owns the cell (tmp+link = ownership)
 //   <dir>/claims/cell-N.done       the cell's record (tmp+link, kept)
 //   <dir>/claims/cell-N.error      a cell's runs threw; coordinator aborts
 //   <dir>/claims/worker-W.heartbeat  liveness counter, rewritten in place
 //   <dir>/claims/worker-W.error    worker-fatal failure (bad manifest, IO)
 //   <dir>/logs/W.log               worker stdout+stderr (local launcher)
 //
-// Exclusive create — not tmp+rename, which silently REPLACES on POSIX —
-// is what makes a claim a claim: exactly one process wins the open(2).
-// The done marker IS the record: written whole to a temporary and then
-// link(2)ed into place, so "done" always means "recorded" and a record,
-// once published, is never replaced. A worker that dies mid-cell leaves
-// a claim without a done marker (and at most a torn temporary, which
-// nothing reads); the coordinator reaps the death — or, for workers it
-// cannot reap, notices the heartbeat go stale — releases the orphaned
-// claims, and spawns a replacement. Because every worker re-derives
-// seeds from the full grid, reassignment is free: the replacement
-// recomputes the cell bit-identically.
+// Claims and done markers are both written whole to a temporary and then
+// link(2)ed into place — not renamed, since a rename silently REPLACES
+// on POSIX: exactly one process wins the link, and a published file is
+// never replaced and never seen partial. So a claim always names its
+// owner, and the done marker IS the record: "done" always means
+// "recorded". A worker that dies mid-cell leaves a claim without a done
+// marker (and at most a torn temporary, which nothing reads); the
+// coordinator reaps the death — or, for workers it cannot reap, notices
+// the heartbeat go stale — releases the orphaned claims, and spawns a
+// replacement. Because every worker re-derives seeds from the full grid,
+// reassignment is free: the replacement recomputes the cell
+// bit-identically.
 //
 // The fold obeys the "parallel compute, single-threaded stable merge"
 // determinism rule: the done record of every cell is read back in index
@@ -82,10 +83,10 @@ struct ShardMapManifest {
   int threads_total = 0;
 };
 
-/// One worker's exclusive ownership of one cell (cell-N.claim). The file's
-/// EXISTENCE is the claim — content is advisory (who/where), and a claim
-/// whose content never got written (owner died inside the two-syscall
-/// window) is still honoured until the coordinator expires it.
+/// One worker's exclusive ownership of one cell (cell-N.claim), published
+/// whole by ClaimDir::try_claim. A claim file whose content does not parse
+/// (not written by try_claim) is a claim owned by no worker: the
+/// coordinator expires it like any other orphan.
 struct ShardMapClaim {
   std::uint64_t cell = 0;
   std::string worker;
@@ -152,21 +153,17 @@ void write_shardmap_manifest(const std::string& directory,
 /// One coherent scan of the claim directory (coordinator view).
 struct ShardMapScan {
   std::set<std::uint64_t> done;  ///< by done-marker file name alone
-  /// Claims whose content parsed, by cell. A claim file may coexist with
-  /// its done marker (the normal completed state).
+  /// Every claim file, by cell; one whose content does not parse has an
+  /// empty worker (owned by no worker). A claim file may coexist with its
+  /// done marker (the normal completed state).
   std::map<std::uint64_t, ShardMapClaim> claims;
-  /// Claim files whose content is missing or unparseable — the owner died
-  /// (or is still inside) the create-then-write window. Ownership unknown;
-  /// expired by the coordinator on staleness alone.
-  std::set<std::uint64_t> unreadable_claims;
   std::map<std::string, ShardMapHeartbeat> heartbeats;  ///< by worker name
   std::vector<ShardMapError> errors;
 };
 
-/// The claims/ subdirectory protocol: exclusive-create claims, linked
-/// (never replaced) done records, atomically renamed heartbeat/error
-/// markers. All methods throw
-/// std::runtime_error on filesystem failure (except where noted); the
+/// The claims/ subdirectory protocol: linked (never replaced) claims and
+/// done records, atomically renamed heartbeat/error markers. All methods
+/// throw std::runtime_error on filesystem failure (except where noted); the
 /// claim/done file layout is the wire protocol a remote launcher's shared
 /// filesystem (or a future object-store port) must reproduce.
 class ClaimDir {
@@ -185,10 +182,10 @@ class ClaimDir {
   [[nodiscard]] std::string worker_error_path(const std::string& worker) const;
   [[nodiscard]] std::string heartbeat_path(const std::string& worker) const;
 
-  /// Atomically claims a cell: true when THIS call created the claim file
-  /// (exclusive create), false when someone else already holds it. The
-  /// advisory claim record is written into the file after the create; a
-  /// write failure releases the claim and throws.
+  /// Atomically claims a cell: publishes `claim` as cell-N.claim
+  /// (detail::write_file_exclusively: tmp + link). True when THIS call
+  /// created the claim file, false when someone else already holds it.
+  /// Throws on filesystem failure, with nothing published.
   [[nodiscard]] bool try_claim(const ShardMapClaim& claim) const;
 
   /// Removes a claim so another worker can take the cell (coordinator
@@ -209,7 +206,7 @@ class ClaimDir {
 
   /// Reads every marker in the directory. Done markers are counted by
   /// file name (their records are the fold's business, not the poll
-  /// loop's); unparseable claim files are reported as unreadable (see
+  /// loop's); an unparseable claim file counts as owned by no worker (see
   /// ShardMapScan). Tolerates files vanishing mid-scan (a release racing
   /// the scan).
   [[nodiscard]] ShardMapScan scan() const;

@@ -31,7 +31,6 @@ struct NodeInfo {
 struct HelloMessage final : sim::Message {
   static constexpr char kName[] = "HELLO";
   [[nodiscard]] const char* name() const noexcept override { return kName; }
-  [[nodiscard]] std::size_t wire_size() const noexcept override { return 4; }
 };
 
 struct DissemMessage final : sim::Message {
@@ -46,14 +45,10 @@ struct DissemMessage final : sim::Message {
   /// The sender's listing version: changes iff (normal, ninfo) differs
   /// from the sender's previous DISSEM of the run, starting at 1. A
   /// simulation-side tag that lets a receiver skip a listing it has
-  /// already merged; not part of the paper's message, so wire_size leaves
-  /// it out.
+  /// already merged; not part of the paper's message.
   std::uint32_t version = 0;
 
   [[nodiscard]] const char* name() const noexcept override { return kName; }
-  [[nodiscard]] std::size_t wire_size() const noexcept override {
-    return 6 + 6 * ninfo.size();
-  }
 };
 
 struct SearchMessage final : sim::Message {
@@ -63,7 +58,6 @@ struct SearchMessage final : sim::Message {
   int dist = 0;                       ///< hops left to travel (SD countdown)
 
   [[nodiscard]] const char* name() const noexcept override { return kName; }
-  [[nodiscard]] std::size_t wire_size() const noexcept override { return 10; }
 };
 
 struct ChangeMessage final : sim::Message {
@@ -74,7 +68,6 @@ struct ChangeMessage final : sim::Message {
   int dist = 0;                       ///< decoy hops left (CL countdown)
 
   [[nodiscard]] const char* name() const noexcept override { return kName; }
-  [[nodiscard]] std::size_t wire_size() const noexcept override { return 14; }
 };
 
 struct NormalMessage final : sim::Message {
@@ -85,7 +78,6 @@ struct NormalMessage final : sim::Message {
   std::uint64_t aggregated_seq = 0;
 
   [[nodiscard]] const char* name() const noexcept override { return kName; }
-  [[nodiscard]] std::size_t wire_size() const noexcept override { return 16; }
 };
 
 }  // namespace slpdas::das

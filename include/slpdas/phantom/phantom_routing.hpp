@@ -44,14 +44,12 @@ struct PhantomConfig {
 struct PhantomHello final : sim::Message {
   static constexpr char kName[] = "HELLO";
   [[nodiscard]] const char* name() const noexcept override { return kName; }
-  [[nodiscard]] std::size_t wire_size() const noexcept override { return 4; }
 };
 
 struct PhantomBeacon final : sim::Message {
   static constexpr char kName[] = "BEACON";
   int hops_from_sink = 0;
   [[nodiscard]] const char* name() const noexcept override { return kName; }
-  [[nodiscard]] std::size_t wire_size() const noexcept override { return 6; }
 };
 
 struct PhantomData final : sim::Message {
@@ -64,7 +62,6 @@ struct PhantomData final : sim::Message {
   /// traces, indistinguishable from any other payload (Section I:
   /// encrypted content, observable context).
   [[nodiscard]] const char* name() const noexcept override { return kName; }
-  [[nodiscard]] std::size_t wire_size() const noexcept override { return 18; }
 };
 
 class PhantomRouting final : public sim::Process {

@@ -9,7 +9,6 @@
 // may be built once and re-broadcast for the process's lifetime.
 #pragma once
 
-#include <cstddef>
 #include <memory>
 
 namespace slpdas::sim {
@@ -17,13 +16,11 @@ namespace slpdas::sim {
 struct Message {
   virtual ~Message() = default;
 
-  /// Stable message-type name used for per-type overhead accounting
-  /// (e.g. "DISSEM", "SEARCH", "CHANGE", "NORMAL").
+  /// Stable message-type name (e.g. "DISSEM", "SEARCH", "CHANGE",
+  /// "NORMAL"): the key of the simulator's one send tally, which every
+  /// message-overhead figure reads (Simulator::sent_of). Each class
+  /// returns one static string, so the tally compares pointers.
   [[nodiscard]] virtual const char* name() const noexcept = 0;
-
-  /// Approximate on-air payload size in bytes, for radio-energy style
-  /// metrics. The default matches a small TinyOS active-message payload.
-  [[nodiscard]] virtual std::size_t wire_size() const noexcept { return 16; }
 };
 
 /// Broadcast payloads are immutable and shared across receivers.

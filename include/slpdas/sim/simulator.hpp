@@ -13,13 +13,16 @@
 // Performance: events are typed values (see event_queue.hpp), so the hot
 // path — delivery and timer expiry — runs with zero per-event heap
 // allocation. Timer cancellation state lives in a dense per-node
-// generation table here, checked when an expiry pops, and the simulator
-// counts events/deliveries/timer-fires for the perf telemetry the sweep
-// JSON reports. A broadcast is one queue event that dispatches all its
-// receptions, and timers armed for network-wide instants
-// (set_frame_timer) share one queue event per instant — the frame clock;
-// both dispatch in exactly the order per-receiver and per-node events
-// would have.
+// generation table here, checked when an expiry pops. The simulator keeps
+// four counters and nothing else about traffic: events, deliveries and
+// timer fires (the perf telemetry the sweep JSON reports), and one send
+// tally per message class, which every message-overhead figure reads
+// (sent_of, total_sent and sends_by_type are read-outs of it). Per-node
+// traffic is the observers' business. A broadcast is one queue event
+// that dispatches all its receptions, and timers armed for network-wide
+// instants (set_frame_timer) share one queue event per instant — the
+// frame clock; both dispatch in exactly the order per-receiver and
+// per-node events would have.
 #pragma once
 
 #include <cstdint>
@@ -114,13 +117,6 @@ class Process {
   wsn::NodeId id_ = wsn::kNoNode;
 };
 
-/// Per-node traffic counters used for the message-overhead experiment.
-struct TrafficCounters {
-  std::uint64_t sent = 0;
-  std::uint64_t received = 0;
-  std::uint64_t bytes_sent = 0;
-};
-
 class Simulator {
  public:
   /// `graph` must outlive the simulator. `radio` decides per-reception
@@ -150,8 +146,7 @@ class Simulator {
   void reset_run(std::uint64_t seed);
 
   /// Runs until the queue drains, `end` is reached, or stop() is called.
-  /// Returns the number of events executed.
-  std::uint64_t run_until(SimTime end);
+  void run_until(SimTime end);
 
   /// Executes exactly one event if any is pending and before `end`.
   bool step(SimTime end);
@@ -180,19 +175,18 @@ class Simulator {
   [[nodiscard]] Process& process(wsn::NodeId node);
   [[nodiscard]] const Process& process(wsn::NodeId node) const;
 
-  /// Traffic counters for node `node` (all message types combined).
-  [[nodiscard]] const TrafficCounters& traffic(wsn::NodeId node) const;
-  /// Total messages sent, by message-type name. Materialised on demand
-  /// from the pointer-keyed hot-path counters (a handful of message
-  /// classes exist, so the per-broadcast count is a short scan over
-  /// stable name pointers instead of a string hash per send).
-  [[nodiscard]] const std::unordered_map<std::string, std::uint64_t>&
+  /// Messages sent, by message-type name: a copy built from the send
+  /// tally (a handful of message classes exist, so the per-broadcast
+  /// count is a short scan over stable name pointers instead of a string
+  /// hash per send).
+  [[nodiscard]] std::unordered_map<std::string, std::uint64_t>
   sends_by_type() const;
   /// Sent count for one message class by its static kName pointer-or-text
-  /// (strcmp over ≤ a handful of counter entries) — the allocation-free
-  /// alternative to materialising sends_by_type() per run.
+  /// (strcmp over ≤ a handful of tally entries) — the allocation-free
+  /// read-out the per-run results use.
   [[nodiscard]] std::uint64_t sent_of(const char* name) const noexcept;
-  [[nodiscard]] std::uint64_t total_sent() const noexcept { return total_sent_; }
+  /// Messages sent, all classes: the sum over the send tally.
+  [[nodiscard]] std::uint64_t total_sent() const noexcept;
   /// Every popped event, including stale (re-armed or cancelled) timer
   /// expiries that were skipped at pop time.
   [[nodiscard]] std::uint64_t events_executed() const noexcept {
@@ -200,8 +194,9 @@ class Simulator {
   }
   /// Delivery events executed. One event carries every reception of one
   /// broadcast, so a broadcast counts once however many neighbours hear
-  /// it (per-node receptions are in traffic()). Like timers_fired(), this
-  /// keeps events - deliveries - timers fired = stale timer events.
+  /// it (per-node receptions are the receivers' business). Like
+  /// timers_fired(), this keeps events - deliveries - timers fired =
+  /// stale timer events.
   [[nodiscard]] std::uint64_t deliveries_executed() const noexcept {
     return deliveries_executed_;
   }
@@ -242,10 +237,9 @@ class Simulator {
   /// default stride of 8 almost never grows.
   void grow_timer_table(int timer_id);
 
-  /// Bumps the per-type send counter for a message class. `name` must be
-  /// the class's stable name() pointer (one static string per class), so
-  /// identity compare suffices and the scan is over ≤ a handful of
-  /// entries.
+  /// Bumps the send tally of a message class. `name` must be the class's
+  /// stable name() pointer (one static string per class), so identity
+  /// compare suffices and the scan is over ≤ a handful of entries.
   void count_send(const char* name);
 
   const wsn::Graph& graph_;
@@ -261,9 +255,7 @@ class Simulator {
   std::uint64_t events_executed_ = 0;
   std::uint64_t deliveries_executed_ = 0;
   std::uint64_t timers_fired_ = 0;
-  std::uint64_t total_sent_ = 0;
   std::vector<std::unique_ptr<Process>> processes_;
-  std::vector<TrafficCounters> traffic_;
   /// timer_generations_[node * timer_stride_ + timer_id] — current arming
   /// generation of each timer, checked when an expiry pops. One flat
   /// array (not per-node vectors, not hash maps): the set of timer ids a
@@ -273,14 +265,13 @@ class Simulator {
   std::vector<std::uint64_t> timer_generations_;
   std::size_t timer_stride_ = 8;
   std::vector<TransmissionObserver*> observers_;
-  /// Hot-path send accounting: one entry per message class, keyed by the
-  /// class's static name() pointer. Folded into sends_by_type_ lazily.
+  /// The send tally: one entry per message class, keyed by the class's
+  /// static name() pointer.
   struct SendCounter {
     const char* name;
     std::uint64_t count;
   };
   std::vector<SendCounter> send_counters_;
-  mutable std::unordered_map<std::string, std::uint64_t> sends_by_type_;
   /// Cached downcast of radio_ when it is the CasinoLabNoise model —
   /// lets radio_delivered() skip the virtual call on the hot path.
   CasinoLabNoise* casino_ = nullptr;

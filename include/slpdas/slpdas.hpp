@@ -13,7 +13,6 @@
 #include "slpdas/wsn/topology.hpp"
 #include "slpdas/wsn/topology_spec.hpp"
 
-#include "slpdas/sim/energy.hpp"
 #include "slpdas/sim/event_queue.hpp"
 #include "slpdas/sim/message.hpp"
 #include "slpdas/sim/radio.hpp"

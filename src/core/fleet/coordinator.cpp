@@ -274,8 +274,8 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
   };
 
   /// First-seen times for claims owned by nobody alive (crashed previous
-  /// coordinator, or a worker that died inside the claim write); released
-  /// once older than claim_expiry_ms.
+  /// coordinator, or a claim file owned by no worker); released once older
+  /// than claim_expiry_ms.
   std::map<std::uint64_t, Clock::time_point> orphan_first_seen;
 
   try {
@@ -351,8 +351,9 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
       }
 
       // Orphaned claims: owner is no live worker of ours (previous
-      // coordinator run, or content unreadable). Give the unknown owner
-      // claim_expiry_ms of benefit of the doubt, then steal the cell.
+      // coordinator run, or a claim file owned by no worker). Give the
+      // unknown owner claim_expiry_ms of benefit of the doubt, then steal
+      // the cell.
       std::set<std::uint64_t> orphans;
       for (const auto& [cell, claim] : scan.claims) {
         if (scan.done.count(cell) != 0) {
@@ -364,11 +365,6 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
                           return worker.name == claim.worker;
                         });
         if (!owned_live) {
-          orphans.insert(cell);
-        }
-      }
-      for (const std::uint64_t cell : scan.unreadable_claims) {
-        if (scan.done.count(cell) == 0) {
           orphans.insert(cell);
         }
       }

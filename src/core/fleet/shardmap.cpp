@@ -1,14 +1,14 @@
 // Shardmap record serialisation and the claim directory
 // ("slpdas.shardmap.v2"): the on-disk wire protocol between the fleet
-// coordinator and its workers. Claims are exclusive-create files (the
-// open(2) is the lock); done records are written whole to a unique
-// temporary and link(2)ed into place, so a published record is never
-// replaced; the manifest, heartbeats and error markers are written whole
-// via unique-tmp + rename (detail::write_file_atomically, shared with
-// the cell cache). A reader only ever sees complete records.
+// coordinator and its workers. Claims and done records are written whole
+// to a unique temporary and link(2)ed into place
+// (detail::write_file_exclusively), so exactly one writer creates each
+// and a published one is never replaced; the manifest, heartbeats and
+// error markers are written whole via unique-tmp + rename
+// (detail::write_file_atomically, shared with the cell cache). A reader
+// only ever sees complete records.
 #include "slpdas/core/fleet.hpp"
 
-#include <cerrno>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
@@ -19,11 +19,6 @@
 #include <string_view>
 #include <system_error>
 #include <utility>
-
-#ifndef _WIN32
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 #include "../atomic_file.hpp"
 #include "../cell_record.hpp"
@@ -294,47 +289,11 @@ std::string ClaimDir::heartbeat_path(const std::string& worker) const {
 }
 
 bool ClaimDir::try_claim(const ShardMapClaim& claim) const {
-  const std::string path = claim_path(claim.cell);
-#ifdef _WIN32
-  (void)path;
-  throw std::runtime_error("shardmap claims require POSIX exclusive create");
-#else
-  // Exclusive create IS the claim: exactly one process wins this open(2).
-  // (tmp+rename would not do — rename REPLACES an existing destination.)
-  const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-  if (fd < 0) {
-    if (errno == EEXIST) {
-      return false;
-    }
-    throw std::runtime_error(
-        "shardmap: cannot create claim " + path + ": " +
-        std::generic_category().message(errno));
-  }
-  // The advisory who/where record. A crash inside this window leaves an
-  // unreadable-but-valid claim; scan() reports it as such.
-  const std::string line = format_shardmap_claim(claim) + "\n";
-  const char* data = line.data();
-  std::size_t left = line.size();
-  bool ok = true;
-  while (left > 0) {
-    const ::ssize_t wrote = ::write(fd, data, left);
-    if (wrote < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      ok = false;
-      break;
-    }
-    data += wrote;
-    left -= static_cast<std::size_t>(wrote);
-  }
-  ok = (::close(fd) == 0) && ok;
-  if (!ok) {
-    ::unlink(path.c_str());
-    throw std::runtime_error("shardmap: cannot write claim " + path);
-  }
-  return true;
-#endif
+  // Published whole, like a done record: a link(2) never replaces its
+  // target, so exactly one claimant creates the file, and nobody ever
+  // sees it without its record.
+  return detail::write_file_exclusively(claim_path(claim.cell),
+                                        format_shardmap_claim(claim) + '\n');
 }
 
 void ClaimDir::release_claim(std::uint64_t cell) const {
@@ -397,13 +356,16 @@ ShardMapScan ClaimDir::scan() const {
       if (!text) {
         continue;  // released between listing and read
       }
+      ShardMapClaim claim;
       try {
-        result.claims.emplace(*cell, parse_shardmap_claim(*text));
+        claim = parse_shardmap_claim(*text);
       } catch (const std::exception&) {
-        // Owner died (or still is) between the exclusive create and the
-        // advisory write: the claim holds, the owner is unknown.
-        result.unreadable_claims.insert(*cell);
+        // try_claim never publishes a partial record, so this file came
+        // from elsewhere: a claim owned by no worker, for the orphan
+        // expiry to release.
+        claim = ShardMapClaim{*cell, "", 0};
       }
+      result.claims.emplace(*cell, std::move(claim));
       continue;
     }
     if (const auto cell = cell_from_filename(name, ".error")) {

@@ -43,7 +43,6 @@ Simulator::Simulator(const wsn::Graph& graph, std::unique_ptr<RadioModel> radio,
   }
   const auto nodes = static_cast<std::size_t>(graph.node_count());
   processes_.resize(nodes);
-  traffic_.resize(nodes);
   // One flat generation table sized for every timer id the shipped
   // protocols use, so arming a timer mid-run never grows anything.
   timer_generations_.assign(nodes * timer_stride_, 0);
@@ -122,13 +121,6 @@ const Process& Simulator::process(wsn::NodeId node) const {
   return *processes_[static_cast<std::size_t>(node)];
 }
 
-const TrafficCounters& Simulator::traffic(wsn::NodeId node) const {
-  if (!graph_.contains(node)) {
-    throw std::out_of_range("Simulator::traffic: node out of range");
-  }
-  return traffic_[static_cast<std::size_t>(node)];
-}
-
 void Simulator::count_send(const char* name) {
   for (SendCounter& entry : send_counters_) {
     if (entry.name == name) {
@@ -139,16 +131,16 @@ void Simulator::count_send(const char* name) {
   send_counters_.push_back(SendCounter{name, 1});
 }
 
-const std::unordered_map<std::string, std::uint64_t>&
-Simulator::sends_by_type() const {
-  sends_by_type_.clear();
+std::unordered_map<std::string, std::uint64_t> Simulator::sends_by_type()
+    const {
+  std::unordered_map<std::string, std::uint64_t> by_type;
   for (const SendCounter& entry : send_counters_) {
     // += rather than =: two message classes are allowed to share a name
     // string with distinct pointers (e.g. the same kName text defined in
     // two translation units).
-    sends_by_type_[entry.name] += entry.count;
+    by_type[entry.name] += entry.count;
   }
-  return sends_by_type_;
+  return by_type;
 }
 
 std::uint64_t Simulator::sent_of(const char* name) const noexcept {
@@ -163,6 +155,14 @@ std::uint64_t Simulator::sent_of(const char* name) const noexcept {
   return total;
 }
 
+std::uint64_t Simulator::total_sent() const noexcept {
+  std::uint64_t total = 0;
+  for (const SendCounter& entry : send_counters_) {
+    total += entry.count;
+  }
+  return total;
+}
+
 void Simulator::reset_run(std::uint64_t seed) {
   queue_.reset_run();
   rng_.reseed(seed);
@@ -172,11 +172,8 @@ void Simulator::reset_run(std::uint64_t seed) {
   events_executed_ = 0;
   deliveries_executed_ = 0;
   timers_fired_ = 0;
-  total_sent_ = 0;
-  std::fill(traffic_.begin(), traffic_.end(), TrafficCounters{});
   std::fill(timer_generations_.begin(), timer_generations_.end(), 0);
   send_counters_.clear();
-  sends_by_type_.clear();
   radio_->reset_run();
   for (auto& process : processes_) {
     if (process) {
@@ -186,10 +183,6 @@ void Simulator::reset_run(std::uint64_t seed) {
 }
 
 void Simulator::do_broadcast(wsn::NodeId from, MessagePtr message) {
-  auto& counters = traffic_[static_cast<std::size_t>(from)];
-  ++counters.sent;
-  counters.bytes_sent += message->wire_size();
-  ++total_sent_;
   count_send(message->name());
 
   for (TransmissionObserver* observer : observers_) {
@@ -242,9 +235,8 @@ bool Simulator::step(SimTime end) {
       const std::size_t receptions = queue_.reception_count(slot);
       for (std::size_t i = 0; i < receptions && !stopped_; ++i) {
         const Reception reception = queue_.reception(slot, i);
-        const auto to = static_cast<std::size_t>(reception.to);
-        ++traffic_[to].received;
-        if (auto& receiver = processes_[to]) {
+        if (auto& receiver =
+                processes_[static_cast<std::size_t>(reception.to)]) {
           delivery_link_ = reception.link;
           receiver->on_message(event.delivery.from, message);
         }
@@ -286,15 +278,12 @@ bool Simulator::step(SimTime end) {
   return true;
 }
 
-std::uint64_t Simulator::run_until(SimTime end) {
-  std::uint64_t executed = 0;
+void Simulator::run_until(SimTime end) {
   while (step(end)) {
-    ++executed;
   }
   if (!stopped_ && (queue_.empty() || queue_.next_time() > end)) {
     now_ = end;
   }
-  return executed;
 }
 
 }  // namespace slpdas::sim

@@ -4,6 +4,7 @@
 // competitor rebuild — and nothing else.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <utility>
@@ -79,6 +80,21 @@ struct Snapshot {
   friend bool operator==(const Snapshot&, const Snapshot&) = default;
 };
 
+/// Counts one node's transmissions.
+class TransmissionCounter final : public sim::TransmissionObserver {
+ public:
+  explicit TransmissionCounter(wsn::NodeId node) : node_(node) {}
+  void on_transmission(wsn::NodeId from, const sim::Message&,
+                       sim::SimTime) override {
+    sent_ += from == node_ ? 1 : 0;
+  }
+  [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }
+
+ private:
+  wsn::NodeId node_;
+  std::uint64_t sent_ = 0;
+};
+
 /// Line 0 - 1 - 2: the injector at 0, the receiver at 1 (sink 2, which
 /// stays silent). Every delivery succeeds.
 class RepeatNet {
@@ -86,6 +102,7 @@ class RepeatNet {
   explicit RepeatNet(std::vector<ListingInjector::Send> sends)
       : graph_(3, {{0, 1}, {1, 2}}),
         simulator_(graph_, sim::make_ideal_radio(), 5) {
+    simulator_.add_observer(&receiver_sends_);
     simulator_.add_process(0, std::make_unique<ListingInjector>(std::move(sends)));
     simulator_.add_process(1, std::make_unique<Receiver>(config(), 2, 0));
     simulator_.add_process(2, std::make_unique<Silent>());
@@ -111,11 +128,12 @@ class RepeatNet {
                     {r.children().begin(), r.children().end()},
                     r.known_neighbors(),
                     {r.info_of(0), r.info_of(1), r.info_of(2)},
-                    simulator_.traffic(1).sent};
+                    receiver_sends_.sent()};
   }
 
  private:
   wsn::Graph graph_;
+  TransmissionCounter receiver_sends_{1};
   sim::Simulator simulator_;
 };
 

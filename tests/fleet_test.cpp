@@ -1,10 +1,12 @@
 // The distributed sweep fabric ("slpdas.shardmap.v2"): shardmap record
-// round-trips, the exclusive-create claim protocol, done records that are
-// never replaced, the worker loop in-process and across forked
-// processes, the fold's per-cell checks, and the coordinator's failure
-// handling — a worker SIGKILLed mid-cell must have its claim released,
-// its cell reassigned to a replacement, and the folded document must
-// still be bit-identical to an unsharded single-process run.
+// round-trips, claims and done records that are never replaced, the
+// worker loop in-process and across forked processes, the fold's
+// per-cell checks, and the coordinator's failure
+// handling — a worker SIGKILLed mid-cell, or stopped until its heartbeat
+// goes stale, must have its claim released and its cell reassigned to a
+// replacement; claims no live worker owns must expire; and the folded
+// document must still be bit-identical to an unsharded single-process
+// run.
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
@@ -210,25 +212,6 @@ TEST(ShardMapRecordTest, AVersionOneManifestIsAnUnknownSchema) {
 // Claim directory
 // ---------------------------------------------------------------------------
 
-TEST_F(FleetTest, ClaimIsExclusiveUntilReleased) {
-  const ClaimDir claims(dir_);
-  claims.create();
-  ShardMapClaim claim;
-  claim.cell = 3;
-  claim.worker = "w0";
-  claim.pid = 42;
-  EXPECT_TRUE(claims.try_claim(claim));
-  // The second claimant loses, whoever it says it is.
-  claim.worker = "w1";
-  EXPECT_FALSE(claims.try_claim(claim));
-  // Release (what the coordinator does once w0 is known dead) reopens it.
-  claims.release_claim(3);
-  EXPECT_TRUE(claims.try_claim(claim));
-  EXPECT_FALSE(claims.is_done(3));
-  EXPECT_TRUE(claims.mark_done(3, "{\"index\": 3}\n", true));
-  EXPECT_TRUE(claims.is_done(3));
-}
-
 /// Every file name in `directory`.
 std::vector<std::string> file_names(const std::string& directory) {
   std::vector<std::string> names;
@@ -243,6 +226,32 @@ std::string read_file(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
+}
+
+TEST_F(FleetTest, ClaimIsExclusiveUntilReleased) {
+  const ClaimDir claims(dir_);
+  claims.create();
+  ShardMapClaim claim;
+  claim.cell = 3;
+  claim.worker = "w0";
+  claim.pid = 42;
+  EXPECT_TRUE(claims.try_claim(claim));
+  // The second claimant loses, whoever it says it is, and the winner's
+  // record stands whole.
+  claim.worker = "w1";
+  EXPECT_FALSE(claims.try_claim(claim));
+  EXPECT_EQ(parse_shardmap_claim(read_file(claims.claim_path(3))).worker,
+            "w0");
+  // Release (what the coordinator does once w0 is known dead) reopens it.
+  claims.release_claim(3);
+  EXPECT_TRUE(claims.try_claim(claim));
+  EXPECT_FALSE(claims.is_done(3));
+  EXPECT_TRUE(claims.mark_done(3, "{\"index\": 3}\n", true));
+  EXPECT_TRUE(claims.is_done(3));
+  // No claim leaves its temporary behind.
+  for (const std::string& name : file_names(claims.directory())) {
+    EXPECT_EQ(name.find(".tmp."), std::string::npos) << name;
+  }
 }
 
 TEST_F(FleetTest, MarkDoneNeverReplacesAPublishedRecord) {
@@ -290,19 +299,19 @@ TEST_F(FleetTest, ScanReportsEveryMarkerKind) {
   error.worker = "w0";
   error.message = "boom";
   claims.mark_error(error);
-  // A claim created by an owner that died before the advisory write: the
-  // file exists (the claim holds) but holds no parseable record.
+  // A torn claim file — not one try_claim wrote, since try_claim
+  // publishes whole: it is a claim owned by no worker.
   {
     std::ofstream torn(claims.claim_path(2), std::ios::binary);
     torn << "{\"schema\": \"slpdas.shard";
   }
 
   const ShardMapScan scan = claims.scan();
-  ASSERT_EQ(scan.claims.size(), 2u);
+  ASSERT_EQ(scan.claims.size(), 3u);
   EXPECT_EQ(scan.claims.at(0).worker, "w0");
   EXPECT_EQ(scan.claims.at(1).worker, "w1");
+  EXPECT_EQ(scan.claims.at(2).worker, "");
   EXPECT_EQ(scan.done, std::set<std::uint64_t>{1});
-  EXPECT_EQ(scan.unreadable_claims, std::set<std::uint64_t>{2});
   ASSERT_EQ(scan.heartbeats.count("w0"), 1u);
   EXPECT_EQ(scan.heartbeats.at("w0").seq, 7u);
   ASSERT_EQ(scan.errors.size(), 1u);
@@ -481,6 +490,131 @@ TEST_F(FleetTest, SigkilledWorkerIsReassignedAndTheFoldStaysByteIdentical) {
   EXPECT_TRUE(fs::is_regular_file(dir_ + "/logs/w1.log"));
   // Every record is a done marker; there is no second record path.
   EXPECT_FALSE(fs::exists(fs::path(dir_) / "streams"));
+}
+
+/// What run_fleet did in a forked child (run_fleet_bounded).
+struct BoundedFleetRun {
+  bool finished = false;  ///< run_fleet returned within the time limit
+  std::string document;   ///< the folded document, when it finished
+  std::string log;        ///< the coordinator's event lines
+};
+
+/// Runs run_fleet in a forked child, in a process group of its own, under
+/// alarm(): a supervision path that never fires fails the test in bounded
+/// time instead of hanging it. Whatever the child leaves behind (a
+/// stopped worker, say) dies with its process group.
+BoundedFleetRun run_fleet_bounded(const Scenario& scenario,
+                                  FleetOptions options) {
+  constexpr unsigned kTimeLimitSeconds = 60;
+  const std::string document_path = options.directory + ".document";
+  const std::string log_path = options.directory + ".log";
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    (void)::setpgid(0, 0);
+    (void)::alarm(kTimeLimitSeconds);
+    int code = 1;
+    {
+      std::ofstream log(log_path);
+      options.log = &log;
+      try {
+        const SweepJson document =
+            run_fleet(scenario, ScenarioOptions{}, options);
+        std::ofstream(document_path, std::ios::binary) << to_text(document);
+        code = 0;
+      } catch (const std::exception& error) {
+        log << "run_fleet threw: " << error.what() << std::endl;
+      }
+    }
+    ::_exit(code);
+  }
+  (void)::setpgid(pid, pid);  // whichever of parent and child runs first
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  (void)::kill(-pid, SIGKILL);
+  BoundedFleetRun run;
+  run.finished = WIFEXITED(status) && WEXITSTATUS(status) == 0;
+  run.document = read_file(document_path);
+  run.log = read_file(log_path);
+  if (WIFSIGNALED(status) && WTERMSIG(status) == SIGALRM) {
+    run.log += "(coordinator timed out after " +
+               std::to_string(kTimeLimitSeconds) + " s)\n";
+  }
+  fs::remove(document_path);
+  fs::remove(log_path);
+  return run;
+}
+
+/// Coordinator options for the supervision tests: fast beats and a short
+/// expiry, so a stale heartbeat or an orphaned claim is acted on within
+/// a fraction of a second.
+FleetOptions supervision_options(const std::string& dir) {
+  FleetOptions options = coordinator_options(dir, nullptr);
+  options.heartbeat_interval_ms = 25;
+  options.claim_expiry_ms = 300;
+  return options;
+}
+
+TEST_F(FleetTest, StoppedWorkerIsKilledOnAStaleHeartbeatAndReplaced) {
+  const Scenario scenario = fleet_scenario();
+  FleetOptions options = supervision_options(dir_);
+  const std::string dir = dir_;
+  int spawns = 0;
+  options.spawn = [&](const FleetSpawnRequest& request) -> std::int64_t {
+    if (++spawns > 1) {
+      return spawn_real_worker(scenario, request, dir);
+    }
+    // The victim claims cell 0, beats once, and stops: alive to waitpid,
+    // silent to the heartbeat watch. Only the staleness kill frees it.
+    return fork_child([&request, &dir] {
+      const ClaimDir claims(dir);
+      if (!claims.try_claim({0, request.worker, ::getpid()})) {
+        return 4;
+      }
+      claims.write_heartbeat({request.worker, ::getpid(), 1});
+      (void)::raise(SIGSTOP);
+      return 5;  // unreachable: SIGKILL is the only way on
+    });
+  };
+
+  const BoundedFleetRun run = run_fleet_bounded(scenario, options);
+  ASSERT_TRUE(run.finished) << run.log;
+  EXPECT_EQ(run.document, reference_text());
+  EXPECT_NE(run.log.find("worker w0 heartbeat stale; killing it"),
+            std::string::npos)
+      << run.log;
+  EXPECT_NE(run.log.find("worker w0 died (signal " +
+                         std::to_string(SIGKILL) + "); released 1 claim(s)"),
+            std::string::npos)
+      << run.log;
+  EXPECT_NE(run.log.find("respawned replacement for w0"), std::string::npos)
+      << run.log;
+}
+
+TEST_F(FleetTest, OrphanedClaimsExpireAndTheirCellsAreRecomputed) {
+  // Two claims no live worker owns: one naming a worker of some earlier
+  // coordinator, and an empty claim file (owned by no worker at all).
+  {
+    const ClaimDir claims(dir_);
+    claims.create();
+    ASSERT_TRUE(claims.try_claim({1, "ghost", 999'999}));
+    const std::ofstream empty(claims.claim_path(3), std::ios::binary);
+  }
+  const Scenario scenario = fleet_scenario();
+  FleetOptions options = supervision_options(dir_);
+  const std::string dir = dir_;
+  options.spawn = [&](const FleetSpawnRequest& request) -> std::int64_t {
+    return spawn_real_worker(scenario, request, dir);
+  };
+
+  const BoundedFleetRun run = run_fleet_bounded(scenario, options);
+  ASSERT_TRUE(run.finished) << run.log;
+  EXPECT_EQ(run.document, reference_text());
+  for (const char* cell : {"1", "3"}) {
+    EXPECT_NE(run.log.find(std::string("expired stale claim for cell ") +
+                           cell + "\n"),
+              std::string::npos)
+        << run.log;
+  }
 }
 
 TEST_F(FleetTest, AnErrorMarkerAbortsTheFleetAndKillsTheWorkers) {

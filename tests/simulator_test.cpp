@@ -1,15 +1,19 @@
 // Tests for the discrete-event simulator: process lifecycle, broadcast
-// delivery, timers (re-arm/cancel), observers, traffic accounting and
+// delivery, timers (re-arm/cancel), observers, the send tally and
 // determinism.
 #include "slpdas/sim/simulator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <numeric>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "slpdas/mac/frame.hpp"
+#include "slpdas/sim/trace.hpp"
 #include "slpdas/wsn/topology.hpp"
 
 namespace slpdas::sim {
@@ -87,19 +91,37 @@ TEST_F(SimulatorTest, PropagationDelayAppliesToDeliveries) {
   EXPECT_EQ(p1.received.size(), 1u);
 }
 
-TEST_F(SimulatorTest, TrafficCountersTrackSendsAndReceives) {
+struct CountingObserver final : TransmissionObserver {
+  int transmissions = 0;
+  void on_transmission(wsn::NodeId, const Message&, SimTime) override {
+    ++transmissions;
+  }
+};
+
+TEST_F(SimulatorTest, SendTallyMatchesEveryReadOut) {
+  // The simulator's one send tally, its three read-outs, and the per-node
+  // view an observer builds from the same transmissions must all agree.
   Simulator simulator(topology_.graph, make_ideal_radio(), 1);
+  CountingObserver observer;
+  TraceRecorder recorder{mac::FrameConfig{}};
+  simulator.add_observer(&observer);
+  simulator.add_observer(&recorder);
   for (wsn::NodeId n = 0; n < 3; ++n) {
     simulator.add_process(n, std::make_unique<RelayProcess>());
   }
   simulator.run_until(10 * kSecond);
-  EXPECT_GT(simulator.traffic(0).sent, 0u);
-  EXPECT_GT(simulator.traffic(1).received, 0u);
-  EXPECT_EQ(simulator.total_sent(),
-            simulator.traffic(0).sent + simulator.traffic(1).sent +
-                simulator.traffic(2).sent);
-  EXPECT_EQ(simulator.sends_by_type().at("PING"), simulator.total_sent());
-  EXPECT_GT(simulator.traffic(0).bytes_sent, 0u);
+  const std::uint64_t pings = simulator.sent_of("PING");
+  EXPECT_GT(pings, 0u);
+  EXPECT_EQ(simulator.total_sent(), pings);
+  EXPECT_EQ(simulator.sends_by_type().at("PING"), pings);
+  EXPECT_EQ(static_cast<std::uint64_t>(observer.transmissions), pings);
+  const std::vector<std::uint64_t> per_node = recorder.sends_per_node(3);
+  EXPECT_GT(per_node[0], 0u);
+  EXPECT_EQ(std::accumulate(per_node.begin(), per_node.end(),
+                            std::uint64_t{0}),
+            pings);
+  EXPECT_FALSE(
+      dynamic_cast<RelayProcess&>(simulator.process(1)).received.empty());
 }
 
 TEST_F(SimulatorTest, DeterministicAcrossIdenticalRuns) {
@@ -125,13 +147,6 @@ TEST_F(SimulatorTest, LossyRadioDropsSomeDeliveries) {
   lossy.run_until(10 * kSecond);
   EXPECT_LT(lossy.total_sent(), ideal.total_sent());
 }
-
-struct CountingObserver final : TransmissionObserver {
-  int transmissions = 0;
-  void on_transmission(wsn::NodeId, const Message&, SimTime) override {
-    ++transmissions;
-  }
-};
 
 TEST_F(SimulatorTest, ObserverSeesEveryTransmission) {
   Simulator simulator(topology_.graph, make_lossy_radio(0.5), 3);
