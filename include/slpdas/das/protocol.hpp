@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "slpdas/das/messages.hpp"
@@ -92,6 +93,12 @@ class ProtectionlessDas : public sim::Process {
   [[nodiscard]] bool is_source() const noexcept { return id() == source_; }
   [[nodiscard]] const DasConfig& config() const noexcept { return config_; }
   [[nodiscard]] int current_period() const noexcept { return period_index_; }
+  /// First and last id of the Ninfo window (see ninfo_), set by on_start.
+  [[nodiscard]] std::pair<wsn::NodeId, wsn::NodeId> ninfo_window()
+      const noexcept {
+    return {ninfo_lo_,
+            ninfo_lo_ + static_cast<wsn::NodeId>(ninfo_.size()) - 1};
+  }
 
   /// Sequence number of the newest source datum this node has aggregated.
   [[nodiscard]] std::uint64_t aggregated_seq() const noexcept {
@@ -196,15 +203,26 @@ class ProtectionlessDas : public sim::Process {
   wsn::NodeId sink_;
   wsn::NodeId source_;
 
-  void add_neighbor(wsn::NodeId node);
+  /// Records `node`, heard over graph link `link` (delivery_link()), in
+  /// myN unless it is already there.
+  void add_neighbor(wsn::NodeId node, std::uint32_t link);
   /// Others[neighbor]; `neighbor` must be a graph neighbour of this node.
   [[nodiscard]] std::vector<wsn::NodeId>& others_of(wsn::NodeId neighbor);
+  /// ninfo_'s index for `node`: at least ninfo_.size() outside the window.
+  [[nodiscard]] std::size_t ninfo_index(wsn::NodeId node) const noexcept {
+    return static_cast<std::size_t>(static_cast<std::int64_t>(node) -
+                                    ninfo_lo_);
+  }
+  /// Ninfo[node]; `node` must lie in the window (see ninfo_), else
+  /// std::logic_error naming it.
+  [[nodiscard]] NodeInfo& ninfo_at(wsn::NodeId node);
 
   // Figure 2 variables.
   std::vector<wsn::NodeId> my_neighbors_;              // myN (discovery order)
-  /// Dense membership mirror of my_neighbors_ (one byte per node):
-  /// add_neighbor runs on every HELLO and DISSEM reception, and an indexed
-  /// load replaces a linear scan of the discovery-order list.
+  /// Membership mirror of my_neighbors_, one byte per graph link, indexed
+  /// by delivery_link(): add_neighbor runs on every HELLO and DISSEM
+  /// reception, and an indexed load replaces a linear scan of the
+  /// discovery-order list.
   std::vector<std::uint8_t> neighbor_known_;
   util::FlatSet<wsn::NodeId> potential_parents_;            // Npar
   util::FlatSet<wsn::NodeId> children_;                     // children
@@ -218,13 +236,19 @@ class ProtectionlessDas : public sim::Process {
   /// ninfo_ entries only ever move downward, re-merging it would change
   /// nothing, so handle_dissem skips the merge and the competitor rebuild.
   std::vector<std::uint32_t> merged_version_;
-  /// Ninfo[] as a dense per-node table — the merge in handle_dissem runs
-  /// millions of times per experiment, and an indexed load beats a tree
-  /// walk plus node allocation. Unwritten entries read as NodeInfo{}
-  /// (unassigned), exactly like an absent map key did. N entries per node
-  /// make this, with neighbor_known_, the protocol's N^2 state; on_start
-  /// refills both in the capacity reset_run keeps.
+  /// Ninfo[] as a dense table over this node's id window [ninfo_lo_,
+  /// ninfo_lo_ + size): the min and max of our id, each graph neighbour's
+  /// id and the ends of its sorted row. A listing names only its sender
+  /// and the sender's neighbours, so every id a node can learn about — its
+  /// 2-hop neighbourhood — lies inside. The merge in handle_dissem runs
+  /// millions of times per experiment, and an indexed load beats a probe
+  /// per entry. Unwritten entries read as NodeInfo{} (unassigned), and
+  /// info_of reads ids outside the window the same way. A grid's window
+  /// is at most 4W+1 ids (ids are numbered row-major); on a random
+  /// placement it is nearly all ids. on_start refills it in the capacity
+  /// reset_run keeps.
   std::vector<NodeInfo> ninfo_;
+  wsn::NodeId ninfo_lo_ = 0;
   /// Node ids (never our own) whose ninfo_ entry is assigned, in first-
   /// learned order. Assignment is monotone (slots never unassign), so each
   /// node appears at most once; collision resolution scans this compact

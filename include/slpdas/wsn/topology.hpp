@@ -64,6 +64,16 @@ struct UnitDiskParams {
   int max_attempts = 64;  ///< resample placements until connected
 };
 
+/// The unit-disk edges among `positions`: every pair {a, b}, a < b, whose
+/// squared distance is <= radio_range^2. Candidate pairs come from a
+/// uniform grid of square cells at least radio_range wide over
+/// [0, area_side)^2 (positions outside it fall into the border cells), so
+/// a uniform placement costs O(n + edges) instead of O(n^2). The edges
+/// are listed in no particular order; Graph sorts its rows.
+[[nodiscard]] std::vector<Edge> unit_disk_edges(
+    const std::vector<Position>& positions, double area_side,
+    double radio_range);
+
 /// Places nodes uniformly at random in a square and connects every pair
 /// within radio range (the standard unit-disk communication model from
 /// Section III-A). Resamples until the graph is connected; throws

@@ -4,6 +4,8 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace slpdas::das {
 
@@ -28,6 +30,18 @@ int rank_in(wsn::NodeId node, const std::vector<wsn::NodeId>& competitors) {
   return rank;
 }
 
+/// A listing named `node`, which lies outside `self`'s Ninfo window: only
+/// a window that misses part of the 2-hop neighbourhood gets here.
+[[noreturn]] void throw_outside_window(
+    wsn::NodeId node, wsn::NodeId self,
+    std::pair<wsn::NodeId, wsn::NodeId> window) {
+  throw std::logic_error(
+      "ProtectionlessDas: node " + std::to_string(node) +
+      " lies outside node " + std::to_string(self) + "'s Ninfo window [" +
+      std::to_string(window.first) + ", " + std::to_string(window.second) +
+      "]");
+}
+
 }  // namespace
 
 ProtectionlessDas::ProtectionlessDas(const DasConfig& config, wsn::NodeId sink,
@@ -48,12 +62,21 @@ ProtectionlessDas::ProtectionlessDas(const DasConfig& config, wsn::NodeId sink,
 }
 
 void ProtectionlessDas::on_start() {
+  // The Ninfo window (see ninfo_): each neighbour's sorted row holds every
+  // node two hops away through it, so its ends bound them all.
+  wsn::NodeId lo = id();
+  wsn::NodeId hi = id();
+  for (const wsn::NodeId neighbor : graph().neighbors(id())) {
+    const std::span<const wsn::NodeId> row = graph().neighbors(neighbor);
+    lo = std::min({lo, neighbor, row.front()});
+    hi = std::max({hi, neighbor, row.back()});
+  }
+  ninfo_lo_ = lo;
   // assign() reuses the capacity reset_run kept, so a forked batch's
-  // second seed refills both tables without allocating.
-  const auto nodes = static_cast<std::size_t>(graph().node_count());
-  ninfo_.assign(nodes, NodeInfo{});
-  neighbor_known_.assign(nodes, 0);
+  // second seed refills these tables without allocating.
+  ninfo_.assign(static_cast<std::size_t>(hi - lo) + 1, NodeInfo{});
   const std::size_t degree = graph().degree(id());
+  neighbor_known_.assign(degree, 0);
   others_.resize(degree);
   merged_version_.assign(degree, 0);
   last_listing_.reserve(1 + degree);
@@ -115,7 +138,7 @@ void ProtectionlessDas::on_timer(int timer_id) {
         hop_ = 0;
         parent_ = wsn::kNoNode;
         slot_ = config_.sink_slot;
-        ninfo_[id()] = NodeInfo{hop_, slot_};
+        ninfo_at(id()) = NodeInfo{hop_, slot_};
         repair_check_pending_ = true;
         request_dissemination();
       }
@@ -184,8 +207,8 @@ void ProtectionlessDas::on_message(wsn::NodeId from,
   }
 }
 
-void ProtectionlessDas::add_neighbor(wsn::NodeId node) {
-  std::uint8_t& known = neighbor_known_[static_cast<std::size_t>(node)];
+void ProtectionlessDas::add_neighbor(wsn::NodeId node, std::uint32_t link) {
+  std::uint8_t& known = neighbor_known_[link];
   if (!known) {
     known = 1;
     my_neighbors_.push_back(node);
@@ -201,8 +224,16 @@ std::vector<wsn::NodeId>& ProtectionlessDas::others_of(wsn::NodeId neighbor) {
   return others_[static_cast<std::size_t>(position)];
 }
 
+NodeInfo& ProtectionlessDas::ninfo_at(wsn::NodeId node) {
+  const std::size_t index = ninfo_index(node);
+  if (index >= ninfo_.size()) {
+    throw_outside_window(node, id(), ninfo_window());
+  }
+  return ninfo_[index];
+}
+
 void ProtectionlessDas::handle_hello(wsn::NodeId from) {
-  add_neighbor(from);
+  add_neighbor(from, delivery_link());
 }
 
 bool ProtectionlessDas::merge_listing(
@@ -211,11 +242,19 @@ bool ProtectionlessDas::merge_listing(
   // collision resolution and refinement all move downward), so "smaller
   // slot wins" merges stale and fresh views correctly.
   bool learned_something = false;
+  // ninfo_at's range check, with the table's bounds read once: nothing
+  // here resizes ninfo_, but the known_assigned_ push_back would make the
+  // compiler reload them per entry (measured ~8% of udisk_dense runs/s).
+  const std::span<NodeInfo> table(ninfo_);
   for (const auto& [node, info] : listing) {
     if (!info.assigned()) {
       continue;
     }
-    NodeInfo& entry = ninfo_[node];
+    const std::size_t index = ninfo_index(node);
+    if (index >= table.size()) {
+      throw_outside_window(node, id(), ninfo_window());
+    }
+    NodeInfo& entry = table[index];
     if (!entry.assigned()) {
       // First assignment we hear of for `node` — assignment is monotone,
       // so this is also the one moment it joins the compact scan list.
@@ -234,12 +273,12 @@ bool ProtectionlessDas::merge_listing(
 
 void ProtectionlessDas::handle_dissem(wsn::NodeId from,
                                       const DissemMessage& message) {
-  add_neighbor(from);  // dissemination also proves adjacency
+  const std::uint32_t link = delivery_link();
+  add_neighbor(from, link);  // dissemination also proves adjacency
 
   // The sender's own entry is ninfo[0]; it is needed twice below.
   const NodeInfo sender_info = message.ninfo.front().second;
   const bool sender_assigned = sender_info.assigned();
-  const std::uint32_t link = delivery_link();
   const bool repeat = merged_version_[link] == message.version;
   merged_version_[link] = message.version;
 
@@ -323,19 +362,19 @@ void ProtectionlessDas::run_process_action() {
   if (!slot_assigned() && !is_sink() && !potential_parents_.empty()) {
     int best_hop = std::numeric_limits<int>::max();
     for (wsn::NodeId candidate : potential_parents_) {
-      best_hop = std::min(best_hop, ninfo_[candidate].hop);
+      best_hop = std::min(best_hop, ninfo_at(candidate).hop);
     }
     wsn::NodeId chosen = wsn::kNoNode;
     for (wsn::NodeId candidate : potential_parents_) {
-      if (ninfo_[candidate].hop == best_hop) {
+      if (ninfo_at(candidate).hop == best_hop) {
         chosen = candidate;  // sets iterate ascending: min id wins
         break;
       }
     }
     hop_ = best_hop + 1;
     parent_ = chosen;
-    slot_ = ninfo_[chosen].slot - rank_in(id(), others_of(chosen)) - 1;
-    ninfo_[id()] = NodeInfo{hop_, slot_};
+    slot_ = ninfo_at(chosen).slot - rank_in(id(), others_of(chosen)) - 1;
+    ninfo_at(id()) = NodeInfo{hop_, slot_};
     repair_check_pending_ = true;
     request_dissemination();
   }
@@ -352,7 +391,7 @@ void ProtectionlessDas::run_process_action() {
       // parent.
       mac::SlotId upper = std::numeric_limits<mac::SlotId>::max();
       for (wsn::NodeId neighbor : my_neighbors_) {
-        const NodeInfo& info = ninfo_[neighbor];
+        const NodeInfo& info = ninfo_at(neighbor);
         if (info.assigned() && info.hop == hop_ - 1) {
           upper = std::min(upper, info.slot);
         }
@@ -363,7 +402,7 @@ void ProtectionlessDas::run_process_action() {
     }
     resolve_collisions();
   }
-  ninfo_[id()] = NodeInfo{hop_, slot_};
+  ninfo_at(id()) = NodeInfo{hop_, slot_};
 }
 
 void ProtectionlessDas::resolve_collisions() {
@@ -377,7 +416,7 @@ void ProtectionlessDas::resolve_collisions() {
   // densely occupied slot band.
   bool we_lose = false;
   for (const wsn::NodeId node : known_assigned_) {
-    const NodeInfo& info = ninfo_[node];
+    const NodeInfo& info = ninfo_at(node);
     if (info.slot == slot_ &&
         (hop_ > info.hop || (hop_ == info.hop && id() > node))) {
       we_lose = true;
@@ -392,7 +431,7 @@ void ProtectionlessDas::resolve_collisions() {
   // per dissemination round, and a tree set would allocate per entry.
   taken_scratch_.clear();
   for (const wsn::NodeId node : known_assigned_) {
-    taken_scratch_.push_back(ninfo_[node].slot);
+    taken_scratch_.push_back(ninfo_at(node).slot);
   }
   std::sort(taken_scratch_.begin(), taken_scratch_.end());
   mac::SlotId candidate = slot_ - 1;
@@ -406,19 +445,17 @@ void ProtectionlessDas::resolve_collisions() {
 
 void ProtectionlessDas::adopt_slot(mac::SlotId new_slot, bool update_children) {
   slot_ = new_slot;
-  ninfo_[id()] = NodeInfo{hop_, slot_};
+  ninfo_at(id()) = NodeInfo{hop_, slot_};
   update_pending_ = update_pending_ || update_children;
   repair_check_pending_ = true;
   request_dissemination();
 }
 
 NodeInfo ProtectionlessDas::info_of(wsn::NodeId n) const {
-  // Total over ALL ids, like the map lookup it replaced: out-of-range ids
-  // (kNoNode from an unset parent, say) read as "unknown", not as UB.
-  if (n < 0 || static_cast<std::size_t>(n) >= ninfo_.size()) {
-    return NodeInfo{};
-  }
-  return ninfo_[n];
+  // Total over ALL ids, like the map lookup it replaced: ids outside the
+  // window (kNoNode from an unset parent, say) read as "unknown", not as UB.
+  const std::size_t index = ninfo_index(n);
+  return index < ninfo_.size() ? ninfo_[index] : NodeInfo{};
 }
 
 mac::SlotId ProtectionlessDas::min_neighborhood_slot() const {

@@ -1,8 +1,10 @@
 #include "slpdas/wsn/topology.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -19,7 +21,73 @@ double squared_distance(const Position& a, const Position& b) {
   return dx * dx + dy * dy;
 }
 
+/// Index of the cell of side `cell_side` holding `coordinate`, clamped to
+/// [0, cells): clamping keeps the index monotone in the coordinate, so two
+/// coordinates at most one cell side apart still land at most one apart.
+std::size_t cell_index(double coordinate, double cell_side,
+                       std::size_t cells) {
+  const double cell = coordinate / cell_side;
+  if (!(cell >= 1.0)) {  // also NaN
+    return 0;
+  }
+  if (cell >= static_cast<double>(cells)) {
+    return cells - 1;
+  }
+  return static_cast<std::size_t>(cell);
+}
+
 }  // namespace
+
+std::vector<Edge> unit_disk_edges(const std::vector<Position>& positions,
+                                  double area_side, double radio_range) {
+  // Cells per side: as many as fit at the range's width, less a margin
+  // that absorbs the rounding of coordinate / side, and at most about one
+  // cell per node so a sparse placement in a huge area stays small.
+  const std::size_t nodes = positions.size();
+  const double fit = std::floor(area_side / (radio_range * (1.0 + 1e-9)));
+  const double cap = std::floor(std::sqrt(static_cast<double>(nodes)));
+  const auto per_side =
+      static_cast<std::size_t>(std::max(1.0, std::min(fit, cap)));
+  const double side = area_side / static_cast<double>(per_side);
+
+  // Counting sort of the nodes by cell, ascending ids within each cell.
+  std::vector<std::size_t> cell_of(nodes);
+  std::vector<std::size_t> start(per_side * per_side + 1, 0);
+  for (std::size_t node = 0; node < nodes; ++node) {
+    cell_of[node] = cell_index(positions[node].y, side, per_side) * per_side +
+                    cell_index(positions[node].x, side, per_side);
+    ++start[cell_of[node] + 1];
+  }
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<std::size_t> cursor(start.begin(), start.end() - 1);
+  std::vector<NodeId> members(nodes);
+  for (std::size_t node = 0; node < nodes; ++node) {
+    members[cursor[cell_of[node]]++] = static_cast<NodeId>(node);
+  }
+
+  // A pair within range lies in the same or adjacent cells.
+  const double range_sq = radio_range * radio_range;
+  std::vector<Edge> edges;
+  for (std::size_t a = 0; a < nodes; ++a) {
+    const std::size_t cx = cell_of[a] % per_side;
+    const std::size_t cy = cell_of[a] / per_side;
+    for (std::size_t y = cy == 0 ? 0 : cy - 1;
+         y <= std::min(cy + 1, per_side - 1); ++y) {
+      for (std::size_t x = cx == 0 ? 0 : cx - 1;
+           x <= std::min(cx + 1, per_side - 1); ++x) {
+        const std::size_t cell = y * per_side + x;
+        for (std::size_t m = start[cell]; m < start[cell + 1]; ++m) {
+          const auto b = static_cast<std::size_t>(members[m]);
+          if (b > a &&
+              squared_distance(positions[a], positions[b]) <= range_sq) {
+            edges.emplace_back(static_cast<NodeId>(a), members[m]);
+          }
+        }
+      }
+    }
+  }
+  return edges;
+}
 
 Topology make_grid(int side, double spacing) {
   if (side < 3 || side % 2 == 0) {
@@ -134,8 +202,6 @@ Topology make_random_unit_disk(const UnitDiskParams& params) {
         "make_random_unit_disk: non-positive area or range");
   }
   Rng rng(params.seed);
-  const double range_sq = params.radio_range * params.radio_range;
-  std::vector<Edge> edges;
   for (int attempt = 0; attempt < params.max_attempts; ++attempt) {
     Topology topology;
     topology.positions.resize(static_cast<std::size_t>(params.node_count));
@@ -143,17 +209,10 @@ Topology make_random_unit_disk(const UnitDiskParams& params) {
       position = {rng.uniform_double() * params.area_side,
                   rng.uniform_double() * params.area_side};
     }
-    edges.clear();
-    for (NodeId a = 0; a < params.node_count; ++a) {
-      for (NodeId b = a + 1; b < params.node_count; ++b) {
-        if (squared_distance(topology.positions[static_cast<std::size_t>(a)],
-                             topology.positions[static_cast<std::size_t>(b)]) <=
-            range_sq) {
-          edges.emplace_back(a, b);
-        }
-      }
-    }
-    topology.graph = Graph(params.node_count, edges);
+    topology.graph = Graph(
+        params.node_count,
+        unit_disk_edges(topology.positions, params.area_side,
+                        params.radio_range));
     if (!is_connected(topology.graph)) {
       continue;
     }

@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -183,6 +185,24 @@ TEST(DissemRepeatTest, RepeatNamingUsAsParentStillRecordsTheChild) {
   EXPECT_EQ(net.snapshot().children, std::vector<wsn::NodeId>{0});
   net.run_until(RepeatNet::at(8, 0));
   EXPECT_TRUE(net.receiver().children().empty());
+}
+
+TEST(DissemRepeatTest, ListingNamingANodeOutsideTheWindowThrows) {
+  // Node 1's Ninfo window is its 2-hop id range [0, 2]. A listing naming
+  // any other id is a logic error, reported with the id, never a write
+  // past the table.
+  DissemMessage stray = listing(1, wsn::kNoNode, 40);
+  stray.ninfo.emplace_back(7, NodeInfo{3, 20});
+  RepeatNet net({{RepeatNet::at(5), stray}});
+  try {
+    net.run_until(RepeatNet::at(6, 0));
+    FAIL() << "expected the out-of-window entry to throw";
+  } catch (const std::logic_error& error) {
+    EXPECT_NE(std::string(error.what()).find("node 7 lies outside node 1's "
+                                             "Ninfo window [0, 2]"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 /// Watches every DISSEM on the medium: per sender, consecutive sends

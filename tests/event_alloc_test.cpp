@@ -319,29 +319,35 @@ TEST(EventAllocTest, SecondSeedOfForkedSlpBatchAllocatesNothing) {
 }
 
 /// Bounds what a DAS network allocates to start: building the processes
-/// and running every node's on_start. Each node keeps N-entry Ninfo[] and
-/// neighbour-membership tables (9 bytes per node pair) and one Others[j]
-/// list per graph neighbour j; a per-node table of N competitor lists
-/// (24 more bytes per node pair) would break the 16-byte bound.
-TEST(EventAllocTest, DasStartupStateStaysUnderSixteenBytesPerNodePair) {
-  const wsn::Topology grid = wsn::TopologySpec::grid(31).build();
-  const auto nodes = static_cast<std::uint64_t>(grid.graph.node_count());
-  ASSERT_EQ(nodes, 961u);
+/// and running every node's on_start. Each node keeps Ninfo[] over its
+/// 2-hop id window (at most 4W + 1 ids on a W-wide grid: ids are
+/// row-major), one neighbour-membership byte and one Others[j] list per
+/// graph neighbour j, so the bytes per node grow with the side (8 per
+/// window id), not with the node count. The constant covers the process
+/// object and the simulator's and queue's per-node share (~3.1 KB).
+/// N-entry tables (9 bytes per node pair) break the bound at both sizes.
+TEST(EventAllocTest, DasStartupStatePerNodeIsLinearInTheGridSide) {
+  for (const int side : {31, 81}) {
+    const wsn::Topology grid = wsn::TopologySpec::grid(side).build();
+    const auto nodes = static_cast<std::uint64_t>(grid.graph.node_count());
+    ASSERT_EQ(nodes, static_cast<std::uint64_t>(side * side));
 
-  const std::uint64_t bytes_before =
-      g_allocated_bytes.load(std::memory_order_relaxed);
-  Simulator simulator(grid.graph, std::make_unique<CasinoLabNoise>(), 1);
-  for (wsn::NodeId n = 0; n < grid.graph.node_count(); ++n) {
-    simulator.add_process(n, std::make_unique<das::ProtectionlessDas>(
-                                 das::DasConfig{}, grid.sink, grid.source));
+    const std::uint64_t bytes_before =
+        g_allocated_bytes.load(std::memory_order_relaxed);
+    Simulator simulator(grid.graph, make_casino_lab_noise(), 1);
+    for (wsn::NodeId n = 0; n < grid.graph.node_count(); ++n) {
+      simulator.add_process(n, std::make_unique<das::ProtectionlessDas>(
+                                   das::DasConfig{}, grid.sink, grid.source));
+    }
+    simulator.run_until(1);
+    const std::uint64_t bytes =
+        g_allocated_bytes.load(std::memory_order_relaxed) - bytes_before;
+    const auto bound = static_cast<std::uint64_t>(40 * side + 3584);
+    EXPECT_LT(bytes, bound * nodes)
+        << "grid:" << side << ": " << bytes << " bytes for " << nodes
+        << " nodes (" << static_cast<double>(bytes) / static_cast<double>(nodes)
+        << " per node, bound " << bound << ")";
   }
-  simulator.run_until(1);
-  const std::uint64_t bytes =
-      g_allocated_bytes.load(std::memory_order_relaxed) - bytes_before;
-  EXPECT_LT(bytes, 16 * nodes * nodes)
-      << bytes << " bytes for " << nodes << " nodes ("
-      << static_cast<double>(bytes) / static_cast<double>(nodes * nodes)
-      << " per node pair)";
 }
 
 }  // namespace

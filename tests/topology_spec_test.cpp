@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -186,6 +188,33 @@ TEST(TopologySpecTest, NodeCountCeilingIsCheckedBeforeBuilding) {
             TopologySpec::kMaxNodes);
   EXPECT_EQ(TopologySpec::parse("udisk:n=999999,r=1").node_count(), 999999);
   EXPECT_EQ(TopologySpec::parse("grid:999x1001").node_count(), 999999);
+}
+
+double build_seconds(const char* spec) {
+  const auto start = std::chrono::steady_clock::now();
+  const Topology topology = TopologySpec::parse(spec).build();
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(topology.graph.node_count(),
+            TopologySpec::parse(spec).node_count());
+  return elapsed.count();
+}
+
+TEST(TopologySpecTest, LargeUnitDiskBuildsInTimeLinearInItsSize) {
+  // udisk:n=200000,r=1 (mean degree ~63) is under the node ceiling, so it
+  // must build in bounded time; an O(n^2) pair scan took more than 20 s
+  // on it in an optimised build. The bound is relative, so it holds in
+  // sanitizer and debug builds too: against the same density on 1/16 of
+  // the area, a linear build takes ~16x as long (25-37x measured, cache
+  // effects included) and a quadratic one ~256x. The absolute bound only
+  // catches a hang.
+  double small = build_seconds("udisk:n=12500,r=1,area=25");
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    small = std::min(small, build_seconds("udisk:n=12500,r=1,area=25"));
+  }
+  const double large = build_seconds("udisk:n=200000,r=1");
+  EXPECT_LT(large, 100.0 * small) << large << " s vs " << small << " s";
+  EXPECT_LT(large, 120.0);
 }
 
 }  // namespace

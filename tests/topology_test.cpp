@@ -3,11 +3,16 @@
 // horizontal/vertical links only).
 #include "slpdas/wsn/topology.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "slpdas/rng.hpp"
 #include "slpdas/wsn/paths.hpp"
 
 namespace slpdas::wsn {
@@ -220,6 +225,85 @@ TEST(UnitDiskTopologyTest, EdgesAreExactlyThePairsWithinRange) {
     }
   }
   EXPECT_EQ(topology.graph.edge_count(), within);
+}
+
+/// The O(n^2) pair scan the cell grid replaced, kept as its reference:
+/// every pair a < b whose squared distance is <= r^2, in (a, b) order.
+std::vector<Edge> pair_scan_edges(const std::vector<Position>& positions,
+                                  double radio_range) {
+  const double range_sq = radio_range * radio_range;
+  std::vector<Edge> edges;
+  for (std::size_t a = 0; a < positions.size(); ++a) {
+    for (std::size_t b = a + 1; b < positions.size(); ++b) {
+      const double dx = positions[a].x - positions[b].x;
+      const double dy = positions[a].y - positions[b].y;
+      if (dx * dx + dy * dy <= range_sq) {
+        edges.emplace_back(static_cast<NodeId>(a), static_cast<NodeId>(b));
+      }
+    }
+  }
+  return edges;
+}
+
+std::vector<Edge> sorted(std::vector<Edge> edges) {
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
+TEST(UnitDiskTopologyTest, CellGridFindsExactlyThePairScanEdges) {
+  struct Case {
+    int nodes;
+    double area;
+    double range;
+  };
+  // Ranges from a small fraction of the area up to beyond it (one cell).
+  for (const Case c : {Case{2, 10.0, 1.0}, Case{50, 100.0, 15.0},
+                       Case{200, 100.0, 10.0}, Case{150, 60.0, 6.0},
+                       Case{300, 1000.0, 7.0}, Case{80, 50.0, 50.0},
+                       Case{120, 30.0, 35.0}, Case{64, 8.0, 1.0}}) {
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+      // The placement make_random_unit_disk draws.
+      Rng rng(seed);
+      std::vector<Position> positions(static_cast<std::size_t>(c.nodes));
+      for (auto& position : positions) {
+        position = {rng.uniform_double() * c.area,
+                    rng.uniform_double() * c.area};
+      }
+      EXPECT_EQ(sorted(unit_disk_edges(positions, c.area, c.range)),
+                pair_scan_edges(positions, c.range))
+          << c.nodes << " nodes, area " << c.area << ", r " << c.range
+          << ", seed " << seed;
+    }
+  }
+}
+
+TEST(UnitDiskTopologyTest, CellGridFindsPairsAcrossCellBorders) {
+  // Points on the borders of the cells (area 100, r 10: nine cells of
+  // 100/9 m a side), one range inside and outside them, on the area's
+  // edges and just beyond: pairs at exactly the range, and pairs whose
+  // coordinates round across a border, must all be found.
+  const double area = 100.0;
+  const double range = 10.0;
+  std::vector<double> coordinates;
+  for (int k = 0; k <= 10; ++k) {
+    const double border = k * area / 9.0;
+    for (double c : {border, border - range, border + range,
+                     std::nextafter(border, 0.0), k * range}) {
+      coordinates.push_back(c);
+    }
+  }
+  coordinates.push_back(-0.5);
+  coordinates.push_back(std::nextafter(area, 0.0));
+  std::vector<Position> positions;
+  for (std::size_t i = 0; i < coordinates.size(); ++i) {
+    for (std::size_t j = 0; j < coordinates.size(); j += 3) {
+      positions.push_back({coordinates[i], coordinates[(i + j) %
+                                                       coordinates.size()]});
+    }
+  }
+  const std::vector<Edge> expected = pair_scan_edges(positions, range);
+  EXPECT_GT(expected.size(), positions.size());
+  EXPECT_EQ(sorted(unit_disk_edges(positions, area, range)), expected);
 }
 
 TEST(UnitDiskTopologyTest, InvalidParamsRejected) {
