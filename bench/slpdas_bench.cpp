@@ -54,7 +54,6 @@ struct CliOptions {
   int shard_count = 1;
   std::string out_dir = ".";
   std::string merge_out;     ///< merge: --out path ("" = stdout)
-  std::string stream_path;   ///< run: --stream JSONL file ("" = off)
   std::string cache_dir;     ///< run: --cache directory ("" = off)
   bool cache_readonly = false;
   int workers = 4;           ///< fleet: local worker process count
@@ -92,14 +91,12 @@ int usage(std::ostream& out, int code) {
          "  --json           write BENCH_<name>.json (per scenario)\n"
          "  --out-dir DIR    existing directory for --json files (default .)\n"
          "  --shard I/N      run only this process's share of each grid\n"
-         "  --stream FILE    append one JSONL record per completed cell to\n"
-         "                   FILE (slpdas.cell.v1) and resume from it if it\n"
-         "                   already exists; one scenario per stream file\n"
          "  --deterministic  zero wall clocks so output is bit-reproducible\n"
          "  --cache DIR      content-addressed cell result cache: serve\n"
          "                   already-stored cells from DIR instead of\n"
          "                   simulating them, store the rest on completion\n"
-         "                   (slpdas.cachecell.v1, one file per cell)\n"
+         "                   (slpdas.cachecell.v1, one file per cell); rerun\n"
+         "                   a killed sweep with the same DIR to resume it\n"
          "  --cache-readonly consult --cache DIR but never write to it\n"
          "\nfleet options (multi-process sweep with cell-granular work "
          "stealing):\n"
@@ -112,9 +109,8 @@ int usage(std::ostream& out, int code) {
          "                   directory for the same sweep is resumed\n"
          "  --heartbeat-ms N worker liveness cadence (default 250; at most\n"
          "                   2500, a quarter of the 10 s claim expiry)\n"
-         "\nmerge: a DIR argument globs its *.json / *.jsonl shard\n"
-         "artifacts — or, when DIR holds a shardmap.json, folds the whole\n"
-         "fleet directory.\n"
+         "\nmerge: a DIR argument globs its *.json shard documents — or,\n"
+         "when DIR holds a shardmap.json, folds the whole fleet directory.\n"
          "\ncompare options:\n"
          "  --fail-on-drift  exit 1 when any deterministic metric differs\n"
          "                   or the cell sets do not match (wall clocks\n"
@@ -224,13 +220,6 @@ int run_scenarios(const CliOptions& options) {
                  "as documents for 'slpdas_bench merge'\n";
     return 2;
   }
-  if (!options.stream_path.empty() && selected.size() > 1) {
-    // A stream file carries ONE sweep's header; a second scenario would
-    // be refused as a mismatched resume after the first already ran.
-    std::cerr << "--stream takes exactly one scenario (the stream file "
-                 "identifies a single sweep)\n";
-    return 2;
-  }
   if (!out_dir_usable(options, selected.front()->name)) {
     return 1;
   }
@@ -243,7 +232,6 @@ int run_scenarios(const CliOptions& options) {
   execution.shard_count = options.shard_count;
   execution.deterministic_timing = options.deterministic;
   execution.progress = options.progress ? &std::cerr : nullptr;
-  execution.stream_path = options.stream_path;
 
   // One cache across every selected scenario: overlapping grids (the
   // whole point of content addressing) collapse to their distinct cells.
@@ -262,10 +250,6 @@ int run_scenarios(const CliOptions& options) {
     }
     std::cout << "=== " << scenario.name << " — " << scenario.reference
               << " ===\n";
-    if (!options.stream_path.empty()) {
-      std::cout << "(streaming cell records to " << options.stream_path
-                << "; a rerun with the same options resumes it)\n";
-    }
     const core::CellCacheStats cache_before =
         cache ? cache->stats() : core::CellCacheStats{};
     const core::SweepJson document =
@@ -337,10 +321,10 @@ int report_files(const std::vector<std::string>& paths,
   return exit_code;
 }
 
-/// Loads one merge operand into `documents`: a .json sweep document, a
-/// .jsonl cell stream (folded first), or a directory — a fleet directory
-/// (one with a shardmap.json) folds as a whole; any other directory
-/// contributes every *.json / *.jsonl file inside, in name order.
+/// Loads one merge operand into `documents`: a .json sweep document or a
+/// directory — a fleet directory (one with a shardmap.json) folds as a
+/// whole; any other directory contributes every *.json file inside, in
+/// name order.
 void collect_documents(const std::string& path,
                        std::vector<core::SweepJson>& documents) {
   namespace fs = std::filesystem;
@@ -351,28 +335,17 @@ void collect_documents(const std::string& path,
     }
     std::vector<std::string> files;
     for (const fs::directory_entry& entry : fs::directory_iterator(path)) {
-      const std::string extension = entry.path().extension().string();
-      if (entry.is_regular_file() &&
-          (extension == ".json" || extension == ".jsonl")) {
+      if (entry.is_regular_file() && entry.path().extension() == ".json") {
         files.push_back(entry.path().string());
       }
     }
     if (files.empty()) {
-      throw std::runtime_error(path +
-                               ": no *.json or *.jsonl shard artifacts");
+      throw std::runtime_error(path + ": no *.json shard documents");
     }
     std::sort(files.begin(), files.end());
     for (const std::string& file : files) {
       collect_documents(file, documents);
     }
-    return;
-  }
-  if (path.size() > 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      throw std::runtime_error("cannot open " + path);
-    }
-    documents.push_back(core::fold_cell_stream(core::read_cell_stream(in)));
     return;
   }
   documents.push_back(load_document(path));
@@ -437,9 +410,9 @@ int fleet_command(const CliOptions& options) {
                  "document matches --threads workers*worker-threads)\n";
     return 2;
   }
-  if (options.shard_count > 1 || !options.stream_path.empty()) {
-    std::cerr << "fleet: --shard/--stream do not compose with fleet (the "
-                 "claim directory already distributes and records cells)\n";
+  if (options.shard_count > 1) {
+    std::cerr << "fleet: --shard does not compose with fleet (the claim "
+                 "directory already distributes and records cells)\n";
     return 2;
   }
   if (!out_dir_usable(options, scenario->name)) {
@@ -787,8 +760,6 @@ int main(int argc, char** argv) {
         options.out_dir = next_value("--out-dir");
       } else if (arg == "--out") {
         options.merge_out = next_value("--out");
-      } else if (arg == "--stream") {
-        options.stream_path = next_value("--stream");
       } else if (arg == "--cache") {
         options.cache_dir = next_value("--cache");
       } else if (arg == "--cache-readonly") {

@@ -293,9 +293,12 @@ struct FleetOptions {
 /// byte-identical, under `deterministic`, to an unsharded single-process
 /// run with --threads workers*worker_threads. An existing fleet directory
 /// for the SAME sweep resumes (done cells are kept, their claims stay);
-/// one for a different sweep throws. Throws when any cell fails, when the
-/// spawn budget (workers * 8 spawns, replacements included) is exhausted,
-/// or on filesystem failure — after killing every worker it launched.
+/// one for a different sweep throws, and so does one whose done record
+/// describes another experiment than this run's cell at its index (the
+/// same labels on another radio, say) — before any worker is spawned.
+/// Throws when any cell fails, when the spawn budget (workers * 8
+/// spawns, replacements included) is exhausted, or on filesystem failure
+/// — after killing every worker it launched.
 /// Throws std::invalid_argument on bad options, including a
 /// claim_expiry_ms below 4 * heartbeat_interval_ms.
 [[nodiscard]] SweepJson run_fleet(const Scenario& scenario,

@@ -109,33 +109,26 @@ void register_builtin_scenarios(
     const ScenarioRegistry& registry = ScenarioRegistry::global());
 
 /// How to execute a scenario's sweep (as opposed to WHAT to run, which is
-/// ScenarioOptions): pool sharing, sharding, timing determinism, streaming.
+/// ScenarioOptions): sharding, timing determinism, progress, caching.
 struct ScenarioExecution {
   int shard_index = 0;
   int shard_count = 1;
   bool deterministic_timing = false;
   std::ostream* progress = nullptr;
-  /// When non-empty, the sweep streams through this "slpdas.cell.v1" JSONL
-  /// file: a fresh file gets a header record and one appended record per
-  /// completed cell; an existing file is verified against this run
-  /// (name/base_seed/grid_hash/shard/cells_total — a mismatch throws),
-  /// rewritten without any torn tail, and only its missing cells are run.
-  /// Either way run_scenario returns the document folded from the
-  /// completed stream — bit-identical (under deterministic timing) to an
-  /// uninterrupted, unstreamed run.
-  std::string stream_path;
   /// Optional content-addressed cell result cache (cell_cache.hpp),
   /// passed through to SweepOptions::cache: cells whose canonical
   /// identity is already stored are served from disk instead of being
-  /// simulated. Not owned; nullptr disables caching. Composes with
-  /// sharding and streaming — a hit is streamed like a computed cell.
+  /// simulated. Not owned; nullptr disables caching. It is also the
+  /// crash-safe resume: every computed cell is stored the moment it
+  /// completes, so rerunning a killed sweep with the same cache runs only
+  /// the cells that were lost — bit-identical (under deterministic
+  /// timing) to an uninterrupted run.
   CellCache* cache = nullptr;
 };
 
 /// Expands the scenario's cells and runs them on the caller's pool (the
 /// CLI runs every selected scenario on ONE pool), returning the JSON
-/// document model named after the scenario. With a stream_path set the
-/// run is incremental and resumable (see ScenarioExecution).
+/// document model named after the scenario: run_sweep + to_sweep_json.
 [[nodiscard]] SweepJson run_scenario(const Scenario& scenario,
                                      const ScenarioOptions& options,
                                      const ScenarioExecution& execution,

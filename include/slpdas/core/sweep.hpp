@@ -20,11 +20,13 @@
 // written-then-reparsed-then-rewritten document is byte-stable — the
 // property the shard merge relies on.
 //
-// Long sweeps additionally stream: `SweepOptions::stream` appends one
-// "slpdas.cell.v1" JSONL record per completed cell, so a killed process
-// keeps everything it finished; read_cell_stream + SweepOptions::skip_cells
-// resume such a run, and fold_cell_stream turns the completed stream back
-// into the ordinary document.
+// Long sweeps survive a kill through `SweepOptions::cache` (cell_cache.hpp):
+// every computed cell is stored the moment it completes, so a rerun over
+// the same cache serves the finished cells as validated hits and runs only
+// the rest. `SweepOptions::stream` additionally appends one
+// "slpdas.cell.v1" JSONL record per completed cell to a caller's sink (a
+// fleet worker's done record is one), and fold_cell_stream turns a
+// complete stream back into the ordinary document.
 #pragma once
 
 #include <cstddef>
@@ -103,9 +105,9 @@ class SweepGrid {
                                              std::string_view label);
 
 /// Fingerprint of the full grid (every cell's label, seed label and run
-/// count, in order). Shards — and resumed streams — of one sweep agree on
-/// it; different grids (a changed axis value, run count or cell order)
-/// virtually never do.
+/// count, in order). Shards — and streams and fleet manifests — of one
+/// sweep agree on it; different grids (a changed axis value, run count or
+/// cell order) virtually never do.
 [[nodiscard]] std::uint64_t hash_sweep_grid(const std::vector<SweepCell>& cells);
 
 struct SweepOptions {
@@ -133,21 +135,18 @@ struct SweepOptions {
   /// written as ONE flushed write under the sweep mutex, so a killed
   /// process leaves only whole lines (plus at most one torn tail that
   /// read_cell_stream drops). Cells whose runs threw are NOT recorded:
-  /// the stream only ever contains results a resume may trust. The caller
+  /// the stream only ever contains results a fold may trust. The caller
   /// writes the header record (write_cell_stream_header) first.
   std::ostream* stream = nullptr;
-  /// Full-grid indices of cells already completed by an earlier streamed
-  /// run; run_sweep neither re-runs nor re-reports them (their records
-  /// are already in the stream file).
-  std::vector<std::size_t> skip_cells;
   /// Optional content-addressed result cache (cell_cache.hpp). Probed
   /// once per cell BEFORE any of its runs is scheduled: a validated hit
   /// skips the simulation entirely (the stored record is reported — and
   /// streamed — exactly like a computed cell, so folds and documents stay
   /// bit-identical to a cold run), a miss computes the cell and stores it
   /// on completion — after its stream record is written, so the cache
-  /// never holds a cell the stream lacks. Not owned; nullptr disables
-  /// caching.
+  /// never holds a cell the stream lacks. Because a cell is stored the
+  /// moment it completes, rerunning a killed sweep over the same cache is
+  /// its crash-safe resume. Not owned; nullptr disables caching.
   CellCache* cache = nullptr;
 };
 
@@ -334,23 +333,22 @@ void write_sweep_json(std::ostream& out, const SweepResult& result,
 // Incremental cell streams ("slpdas.cell.v1")
 // ---------------------------------------------------------------------------
 //
-// A cell stream is the crash-safe form of a sweep: a JSONL file whose first
-// line identifies the sweep (this header) and whose every further line is
-// one completed cell, appended the moment it finishes. A killed process
-// loses at most the in-flight cells; a resume verifies the header against
-// its own grid, skips the recorded cells, appends the rest, and folds the
-// stream into the ordinary "slpdas.sweep.v2" document — bit-identical
-// (under deterministic timing) to an uninterrupted run, so folded streams
-// compose with merge_sweep_shards unchanged.
+// A cell stream is the line-oriented form of a sweep: a JSONL sink whose
+// first line identifies the sweep (this header) and whose every further
+// line is one completed cell, appended the moment it finishes. Folding a
+// complete stream gives the ordinary "slpdas.sweep.v2" document —
+// bit-identical (under deterministic timing) to an unstreamed run, so
+// folded streams compose with merge_sweep_shards unchanged. A fleet
+// worker's done record is a one-record stream of this kind (fleet.hpp).
 //
-// A stream file has ONE writer at a time: the resume rewrite renames a
-// fresh file over the path, so a second process appending to the same
-// stream concurrently would keep writing to the unlinked old inode and
-// lose its cells. Give concurrent processes distinct files (one per
-// shard) and merge the folded documents instead.
+// A stream has ONE writer at a time: run_sweep serialises its own record
+// writes, but two processes appending to one file would interleave
+// records of two sweeps. Give concurrent processes distinct sinks (one
+// per shard) and merge the folded documents instead. Resuming a killed
+// sweep is the cell cache's job (SweepOptions::cache), not the stream's.
 
-/// Header record of a cell-stream file: the sweep-level identity a resume
-/// must verify before appending to it.
+/// Header record of a cell stream: the sweep-level identity its fold
+/// carries into the document.
 struct CellStreamHeader {
   std::string schema;  ///< "slpdas.cell.v1" when written by this library
   std::string name;    ///< bench identifier (matches the folded document)
@@ -359,14 +357,10 @@ struct CellStreamHeader {
   int shard_index = 0;
   int shard_count = 1;
   std::uint64_t cells_total = 0;  ///< full grid size across all shards
-  /// Whether the run that started the stream zeroed its wall clocks.
-  /// A resume with the other setting is refused: mixing real-clock and
-  /// zeroed cells in one document would silently break the bit-
-  /// reproducibility contract the fold advertises.
+  /// Whether the run that wrote the stream zeroed its wall clocks.
   bool deterministic = false;
-  /// Pool size of the run that STARTED the stream. Folding uses this
-  /// value, so a resume with a different --threads still reproduces the
-  /// original run's document (results never depend on the pool size).
+  /// Pool size of the run that wrote the stream; the fold records it as
+  /// the document's `threads` (results never depend on the pool size).
   int threads = 0;
 };
 
@@ -384,8 +378,8 @@ void write_cell_stream_header(std::ostream& out,
 /// Writes one completed cell as one self-contained JSONL line. The field
 /// set and formatting discipline match the "slpdas.sweep.v2" cell objects
 /// (single writer, max_digits10 doubles), so a record read back and
-/// rewritten is byte-stable — the property the crash-safe resume rewrite
-/// relies on.
+/// rewritten is byte-stable — the property the cache and the fleet's done
+/// records rely on.
 void write_cell_stream_record(std::ostream& out, const SweepJsonCell& cell);
 
 /// Parses a cell-stream file. A final line without a terminating newline
@@ -395,21 +389,13 @@ void write_cell_stream_record(std::ostream& out, const SweepJsonCell& cell);
 /// record for one cell throws std::runtime_error.
 [[nodiscard]] CellStream read_cell_stream(std::istream& in);
 
-/// Throws std::runtime_error (naming the first differing field) when
-/// `existing` — the header of a stream file found on disk — does not
-/// describe the same sweep as `expected`. `threads` is deliberately not
-/// compared: a resume may use a different pool size without affecting any
-/// result.
-void verify_cell_stream_resumable(const CellStreamHeader& existing,
-                                  const CellStreamHeader& expected);
-
 /// Folds a COMPLETE stream (every cell of the header's shard present) into
 /// the ordinary "slpdas.sweep.v2" document: cells sorted by index, threads
 /// from the header, distinct_worker_threads 0 and wall_seconds the sum of
 /// the cell wall clocks — so a deterministic-timing stream folds into a
 /// document bit-identical to an uninterrupted run. Throws
 /// std::runtime_error naming the first missing cell when the stream is
-/// still partial (resume the run to complete it).
+/// still partial.
 [[nodiscard]] SweepJson fold_cell_stream(const CellStream& stream);
 
 }  // namespace slpdas::core

@@ -1,6 +1,5 @@
-// Internal whole-file writers and process id, shared by the cell cache,
-// the fleet's claim directory and worker loop, and the stream resume
-// rewrite. Not installed.
+// Internal whole-file writers and process id, shared by the cell cache
+// and the fleet's claim directory and worker loop. Not installed.
 #pragma once
 
 #include <cstdint>

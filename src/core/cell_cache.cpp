@@ -59,6 +59,37 @@ std::string compose_entry(const CellCacheKey& key, const SweepJsonCell& cell) {
   return out.str();
 }
 
+/// The key an entry's header line CLAIMS the entry is for: every identity
+/// field, with the stored key hash checked against the one they
+/// recompute. Throws std::runtime_error on a missing or malformed header
+/// line or an unknown schema.
+CellCacheKey parse_entry_header(const std::string& text) {
+  const std::size_t newline = text.find('\n');
+  if (newline == std::string::npos) {
+    throw std::runtime_error("cache entry: truncated header line");
+  }
+  detail::JsonParser header_parser(text.substr(0, newline));
+  const detail::JsonParser::Value header = header_parser.parse();
+  const std::string& schema = header.at("schema").as_string();
+  if (schema != kCacheSchemaV1) {
+    throw std::runtime_error("cache entry: unknown schema '" + schema + "'");
+  }
+  const detail::JsonParser::Value& config = header.at("config");
+  CellCacheKey claimed;
+  claimed.topology = config.at("topology").as_string();
+  claimed.protocol = config.at("protocol").as_string();
+  claimed.attacker = config.at("attacker").as_string();
+  claimed.radio = config.at("radio").as_string();
+  claimed.parameters = header.at("parameters").as_string();
+  claimed.cell_seed = header.at("cell_seed").as_u64();
+  claimed.runs = header.at("runs").as_int();
+  claimed.deterministic = header.at("deterministic").as_bool();
+  if (header.at("key").as_string() != claimed.hex()) {
+    throw std::runtime_error("cache entry: stored key hash mismatch");
+  }
+  return claimed;
+}
+
 /// Parses and validates one entry file's bytes against `key`, throwing
 /// std::runtime_error (the message becomes the scan report's `error`) on
 /// any corruption, schema drift or identity mismatch.
@@ -79,33 +110,13 @@ SweepJsonCell parse_entry(const std::string& text, const CellCacheKey& key) {
     throw std::runtime_error("cache entry: trailing content after record");
   }
 
-  detail::JsonParser header_parser(text.substr(0, first_newline));
-  const detail::JsonParser::Value header = header_parser.parse();
-  const std::string& schema = header.at("schema").as_string();
-  if (schema != kCacheSchemaV1) {
-    throw std::runtime_error("cache entry: unknown schema '" + schema + "'");
-  }
-
-  // Rebuild the key the entry CLAIMS to be for and require it to be the
-  // one we are probing: a mismatch in any identity field means the file
-  // holds a different experiment's result (hash collision, stale format,
-  // tampering) and must not be trusted.
-  const detail::JsonParser::Value& config = header.at("config");
-  CellCacheKey stored;
-  stored.topology = config.at("topology").as_string();
-  stored.protocol = config.at("protocol").as_string();
-  stored.attacker = config.at("attacker").as_string();
-  stored.radio = config.at("radio").as_string();
-  stored.parameters = header.at("parameters").as_string();
-  stored.cell_seed = header.at("cell_seed").as_u64();
-  stored.runs = header.at("runs").as_int();
-  stored.deterministic = header.at("deterministic").as_bool();
-  if (!(stored == key)) {
+  // The key the entry claims must be the one we are probing: a mismatch
+  // in any identity field means the file holds a different experiment's
+  // result (hash collision, stale format, tampering) and must not be
+  // trusted.
+  if (!(parse_entry_header(text) == key)) {
     throw std::runtime_error(
         "cache entry: stored identity does not match the probed key");
-  }
-  if (header.at("key").as_string() != key.hex()) {
-    throw std::runtime_error("cache entry: stored key hash mismatch");
   }
 
   detail::JsonParser record_parser(
@@ -337,24 +348,9 @@ CellCacheScanReport scan_cell_cache(const std::string& directory) {
     try {
       const std::string text = read_file(item.path);
       // A scan has no probe key; validate the entry against the key its
-      // OWN header claims (parse_entry then checks hash and payload
-      // consistency), plus: the file must live under that key's name.
-      const std::size_t first_newline = text.find('\n');
-      if (first_newline == std::string::npos) {
-        throw std::runtime_error("cache entry: truncated header line");
-      }
-      detail::JsonParser header_parser(text.substr(0, first_newline));
-      const detail::JsonParser::Value header = header_parser.parse();
-      const detail::JsonParser::Value& config = header.at("config");
-      CellCacheKey claimed;
-      claimed.topology = config.at("topology").as_string();
-      claimed.protocol = config.at("protocol").as_string();
-      claimed.attacker = config.at("attacker").as_string();
-      claimed.radio = config.at("radio").as_string();
-      claimed.parameters = header.at("parameters").as_string();
-      claimed.cell_seed = header.at("cell_seed").as_u64();
-      claimed.runs = header.at("runs").as_int();
-      claimed.deterministic = header.at("deterministic").as_bool();
+      // OWN header claims (parse_entry then checks the lines and the
+      // payload), plus: the file must live under that key's name.
+      const CellCacheKey claimed = parse_entry_header(text);
       if (name.substr(0, 16) != claimed.hex()) {
         throw std::runtime_error(
             "cache entry: file name does not match the recomputed key");

@@ -4,8 +4,9 @@
 // "slpdas.sweep.v2" cells[] entry, a "slpdas.cell.v1" stream record (also
 // the content of a fleet done marker) and a "slpdas.cachecell.v1"
 // payload line share one field set — plus the one
-// sweep-identity comparison and the one fold from cell records back to a
-// sweep document. Not installed.
+// sweep-identity comparison, the one check of a kept record against this
+// run's cell, and the one fold from cell records back to a sweep
+// document. Not installed.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 
 namespace slpdas::core {
 
+class ClaimDir;           // fleet.hpp
 struct ShardMapManifest;  // fleet.hpp
 
 namespace detail {
@@ -27,7 +29,7 @@ namespace detail {
 [[nodiscard]] SweepJsonCell parse_cell_json(
     const JsonParser::Value& cell_value);
 
-/// What names one sweep. Streams, documents, manifests and resumes belong
+/// What names one sweep. Streams, documents and manifests belong
 /// to the same sweep exactly when these fields agree; a site with no
 /// notion of a field (a document records no `deterministic` flag, a
 /// manifest no shard) leaves it at its default.
@@ -51,6 +53,20 @@ struct SweepIdentity {
 /// values, e.g. "grid_hash 12 vs 34". Callers phrase the error.
 [[nodiscard]] std::string identity_mismatch(const SweepIdentity& have,
                                             const SweepIdentity& want);
+
+/// Throws std::runtime_error naming the cell and the field when `kept`, a
+/// record found on disk, describes a different experiment than `cell`,
+/// this run's cell at the record's index: its config block (topology,
+/// protocol, attacker, radio) or its run count differs. A sweep identity
+/// cannot catch this — the grid hash covers labels and run counts but
+/// not the cells' configs, so the same labels on another radio pass it.
+void verify_kept_record(const SweepJsonCell& kept, const SweepCell& cell);
+
+/// Reads and parses cell `index`'s fleet done record. Every failure (a
+/// missing file, a malformed record, a record naming another cell) throws
+/// std::runtime_error naming the cell. Defined in fleet/fold.cpp.
+[[nodiscard]] SweepJsonCell read_done_record(const ClaimDir& claims,
+                                             std::uint64_t index);
 
 /// One input of fold_sweep: the identity its producer declared (a stream
 /// header, a shard document, a fleet manifest) and its records.

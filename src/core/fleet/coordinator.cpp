@@ -144,8 +144,6 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
   const std::string& dir = fleet_options.directory;
   const ClaimDir claims(dir);
   claims.create();
-  const std::string logs_dir = dir + "/logs";
-  fs::create_directories(logs_dir);
 
   // Resume or initialise: an existing manifest must describe this very
   // sweep (its threads_total stays authoritative for the fold, so a
@@ -166,12 +164,32 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
                                "); use a fresh --fleet-dir or matching "
                                "options");
     }
+    // The grid hash covers labels and run counts, not the cells' configs:
+    // every kept done record must describe this run's cell at its index,
+    // or the fold would mix two experiments into one document.
+    for (const std::uint64_t index : claims.scan().done) {
+      if (index >= cells.size()) {
+        break;  // not a cell of this grid; the fold never reads it
+      }
+      const SweepJsonCell kept = detail::read_done_record(claims, index);
+      try {
+        detail::verify_kept_record(kept, cells[index]);
+      } catch (const std::runtime_error& error) {
+        throw std::runtime_error("fleet: " + dir +
+                                 " holds a done record of a different "
+                                 "experiment: " + error.what() +
+                                 "; use a fresh --fleet-dir or matching "
+                                 "options");
+      }
+    }
     manifest = *existing;
     log_line(fleet_options.log,
              "fleet: resuming existing fleet directory " + dir);
   } else {
     write_shardmap_manifest(dir, manifest);
   }
+  const std::string logs_dir = dir + "/logs";
+  fs::create_directories(logs_dir);
 
   std::string program;
   if (!fleet_options.spawn) {

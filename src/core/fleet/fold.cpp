@@ -15,14 +15,12 @@
 #include "slpdas/core/fleet.hpp"
 
 namespace slpdas::core {
-namespace {
 
-/// Reads and parses cell `index`'s done record; every failure names the
-/// cell.
-[[nodiscard]] SweepJsonCell read_done_record(const ClaimDir& claims,
-                                             std::uint64_t index) {
+namespace detail {
+
+SweepJsonCell read_done_record(const ClaimDir& claims, std::uint64_t index) {
   const std::string context =
-      "fleet fold: done record of cell " + std::to_string(index);
+      "fleet: done record of cell " + std::to_string(index);
   const std::string path = claims.done_path(index);
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -32,8 +30,8 @@ namespace {
   text << in.rdbuf();
   SweepJsonCell cell;
   try {
-    detail::JsonParser parser(std::move(text).str());
-    cell = detail::parse_cell_json(parser.parse());
+    JsonParser parser(std::move(text).str());
+    cell = parse_cell_json(parser.parse());
   } catch (const std::exception& error) {
     throw std::runtime_error(context + ": " + error.what());
   }
@@ -44,7 +42,7 @@ namespace {
   return cell;
 }
 
-}  // namespace
+}  // namespace detail
 
 SweepJson fold_fleet_directory(const std::string& directory) {
   const std::optional<ShardMapManifest> manifest =
@@ -57,7 +55,7 @@ SweepJson fold_fleet_directory(const std::string& directory) {
   std::vector<detail::FoldInput> inputs(1);
   inputs[0].identity = identity;
   for (std::uint64_t index = 0; index < manifest->cells_total; ++index) {
-    inputs[0].cells.push_back(read_done_record(claims, index));
+    inputs[0].cells.push_back(detail::read_done_record(claims, index));
   }
   SweepJson document =
       detail::fold_sweep(identity, std::move(inputs), "fleet fold");

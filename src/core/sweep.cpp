@@ -177,17 +177,11 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
     }
   }
 
-  // Deterministic round-robin partition by full-grid cell index, minus the
-  // cells a resumed stream already holds records for.
-  const std::set<std::size_t> skip(options.skip_cells.begin(),
-                                   options.skip_cells.end());
+  // Deterministic round-robin partition by full-grid cell index.
   std::vector<std::size_t> mine;
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    if (c % static_cast<std::size_t>(options.shard_count) ==
-            static_cast<std::size_t>(options.shard_index) &&
-        skip.count(c) == 0) {
-      mine.push_back(c);
-    }
+  for (std::size_t c = static_cast<std::size_t>(options.shard_index);
+       c < cells.size(); c += static_cast<std::size_t>(options.shard_count)) {
+    mine.push_back(c);
   }
 
   SweepResult sweep;
@@ -206,8 +200,8 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
   std::exception_ptr first_error;
   // Set when a stream record write fails (ENOSPC, a yanked volume): the
   // sweep is then doomed to rethrow, so nothing further is recorded,
-  // stored or simulated — those cells could not be recorded and a resume
-  // re-runs them anyway.
+  // stored or simulated — those cells could not be recorded, and a rerun
+  // over the cache recomputes them anyway.
   std::atomic<bool> stream_failed{false};
   // Progress lines accumulate here and flush as ONE stream write at most
   // once per progress_interval_ms (re-checked at every cell completion
@@ -244,8 +238,8 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
   // read_cell_stream drops), store a computed cell in the cache only once
   // its record is durably written (the cache never holds a cell the
   // stream lacks), and queue the progress line. A cell with a failed run
-  // is neither recorded nor stored: a resume, and a later cache hit, must
-  // not trust it. `elapsed` is a computed cell's real compute time, shown
+  // is neither recorded nor stored: a stream fold, and a later cache hit,
+  // must not trust it. `elapsed` is a computed cell's real compute time, shown
   // on its progress line even under deterministic timing.
   const auto complete = [&](std::size_t m, bool recordable, double elapsed) {
     const SweepCellResult& out = sweep.cells[m];
@@ -269,8 +263,8 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
           if (!first_error) {
             first_error = std::make_exception_ptr(std::runtime_error(
                 "cell stream write failed (disk full?) — cells completed "
-                "past this point are unrecorded; fix the volume and resume "
-                "from the stream file"));
+                "past this point are unrecorded and uncached; fix the volume "
+                "and rerun"));
           }
         }
       }
@@ -438,8 +432,8 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
           }
         } catch (const std::exception& error) {
           // Name the failing cell: a sweep can run thousands of them, and
-          // "stream resume skipped cell X because Y" is the difference
-          // between a fixable setup error and a mystery.
+          // "cell X failed because Y" is the difference between a fixable
+          // setup error and a mystery.
           state.failed.store(true);
           const std::scoped_lock lock(mutex);
           if (!first_error) {
@@ -603,7 +597,8 @@ using StatsField = std::pair<const char*, SweepJsonStats SweepJsonCell::*>;
 /// separates fields — ",\n      " inside the indented sweep document,
 /// ", " in a single-line cell-stream record — so both writers share ONE
 /// field list and can never drift apart from each other or from
-/// parse_cell: the byte-stable round trip the resume rewrite relies on.
+/// parse_cell: the byte-stable round trip the cache and the fleet's done
+/// records rely on.
 void write_cell_fields(std::ostream& out, const SweepJsonCell& cell,
                        const char* sep);
 
@@ -926,6 +921,25 @@ std::string identity_mismatch(const SweepIdentity& have,
   return {};
 }
 
+void verify_kept_record(const SweepJsonCell& kept, const SweepCell& cell) {
+  const auto check = [&kept](const char* field, const std::string& have,
+                             const std::string& want) {
+    if (have != want) {
+      throw std::runtime_error("cell " + std::to_string(kept.index) + " ('" +
+                               kept.label + "') has " + field + " '" + have +
+                               "' on disk but '" + want + "' in this run");
+    }
+  };
+  const ExperimentConfig& config = cell.config;
+  check("config.topology", kept.config_topology, config.topology.to_string());
+  check("config.protocol", kept.config_protocol,
+        format_protocol_spec(config.protocol, config.phantom_walk_length));
+  check("config.attacker", kept.config_attacker, config.attacker.to_spec());
+  check("config.radio", kept.config_radio,
+        format_radio_spec(config.radio, config.loss_probability));
+  check("runs", std::to_string(kept.runs), std::to_string(config.runs));
+}
+
 SweepJson fold_sweep(const SweepIdentity& expected,
                      std::vector<FoldInput> inputs,
                      std::string_view context) {
@@ -1145,21 +1159,6 @@ CellStream read_cell_stream(std::istream& in) {
     throw std::runtime_error("cell stream: missing header record");
   }
   return stream;
-}
-
-void verify_cell_stream_resumable(const CellStreamHeader& existing,
-                                  const CellStreamHeader& expected) {
-  // `threads` is deliberately not part of the identity: seeds and
-  // aggregation are pool-size independent, so a resume on different
-  // hardware is fine (the fold keeps the original run's thread count).
-  const std::string mismatch = detail::identity_mismatch(
-      detail::identity_of(existing), detail::identity_of(expected));
-  if (!mismatch.empty()) {
-    throw std::runtime_error(
-        "cell stream: " + mismatch +
-        " (stream vs this run) — the stream file belongs to a different "
-        "sweep");
-  }
 }
 
 SweepJson fold_cell_stream(const CellStream& stream) {

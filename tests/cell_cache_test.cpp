@@ -3,10 +3,11 @@
 // parameter digest covers the config fields outside the four specs),
 // store/lookup round-trips, validation-on-read (corrupt, truncated and
 // mis-keyed entries are rejected and recomputed, never trusted),
-// read-only mode, concurrent writers, scan/gc maintenance, and the
-// sweep-engine integration: a warm rerun is byte-identical to the cold
-// run with zero recomputes, composing with sharding and streaming.
-#include <cstdio>
+// read-only mode, concurrent writers, scan/gc maintenance, the
+// sweep-engine integration (a warm rerun is byte-identical to the cold
+// run with zero recomputes, composing with sharding and streaming), and
+// the crash-safe resume: a rerun after a kill computes only the lost
+// cells and reproduces the uninterrupted document.
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -476,48 +477,33 @@ TEST_F(SweepCacheTest, HitsComposeWithShardingBitForBit) {
 }
 
 TEST_F(SweepCacheTest, HitsAreStreamedLikeComputedCells) {
-  // Through run_scenario with a stream file: the warm run's stream must
-  // be byte-identical to the cold run's, so resumes and folds cannot tell
-  // a cache hit from a simulation.
-  Scenario scenario;
-  scenario.name = "cell_cache_test";
-  scenario.reference = "test fixture";
-  scenario.summary = "two cheap cells";
-  scenario.default_runs = 2;
-  scenario.default_seed = 77;
-  scenario.make_cells = [](const ScenarioOptions&) { return two_cells(); };
-  scenario.report = [](std::ostream&, const SweepJson&,
-                       const ScenarioOptions&) { return 0; };
+  // The warm run's stream must be byte-identical to the cold run's, so a
+  // fold (or a fleet done record) cannot tell a cache hit from a
+  // simulation. One worker: computed records land in the stream in
+  // completion order, which only equals the probe (grid) order the warm
+  // run uses when the cold run is serial — the byte comparison needs that.
+  const auto cells = two_cells();
+  SweepOptions options = deterministic_options();
+  options.threads = 1;
 
-  const std::string cold_stream = ::testing::TempDir() + "cache_cold.jsonl";
-  const std::string warm_stream = ::testing::TempDir() + "cache_warm.jsonl";
-  std::remove(cold_stream.c_str());
-  std::remove(warm_stream.c_str());
-  // One worker: computed records land in the stream in completion order,
-  // which only equals the probe (grid) order the warm run uses when the
-  // cold run is serial — the byte comparison below needs that.
-  ThreadPool pool(1);
-
-  ScenarioExecution execution;
-  execution.deterministic_timing = true;
   CellCache cold(dir_);
-  execution.cache = &cold;
-  execution.stream_path = cold_stream;
-  const SweepJson cold_doc =
-      run_scenario(scenario, ScenarioOptions{}, execution, pool);
+  options.cache = &cold;
+  std::ostringstream cold_stream;
+  options.stream = &cold_stream;
+  const std::string cold_doc =
+      to_text(to_sweep_json(run_sweep(cells, options), "t"));
   EXPECT_EQ(cold.stats().stores, 2u);
 
   CellCache warm(dir_);
-  execution.cache = &warm;
-  execution.stream_path = warm_stream;
-  const SweepJson warm_doc =
-      run_scenario(scenario, ScenarioOptions{}, execution, pool);
+  options.cache = &warm;
+  std::ostringstream warm_stream;
+  options.stream = &warm_stream;
+  const std::string warm_doc =
+      to_text(to_sweep_json(run_sweep(cells, options), "t"));
   EXPECT_EQ(warm.stats().hits, 2u);
   EXPECT_EQ(warm.stats().misses, 0u);
-  EXPECT_EQ(to_text(warm_doc), to_text(cold_doc));
-  EXPECT_EQ(slurp(warm_stream), slurp(cold_stream));
-  std::remove(cold_stream.c_str());
-  std::remove(warm_stream.c_str());
+  EXPECT_EQ(warm_doc, cold_doc);
+  EXPECT_EQ(warm_stream.str(), cold_stream.str());
 }
 
 TEST_F(SweepCacheTest, AHitGraftsTheCurrentGridsPositionOntoTheRecord) {
@@ -547,6 +533,107 @@ TEST_F(SweepCacheTest, AHitGraftsTheCurrentGridsPositionOntoTheRecord) {
   EXPECT_EQ(renamed.cells.front().label, "renamed=0");
   ASSERT_EQ(renamed.cells.front().coordinates.size(), 1u);
   EXPECT_EQ(renamed.cells.front().coordinates.front().first, "renamed");
+}
+
+// ---------------------------------------------------------------------------
+// Kill-and-resume through run_scenario: a rerun over the cache
+// ---------------------------------------------------------------------------
+
+/// Four cheap cells on `radio`: enough that a kill can land between them.
+Scenario resume_scenario(RadioKind radio = RadioKind::kCasinoLab) {
+  Scenario scenario;
+  scenario.name = "cell_cache_test";
+  scenario.reference = "test fixture";
+  scenario.summary = "four cheap cells";
+  scenario.default_runs = 2;
+  scenario.default_seed = 77;
+  scenario.make_cells = [radio](const ScenarioOptions&) {
+    ExperimentConfig base = cheap_config();
+    base.radio = radio;
+    SweepGrid grid(base);
+    grid.axis("cell", {{"0", nullptr}, {"1", nullptr}, {"2", nullptr},
+                       {"3", nullptr}});
+    return grid.expand();
+  };
+  scenario.report = [](std::ostream&, const SweepJson&,
+                       const ScenarioOptions&) { return 0; };
+  return scenario;
+}
+
+class CacheResumeTest : public CellCacheTest {
+ protected:
+  /// The scenario's document, through the cache when one is given.
+  static std::string run(const Scenario& scenario, CellCache* cache,
+                         const ScenarioOptions& options = {}) {
+    ThreadPool pool(2);
+    ScenarioExecution execution;
+    execution.deterministic_timing = true;
+    execution.cache = cache;
+    return to_text(run_scenario(scenario, options, execution, pool));
+  }
+};
+
+TEST_F(CacheResumeTest, ARerunAfterAKillRunsOnlyTheLostCells) {
+  const Scenario scenario = resume_scenario();
+  const std::string uninterrupted = run(scenario, nullptr);
+  {
+    CellCache cold(dir_);
+    EXPECT_EQ(run(scenario, &cold), uninterrupted);
+  }
+  // Reconstruct what a SIGKILL leaves behind: the entries of the cells
+  // stored before the kill, and a torn temporary of one being stored.
+  const CellCacheScanReport stored = scan_cell_cache(dir_);
+  ASSERT_EQ(stored.valid, 4u);
+  const std::string torn = slurp(stored.entries[1].path);
+  for (const std::size_t lost : {1u, 3u}) {
+    ASSERT_TRUE(std::filesystem::remove(stored.entries[lost].path));
+  }
+  {
+    std::ofstream out(stored.entries[1].path + ".tmp.4242.1",
+                      std::ios::binary);
+    out << torn.substr(0, torn.size() / 2);
+  }
+
+  CellCache warm(dir_);
+  EXPECT_EQ(run(scenario, &warm), uninterrupted);
+  EXPECT_EQ(warm.stats().hits, 2u);
+  EXPECT_EQ(warm.stats().misses, 2u);
+  EXPECT_EQ(warm.stats().rejected, 0u);
+  EXPECT_EQ(warm.stats().stores, 2u);  // exactly the deleted cells
+  // The rerun restored every entry; the torn temporary is gc's to remove.
+  const CellCacheScanReport after = scan_cell_cache(dir_);
+  EXPECT_EQ(after.valid, 4u);
+  EXPECT_EQ(after.invalid, 0u);
+  EXPECT_EQ(after.temp_files.size(), 1u);
+}
+
+TEST_F(CacheResumeTest, TheSameLabelsOnAnotherRadioAreNeverServed) {
+  // The grid hash covers labels and run counts, not the cells' configs;
+  // the cache key covers the radio, so a rerun with the same labels on
+  // another radio computes every cell afresh.
+  {
+    CellCache ideal(dir_);
+    (void)run(resume_scenario(RadioKind::kIdeal), &ideal);
+  }
+  const Scenario lossy = resume_scenario(RadioKind::kLossy);
+  CellCache warm(dir_);
+  EXPECT_EQ(run(lossy, &warm), run(lossy, nullptr));
+  EXPECT_EQ(warm.stats().hits, 0u);
+  EXPECT_EQ(warm.stats().misses, 4u);
+}
+
+TEST_F(CacheResumeTest, AnotherBaseSeedIsNeverServed) {
+  const Scenario scenario = resume_scenario();
+  {
+    CellCache cold(dir_);
+    (void)run(scenario, &cold);
+  }
+  ScenarioOptions reseeded;
+  reseeded.base_seed = 1234;
+  CellCache warm(dir_);
+  EXPECT_EQ(run(scenario, &warm, reseeded), run(scenario, nullptr, reseeded));
+  EXPECT_EQ(warm.stats().hits, 0u);
+  EXPECT_EQ(warm.stats().misses, 4u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // replacement; claims no live worker owns must expire; and the folded
 // document must still be bit-identical to an unsharded single-process
 // run.
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
@@ -14,6 +15,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #ifndef _WIN32
@@ -36,11 +38,11 @@ namespace fs = std::filesystem;
 /// Five cheap cells — the cell_stream_test fixture shape, so the fleet's
 /// byte-identity claims are checked against the same grid the stream and
 /// shard tests use.
-std::vector<SweepCell> five_cells() {
+std::vector<SweepCell> five_cells(RadioKind radio = RadioKind::kCasinoLab) {
   ExperimentConfig base;
   base.topology = wsn::TopologySpec::grid(5);
   base.parameters = test::fast_parameters(24);
-  base.radio = RadioKind::kCasinoLab;
+  base.radio = radio;
   base.runs = 2;
   base.check_schedules = false;
   SweepGrid grid(base);
@@ -71,16 +73,19 @@ std::string to_text(const SweepJson& document) {
   return out.str();
 }
 
-/// The unsharded single-process document every fleet variant must
-/// reproduce byte for byte (threads = the fleet's workers x
-/// worker_threads, which is 2 in every test here).
-std::string reference_text() {
+/// The unsharded single-process document of the fixture on `radio`
+/// (threads = the fleet's workers x worker_threads, which is 2 in every
+/// test here).
+SweepJson reference_document(RadioKind radio = RadioKind::kCasinoLab) {
   SweepOptions options;
   options.threads = 2;
   options.base_seed = 77;
   options.deterministic_timing = true;
-  return to_text(to_sweep_json(run_sweep(five_cells(), options), "fleet_test"));
+  return to_sweep_json(run_sweep(five_cells(radio), options), "fleet_test");
 }
+
+/// The document every fleet variant must reproduce byte for byte.
+std::string reference_text() { return to_text(reference_document()); }
 
 /// The manifest run_fleet would write for this fixture.
 ShardMapManifest fixture_manifest(int workers, int worker_threads) {
@@ -758,6 +763,50 @@ TEST_F(FleetTest, RefusesToResumeADirectoryHoldingADifferentSweep) {
   EXPECT_THROW((void)run_fleet(scenario, ScenarioOptions{}, options),
                std::runtime_error);
   EXPECT_EQ(spawns, 0);
+}
+
+TEST_F(FleetTest, RefusesToResumeDoneRecordsOfADifferentExperiment) {
+  // The fixture's labels omit the radio, so its grid hash — and the
+  // manifest — are the same on every radio. Done records published on
+  // the ideal radio must not be folded into a casino-lab resume.
+  write_shardmap_manifest(dir_, fixture_manifest(1, 2));
+  const ClaimDir claims(dir_);
+  claims.create();
+  const SweepJson ideal = reference_document(RadioKind::kIdeal);
+  for (const std::uint64_t cell : {1u, 3u}) {
+    std::ostringstream record;
+    write_cell_stream_record(record, ideal.cells[cell]);
+    ASSERT_TRUE(claims.mark_done(cell, record.str(), true));
+  }
+  const auto snapshot = [this] {
+    std::vector<std::pair<std::string, std::string>> files;
+    for (const fs::directory_entry& entry :
+         fs::recursive_directory_iterator(dir_)) {
+      files.emplace_back(entry.path().string(),
+                         entry.is_regular_file()
+                             ? read_file(entry.path().string())
+                             : std::string("<dir>"));
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+  };
+  const auto before = snapshot();
+
+  FleetOptions options = coordinator_options(dir_, nullptr);
+  options.spawn = [](const FleetSpawnRequest&) -> std::int64_t {
+    throw std::logic_error("spawned a worker for a refused resume");
+  };
+  try {
+    (void)run_fleet(fleet_scenario(), ScenarioOptions{}, options);
+    FAIL() << "resumed done records of another radio";
+  } catch (const std::runtime_error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("cell 1"), std::string::npos) << message;
+    EXPECT_NE(message.find("config.radio 'ideal'"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("'casino-lab'"), std::string::npos) << message;
+  }
+  EXPECT_EQ(snapshot(), before);
 }
 
 #endif  // !_WIN32
