@@ -13,6 +13,7 @@
 // same eavesdropper hunts TDMA DAS traffic and phantom-routing traffic.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <optional>
 #include <vector>
@@ -58,6 +59,15 @@ class AttackerRuntime final : public sim::TransmissionObserver {
     return static_cast<int>(trail_.size()) - 1;
   }
 
+  /// True iff a transmission by `from` is within the attacker's range:
+  /// `from` is the current location or one of its graph neighbours (the
+  /// radio draw then decides whether it is actually heard). One bit test:
+  /// the range is kept as a per-node bitmap, updated on every move.
+  [[nodiscard]] bool in_range(wsn::NodeId from) const noexcept {
+    const auto node = static_cast<std::size_t>(from);
+    return ((in_range_[node >> 6] >> (node & 63)) & 1u) != 0;
+  }
+
   // sim::TransmissionObserver
   void on_transmission(wsn::NodeId from, const sim::Message& message,
                        sim::SimTime at) override;
@@ -75,6 +85,11 @@ class AttackerRuntime final : public sim::TransmissionObserver {
  private:
   void maybe_decide();
   void roll_period(sim::SimTime at);
+  /// Moves to `location`, clearing the old location's range bits and
+  /// setting the new one's: O(degree) per move.
+  void move_to(wsn::NodeId location);
+  /// Sets (or clears) the range bits of location_ and its neighbours.
+  void mark_range(bool set);
 
   sim::Simulator& simulator_;
   mac::FrameConfig frame_;
@@ -84,6 +99,7 @@ class AttackerRuntime final : public sim::TransmissionObserver {
   bool active_ = false;
   sim::SimTime activated_at_ = 0;
   wsn::NodeId location_ = wsn::kNoNode;
+  std::vector<std::uint64_t> in_range_;  // bit n: see in_range()
   std::vector<HeardMessage> messages_;     // msgs
   int moves_this_period_ = 0;              // moves
   std::deque<wsn::NodeId> history_;        // history (bounded by H)

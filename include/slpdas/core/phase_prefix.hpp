@@ -12,6 +12,8 @@
 // slpdas_lint prefix-mutation rule enforces textually.
 #pragma once
 
+#include <cstdint>
+
 #include "slpdas/core/experiment.hpp"
 #include "slpdas/das/protocol.hpp"
 #include "slpdas/phantom/phantom_routing.hpp"
@@ -43,9 +45,18 @@ struct PhasePrefix {
   sim::MessagePtr das_hello;
   sim::MessagePtr phantom_hello;
 
+  /// A DAS or SLP-DAS cell whose per-run Ninfo tables
+  /// (das::ninfo_table_bytes) exceed this many bytes is refused by
+  /// capture: on a random placement a node's id window is nearly all N
+  /// ids, so the tables grow as N² and a large enough spec would die of
+  /// allocation failure mid-run instead of failing with a typed error.
+  static constexpr std::uint64_t kMaxNinfoBytes = std::uint64_t{4} << 30;
+
   /// Captures the prefix for `config` against `topology` (which must be
   /// config.topology.build()'s result). Throws std::invalid_argument on
-  /// an invalid source/sink — the per-run validation, done once.
+  /// an invalid source/sink — the per-run validation, done once — and on
+  /// a DAS or SLP-DAS cell over kMaxNinfoBytes, before any per-node
+  /// protocol state exists.
   [[nodiscard]] static PhasePrefix capture(const ExperimentConfig& config,
                                            const wsn::Topology& topology);
 };

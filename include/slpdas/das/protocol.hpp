@@ -300,6 +300,18 @@ class ProtectionlessDas : public sim::Process {
   std::uint64_t latency_count_ = 0;
 };
 
+/// First and last id of `node`'s Ninfo window (see
+/// ProtectionlessDas::ninfo_): the min and max of its id, each graph
+/// neighbour's id and the two ends of that neighbour's sorted row.
+/// O(degree).
+[[nodiscard]] std::pair<wsn::NodeId, wsn::NodeId> ninfo_window_of(
+    const wsn::Graph& graph, wsn::NodeId node);
+
+/// Bytes of the Ninfo tables one run of this protocol family allocates on
+/// `graph`: every node's window size times sizeof(NodeInfo), summed.
+/// O(sum of degrees), so it is cheap to ask before a run.
+[[nodiscard]] std::uint64_t ninfo_table_bytes(const wsn::Graph& graph);
+
 /// Snapshot of the slot assignment across all processes of a simulator
 /// running this protocol family.
 [[nodiscard]] mac::Schedule extract_schedule(const sim::Simulator& simulator);

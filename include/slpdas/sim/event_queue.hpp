@@ -47,12 +47,17 @@
 //     common case: arrival = now + propagation delay) appends in O(1);
 //     anything earlier binary-searches its slot and shifts the tail
 //     (trivially-copyable 32-byte moves).
-//   * `buckets_` — a power-of-two circular array of kNumBuckets unsorted
+//   * `bins_` — a power-of-two circular array of kNumBuckets unsorted
 //     bins covering the next kNumBuckets * kBucketWidth ≈ 4.2 s of
 //     simulated time past the active bucket; push is an O(1) append plus
 //     one occupancy-bitmap bit. When `near_` drains, the bitmap is
 //     scanned (16 words) for the next occupied bin, which is copied into
 //     `near_` and sorted once — O(k log k) amortised over its k events.
+//     Every bin's floor capacity is one fixed-width segment of a single
+//     slab (`slab_`, one allocation per queue): bin s holds its events in
+//     slab_[s * floor_, (s + 1) * floor_) until it outgrows that segment,
+//     then moves once into its own spill vector and lives there for good
+//     (reset_run keeps the spill's capacity, as it keeps every other).
 //   * `far_` — the unsorted overflow for events beyond the bucket
 //     horizon (source periods, attacker activation). When the calendar
 //     runs dry the earliest far bucket becomes the new active window and
@@ -75,7 +80,10 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -122,12 +130,14 @@ struct TimerGroupEvent {
 
 /// A queued event. Trivially copyable by design: bucket refills and tail
 /// shifts are memcpy-grade moves, and pop hands the entry back by value.
-/// The sequence number and kind tag share one word (kind in the low two
-/// bits), so the tie-break comparison is a single integer compare and the
-/// whole entry is 32 bytes.
+/// Trivially default-constructible too, so the calendar slab is allocated
+/// without writing it (see EventQueue::relay_slab); every push sets all
+/// fields. The sequence number and kind tag share one word (kind in the
+/// low two bits), so the tie-break comparison is a single integer compare
+/// and the whole entry is 32 bytes.
 struct Event {
-  SimTime at = 0;
-  std::uint64_t seq_kind = 0;  ///< (insertion sequence << 2) | kind
+  SimTime at;
+  std::uint64_t seq_kind;  ///< (insertion sequence << 2) | kind
   union {
     DeliveryEvent delivery;
     TimerEvent timer;
@@ -141,6 +151,9 @@ struct Event {
     return seq_kind >> 2;
   }
 };
+
+static_assert(std::is_trivially_default_constructible_v<Event> &&
+              std::is_trivially_copyable_v<Event>);
 
 class EventQueue {
  public:
@@ -163,18 +176,21 @@ class EventQueue {
   /// `receivers_per_message` receptions each (every payload slot created
   /// from then on reserves that many), so steady-state operation reaches
   /// its high-water capacity up front instead of reallocating mid-run.
-  /// Callable any time; never shrinks.
+  /// Every calendar bin gets a floor of max(8, pending_events / 64)
+  /// events, all carved out of one slab: the periodic-timer trickle that
+  /// cycles through all bins each calendar revolution then never
+  /// triggers a first-touch allocation, and the floors cost one
+  /// allocation, not kNumBuckets. A burst bin (whole-network slot
+  /// broadcasts) spills once into its own storage and keeps it. Callable
+  /// any time, pending events included (a larger floor re-lays the slab,
+  /// moving every bin still in it); never shrinks.
   void reserve(std::size_t pending_events, std::size_t staged_messages,
                std::size_t receivers_per_message = 0) {
     near_.reserve(pending_events);
     far_.reserve(pending_events);
-    // Every bin gets a floor capacity: the periodic-timer trickle that
-    // cycles through all bins each calendar revolution then never
-    // triggers a first-touch allocation. Burst bins (whole-network slot
-    // broadcasts) grow once to their own high water and stay.
-    const std::size_t per_bucket = std::max<std::size_t>(8, pending_events / 64);
-    for (auto& bucket : buckets_) {
-      bucket.reserve(per_bucket);
+    const std::size_t floor = std::max<std::size_t>(8, pending_events / 64);
+    if (floor > floor_) {
+      relay_slab(floor);
     }
     messages_.reserve(staged_messages);
     free_messages_.reserve(staged_messages);
@@ -361,8 +377,9 @@ class EventQueue {
   /// This is what makes a forked run bit-identical to a cold-constructed
   /// one.
   void reset_run() {
-    for (auto& bucket : buckets_) {
-      bucket.clear();
+    for (Bin& bin : bins_) {
+      bin.size = 0;
+      bin.spill.clear();  // a spilled bin keeps its own storage
     }
     near_.clear();
     near_pos_ = 0;
@@ -415,6 +432,31 @@ class EventQueue {
     SimTime at = kClosed;
     std::uint32_t slot = kNoSlot;
   };
+
+  /// One calendar bin: `size` events in its slab segment, or — once it
+  /// has outgrown the segment — every event in `spill`.
+  struct Bin {
+    std::size_t size = 0;
+    std::vector<Event> spill;
+  };
+
+  /// std::allocator, except that construct() without a value
+  /// default-initialises: a vector of a trivially default-constructible
+  /// type sized through it allocates its elements without writing them.
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    void construct(U* pointer) noexcept {
+      ::new (static_cast<void*>(pointer)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* pointer, Args&&... args) {
+      ::new (static_cast<void*>(pointer)) U(std::forward<Args>(args)...);
+    }
+  };
+
+  /// The bin floors' storage, allocated without being written.
+  using Slab = std::vector<Event, DefaultInitAllocator<Event>>;
 
   static constexpr SimTime kClosed = -1;
   /// Open groups are tracked in a direct-mapped table keyed by instant. A
@@ -490,12 +532,59 @@ class EventQueue {
       return;
     }
     if (bucket < far_boundary_) {
-      const auto slot = static_cast<std::size_t>(bucket) & kBucketMask;
-      buckets_[slot].push_back(event);
-      occupancy_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+      push_bin(static_cast<std::size_t>(bucket) & kBucketMask, event);
       return;
     }
     far_.push_back(event);
+  }
+
+  /// Appends `event` to bin `slot` and marks the bin occupied.
+  void push_bin(std::size_t slot, const Event& event) {
+    occupancy_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    Bin& bin = bins_[slot];
+    if (bin.spill.capacity() == 0) {
+      if (bin.size < floor_) {
+        slab_[slot * floor_ + bin.size++] = event;
+        return;
+      }
+      spill_bin(bin, slot);
+    }
+    bin.spill.push_back(event);
+  }
+
+  /// Moves a bin whose slab segment is full into its own storage, with
+  /// the doubled capacity a vector outgrowing the floor would take.
+  [[gnu::noinline]] void spill_bin(Bin& bin, std::size_t slot) {
+    const auto first = segment(slot);
+    bin.spill.reserve(2 * floor_);
+    bin.spill.assign(first, first + static_cast<std::ptrdiff_t>(bin.size));
+    bin.size = 0;
+  }
+
+  /// The first slab slot of bin `slot`'s segment.
+  [[nodiscard]] Slab::iterator segment(std::size_t slot) noexcept {
+    return slab_.begin() + static_cast<std::ptrdiff_t>(slot * floor_);
+  }
+
+  /// Re-lays the slab with a larger floor, moving the events of every bin
+  /// still in it to the same bin's new segment. A spilled bin stays in
+  /// its own storage, which grows to the floor if smaller. The new slab
+  /// is left unwritten, since a slot is only read after a push wrote it:
+  /// zero-filling it (3.5 MB on grid:41) took longer than the per-bin
+  /// allocations the slab replaced.
+  void relay_slab(std::size_t floor) {
+    Slab slab(kNumBuckets * floor);
+    for (std::size_t slot = 0; slot < kNumBuckets; ++slot) {
+      Bin& bin = bins_[slot];
+      if (bin.spill.capacity() == 0) {
+        std::copy_n(segment(slot), bin.size,
+                    slab.begin() + static_cast<std::ptrdiff_t>(slot * floor));
+      } else {
+        bin.spill.reserve(floor);
+      }
+    }
+    slab_ = std::move(slab);
+    floor_ = floor;
   }
 
   /// The sorted window's out-of-order insert, kept out of line so the
@@ -534,9 +623,15 @@ class EventQueue {
     if (next >= 0) {
       active_bucket_ = next;
       const auto slot = static_cast<std::size_t>(next) & kBucketMask;
-      auto& bucket = buckets_[slot];
-      near_.assign(bucket.begin(), bucket.end());
-      bucket.clear();  // keeps its capacity for the next revolution
+      Bin& bin = bins_[slot];
+      if (bin.spill.capacity() == 0) {
+        const auto first = segment(slot);
+        near_.assign(first, first + static_cast<std::ptrdiff_t>(bin.size));
+        bin.size = 0;
+      } else {
+        near_.assign(bin.spill.begin(), bin.spill.end());
+        bin.spill.clear();  // keeps its capacity for the next revolution
+      }
       occupancy_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
       sort_near();
       return;
@@ -556,9 +651,7 @@ class EventQueue {
       if (bucket == active_bucket_) {
         near_.push_back(event);
       } else if (bucket < far_boundary_) {
-        const auto slot = static_cast<std::size_t>(bucket) & kBucketMask;
-        buckets_[slot].push_back(event);
-        occupancy_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+        push_bin(static_cast<std::size_t>(bucket) & kBucketMask, event);
       } else {
         far_[keep++] = event;
       }
@@ -597,12 +690,17 @@ class EventQueue {
 
   // Calendar state. `near_` is sorted ascending with a consumed prefix
   // [0, near_pos_); it holds every pending event in bucket <= active.
-  // `buckets_` hold unsorted events in (active, far_boundary); `far_`
+  // `bins_` hold unsorted events in (active, far_boundary); `far_`
   // everything at or past far_boundary_. far_boundary_ - active_bucket_
   // never exceeds kNumBuckets, so a bin aliases at most one live bucket.
+  // Bin s lives in slab_[s * floor_, s * floor_ + size) while its spill
+  // has no capacity, and in its spill from then on; addressed by offset,
+  // so a copied or moved queue stays valid.
   std::vector<Event> near_;
   std::size_t near_pos_ = 0;
-  std::array<std::vector<Event>, kNumBuckets> buckets_;
+  std::array<Bin, kNumBuckets> bins_;
+  Slab slab_;
+  std::size_t floor_ = 0;
   std::array<std::uint64_t, kNumBuckets / 64> occupancy_{};
   std::vector<Event> far_;
   std::int64_t active_bucket_ = 0;

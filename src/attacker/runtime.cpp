@@ -27,14 +27,38 @@ AttackerRuntime::AttackerRuntime(sim::Simulator& simulator,
   if (!simulator.graph().contains(source)) {
     throw std::invalid_argument("AttackerRuntime: invalid source");
   }
+  in_range_.assign((simulator.graph().node_count() + 63) / 64, 0);
   location_ = params_.start;
+  mark_range(true);
   simulator.add_observer(this);
+}
+
+void AttackerRuntime::move_to(wsn::NodeId location) {
+  mark_range(false);
+  location_ = location;
+  mark_range(true);
+}
+
+void AttackerRuntime::mark_range(bool set) {
+  const auto mark = [&](wsn::NodeId node) {
+    const auto index = static_cast<std::size_t>(node);
+    const std::uint64_t bit = std::uint64_t{1} << (index & 63);
+    if (set) {
+      in_range_[index >> 6] |= bit;
+    } else {
+      in_range_[index >> 6] &= ~bit;
+    }
+  };
+  mark(location_);
+  for (const wsn::NodeId neighbor : simulator_.graph().neighbors(location_)) {
+    mark(neighbor);
+  }
 }
 
 void AttackerRuntime::reset_run() {
   active_ = false;
   activated_at_ = 0;
-  location_ = params_.start;
+  move_to(params_.start);
   messages_.clear();
   moves_this_period_ = 0;
   history_.clear();
@@ -79,9 +103,7 @@ void AttackerRuntime::on_transmission(wsn::NodeId from,
 
   // Audibility: co-located or 1-hop from the current location, through the
   // same radio model as any other receiver.
-  const bool audible =
-      from == location_ || simulator_.graph().has_edge(from, location_);
-  if (!audible) {
+  if (!in_range(from)) {
     return;
   }
   if (from != location_ && !simulator_.radio_delivered(from, location_, at)) {
@@ -137,7 +159,7 @@ void AttackerRuntime::maybe_decide() {
       history_.pop_front();
     }
   }
-  location_ = next;
+  move_to(next);
   ++moves_this_period_;
   trail_.push_back(location_);
   if (location_ == source_) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "slpdas/das/messages.hpp"
 
@@ -19,6 +20,16 @@ PhasePrefix PhasePrefix::capture(const ExperimentConfig& config,
   PhasePrefix prefix;
   prefix.das = config.parameters.das_config();
   prefix.is_phantom = config.protocol == ProtocolKind::kPhantomRouting;
+  if (!prefix.is_phantom) {
+    const std::uint64_t ninfo_bytes = das::ninfo_table_bytes(graph);
+    if (ninfo_bytes > kMaxNinfoBytes) {
+      throw std::invalid_argument(
+          "RunBatch: " + config.topology.to_string() + " needs " +
+          std::to_string(ninfo_bytes) +
+          " bytes of DAS Ninfo tables per run (limit " +
+          std::to_string(kMaxNinfoBytes) + ")");
+    }
+  }
   if (config.protocol == ProtocolKind::kSlpDas) {
     prefix.slp = config.parameters.slp_config(topology);
   }

@@ -61,16 +61,31 @@ ProtectionlessDas::ProtectionlessDas(const DasConfig& config, wsn::NodeId sink,
   }
 }
 
-void ProtectionlessDas::on_start() {
-  // The Ninfo window (see ninfo_): each neighbour's sorted row holds every
-  // node two hops away through it, so its ends bound them all.
-  wsn::NodeId lo = id();
-  wsn::NodeId hi = id();
-  for (const wsn::NodeId neighbor : graph().neighbors(id())) {
-    const std::span<const wsn::NodeId> row = graph().neighbors(neighbor);
+std::pair<wsn::NodeId, wsn::NodeId> ninfo_window_of(const wsn::Graph& graph,
+                                                    wsn::NodeId node) {
+  // Each neighbour's sorted row holds every node two hops away through
+  // it, so its ends bound them all.
+  wsn::NodeId lo = node;
+  wsn::NodeId hi = node;
+  for (const wsn::NodeId neighbor : graph.neighbors(node)) {
+    const std::span<const wsn::NodeId> row = graph.neighbors(neighbor);
     lo = std::min({lo, neighbor, row.front()});
     hi = std::max({hi, neighbor, row.back()});
   }
+  return {lo, hi};
+}
+
+std::uint64_t ninfo_table_bytes(const wsn::Graph& graph) {
+  std::uint64_t entries = 0;
+  for (wsn::NodeId node = 0; node < graph.node_count(); ++node) {
+    const auto [lo, hi] = ninfo_window_of(graph, node);
+    entries += static_cast<std::uint64_t>(hi - lo) + 1;
+  }
+  return entries * sizeof(NodeInfo);
+}
+
+void ProtectionlessDas::on_start() {
+  const auto [lo, hi] = ninfo_window_of(graph(), id());
   ninfo_lo_ = lo;
   // assign() reuses the capacity reset_run kept, so a forked batch's
   // second seed refills these tables without allocating.

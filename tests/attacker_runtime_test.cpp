@@ -89,6 +89,37 @@ TEST(AttackerRuntimeTest, TrailIsAWalkOnTheGraph) {
   }
 }
 
+TEST(AttackerRuntimeTest, RangeFollowsEveryMoveAndReset) {
+  // The range bitmap must equal "co-located or a graph neighbour" for
+  // every node after every move: a bit left set by an earlier location
+  // would let the attacker overhear a node out of range.
+  auto net = make_protectionless_net(wsn::make_grid(7), fast_parameters(), 10);
+  AttackerParams params = default_params(net.topology.sink);
+  params.moves_per_period = 2;
+  AttackerRuntime attacker(*net.simulator, net.params.frame(), params,
+                           net.topology.source);
+  const wsn::Graph& graph = net.topology.graph;
+  const auto expect_range_matches_graph = [&](const char* when) {
+    const wsn::NodeId at = attacker.location();
+    for (wsn::NodeId node = 0; node < graph.node_count(); ++node) {
+      EXPECT_EQ(attacker.in_range(node), node == at || graph.has_edge(node, at))
+          << when << ": node " << node << ", attacker at " << at;
+    }
+  };
+  expect_range_matches_graph("constructed");
+  const sim::SimTime activation = net.setup_end();
+  net.simulator->run_until(activation);
+  attacker.activate(activation);
+  for (int period = 1; period <= 20 && !attacker.captured(); ++period) {
+    net.simulator->run_until(activation + period * net.period());
+    expect_range_matches_graph("after a period");
+  }
+  EXPECT_GE(attacker.moves_made(), 3);
+  attacker.reset_run();
+  EXPECT_EQ(attacker.location(), net.topology.sink);
+  expect_range_matches_graph("after reset_run");
+}
+
 TEST(AttackerRuntimeTest, OneMovePerPeriodForClassicAttacker) {
   auto net = make_protectionless_net(wsn::make_grid(5), fast_parameters(), 6);
   AttackerRuntime attacker(*net.simulator, net.params.frame(),

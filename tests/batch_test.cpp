@@ -15,6 +15,7 @@
 #include "slpdas/core/run_batch.hpp"
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,34 @@ ExperimentConfig small_config(ProtocolKind protocol) {
 }
 
 constexpr std::uint64_t kBaseSeed = 2017;
+
+TEST(RunBatchTest, RefusesDasCellWhoseNinfoTablesCannotFit) {
+  // A random placement's Ninfo windows span nearly every id, so this
+  // spec's DAS tables would need ~N^2 * 8 bytes. The batch refuses it at
+  // capture, before a fork builds a single process; phantom routing keeps
+  // no Ninfo and is accepted.
+  ExperimentConfig config = small_config(ProtocolKind::kProtectionlessDas);
+  config.topology = wsn::TopologySpec::parse("udisk:n=200000,r=1");
+  const wsn::Topology topology = config.topology.build();
+  const std::uint64_t bytes = das::ninfo_table_bytes(topology.graph);
+  EXPECT_GT(bytes, PhasePrefix::kMaxNinfoBytes);
+  for (const ProtocolKind protocol :
+       {ProtocolKind::kProtectionlessDas, ProtocolKind::kSlpDas}) {
+    config.protocol = protocol;
+    try {
+      const RunBatch batch(config, topology);
+      ADD_FAILURE() << "accepted " << config.topology.to_string();
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("udisk:n=200000,r=1"), std::string::npos)
+          << message;
+      EXPECT_NE(message.find(std::to_string(bytes)), std::string::npos)
+          << message;
+    }
+  }
+  config.protocol = ProtocolKind::kPhantomRouting;
+  EXPECT_NO_THROW(RunBatch(config, topology));
+}
 
 TEST(RunBatchTest, RunOneMatchesOneShotBatchInAnyOrder) {
   // Seed isolation: a batch executes seeds against shared hoisted state,

@@ -15,6 +15,7 @@
 #include <memory>
 #include <new>
 
+#include "slpdas/core/run_batch.hpp"
 #include "slpdas/das/protocol.hpp"
 #include "slpdas/sim/simulator.hpp"
 #include "slpdas/slp/slp_das.hpp"
@@ -29,6 +30,14 @@ std::atomic<std::uint64_t> g_allocated_bytes{0};
 void count_allocation(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+}
+
+/// Out of line: inlined into a delete-expression, free() would pair with
+/// the `new` that made the pointer, and GCC flags that pairing as
+/// mismatched (-Wmismatched-new-delete) though both sides are the
+/// replacements below.
+[[gnu::noinline]] void release_allocation(void* pointer) noexcept {
+  std::free(pointer);
 }
 
 }  // namespace
@@ -65,31 +74,31 @@ void* operator new(std::size_t size, std::align_val_t alignment) {
 void* operator new[](std::size_t size, std::align_val_t alignment) {
   return ::operator new(size, alignment);
 }
-void operator delete(void* pointer) noexcept { std::free(pointer); }
-void operator delete[](void* pointer) noexcept { std::free(pointer); }
+void operator delete(void* pointer) noexcept { release_allocation(pointer); }
+void operator delete[](void* pointer) noexcept { release_allocation(pointer); }
 void operator delete(void* pointer, std::size_t) noexcept {
-  std::free(pointer);
+  release_allocation(pointer);
 }
 void operator delete[](void* pointer, std::size_t) noexcept {
-  std::free(pointer);
+  release_allocation(pointer);
 }
 void operator delete(void* pointer, const std::nothrow_t&) noexcept {
-  std::free(pointer);
+  release_allocation(pointer);
 }
 void operator delete[](void* pointer, const std::nothrow_t&) noexcept {
-  std::free(pointer);
+  release_allocation(pointer);
 }
 void operator delete(void* pointer, std::align_val_t) noexcept {
-  std::free(pointer);
+  release_allocation(pointer);
 }
 void operator delete[](void* pointer, std::align_val_t) noexcept {
-  std::free(pointer);
+  release_allocation(pointer);
 }
 void operator delete(void* pointer, std::size_t, std::align_val_t) noexcept {
-  std::free(pointer);
+  release_allocation(pointer);
 }
 void operator delete[](void* pointer, std::size_t, std::align_val_t) noexcept {
-  std::free(pointer);
+  release_allocation(pointer);
 }
 
 namespace slpdas::sim {
@@ -213,6 +222,55 @@ TEST(EventAllocTest, ReservedQueueAbsorbsItsPendingBudgetWithoutAllocating) {
       g_allocations.load(std::memory_order_relaxed) - allocations_before;
   EXPECT_EQ(allocations, 0u)
       << "reserved queue allocated " << allocations << " times";
+}
+
+TEST(EventAllocTest, SpilledCalendarBinsKeepTheirStorageAcrossResetRun) {
+  // Bins that outgrow their slab segment spill once into their own
+  // storage. reset_run keeps it, so after a reset an identical fill and
+  // drain allocate nothing.
+  EventQueue queue;
+  queue.reserve(64, 8);  // floor 8
+  const auto fill = [&] {
+    for (SimTime bin = 2; bin < 8; ++bin) {
+      for (SimTime i = 0; i < 40; ++i) {
+        queue.push_timer((bin << EventQueue::kBucketShift) + 40 - i, 0, 1, 0);
+      }
+    }
+  };
+  fill();  // six adjacent bins spill
+  queue.reset_run();
+  const std::uint64_t allocations_before =
+      g_allocations.load(std::memory_order_relaxed);
+  fill();
+  SimTime now = 0;
+  while (!queue.empty()) {
+    (void)queue.pop(now);
+  }
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - allocations_before;
+  EXPECT_EQ(now, (SimTime{7} << EventQueue::kBucketShift) + 40);
+  EXPECT_EQ(allocations, 0u);
+}
+
+TEST(EventAllocTest, ForkConstructionAllocationsScaleWithNodesNotCalendarBins) {
+  // A fork builds one Simulator, a process per node and the attacker. Its
+  // allocation count is the node count plus a small constant: the event
+  // queue's kNumBuckets calendar-bin floors share one slab allocation.
+  for (const int side : {7, 13}) {
+    core::ExperimentConfig config;
+    config.topology = wsn::TopologySpec::grid(side);
+    const wsn::Topology topology = config.topology.build();
+    const core::RunBatch batch(config, topology);
+    const auto nodes = static_cast<std::uint64_t>(topology.graph.node_count());
+    const std::uint64_t allocations_before =
+        g_allocations.load(std::memory_order_relaxed);
+    { const core::RunBatch::Fork fork(batch); }
+    const std::uint64_t allocations =
+        g_allocations.load(std::memory_order_relaxed) - allocations_before;
+    EXPECT_LE(allocations, nodes + 32)
+        << "grid:" << side << ": fork construction allocated " << allocations
+        << " times for " << nodes << " nodes";
+  }
 }
 
 TEST(EventAllocTest, BroadcastSlotsKeepReceiverCapacityAcrossReuseAndReset) {

@@ -430,6 +430,85 @@ TEST(CalendarOrderTest, ReserveKeepsOrderAndSize) {
 }
 
 // ---------------------------------------------------------------------------
+// Calendar bins share one slab of floors. A write that crossed from one
+// bin's segment into the next would stay inside one live allocation, out
+// of a sanitizer's sight, so the segment boundaries are pinned here by pop
+// order against the reference.
+// ---------------------------------------------------------------------------
+
+/// Pushes `per_bin` timers into each of the calendar bins [2, 2 + bins),
+/// round-robin, so a bin outgrows its segment while its neighbours'
+/// segments hold events, and descending, so every refill has to sort what
+/// it drains. (Bin 1 is left out: a push for the bucket right after an
+/// empty window moves the window onto it instead.) Mirrors every push
+/// into `reference`.
+void fill_adjacent_bins(EventQueue& queue, ReferenceQueue& reference,
+                        int bins, int per_bin) {
+  constexpr SimTime kWidth = SimTime{1} << EventQueue::kBucketShift;
+  for (int i = per_bin; i-- > 0;) {
+    for (int bin = bins + 1; bin >= 2; --bin) {
+      const SimTime at = bin * kWidth + static_cast<SimTime>(i) * 7;
+      queue.push_timer(at, 0, 1, 0);
+      reference.push(at);
+    }
+  }
+}
+
+TEST(CalendarSlabTest, AdjacentSpilledBinsKeepOrder) {
+  // Several neighbouring bins each take more than their floor: each spills
+  // into its own storage while its neighbours' segments still hold theirs.
+  EventQueue queue;
+  queue.reserve(64, 8);  // floor 8
+  ReferenceQueue reference;
+  // The two bins after them fill their segments exactly first, and stay
+  // inside the slab.
+  for (int bin = 8; bin <= 9; ++bin) {
+    for (int i = 0; i < 8; ++i) {
+      const SimTime at = (SimTime{bin} << EventQueue::kBucketShift) + 100 - i;
+      queue.push_timer(at, 0, 1, 0);
+      reference.push(at);
+    }
+  }
+  fill_adjacent_bins(queue, reference, /*bins=*/6, /*per_bin=*/21);
+  EXPECT_EQ(queue.size(), 16u + 6u * 21u);
+  // A copy addresses its own slab: both pop the reference order.
+  EventQueue copy = queue;
+  const std::vector<Key> expected = drain_keys(reference);
+  EXPECT_EQ(drain_keys(queue), expected);
+  EXPECT_EQ(drain_keys(copy), expected);
+}
+
+TEST(CalendarSlabTest, UnreservedQueueKeepsOrder) {
+  // Never reserved: floor 0, so every bin lives in its own storage.
+  EventQueue queue;
+  ReferenceQueue reference;
+  fill_adjacent_bins(queue, reference, /*bins=*/5, /*per_bin=*/13);
+  EXPECT_EQ(drain_keys(queue), drain_keys(reference));
+}
+
+TEST(CalendarSlabTest, LargerReserveWithPendingBinsKeepsOrderAndSize) {
+  // Re-laying the slab for a larger floor moves every bin still in it;
+  // a bin that had already spilled stays in its own storage.
+  EventQueue queue;
+  queue.reserve(64, 8);  // floor 8
+  ReferenceQueue reference;
+  fill_adjacent_bins(queue, reference, /*bins=*/4, /*per_bin=*/5);
+  // Bin 9 spills at the old floor.
+  for (int i = 0; i < 12; ++i) {
+    const SimTime at = (SimTime{9} << EventQueue::kBucketShift) + 30 - i;
+    queue.push_timer(at, 0, 1, 0);
+    reference.push(at);
+  }
+  queue.reserve(64 * 32, 8);  // floor 32
+  EXPECT_EQ(queue.size(), 4u * 5u + 12u);
+  // Pushes after the re-lay land in the new segments, beside the moved
+  // events.
+  fill_adjacent_bins(queue, reference, /*bins=*/4, /*per_bin=*/20);
+  EXPECT_EQ(queue.size(), 4u * 25u + 12u);
+  EXPECT_EQ(drain_keys(queue), drain_keys(reference));
+}
+
+// ---------------------------------------------------------------------------
 // Frame clock: expiries for one instant share a TimerGroup event.
 // ---------------------------------------------------------------------------
 

@@ -1,10 +1,12 @@
 // The DAS Ninfo window: each node keeps Ninfo[] over the id range
 // [min, max] of its 2-hop neighbourhood instead of over all N ids. Every
 // id a DISSEM listing can name must lie inside, and info_of must read
-// every id outside as unassigned.
+// every id outside as unassigned. ninfo_table_bytes, which refuses an
+// oversized cell before it runs, must count exactly the windows taken.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -69,6 +71,29 @@ TEST_P(NinfoWindowTest, WindowIsTheTwoHopIdRangeAndInfoOfIsTotal) {
     }
   }
   EXPECT_EQ(assigned_outside, 0u) << GetParam();
+}
+
+TEST_P(NinfoWindowTest, TableBytesSumTheWindowsOnStartTakes) {
+  // ninfo_table_bytes is what a run is refused by before it starts, so it
+  // must be exactly what every node's on_start then allocates.
+  const wsn::Topology topology = wsn::TopologySpec::parse(GetParam()).build();
+  const wsn::Graph& graph = topology.graph;
+  const core::Parameters params = test::fast_parameters(40);
+  sim::Simulator simulator(graph, sim::make_ideal_radio(), 3);
+  for (wsn::NodeId n = 0; n < graph.node_count(); ++n) {
+    simulator.add_process(n, std::make_unique<Reader>(params.das_config(),
+                                                      topology.sink,
+                                                      topology.source));
+  }
+  simulator.run_until(1);  // every node's on_start
+  std::uint64_t entries = 0;
+  for (wsn::NodeId v = 0; v < graph.node_count(); ++v) {
+    const auto window =
+        dynamic_cast<const Reader&>(simulator.process(v)).ninfo_window();
+    EXPECT_EQ(ninfo_window_of(graph, v), window) << GetParam() << " node " << v;
+    entries += static_cast<std::uint64_t>(window.second - window.first) + 1;
+  }
+  EXPECT_EQ(ninfo_table_bytes(graph), entries * sizeof(NodeInfo)) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(
