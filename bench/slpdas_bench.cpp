@@ -166,6 +166,24 @@ std::string document_path(const CliOptions& options, const std::string& name) {
   return path + ".json";
 }
 
+/// Writes `document` to `path` and confirms it on `note`. False, after
+/// naming the path on stderr, when the file cannot be opened or any write
+/// fails — a full disk shows only once the buffer is flushed.
+bool write_document(const std::string& path, const core::SweepJson& document,
+                    std::ostream& note) {
+  std::ofstream out(path);
+  if (out) {
+    core::write_sweep_json(out, document);
+    out.close();
+  }
+  if (!out) {
+    std::cerr << "cannot write " << path << '\n';
+    return false;
+  }
+  note << "(wrote " << path << ")\n";
+  return true;
+}
+
 /// The documents are written after the sweep, so a missing --out-dir is
 /// refused before any cell runs rather than after all of them.
 bool out_dir_usable(const CliOptions& options, const std::string& name) {
@@ -267,15 +285,10 @@ int run_scenarios(const CliOptions& options) {
       std::cout << " (" << cache->directory() << ")\n";
     }
 
-    if (options.json) {
-      const std::string path = document_path(options, scenario.name);
-      std::ofstream json(path);
-      if (!json) {
-        std::cerr << "cannot open " << path << " for writing\n";
-        return 1;
-      }
-      core::write_sweep_json(json, document);
-      std::cout << "(wrote " << path << ")\n";
+    if (options.json &&
+        !write_document(document_path(options, scenario.name), document,
+                        std::cout)) {
+      return 1;
     }
 
     if (sharded) {
@@ -364,16 +377,9 @@ int merge_files(const std::vector<std::string>& paths,
   const core::SweepJson merged = core::merge_sweep_shards(std::move(shards));
   if (out_path.empty()) {
     core::write_sweep_json(std::cout, merged);
-  } else {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "cannot open " << out_path << " for writing\n";
-      return 1;
-    }
-    core::write_sweep_json(out, merged);
-    std::cerr << "(wrote " << out_path << ")\n";
+    return 0;
   }
-  return 0;
+  return write_document(out_path, merged, std::cerr) ? 0 : 1;
 }
 
 /// Resolves the one scenario a fleet / fleet-worker invocation names,
@@ -437,15 +443,10 @@ int fleet_command(const CliOptions& options) {
   const core::SweepJson document =
       core::run_fleet(*scenario, options.scenario, fleet);
 
-  if (options.json) {
-    const std::string path = document_path(options, scenario->name);
-    std::ofstream json(path);
-    if (!json) {
-      std::cerr << "cannot open " << path << " for writing\n";
-      return 1;
-    }
-    core::write_sweep_json(json, document);
-    std::cout << "(wrote " << path << ")\n";
+  if (options.json &&
+      !write_document(document_path(options, scenario->name), document,
+                      std::cout)) {
+    return 1;
   }
   return scenario->report(std::cout, document, options.scenario);
 }

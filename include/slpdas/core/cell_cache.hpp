@@ -29,6 +29,9 @@
 //   {<cell record — same field set and byte discipline as a
 //     "slpdas.cell.v1" stream record>}
 //
+// A fleet done marker (fleet.hpp) holds exactly these bytes and is read
+// through the same validating reader.
+//
 // The cell record's grid-position fields (index, label, coordinates) are
 // those of the sweep that produced it; a hit grafts the CURRENT sweep's
 // position back on, so the same result can serve cells that different
@@ -157,7 +160,7 @@ struct CellCacheScanReport {
 };
 
 /// Scans a cache directory, re-validating every entry exactly the way
-/// lookup() does (plus: the file name must match the recomputed key).
+/// lookup() does (but the file name must match the key it claims).
 /// Files that are neither entries nor this library's tmp files are
 /// ignored — the cache never claims foreign data. Throws
 /// std::runtime_error when `directory` does not exist or is unreadable.

@@ -1,20 +1,20 @@
 // Distributed sweep fabric: a multi-process coordinator with
-// cell-granular work stealing ("slpdas.shardmap.v2").
+// cell-granular work stealing ("slpdas.shardmap.v3").
 //
 // A fleet run executes ONE scenario sweep across N worker processes that
 // share nothing but a directory. The coordinator writes a manifest
 // identifying the sweep, spawns the workers, and watches; each worker
 // re-expands the grid from the scenario registry, then pulls the next
 // unclaimed cell from the claim directory, runs it, and publishes the
-// cell's "slpdas.cell.v1" record as the cell's done marker. Cells — not
-// static round-robin shards — are the unit of distribution, so a
+// cell's "slpdas.cachecell.v1" cache entry as its done marker. Cells —
+// not static round-robin shards — are the unit of distribution, so a
 // straggler cell (a big unit-disk topology, say) occupies one worker
 // while the others drain the rest of the grid.
 //
 // Claim protocol (the part a future ssh/slurm launcher reuses as-is):
 //   <dir>/shardmap.json            manifest (tmp+rename, like CellCache)
 //   <dir>/claims/cell-N.claim      who owns the cell (tmp+link = ownership)
-//   <dir>/claims/cell-N.done       the cell's record (tmp+link, kept)
+//   <dir>/claims/cell-N.done       the cell's cache entry (tmp+link, kept)
 //   <dir>/claims/cell-N.error      a cell's runs threw; coordinator aborts
 //   <dir>/claims/worker-W.heartbeat  liveness counter, rewritten in place
 //   <dir>/claims/worker-W.error    worker-fatal failure (bad manifest, IO)
@@ -24,7 +24,7 @@
 // link(2)ed into place — not renamed, since a rename silently REPLACES
 // on POSIX: exactly one process wins the link, and a published file is
 // never replaced and never seen partial. So a claim always names its
-// owner, and the done marker IS the record: "done" always means
+// owner, and the done marker IS the cell's entry: "done" always means
 // "recorded". A worker that dies mid-cell leaves a claim without a done
 // marker (and at most a torn temporary, which nothing reads); the
 // coordinator reaps the death — or, for workers it cannot reap, notices
@@ -34,10 +34,10 @@
 // bit-identically.
 //
 // The fold obeys the "parallel compute, single-threaded stable merge"
-// determinism rule: the done record of every cell is read back in index
-// order and written through the one sweep-JSON writer — so a fleet
-// document is byte-identical to an unsharded single-process run of the
-// same sweep.
+// determinism rule: the done marker of every cell is read back (through
+// the cache's entry reader) in index order and written through the one
+// sweep-JSON writer — so a fleet document is byte-identical to an
+// unsharded single-process run of the same sweep.
 #pragma once
 
 #include <cstddef>
@@ -59,12 +59,12 @@ namespace slpdas::core {
 class CellCache;  // cell_cache.hpp
 
 // ---------------------------------------------------------------------------
-// Shardmap records ("slpdas.shardmap.v2")
+// Shardmap records ("slpdas.shardmap.v3")
 // ---------------------------------------------------------------------------
 
 /// Schema tag written into every shardmap record; the format_* writers
 /// emit it and the parse_* readers verify it.
-inline constexpr std::string_view kShardMapSchema = "slpdas.shardmap.v2";
+inline constexpr std::string_view kShardMapSchema = "slpdas.shardmap.v3";
 
 /// The sweep identity every participant must agree on, written once by
 /// the coordinator as <dir>/shardmap.json before any worker starts. A
@@ -107,7 +107,7 @@ struct ShardMapHeartbeat {
 /// deterministic failure every reassignment would reproduce, so the
 /// coordinator aborts the whole fleet instead of burning workers on it.
 /// Without one (worker-W.error) the worker itself failed to start, to
-/// publish a record, or hit a conflicting one.
+/// publish a done marker, or hit a conflicting one.
 struct ShardMapError {
   std::optional<std::uint64_t> cell;
   std::string worker;
@@ -116,8 +116,8 @@ struct ShardMapError {
 
 /// Single-line serialisations (no trailing newline) of the shardmap
 /// records, through the same escaping/number discipline as every other
-/// document this library writes. (A done marker holds a "slpdas.cell.v1"
-/// record, written by the sweep itself — see ClaimDir::mark_done.)
+/// document this library writes. (A done marker holds a
+/// "slpdas.cachecell.v1" entry instead — see ClaimDir::mark_done.)
 [[nodiscard]] std::string format_shardmap_manifest(const ShardMapManifest&);
 [[nodiscard]] std::string format_shardmap_claim(const ShardMapClaim&);
 [[nodiscard]] std::string format_shardmap_heartbeat(const ShardMapHeartbeat&);
@@ -162,7 +162,7 @@ struct ShardMapScan {
 };
 
 /// The claims/ subdirectory protocol: linked (never replaced) claims and
-/// done records, atomically renamed heartbeat/error markers. All methods
+/// done markers, atomically renamed heartbeat/error markers. All methods
 /// throw std::runtime_error on filesystem failure (except where noted); the
 /// claim/done file layout is the wire protocol a remote launcher's shared
 /// filesystem (or a future object-store port) must reproduce.
@@ -194,18 +194,18 @@ class ClaimDir {
 
   [[nodiscard]] bool is_done(std::uint64_t cell) const;
 
-  /// Publishes `record`, the cell's whole "slpdas.cell.v1" line, as
+  /// Publishes `entry`, the cell's whole "slpdas.cachecell.v1" entry, as
   /// cell-N.done (detail::write_file_exclusively: tmp + link). Returns
   /// false when another worker published first (possible only after an
-  /// expired claim): the first record stands, and under `deterministic`
+  /// expired claim): the first entry stands, and under `deterministic`
   /// differing bytes throw — a real nondeterminism bug.
-  bool mark_done(std::uint64_t cell, const std::string& record,
+  bool mark_done(std::uint64_t cell, const std::string& entry,
                  bool deterministic) const;
   void mark_error(const ShardMapError& error) const;
   void write_heartbeat(const ShardMapHeartbeat& heartbeat) const;
 
   /// Reads every marker in the directory. Done markers are counted by
-  /// file name (their records are the fold's business, not the poll
+  /// file name (their entries are the fold's business, not the poll
   /// loop's); an unparseable claim file counts as owned by no worker (see
   /// ShardMapScan). Tolerates files vanishing mid-scan (a release racing
   /// the scan).
@@ -238,7 +238,7 @@ struct FleetWorkerOptions {
 /// expansion, then claim-run-publish cells until every cell in the grid
 /// is done. Returns the number of cells THIS worker computed. Throws on a
 /// manifest mismatch, a cell whose runs threw (after writing the error
-/// marker), a done record that conflicts with this worker's under
+/// marker), a done marker that conflicts with this worker's under
 /// `deterministic`, or IO failure — always writing a worker/cell error
 /// marker first so the coordinator aborts promptly instead of respawning
 /// into the same failure.
@@ -293,9 +293,10 @@ struct FleetOptions {
 /// byte-identical, under `deterministic`, to an unsharded single-process
 /// run with --threads workers*worker_threads. An existing fleet directory
 /// for the SAME sweep resumes (done cells are kept, their claims stay);
-/// one for a different sweep throws, and so does one whose done record
-/// describes another experiment than this run's cell at its index (the
-/// same labels on another radio, say) — before any worker is spawned.
+/// one for a different sweep throws, and so does one whose done marker
+/// is invalid or whose cache key differs in any field from this run's key
+/// for that cell (the same labels on another radio, say) — before any
+/// worker is spawned.
 /// Throws when any cell fails, when the spawn budget (workers * 8
 /// spawns, replacements included) is exhausted, or on filesystem failure
 /// — after killing every worker it launched.
@@ -309,12 +310,13 @@ struct FleetOptions {
 // Fold
 // ---------------------------------------------------------------------------
 
-/// Reads a fleet directory — the manifest and the done record of every
+/// Reads a fleet directory — the manifest and the done marker of every
 /// cell below cells_total, in index order — and folds it into the
 /// unsharded document: threads from manifest.threads_total,
 /// distinct_worker_threads 0, wall_seconds as the cell sum — exactly what
-/// fold_cell_stream yields for one process. A missing, malformed or
-/// foreign (index != N) record is a std::runtime_error naming the cell.
+/// fold_cell_stream yields for one process. A missing or invalid marker,
+/// one naming another cell (index != N) or another timing mode than the
+/// manifest's is a std::runtime_error naming the cell.
 /// How both the coordinator and `slpdas_bench merge DIR` produce the
 /// final document.
 [[nodiscard]] SweepJson fold_fleet_directory(const std::string& directory);

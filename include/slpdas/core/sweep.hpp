@@ -24,9 +24,9 @@
 // every computed cell is stored the moment it completes, so a rerun over
 // the same cache serves the finished cells as validated hits and runs only
 // the rest. `SweepOptions::stream` additionally appends one
-// "slpdas.cell.v1" JSONL record per completed cell to a caller's sink (a
-// fleet worker's done record is one), and fold_cell_stream turns a
-// complete stream back into the ordinary document.
+// "slpdas.cell.v1" JSONL record per completed cell to a caller's sink,
+// and fold_cell_stream turns a complete stream back into the ordinary
+// document.
 #pragma once
 
 #include <cstddef>
@@ -338,8 +338,7 @@ void write_sweep_json(std::ostream& out, const SweepResult& result,
 // line is one completed cell, appended the moment it finishes. Folding a
 // complete stream gives the ordinary "slpdas.sweep.v2" document —
 // bit-identical (under deterministic timing) to an unstreamed run, so
-// folded streams compose with merge_sweep_shards unchanged. A fleet
-// worker's done record is a one-record stream of this kind (fleet.hpp).
+// folded streams compose with merge_sweep_shards unchanged.
 //
 // A stream has ONE writer at a time: run_sweep serialises its own record
 // writes, but two processes appending to one file would interleave
@@ -378,8 +377,8 @@ void write_cell_stream_header(std::ostream& out,
 /// Writes one completed cell as one self-contained JSONL line. The field
 /// set and formatting discipline match the "slpdas.sweep.v2" cell objects
 /// (single writer, max_digits10 doubles), so a record read back and
-/// rewritten is byte-stable — the property the cache and the fleet's done
-/// records rely on.
+/// rewritten is byte-stable — the property the cache entries (and so the
+/// fleet's done markers) rely on.
 void write_cell_stream_record(std::ostream& out, const SweepJsonCell& cell);
 
 /// Parses a cell-stream file. A final line without a terminating newline

@@ -3,8 +3,10 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <system_error>
+#include <utility>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -81,6 +83,16 @@ bool write_file_exclusively(const std::string& path, std::string_view bytes) {
                              link_ec.message());
   }
   return true;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    throw std::runtime_error("cannot read " + path);
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return std::move(buffer).str();
 }
 
 }  // namespace slpdas::core::detail

@@ -1,5 +1,6 @@
-// Internal whole-file writers and process id, shared by the cell cache
-// and the fleet's claim directory and worker loop. Not installed.
+// Internal whole-file writers and reader and the process id, shared by
+// the cell cache and the fleet's claim directory, worker, coordinator and
+// fold. Not installed.
 #pragma once
 
 #include <cstdint>
@@ -29,5 +30,9 @@ namespace slpdas::core::detail {
 /// removed.
 [[nodiscard]] bool write_file_exclusively(const std::string& path,
                                           std::string_view bytes);
+
+/// The whole file at `path`. Throws std::runtime_error ("cannot read
+/// <path>") when it cannot be opened.
+[[nodiscard]] std::string read_file(const std::string& path);
 
 }  // namespace slpdas::core::detail

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -33,25 +32,29 @@ std::string u64_hex16(std::uint64_t value) {
   return out;
 }
 
-/// The exact bytes of one entry file: header line + payload line, both
-/// newline-terminated. One composition path for store() and (in reverse)
-/// one validation path for reads, so they cannot drift.
-std::string compose_entry(const CellCacheKey& key, const SweepJsonCell& cell) {
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Entry text: the one composer and the one reader
+// ---------------------------------------------------------------------------
+
+std::string detail::compose_cache_entry(const CellCacheKey& key,
+                                        const SweepJsonCell& cell) {
   std::ostringstream out;
   out << "{\"schema\": ";
-  detail::write_json_string(out, kCacheSchemaV1);
+  write_json_string(out, kCacheSchemaV1);
   out << ", \"key\": ";
-  detail::write_json_string(out, key.hex());
+  write_json_string(out, key.hex());
   out << ", \"config\": {\"topology\": ";
-  detail::write_json_string(out, key.topology);
+  write_json_string(out, key.topology);
   out << ", \"protocol\": ";
-  detail::write_json_string(out, key.protocol);
+  write_json_string(out, key.protocol);
   out << ", \"attacker\": ";
-  detail::write_json_string(out, key.attacker);
+  write_json_string(out, key.attacker);
   out << ", \"radio\": ";
-  detail::write_json_string(out, key.radio);
+  write_json_string(out, key.radio);
   out << "}, \"parameters\": ";
-  detail::write_json_string(out, key.parameters);
+  write_json_string(out, key.parameters);
   out << ", \"cell_seed\": " << key.cell_seed << ", \"runs\": " << key.runs
       << ", \"deterministic\": " << (key.deterministic ? "true" : "false")
       << "}\n";
@@ -59,45 +62,11 @@ std::string compose_entry(const CellCacheKey& key, const SweepJsonCell& cell) {
   return out.str();
 }
 
-/// The key an entry's header line CLAIMS the entry is for: every identity
-/// field, with the stored key hash checked against the one they
-/// recompute. Throws std::runtime_error on a missing or malformed header
-/// line or an unknown schema.
-CellCacheKey parse_entry_header(const std::string& text) {
-  const std::size_t newline = text.find('\n');
-  if (newline == std::string::npos) {
-    throw std::runtime_error("cache entry: truncated header line");
-  }
-  detail::JsonParser header_parser(text.substr(0, newline));
-  const detail::JsonParser::Value header = header_parser.parse();
-  const std::string& schema = header.at("schema").as_string();
-  if (schema != kCacheSchemaV1) {
-    throw std::runtime_error("cache entry: unknown schema '" + schema + "'");
-  }
-  const detail::JsonParser::Value& config = header.at("config");
-  CellCacheKey claimed;
-  claimed.topology = config.at("topology").as_string();
-  claimed.protocol = config.at("protocol").as_string();
-  claimed.attacker = config.at("attacker").as_string();
-  claimed.radio = config.at("radio").as_string();
-  claimed.parameters = header.at("parameters").as_string();
-  claimed.cell_seed = header.at("cell_seed").as_u64();
-  claimed.runs = header.at("runs").as_int();
-  claimed.deterministic = header.at("deterministic").as_bool();
-  if (header.at("key").as_string() != claimed.hex()) {
-    throw std::runtime_error("cache entry: stored key hash mismatch");
-  }
-  return claimed;
-}
-
-/// Parses and validates one entry file's bytes against `key`, throwing
-/// std::runtime_error (the message becomes the scan report's `error`) on
-/// any corruption, schema drift or identity mismatch.
-SweepJsonCell parse_entry(const std::string& text, const CellCacheKey& key) {
+detail::CacheEntry detail::read_cache_entry(const std::string& text) {
   // Exactly two newline-terminated lines: a missing final newline is a
-  // torn write (never visible through the atomic rename, but a truncated
-  // copy or a hand-edited file shows one), and trailing extra lines mean
-  // the file is not ours.
+  // torn write (never visible through the atomic rename or link, but a
+  // truncated copy or a hand-edited file shows one), and trailing extra
+  // lines mean the file is not ours.
   const std::size_t first_newline = text.find('\n');
   if (first_newline == std::string::npos) {
     throw std::runtime_error("cache entry: truncated header line");
@@ -110,40 +79,40 @@ SweepJsonCell parse_entry(const std::string& text, const CellCacheKey& key) {
     throw std::runtime_error("cache entry: trailing content after record");
   }
 
-  // The key the entry claims must be the one we are probing: a mismatch
-  // in any identity field means the file holds a different experiment's
-  // result (hash collision, stale format, tampering) and must not be
-  // trusted.
-  if (!(parse_entry_header(text) == key)) {
-    throw std::runtime_error(
-        "cache entry: stored identity does not match the probed key");
+  JsonParser header_parser(text.substr(0, first_newline));
+  const JsonParser::Value header = header_parser.parse();
+  const std::string& schema = header.at("schema").as_string();
+  if (schema != kCacheSchemaV1) {
+    throw std::runtime_error("cache entry: unknown schema '" + schema + "'");
+  }
+  CacheEntry entry;
+  CellCacheKey& key = entry.key;
+  const JsonParser::Value& config = header.at("config");
+  key.topology = config.at("topology").as_string();
+  key.protocol = config.at("protocol").as_string();
+  key.attacker = config.at("attacker").as_string();
+  key.radio = config.at("radio").as_string();
+  key.parameters = header.at("parameters").as_string();
+  key.cell_seed = header.at("cell_seed").as_u64();
+  key.runs = header.at("runs").as_int();
+  key.deterministic = header.at("deterministic").as_bool();
+  if (header.at("key").as_string() != key.hex()) {
+    throw std::runtime_error("cache entry: stored key hash mismatch");
   }
 
-  detail::JsonParser record_parser(
+  JsonParser record_parser(
       text.substr(first_newline + 1, second_newline - first_newline));
-  SweepJsonCell cell = detail::parse_cell_json(record_parser.parse());
-  if (cell.cell_seed != key.cell_seed ||
-      cell.runs != key.runs) {
+  entry.cell = parse_cell_json(record_parser.parse());
+  const SweepJsonCell& cell = entry.cell;
+  if (cell.cell_seed != key.cell_seed || cell.runs != key.runs ||
+      !cell.has_config || cell.config_topology != key.topology ||
+      cell.config_protocol != key.protocol ||
+      cell.config_attacker != key.attacker || cell.config_radio != key.radio) {
     throw std::runtime_error(
         "cache entry: record disagrees with the entry header");
   }
-  return cell;
+  return entry;
 }
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cache entry: unreadable");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    throw std::runtime_error("cache entry: read failed");
-  }
-  return buffer.str();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // CellCacheKey
@@ -263,18 +232,24 @@ std::optional<SweepJsonCell> CellCache::lookup(const CellCacheKey& key) {
     return std::nullopt;
   }
   try {
-    SweepJsonCell cell = parse_entry(read_file(path), key);
-    const std::scoped_lock lock(mutex_);
-    ++stats_.hits;
-    return cell;
+    detail::CacheEntry entry =
+        detail::read_cache_entry(detail::read_file(path));
+    // The key the entry claims must be the one we are probing: a mismatch
+    // in any identity field means the file holds a different experiment's
+    // result (hash collision, stale format, tampering).
+    if (entry.key == key) {
+      const std::scoped_lock lock(mutex_);
+      ++stats_.hits;
+      return std::move(entry.cell);
+    }
   } catch (const std::exception&) {
-    // Corrupt, truncated or mismatched: recompute, never trust. The entry
-    // stays on disk (diagnosable via `cache verify`) until the recomputed
-    // result overwrites it or `cache gc` removes it.
-    const std::scoped_lock lock(mutex_);
-    ++stats_.rejected;
-    return std::nullopt;
   }
+  // Corrupt, truncated or mismatched: recompute, never trust. The entry
+  // stays on disk (diagnosable via `cache verify`) until the recomputed
+  // result overwrites it or `cache gc` removes it.
+  const std::scoped_lock lock(mutex_);
+  ++stats_.rejected;
+  return std::nullopt;
 }
 
 bool CellCache::store(const CellCacheKey& key, const SweepJsonCell& cell) {
@@ -285,7 +260,8 @@ bool CellCache::store(const CellCacheKey& key, const SweepJsonCell& cell) {
   // processes storing the same key race benignly — both rename identical
   // canonical bytes over the same path.
   const bool ok =
-      detail::write_file_atomically(entry_path(key), compose_entry(key, cell))
+      detail::write_file_atomically(entry_path(key),
+                                    detail::compose_cache_entry(key, cell))
           .empty();
   const std::scoped_lock lock(mutex_);
   ++(ok ? stats_.stores : stats_.store_failures);
@@ -346,16 +322,14 @@ CellCacheScanReport scan_cell_cache(const std::string& directory) {
     item.bytes = entry.file_size(ec);
     report.total_bytes += ec ? 0 : item.bytes;
     try {
-      const std::string text = read_file(item.path);
-      // A scan has no probe key; validate the entry against the key its
-      // OWN header claims (parse_entry then checks the lines and the
-      // payload), plus: the file must live under that key's name.
-      const CellCacheKey claimed = parse_entry_header(text);
-      if (name.substr(0, 16) != claimed.hex()) {
+      // A scan has no probe key: the entry must live under the name of
+      // the key its own header claims.
+      const detail::CacheEntry parsed =
+          detail::read_cache_entry(detail::read_file(item.path));
+      if (name.substr(0, 16) != parsed.key.hex()) {
         throw std::runtime_error(
             "cache entry: file name does not match the recomputed key");
       }
-      (void)parse_entry(text, claimed);
       item.valid = true;
       ++report.valid;
     } catch (const std::exception& error) {

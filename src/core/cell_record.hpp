@@ -1,12 +1,12 @@
 // Internal cell-record pipeline shared by the sweep engine
 // (src/core/sweep.cpp), the cell-result cache (src/core/cell_cache.cpp)
 // and the fleet (src/core/fleet/): the one cell parser — a
-// "slpdas.sweep.v2" cells[] entry, a "slpdas.cell.v1" stream record (also
-// the content of a fleet done marker) and a "slpdas.cachecell.v1"
-// payload line share one field set — plus the one
-// sweep-identity comparison, the one check of a kept record against this
-// run's cell, and the one fold from cell records back to a sweep
-// document. Not installed.
+// "slpdas.sweep.v2" cells[] entry, a "slpdas.cell.v1" stream record and a
+// "slpdas.cachecell.v1" payload line share one field set — the one
+// composer and the one validated reader of a "slpdas.cachecell.v1" entry
+// (a cache file, and also the content of a fleet done marker), plus the
+// one sweep-identity comparison and the one fold from cell records back
+// to a sweep document. Not installed.
 #pragma once
 
 #include <cstdint>
@@ -15,11 +15,11 @@
 #include <vector>
 
 #include "json.hpp"
+#include "slpdas/core/cell_cache.hpp"
 #include "slpdas/core/sweep.hpp"
 
 namespace slpdas::core {
 
-class ClaimDir;           // fleet.hpp
 struct ShardMapManifest;  // fleet.hpp
 
 namespace detail {
@@ -28,6 +28,29 @@ namespace detail {
 /// malformed or incomplete input. Defined in sweep.cpp.
 [[nodiscard]] SweepJsonCell parse_cell_json(
     const JsonParser::Value& cell_value);
+
+/// derive_cell_seed over `cell`'s seed label (its label when it has
+/// none): the seed its runs derive from. Defined in sweep.cpp.
+[[nodiscard]] std::uint64_t cell_seed_of(const SweepCell& cell,
+                                         std::uint64_t base_seed);
+
+/// The exact bytes of one "slpdas.cachecell.v1" entry (header line, then
+/// `cell`'s record line), as CellCache::store writes it and a fleet
+/// worker publishes it as a done marker. Defined in cell_cache.cpp.
+[[nodiscard]] std::string compose_cache_entry(const CellCacheKey& key,
+                                              const SweepJsonCell& cell);
+
+/// One parsed entry: the key its header claims and its record.
+struct CacheEntry {
+  CellCacheKey key;
+  SweepJsonCell cell;
+};
+
+/// The one reader of entry text: exactly two newline-terminated lines,
+/// the schema, a stored key hash the header's fields recompute, and a
+/// record whose cell_seed, runs and config block agree with the header.
+/// Throws std::runtime_error otherwise. Defined in cell_cache.cpp.
+[[nodiscard]] CacheEntry read_cache_entry(const std::string& text);
 
 /// What names one sweep. Streams, documents and manifests belong
 /// to the same sweep exactly when these fields agree; a site with no
@@ -53,20 +76,6 @@ struct SweepIdentity {
 /// values, e.g. "grid_hash 12 vs 34". Callers phrase the error.
 [[nodiscard]] std::string identity_mismatch(const SweepIdentity& have,
                                             const SweepIdentity& want);
-
-/// Throws std::runtime_error naming the cell and the field when `kept`, a
-/// record found on disk, describes a different experiment than `cell`,
-/// this run's cell at the record's index: its config block (topology,
-/// protocol, attacker, radio) or its run count differs. A sweep identity
-/// cannot catch this — the grid hash covers labels and run counts but
-/// not the cells' configs, so the same labels on another radio pass it.
-void verify_kept_record(const SweepJsonCell& kept, const SweepCell& cell);
-
-/// Reads and parses cell `index`'s fleet done record. Every failure (a
-/// missing file, a malformed record, a record naming another cell) throws
-/// std::runtime_error naming the cell. Defined in fleet/fold.cpp.
-[[nodiscard]] SweepJsonCell read_done_record(const ClaimDir& claims,
-                                             std::uint64_t index);
 
 /// One input of fold_sweep: the identity its producer declared (a stream
 /// header, a shard document, a fleet manifest) and its records.

@@ -2,7 +2,7 @@
 // processes (or whatever the spawn hook launches), supervises them via
 // child exits + heartbeat staleness, releases dead workers' claims so the
 // survivors steal their cells, respawns replacements under fresh names,
-// and folds every cell's done record into the one unsharded document.
+// and folds every cell's done marker into the one unsharded document.
 //
 // The coordinator itself never computes a cell and never holds a thread
 // pool: it is a single-threaded poll loop, so fork(2) in the local
@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -25,8 +26,10 @@
 #include <utility>
 #include <vector>
 
+#include "../atomic_file.hpp"
 #include "../cell_record.hpp"
 #include "process.hpp"
+#include "slpdas/core/cell_cache.hpp"
 #include "slpdas/core/fleet.hpp"
 
 namespace slpdas::core {
@@ -35,7 +38,7 @@ namespace {
 namespace fs = std::filesystem;
 // Supervision timing is inherently wall-clock: heartbeat staleness and
 // claim expiry measure REAL elapsed time, and none of it can reach the
-// result documents (those are folded purely from the done records).
+// result documents (those are folded purely from the done markers).
 // slpdas-lint: allow(wall-clock): fleet supervision timing, never in results
 using Clock = std::chrono::steady_clock;
 
@@ -86,6 +89,21 @@ void log_line(std::ostream* log, const std::string& line) {
     next = std::max(next, id + 1);
   }
   return next;
+}
+
+/// Empty when the keys are equal, otherwise their first differing
+/// material line, e.g. "radio=ideal on disk vs radio=casino-lab in this
+/// run".
+[[nodiscard]] std::string key_mismatch(const CellCacheKey& have,
+                                       const CellCacheKey& want) {
+  std::istringstream a(have.material());
+  std::istringstream b(want.material());
+  for (std::string x, y; std::getline(a, x) && std::getline(b, y);) {
+    if (x != y) {
+      return x + " on disk vs " + y + " in this run";
+    }
+  }
+  return {};
 }
 
 [[nodiscard]] std::string describe_error(const ShardMapError& error) {
@@ -165,21 +183,31 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
                                "options");
     }
     // The grid hash covers labels and run counts, not the cells' configs:
-    // every kept done record must describe this run's cell at its index,
-    // or the fold would mix two experiments into one document.
+    // every kept done marker must carry this run's cache key for its
+    // cell, or the fold would mix two experiments into one document.
     for (const std::uint64_t index : claims.scan().done) {
       if (index >= cells.size()) {
         break;  // not a cell of this grid; the fold never reads it
       }
-      const SweepJsonCell kept = detail::read_done_record(claims, index);
+      const SweepCell& cell = cells[index];
+      std::string mismatch;
       try {
-        detail::verify_kept_record(kept, cells[index]);
-      } catch (const std::runtime_error& error) {
-        throw std::runtime_error("fleet: " + dir +
-                                 " holds a done record of a different "
-                                 "experiment: " + error.what() +
-                                 "; use a fresh --fleet-dir or matching "
-                                 "options");
+        mismatch = key_mismatch(
+            detail::read_cache_entry(
+                detail::read_file(claims.done_path(index)))
+                .key,
+            make_cell_cache_key(
+                cell.config,
+                detail::cell_seed_of(cell, manifest.base_seed),
+                manifest.deterministic));
+      } catch (const std::exception& error) {
+        mismatch = error.what();
+      }
+      if (!mismatch.empty()) {
+        throw std::runtime_error(
+            "fleet: " + dir + " holds a done marker this run cannot keep: "
+            "cell " + std::to_string(index) + " ('" + cell.label + "'): " +
+            mismatch + "; use a fresh --fleet-dir or matching options");
       }
     }
     manifest = *existing;
@@ -408,7 +436,7 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
 
     // All cells done. Workers observe the same and exit 0 on their own;
     // give them a moment, then stop waiting (every record is already
-    // published — a done marker IS the cell's record).
+    // published — a done marker IS the cell's entry).
     for (const LiveWorker& worker : live) {
       if (!fleet_detail::wait_process(worker.pid, 5'000)) {
         fleet_detail::kill_process(worker.pid);
@@ -424,7 +452,7 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
 
   log_line(fleet_options.log,
            "fleet: all " + std::to_string(cells.size()) +
-               " cells done; folding their done records");
+               " cells done; folding their done markers");
   return fold_fleet_directory(dir);
 }
 

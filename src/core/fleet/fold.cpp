@@ -1,48 +1,20 @@
-// The fleet fold: every cell's done record -> one unsharded
+// The fleet fold: every cell's done marker -> one unsharded
 // "slpdas.sweep.v2" document, byte-identical (under deterministic timing)
 // to a single-process run. This is the single-threaded stable merge of
 // the determinism contract — all the parallelism happened in the workers.
 #include <cstdint>
-#include <fstream>
+#include <exception>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "../atomic_file.hpp"
 #include "../cell_record.hpp"
 #include "slpdas/core/fleet.hpp"
 
 namespace slpdas::core {
-
-namespace detail {
-
-SweepJsonCell read_done_record(const ClaimDir& claims, std::uint64_t index) {
-  const std::string context =
-      "fleet: done record of cell " + std::to_string(index);
-  const std::string path = claims.done_path(index);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error(context + ": missing (" + path + ")");
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  SweepJsonCell cell;
-  try {
-    JsonParser parser(std::move(text).str());
-    cell = parse_cell_json(parser.parse());
-  } catch (const std::exception& error) {
-    throw std::runtime_error(context + ": " + error.what());
-  }
-  if (cell.index != index) {
-    throw std::runtime_error(context + ": names cell " +
-                             std::to_string(cell.index));
-  }
-  return cell;
-}
-
-}  // namespace detail
 
 SweepJson fold_fleet_directory(const std::string& directory) {
   const std::optional<ShardMapManifest> manifest =
@@ -55,7 +27,23 @@ SweepJson fold_fleet_directory(const std::string& directory) {
   std::vector<detail::FoldInput> inputs(1);
   inputs[0].identity = identity;
   for (std::uint64_t index = 0; index < manifest->cells_total; ++index) {
-    inputs[0].cells.push_back(detail::read_done_record(claims, index));
+    try {
+      detail::CacheEntry entry =
+          detail::read_cache_entry(
+          detail::read_file(claims.done_path(index)));
+      if (entry.cell.index != index) {
+        throw std::runtime_error("names cell " +
+                                 std::to_string(entry.cell.index));
+      }
+      // Zeroed and real wall clocks must not mix in one document.
+      if (entry.key.deterministic != manifest->deterministic) {
+        throw std::runtime_error("another timing mode than the manifest's");
+      }
+      inputs[0].cells.push_back(std::move(entry.cell));
+    } catch (const std::exception& error) {
+      throw std::runtime_error("fleet: done record of cell " +
+                               std::to_string(index) + ": " + error.what());
+    }
   }
   SweepJson document =
       detail::fold_sweep(identity, std::move(inputs), "fleet fold");

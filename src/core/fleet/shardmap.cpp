@@ -1,17 +1,18 @@
 // Shardmap record serialisation and the claim directory
-// ("slpdas.shardmap.v2"): the on-disk wire protocol between the fleet
-// coordinator and its workers. Claims and done records are written whole
+// ("slpdas.shardmap.v3"): the on-disk wire protocol between the fleet
+// coordinator and its workers. Claims and done markers are written whole
 // to a unique temporary and link(2)ed into place
 // (detail::write_file_exclusively), so exactly one writer creates each
 // and a published one is never replaced; the manifest, heartbeats and
 // error markers are written whole via unique-tmp + rename
 // (detail::write_file_atomically, shared with the cell cache). A reader
-// only ever sees complete records.
+// only ever sees complete records. A done marker holds the cell's
+// "slpdas.cachecell.v1" entry, which this layer never parses.
 #include "slpdas/core/fleet.hpp"
 
+#include <charconv>
 #include <cstddef>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -32,7 +33,7 @@ using Value = detail::JsonParser::Value;
 
 /// Writes `line` + '\n' to `path` whole (the rename REPLACES any previous
 /// file, exactly right for heartbeats and idempotent markers; claims and
-/// done records never come through here). Throws std::runtime_error on
+/// done markers never come through here). Throws std::runtime_error on
 /// failure.
 void atomic_write_line(const std::string& path, const std::string& line) {
   const std::string failure =
@@ -88,22 +89,19 @@ std::ostream& record_head(std::ostream& out, const char* type) {
     const std::string& name, std::string_view suffix) {
   constexpr std::string_view kPrefix = "cell-";
   if (name.size() <= kPrefix.size() + suffix.size() ||
-      name.rfind(kPrefix, 0) != 0 ||
-      name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
+      !name.starts_with(kPrefix) || !name.ends_with(suffix)) {
     return std::nullopt;
   }
-  const std::string digits =
-      name.substr(kPrefix.size(), name.size() - kPrefix.size() - suffix.size());
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
+  // For an unsigned type from_chars takes digits only (no sign, no
+  // space), and it reports an overflow instead of wrapping.
+  const char* last = name.data() + name.size() - suffix.size();
+  std::uint64_t cell = 0;
+  const auto [end, error] =
+      std::from_chars(name.data() + kPrefix.size(), last, cell);
+  if (error != std::errc() || end != last) {
     return std::nullopt;
   }
-  try {
-    detail::JsonParser parser(digits);
-    return parser.parse().as_u64();
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  return cell;
 }
 
 /// Zero-padded cell token so directory listings sort in grid order.
@@ -117,14 +115,12 @@ std::ostream& record_head(std::ostream& out, const char* type) {
 
 /// Slurps a whole file; nullopt when it cannot be opened (vanished
 /// between the directory listing and the read).
-[[nodiscard]] std::optional<std::string> slurp(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+[[nodiscard]] std::optional<std::string> slurp(const std::string& path) {
+  try {
+    return detail::read_file(path);
+  } catch (const std::runtime_error&) {
     return std::nullopt;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return std::move(text).str();
 }
 
 }  // namespace
@@ -289,7 +285,7 @@ std::string ClaimDir::heartbeat_path(const std::string& worker) const {
 }
 
 bool ClaimDir::try_claim(const ShardMapClaim& claim) const {
-  // Published whole, like a done record: a link(2) never replaces its
+  // Published whole, like a done marker: a link(2) never replaces its
   // target, so exactly one claimant creates the file, and nobody ever
   // sees it without its record.
   return detail::write_file_exclusively(claim_path(claim.cell),
@@ -306,18 +302,18 @@ bool ClaimDir::is_done(std::uint64_t cell) const {
   return fs::is_regular_file(done_path(cell), ec);
 }
 
-bool ClaimDir::mark_done(std::uint64_t cell, const std::string& record,
+bool ClaimDir::mark_done(std::uint64_t cell, const std::string& entry,
                          bool deterministic) const {
   const std::string path = done_path(cell);
-  if (detail::write_file_exclusively(path, record)) {
+  if (detail::write_file_exclusively(path, entry)) {
     return true;
   }
   // Another worker finished the cell first (its claim had expired). Its
-  // record stands; under deterministic timing the two must agree.
-  if (deterministic && slurp(path) != record) {
+  // entry stands; under deterministic timing the two must agree.
+  if (deterministic && slurp(path) != entry) {
     throw std::runtime_error(
         "shardmap: cell " + std::to_string(cell) +
-        " already has a done record with DIFFERENT bytes — "
+        " already has a done marker with DIFFERENT bytes — "
         "nondeterministic worker results");
   }
   return false;
@@ -352,7 +348,7 @@ ShardMapScan ClaimDir::scan() const {
       continue;
     }
     if (const auto cell = cell_from_filename(name, ".claim")) {
-      const std::optional<std::string> text = slurp(entry.path());
+      const std::optional<std::string> text = slurp(entry.path().string());
       if (!text) {
         continue;  // released between listing and read
       }
@@ -369,34 +365,18 @@ ShardMapScan ClaimDir::scan() const {
       continue;
     }
     if (const auto cell = cell_from_filename(name, ".error")) {
-      const std::optional<std::string> text = slurp(entry.path());
-      if (!text) {
-        throw std::runtime_error("shardmap: cannot read " +
-                                 entry.path().string());
-      }
-      result.errors.push_back(parse_shardmap_error(*text));
+      result.errors.push_back(
+          parse_shardmap_error(detail::read_file(entry.path().string())));
       continue;
     }
-    if (name.rfind("worker-", 0) == 0 &&
-        name.size() > std::string_view(".error").size() &&
-        name.compare(name.size() - 6, 6, ".error") == 0) {
-      const std::optional<std::string> text = slurp(entry.path());
-      if (!text) {
-        throw std::runtime_error("shardmap: cannot read " +
-                                 entry.path().string());
-      }
-      result.errors.push_back(parse_shardmap_error(*text));
+    if (name.starts_with("worker-") && name.ends_with(".error")) {
+      result.errors.push_back(
+          parse_shardmap_error(detail::read_file(entry.path().string())));
       continue;
     }
-    if (name.rfind("worker-", 0) == 0 &&
-        name.size() > std::string_view(".heartbeat").size() &&
-        name.compare(name.size() - 10, 10, ".heartbeat") == 0) {
-      const std::optional<std::string> text = slurp(entry.path());
-      if (!text) {
-        throw std::runtime_error("shardmap: cannot read " +
-                                 entry.path().string());
-      }
-      const ShardMapHeartbeat heartbeat = parse_shardmap_heartbeat(*text);
+    if (name.starts_with("worker-") && name.ends_with(".heartbeat")) {
+      const ShardMapHeartbeat heartbeat =
+          parse_shardmap_heartbeat(detail::read_file(entry.path().string()));
       result.heartbeats[heartbeat.worker] = heartbeat;
       continue;
     }

@@ -1,5 +1,5 @@
 // The fleet worker loop: claim a cell, run it, publish its
-// "slpdas.cell.v1" record as the cell's done marker; repeat until every
+// "slpdas.cachecell.v1" entry as the cell's done marker; repeat until every
 // cell in the grid is done. Work distribution is nothing but the claim
 // directory — workers never talk to the coordinator, so the same loop
 // runs under the local launcher today and an ssh/slurm launcher later.
@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -45,7 +44,7 @@ constexpr int kIdleWaitMs = 20;
 /// Keeps the worker's liveness counter advancing even while a long cell
 /// runs: a plain side thread that bumps seq every interval. Write
 /// failures are swallowed (a beat is advisory; the worker's real output
-/// goes through the done records) — but never allowed to escape
+/// goes through the done markers) — but never allowed to escape
 /// a detached-context thread.
 class HeartbeatThread {
  public:
@@ -156,23 +155,19 @@ std::size_t worker_loop(const Scenario& scenario,
             << "worker " << worker_options.worker << ": claimed cell "
             << index << " (" << cells[index].label << ")" << std::endl;
       }
-      // The sweep's one completion step writes the cell's record line —
-      // cache hits included — into `record`; those bytes ARE the done
-      // marker.
-      std::ostringstream record;
       SweepOptions sweep_options;
       sweep_options.threads = worker_options.threads;
       sweep_options.base_seed = manifest.base_seed;
       sweep_options.deterministic_timing = manifest.deterministic;
-      sweep_options.stream = &record;
       sweep_options.cache = worker_options.cache;
       sweep_options.progress = worker_options.log;
       // A claim is a one-cell shard: of the full grid (whose seeds it
       // derives from) this sweep runs cell `index` alone.
       sweep_options.shard_index = static_cast<int>(index);
       sweep_options.shard_count = static_cast<int>(cells.size());
+      SweepResult result;
       try {
-        (void)run_sweep(cells, sweep_options, pool);
+        result = run_sweep(cells, sweep_options, pool);
       } catch (const std::exception& error) {
         // A cell whose runs throw fails DETERMINISTICALLY — reassignment
         // would reproduce it, so tell the coordinator to abort the fleet.
@@ -183,8 +178,18 @@ std::size_t worker_loop(const Scenario& scenario,
         claims.mark_error(marker);
         throw;
       }
-      claims.mark_done(index, std::move(record).str(),
-                       manifest.deterministic);
+      // The done marker is the cell's cache entry — the bytes
+      // CellCache::store writes for it, cache hits included — so its
+      // readers check the cell's whole identity key.
+      const SweepJsonCell record =
+          to_sweep_json(result, manifest.name).cells.front();
+      claims.mark_done(
+          index,
+          detail::compose_cache_entry(
+              make_cell_cache_key(cells[index].config, record.cell_seed,
+                                  manifest.deterministic),
+              record),
+          manifest.deterministic);
       ++computed;
     }
     if (all_done) {

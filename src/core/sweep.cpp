@@ -104,6 +104,12 @@ std::uint64_t derive_cell_seed(std::uint64_t base_seed,
   return derive_seed(base_seed, detail::fnv1a_bytes(detail::kFnvOffset, label));
 }
 
+std::uint64_t detail::cell_seed_of(const SweepCell& cell,
+                                   std::uint64_t base_seed) {
+  return derive_cell_seed(
+      base_seed, cell.seed_label.empty() ? cell.label : cell.seed_label);
+}
+
 // ---------------------------------------------------------------------------
 // Execution
 // ---------------------------------------------------------------------------
@@ -216,9 +222,7 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
   std::vector<std::uint64_t> cell_seeds(mine.size(), 0);
   for (std::size_t m = 0; m < mine.size(); ++m) {
     const SweepCell& cell = cells[mine[m]];
-    cell_seeds[m] = derive_cell_seed(
-        options.base_seed,
-        cell.seed_label.empty() ? cell.label : cell.seed_label);
+    cell_seeds[m] = detail::cell_seed_of(cell, options.base_seed);
     sweep.cells[m].index = mine[m];
     sweep.cells[m].label = cell.label;
     sweep.cells[m].coordinates = cell.coordinates;
@@ -919,25 +923,6 @@ std::string identity_mismatch(const SweepIdentity& have,
                        std::to_string(want.shard_count));
   }
   return {};
-}
-
-void verify_kept_record(const SweepJsonCell& kept, const SweepCell& cell) {
-  const auto check = [&kept](const char* field, const std::string& have,
-                             const std::string& want) {
-    if (have != want) {
-      throw std::runtime_error("cell " + std::to_string(kept.index) + " ('" +
-                               kept.label + "') has " + field + " '" + have +
-                               "' on disk but '" + want + "' in this run");
-    }
-  };
-  const ExperimentConfig& config = cell.config;
-  check("config.topology", kept.config_topology, config.topology.to_string());
-  check("config.protocol", kept.config_protocol,
-        format_protocol_spec(config.protocol, config.phantom_walk_length));
-  check("config.attacker", kept.config_attacker, config.attacker.to_spec());
-  check("config.radio", kept.config_radio,
-        format_radio_spec(config.radio, config.loss_probability));
-  check("runs", std::to_string(kept.runs), std::to_string(config.runs));
 }
 
 SweepJson fold_sweep(const SweepIdentity& expected,

@@ -3,7 +3,8 @@
 // parameter digest covers the config fields outside the four specs),
 // store/lookup round-trips, validation-on-read (corrupt, truncated and
 // mis-keyed entries are rejected and recomputed, never trusted),
-// read-only mode, concurrent writers, scan/gc maintenance, the
+// read-only mode, concurrent writers, scan/gc maintenance (a payload
+// that contradicts its header is invalid), the
 // sweep-engine integration (a warm rerun is byte-identical to the cold
 // run with zero recomputes, composing with sharding and streaming), and
 // the crash-safe resume: a rerun after a kill computes only the lost
@@ -383,6 +384,34 @@ TEST_F(CellCacheTest, ScanAndLookupRejectANonIntegerRunCount) {
     EXPECT_FALSE(fresh.lookup(key).has_value());
     EXPECT_EQ(fresh.stats().rejected, 1u);
   }
+}
+
+TEST_F(CellCacheTest, ScanAndLookupRejectAPayloadContradictingItsHeader) {
+  // The header's key is intact and hashes right, but the payload's config
+  // block names another topology: the entry is not the experiment it
+  // claims to be.
+  const CellCacheKey key = make_cell_cache_key(cheap_config(), 42, true);
+  {
+    CellCache cache(dir_);
+    ASSERT_TRUE(cache.store(key, record_for(key)));
+  }
+  const std::string path = CellCache(dir_).entry_path(key);
+  const std::string good = slurp(path);
+  const std::size_t payload_at = good.find('\n') + 1;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << good.substr(0, payload_at)
+        << test::replace_first(good.substr(payload_at),
+                               "\"topology\": \"grid:5\"",
+                               "\"topology\": \"grid:99\"");
+  }
+  const CellCacheScanReport scan = scan_cell_cache(dir_);
+  ASSERT_EQ(scan.entries.size(), 1u);
+  EXPECT_FALSE(scan.entries[0].valid);
+  EXPECT_EQ(scan.invalid, 1u);
+  CellCache fresh(dir_);
+  EXPECT_FALSE(fresh.lookup(key).has_value());
+  EXPECT_EQ(fresh.stats().rejected, 1u);
 }
 
 TEST_F(CellCacheTest, ScanThrowsOnAMissingDirectory) {

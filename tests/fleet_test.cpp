@@ -1,7 +1,8 @@
-// The distributed sweep fabric ("slpdas.shardmap.v2"): shardmap record
-// round-trips, claims and done records that are never replaced, the
-// worker loop in-process and across forked processes, the fold's
-// per-cell checks, and the coordinator's failure
+// The distributed sweep fabric ("slpdas.shardmap.v3"): shardmap record
+// round-trips, claims and done markers that are never replaced, the
+// worker loop in-process and across forked processes, done markers that
+// are the cells' cache entries, the fold's and the resume's per-cell
+// checks, and the coordinator's failure
 // handling — a worker SIGKILLed mid-cell, or stopped until its heartbeat
 // goes stale, must have its claim released and its cell reassigned to a
 // replacement; claims no live worker owns must expire; and the folded
@@ -25,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "slpdas/core/cell_cache.hpp"
 #include "slpdas/core/fleet.hpp"
 #include "slpdas/core/scenario.hpp"
 #include "slpdas/core/sweep.hpp"
@@ -195,21 +197,25 @@ TEST(ShardMapRecordTest, ParsersRejectWrongSchemaOrType) {
 }
 
 TEST(ShardMapRecordTest, AVersionOneManifestIsAnUnknownSchema) {
-  // v1 directories kept each cell's record in a per-worker stream file;
-  // their done markers hold no record, so they are refused up front.
-  std::string v1 = format_shardmap_manifest(fixture_manifest(1, 1));
+  // v1 directories kept each cell's record in a per-worker stream file
+  // (their done markers hold no record); v2 done markers hold a bare
+  // "slpdas.cell.v1" record without the cell's identity key. Both are
+  // refused up front, at the manifest read.
+  const std::string current = format_shardmap_manifest(fixture_manifest(1, 1));
   const std::string tag(kShardMapSchema);
-  ASSERT_EQ(tag.back(), '2');
-  const std::size_t at = v1.find(tag);
-  ASSERT_NE(at, std::string::npos);
-  v1[at + tag.size() - 1] = '1';
-  try {
-    (void)parse_shardmap_manifest(v1);
-    FAIL() << "a v1 manifest parsed";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("unknown schema"),
-              std::string::npos)
-        << error.what();
+  ASSERT_EQ(tag, "slpdas.shardmap.v3");
+  for (const char* old_tag : {"slpdas.shardmap.v1", "slpdas.shardmap.v2"}) {
+    SCOPED_TRACE(old_tag);
+    const std::string old = test::replace_first(current, tag, old_tag);
+    try {
+      (void)parse_shardmap_manifest(old);
+      FAIL() << "an old manifest parsed";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("unknown schema '" + std::string(old_tag) + "'"),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 
@@ -231,6 +237,12 @@ std::string read_file(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
+}
+
+/// The cache key of one fixture cell under the fixture's base seed.
+CellCacheKey cell_key(const SweepCell& cell, bool deterministic) {
+  return make_cell_cache_key(cell.config, derive_cell_seed(77, cell.seed_label),
+                             deterministic);
 }
 
 TEST_F(FleetTest, ClaimIsExclusiveUntilReleased) {
@@ -310,6 +322,9 @@ TEST_F(FleetTest, ScanReportsEveryMarkerKind) {
     std::ofstream torn(claims.claim_path(2), std::ios::binary);
     torn << "{\"schema\": \"slpdas.shard";
   }
+  // A done-like name whose number fits no cell index: not a done marker.
+  std::ofstream(claims.directory() + "/cell-99999999999999999999.done")
+      << "stray\n";
 
   const ShardMapScan scan = claims.scan();
   ASSERT_EQ(scan.claims.size(), 3u);
@@ -343,15 +358,28 @@ TEST_F(FleetTest, ManifestFileRoundTripsAndMarksAFleetDirectory) {
 TEST_F(FleetTest, LoneWorkerComputesEveryCellByteIdentically) {
   write_shardmap_manifest(dir_, fixture_manifest(1, 2));
   const Scenario scenario = fleet_scenario();
-  const std::size_t computed = run_fleet_worker(
-      scenario, ScenarioOptions{}, worker_options(dir_, "w0", 2));
+  fs::remove_all(dir_ + "_cache");
+  CellCache cache(dir_ + "_cache");
+  FleetWorkerOptions options = worker_options(dir_, "w0", 2);
+  options.cache = &cache;
+  const std::size_t computed =
+      run_fleet_worker(scenario, ScenarioOptions{}, options);
   EXPECT_EQ(computed, 5u);
   EXPECT_EQ(to_text(fold_fleet_directory(dir_)), reference_text());
-  // Every cell carries a done marker owned by the one worker.
+  // Every cell carries a done marker owned by the one worker, and each
+  // marker is byte for byte the cache entry the worker stored for it.
   const ClaimDir claims(dir_);
   const ShardMapScan scan = claims.scan();
   EXPECT_EQ(scan.done.size(), 5u);
   EXPECT_EQ(scan.claims.size(), 5u);
+  EXPECT_EQ(cache.stats().stores, 5u);
+  const auto cells = five_cells();
+  for (std::size_t index = 0; index < cells.size(); ++index) {
+    EXPECT_EQ(read_file(claims.done_path(index)),
+              read_file(cache.entry_path(cell_key(cells[index], true))))
+        << "cell " << index;
+  }
+  fs::remove_all(dir_ + "_cache");
 }
 
 TEST_F(FleetTest, WorkerRefusesAManifestForADifferentSweep) {
@@ -371,6 +399,28 @@ TEST_F(FleetTest, WorkerRefusesAManifestForADifferentSweep) {
 }
 
 #ifndef _WIN32
+
+/// Each of `cells`' "slpdas.cachecell.v1" entry bytes, from one cold-cache
+/// sweep (fixture seed) into the fresh directory `cache_dir`.
+std::vector<std::string> cache_entries(const std::vector<SweepCell>& cells,
+                                       const std::string& cache_dir,
+                                       bool deterministic) {
+  fs::remove_all(cache_dir);
+  CellCache cache(cache_dir);
+  SweepOptions options;
+  options.threads = 2;
+  options.base_seed = 77;
+  options.deterministic_timing = deterministic;
+  options.cache = &cache;
+  (void)run_sweep(cells, options);
+  std::vector<std::string> entries;
+  for (const SweepCell& cell : cells) {
+    entries.push_back(
+        read_file(cache.entry_path(cell_key(cell, deterministic))));
+  }
+  fs::remove_all(cache_dir);
+  return entries;
+}
 
 /// Forks a child that runs `body` and _exits with its return value —
 /// keeping gtest machinery (and its exit handlers) out of the child.
@@ -743,6 +793,26 @@ TEST_F(FleetTest, TheFoldRejectsAForeignOrGarbageDoneRecord) {
   std::ofstream(claims.done_path(2), std::ios::binary | std::ios::trunc)
       << "garbage\n";
   expect_fold_names_cell_2("a garbage record");
+  // A tampered key hash: the header's fields no longer hash to it.
+  const std::size_t key_at = cell2.find("\"key\": \"");
+  ASSERT_NE(key_at, std::string::npos);
+  std::string tampered = cell2;
+  char& digit = tampered[key_at + std::string("\"key\": \"").size()];
+  digit = digit == '0' ? '1' : '0';
+  std::ofstream(claims.done_path(2), std::ios::binary | std::ios::trunc)
+      << tampered;
+  expect_fold_names_cell_2("a tampered key hash");
+  // A payload whose run count contradicts its header.
+  const std::size_t payload_at = cell2.find('\n') + 1;
+  std::ofstream(claims.done_path(2), std::ios::binary | std::ios::trunc)
+      << cell2.substr(0, payload_at)
+      << test::replace_first(cell2.substr(payload_at), "\"runs\": 2",
+                             "\"runs\": 3");
+  expect_fold_names_cell_2("a payload disagreeing with its header");
+  // A real-clock marker (a valid entry) in a deterministic fleet.
+  std::ofstream(claims.done_path(2), std::ios::binary | std::ios::trunc)
+      << cache_entries(five_cells(), dir_ + "_cache", false)[2];
+  expect_fold_names_cell_2("a real-clock marker");
   // The real record folds again.
   std::ofstream(claims.done_path(2), std::ios::binary | std::ios::trunc)
       << cell2;
@@ -765,23 +835,27 @@ TEST_F(FleetTest, RefusesToResumeADirectoryHoldingADifferentSweep) {
   EXPECT_EQ(spawns, 0);
 }
 
-TEST_F(FleetTest, RefusesToResumeDoneRecordsOfADifferentExperiment) {
-  // The fixture's labels omit the radio, so its grid hash — and the
-  // manifest — are the same on every radio. Done records published on
-  // the ideal radio must not be folded into a casino-lab resume.
-  write_shardmap_manifest(dir_, fixture_manifest(1, 2));
-  const ClaimDir claims(dir_);
+/// Publishes cells 1 and 3 of `other` — the fixture's labels on another
+/// experiment, so the grid hash and the manifest are the fixture's — as
+/// done markers, then expects a resume of the fixture to be refused before
+/// any spawn, naming cell 1 and both `field` values, with the directory
+/// left as it was.
+void expect_resume_refused(const std::string& dir,
+                           const std::vector<SweepCell>& other,
+                           const std::string& field, const std::string& have,
+                           const std::string& want) {
+  write_shardmap_manifest(dir, fixture_manifest(1, 2));
+  const ClaimDir claims(dir);
   claims.create();
-  const SweepJson ideal = reference_document(RadioKind::kIdeal);
+  const std::vector<std::string> entries =
+      cache_entries(other, dir + "_cache", true);
   for (const std::uint64_t cell : {1u, 3u}) {
-    std::ostringstream record;
-    write_cell_stream_record(record, ideal.cells[cell]);
-    ASSERT_TRUE(claims.mark_done(cell, record.str(), true));
+    ASSERT_TRUE(claims.mark_done(cell, entries[cell], true));
   }
-  const auto snapshot = [this] {
+  const auto snapshot = [&dir] {
     std::vector<std::pair<std::string, std::string>> files;
     for (const fs::directory_entry& entry :
-         fs::recursive_directory_iterator(dir_)) {
+         fs::recursive_directory_iterator(dir)) {
       files.emplace_back(entry.path().string(),
                          entry.is_regular_file()
                              ? read_file(entry.path().string())
@@ -792,21 +866,42 @@ TEST_F(FleetTest, RefusesToResumeDoneRecordsOfADifferentExperiment) {
   };
   const auto before = snapshot();
 
-  FleetOptions options = coordinator_options(dir_, nullptr);
+  FleetOptions options = coordinator_options(dir, nullptr);
   options.spawn = [](const FleetSpawnRequest&) -> std::int64_t {
     throw std::logic_error("spawned a worker for a refused resume");
   };
   try {
     (void)run_fleet(fleet_scenario(), ScenarioOptions{}, options);
-    FAIL() << "resumed done records of another radio";
+    FAIL() << "resumed done markers of another experiment";
   } catch (const std::runtime_error& error) {
     const std::string message = error.what();
     EXPECT_NE(message.find("cell 1"), std::string::npos) << message;
-    EXPECT_NE(message.find("config.radio 'ideal'"), std::string::npos)
+    EXPECT_NE(message.find(field + "=" + have + " on disk vs " + field + "=" +
+                           want + " in this run"),
+              std::string::npos)
         << message;
-    EXPECT_NE(message.find("'casino-lab'"), std::string::npos) << message;
   }
   EXPECT_EQ(snapshot(), before);
+}
+
+TEST_F(FleetTest, RefusesToResumeDoneRecordsOfADifferentExperiment) {
+  // The fixture's labels omit the radio, so its grid hash — and the
+  // manifest — are the same on every radio. Done markers published on
+  // the ideal radio must not be folded into a casino-lab resume.
+  expect_resume_refused(dir_, five_cells(RadioKind::kIdeal), "radio", "ideal",
+                        "casino-lab");
+}
+
+TEST_F(FleetTest, RefusesToResumeDoneMarkersUnderOtherTableIParameters) {
+  // Same labels, same radio, another safety factor Cs: only the parameter
+  // digest of the markers' keys tells the experiments apart.
+  std::vector<SweepCell> other = five_cells();
+  for (SweepCell& cell : other) {
+    cell.config.parameters.safety_factor = 1.75;
+  }
+  expect_resume_refused(dir_, other, "parameters",
+                        format_parameter_digest(other[1].config),
+                        format_parameter_digest(five_cells()[1].config));
 }
 
 #endif  // !_WIN32

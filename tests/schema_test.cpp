@@ -3,7 +3,7 @@
 // schema_validator.hpp — the same validator and files CI applies to
 // generated artifacts through the slpdas_schema_validate CLI. Covers
 // freshly generated sweep documents (both timing modes), cell-stream
-// lines, cell-cache entry files, fleet markers and done records, the
+// lines, cell-cache entry files, fleet markers and done entries, the
 // committed bench_results/ baselines,
 // and that the validator actually rejects shape violations (so a green
 // run means something).
@@ -35,7 +35,7 @@ using Value = core::detail::JsonParser::Value;
 constexpr const char* kSweepSchema = "slpdas.sweep.v2.schema.json";
 constexpr const char* kCellSchema = "slpdas.cell.v1.schema.json";
 constexpr const char* kCacheSchema = "slpdas.cachecell.v1.schema.json";
-constexpr const char* kShardMapSchemaFile = "slpdas.shardmap.v2.schema.json";
+constexpr const char* kShardMapSchemaFile = "slpdas.shardmap.v3.schema.json";
 constexpr const char* kFleetBenchSchema = "slpdas.fleetbench.v1.schema.json";
 
 ExperimentConfig small_base(int runs = 2) {
@@ -247,16 +247,20 @@ TEST(SchemaShardMapTest, EveryRecordKindValidatesAgainstItsDefinition) {
   // The schema root IS the manifest definition (shardmap.json's content).
   EXPECT_TRUE(no_errors(set.validate(
       parse_text(format_shardmap_manifest(manifest)), kShardMapSchemaFile)));
-  // And it still rejects shape drift: a claim is not a done marker.
-  EXPECT_FALSE(set.validate(parse_text(format_shardmap_claim({2, "w0", 1})),
-                            std::string(kShardMapSchemaFile) +
-                                "#/definitions/done")
-                   .empty());
+  // And it still rejects shape drift: a claim is no line of a done marker.
+  for (const char* line : {"done_header", "done_payload"}) {
+    EXPECT_FALSE(set.validate(parse_text(format_shardmap_claim({2, "w0", 1})),
+                              std::string(kShardMapSchemaFile) +
+                                  "#/definitions/" + line)
+                     .empty())
+        << line;
+  }
 }
 
-TEST(SchemaShardMapTest, RealDoneRecordsValidateAgainstTheDoneDefinition) {
+TEST(SchemaShardMapTest, RealDoneMarkersValidateAgainstTheDoneDefinitions) {
   // A lone fleet worker over the two-cell grid: its claims/*.done files
-  // are the exact records CI validates after its fleet run.
+  // are the exact cache entries CI validates, line by line, after its
+  // fleet run.
   const std::string dir = ::testing::TempDir() + "slpdas_schema_fleet";
   std::filesystem::remove_all(dir);
   Scenario scenario;
@@ -293,11 +297,15 @@ TEST(SchemaShardMapTest, RealDoneRecordsValidateAgainstTheDoneDefinition) {
     std::ostringstream text;
     text << in.rdbuf();
     const std::vector<std::string> lines = split_lines(text.str());
-    ASSERT_EQ(lines.size(), 1u) << claims.done_path(index);
+    ASSERT_EQ(lines.size(), 2u) << claims.done_path(index);
     EXPECT_TRUE(no_errors(set.validate(
         parse_text(lines[0]),
-        std::string(kShardMapSchemaFile) + "#/definitions/done")))
+        std::string(kShardMapSchemaFile) + "#/definitions/done_header")))
         << lines[0];
+    EXPECT_TRUE(no_errors(set.validate(
+        parse_text(lines[1]),
+        std::string(kShardMapSchemaFile) + "#/definitions/done_payload")))
+        << lines[1];
   }
   std::filesystem::remove_all(dir);
 }
