@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -93,7 +94,8 @@ class ProtectionlessDas : public sim::Process {
   [[nodiscard]] bool is_source() const noexcept { return id() == source_; }
   [[nodiscard]] const DasConfig& config() const noexcept { return config_; }
   [[nodiscard]] int current_period() const noexcept { return period_index_; }
-  /// First and last id of the Ninfo window (see ninfo_), set by on_start.
+  /// First and last rank (wsn::Graph::ranks) of the Ninfo window (see
+  /// ninfo_), set by on_start.
   [[nodiscard]] std::pair<wsn::NodeId, wsn::NodeId> ninfo_window()
       const noexcept {
     return {ninfo_lo_,
@@ -208,10 +210,16 @@ class ProtectionlessDas : public sim::Process {
   void add_neighbor(wsn::NodeId node, std::uint32_t link);
   /// Others[neighbor]; `neighbor` must be a graph neighbour of this node.
   [[nodiscard]] std::vector<wsn::NodeId>& others_of(wsn::NodeId neighbor);
-  /// ninfo_'s index for `node`: at least ninfo_.size() outside the window.
-  [[nodiscard]] std::size_t ninfo_index(wsn::NodeId node) const noexcept {
-    return static_cast<std::size_t>(static_cast<std::int64_t>(node) -
-                                    ninfo_lo_);
+  /// ninfo_'s index for `node`, given graph().ranks(): its rank less the
+  /// window's first; at least ninfo_.size() outside the window. An id that
+  /// is no node id (negative or >= N) is caught before the rank load.
+  [[nodiscard]] std::size_t ninfo_index(std::span<const wsn::NodeId> ranks,
+                                        wsn::NodeId node) const noexcept {
+    const auto row = static_cast<std::uint32_t>(node);
+    return row < ranks.size()
+               ? static_cast<std::size_t>(
+                     static_cast<std::int64_t>(ranks[row]) - ninfo_lo_)
+               : ninfo_.size();
   }
   /// Ninfo[node]; `node` must lie in the window (see ninfo_), else
   /// std::logic_error naming it.
@@ -236,17 +244,19 @@ class ProtectionlessDas : public sim::Process {
   /// ninfo_ entries only ever move downward, re-merging it would change
   /// nothing, so handle_dissem skips the merge and the competitor rebuild.
   std::vector<std::uint32_t> merged_version_;
-  /// Ninfo[] as a dense table over this node's id window [ninfo_lo_,
-  /// ninfo_lo_ + size): the min and max of our id, each graph neighbour's
-  /// id and the ends of its sorted row. A listing names only its sender
-  /// and the sender's neighbours, so every id a node can learn about — its
-  /// 2-hop neighbourhood — lies inside. The merge in handle_dissem runs
+  /// Ninfo[] as a dense table over this node's rank window [ninfo_lo_,
+  /// ninfo_lo_ + size), indexed by graph().ranks()[id] - ninfo_lo_: the
+  /// min and max rank over our closed 2-hop neighbourhood, i.e. over the
+  /// graph's closed-neighbourhood rank bounds of us and each neighbour. A
+  /// listing names only its sender and the sender's neighbours, so every
+  /// node we can learn about lies inside. The merge in handle_dissem runs
   /// millions of times per experiment, and an indexed load beats a probe
   /// per entry. Unwritten entries read as NodeInfo{} (unassigned), and
-  /// info_of reads ids outside the window the same way. A grid's window
-  /// is at most 4W+1 ids (ids are numbered row-major); on a random
-  /// placement it is nearly all ids. on_start refills it in the capacity
-  /// reset_run keeps.
+  /// info_of reads ids outside the window the same way. A grid's rank is
+  /// its row-major id, so its window is at most 4W+1 entries; a unit
+  /// disk's cell-major rank keeps the window to about five rows of range-
+  /// wide cells (251 of 800 entries on udisk:n=800,r=10). on_start refills
+  /// it in the capacity reset_run keeps.
   std::vector<NodeInfo> ninfo_;
   wsn::NodeId ninfo_lo_ = 0;
   /// Node ids (never our own) whose ninfo_ entry is assigned, in first-
@@ -300,10 +310,9 @@ class ProtectionlessDas : public sim::Process {
   std::uint64_t latency_count_ = 0;
 };
 
-/// First and last id of `node`'s Ninfo window (see
-/// ProtectionlessDas::ninfo_): the min and max of its id, each graph
-/// neighbour's id and the two ends of that neighbour's sorted row.
-/// O(degree).
+/// First and last rank of `node`'s Ninfo window (see
+/// ProtectionlessDas::ninfo_): the min and max of the graph's closed-
+/// neighbourhood rank bounds over `node` and each neighbour. O(degree).
 [[nodiscard]] std::pair<wsn::NodeId, wsn::NodeId> ninfo_window_of(
     const wsn::Graph& graph, wsn::NodeId node);
 

@@ -344,6 +344,10 @@ inline void Process::set_frame_timer(int timer_id, SimTime delay) {
   simulator_->arm_timer(id_, timer_id, delay, /*frame_clock=*/true);
 }
 
+inline const wsn::Graph& Process::graph() const {
+  return simulator_->graph();
+}
+
 inline std::uint32_t Process::delivery_link() const noexcept {
   return simulator_->delivery_link_;
 }

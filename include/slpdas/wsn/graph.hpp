@@ -35,15 +35,26 @@ using Edge = std::pair<NodeId, NodeId>;
 /// neighbour b of a, the position of a in b's row. The simulator hands a
 /// reception its link that way, so a receiver finds per-sender state
 /// without a search.
+///
+/// The graph also carries a spatial `rank`: a permutation of the ids under
+/// which nearby nodes sit close together. Ids keep their meaning
+/// everywhere; the rank only lays out per-node tables that cover a
+/// neighbourhood (the DAS Ninfo window), so such a table spans few ranks
+/// even where ids follow placement order. Grid, line and ring ids are
+/// already spatial, and their rank is the identity; a unit-disk rank is
+/// cell-major (see unit_disk_edges).
 class Graph {
  public:
   Graph() = default;
 
-  /// Creates a graph with `node_count` vertices and the undirected
-  /// `edges` (in any order and orientation). An out-of-range id throws
-  /// std::out_of_range; a self loop or a duplicate edge throws
-  /// std::invalid_argument, as neither occurs in a WSN link graph.
-  explicit Graph(NodeId node_count, const std::vector<Edge>& edges = {});
+  /// Creates a graph with `node_count` vertices, the undirected `edges`
+  /// (in any order and orientation) and the spatial `rank` (rank[id];
+  /// empty is the identity). An out-of-range id throws std::out_of_range;
+  /// a self loop, a duplicate edge or a rank that is not a permutation of
+  /// 0 .. node_count-1 throws std::invalid_argument, as none occurs in a
+  /// WSN link graph.
+  explicit Graph(NodeId node_count, const std::vector<Edge>& edges = {},
+                 std::vector<NodeId> rank = {});
 
   /// Number of vertices.
   [[nodiscard]] NodeId node_count() const noexcept { return node_count_; }
@@ -84,6 +95,18 @@ class Graph {
     return neighbors(node).size();
   }
 
+  /// Every node's spatial rank, indexed by id.
+  [[nodiscard]] std::span<const NodeId> ranks() const noexcept {
+    return rank_;
+  }
+
+  /// Every node's closed-neighbourhood rank bounds, indexed by id: the min
+  /// and max rank over the node and its neighbours.
+  [[nodiscard]] std::span<const std::pair<NodeId, NodeId>> rank_bounds()
+      const noexcept {
+    return rank_bounds_;
+  }
+
   /// CG(n) from Definition 1: the sorted set of nodes within two hops of
   /// `node`, excluding `node` itself.
   [[nodiscard]] std::vector<NodeId> two_hop_neighborhood(NodeId node) const;
@@ -101,6 +124,7 @@ class Graph {
     }
   }
   [[noreturn]] void throw_out_of_range(NodeId node) const;
+  [[noreturn]] void throw_not_a_permutation() const;
 
   NodeId node_count_ = 0;
   /// Row `a` is targets_[offsets_[a], offsets_[a + 1]); offsets_ is
@@ -110,6 +134,10 @@ class Graph {
   /// reverse_[e] for the directed edge e = (a, targets_[e]): the position
   /// of a in targets_[e]'s row.
   std::vector<std::uint32_t> reverse_;
+  /// rank_[a]: a's spatial rank. rank_bounds_[a]: the min and max of
+  /// rank_ over a and its row.
+  std::vector<NodeId> rank_;
+  std::vector<std::pair<NodeId, NodeId>> rank_bounds_;
 };
 
 }  // namespace slpdas::wsn

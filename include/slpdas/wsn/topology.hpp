@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "slpdas/wsn/graph.hpp"
@@ -65,14 +66,17 @@ struct UnitDiskParams {
 };
 
 /// The unit-disk edges among `positions`: every pair {a, b}, a < b, whose
-/// squared distance is <= radio_range^2. Candidate pairs come from a
-/// uniform grid of square cells at least radio_range wide over
-/// [0, area_side)^2 (positions outside it fall into the border cells), so
-/// a uniform placement costs O(n + edges) instead of O(n^2). The edges
-/// are listed in no particular order; Graph sorts its rows.
-[[nodiscard]] std::vector<Edge> unit_disk_edges(
-    const std::vector<Position>& positions, double area_side,
-    double radio_range);
+/// squared distance is <= radio_range^2, listed in no particular order
+/// (Graph sorts its rows); and the cell-major rank of every node, for
+/// Graph's rank. Candidate pairs come from a uniform grid of square cells
+/// at least radio_range wide over [0, area_side)^2 (positions outside it
+/// fall into the border cells), so a uniform placement costs O(n + edges)
+/// instead of O(n^2). The rank orders the nodes by cell, row-major, and
+/// by id within a cell, so nodes within range of each other get ranks
+/// at most about two rows of cells apart.
+[[nodiscard]] std::pair<std::vector<Edge>, std::vector<NodeId>>
+unit_disk_edges(const std::vector<Position>& positions, double area_side,
+                double radio_range);
 
 /// Places nodes uniformly at random in a square and connects every pair
 /// within radio range (the standard unit-disk communication model from

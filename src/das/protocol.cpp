@@ -63,14 +63,17 @@ ProtectionlessDas::ProtectionlessDas(const DasConfig& config, wsn::NodeId sink,
 
 std::pair<wsn::NodeId, wsn::NodeId> ninfo_window_of(const wsn::Graph& graph,
                                                     wsn::NodeId node) {
-  // Each neighbour's sorted row holds every node two hops away through
-  // it, so its ends bound them all.
-  wsn::NodeId lo = node;
-  wsn::NodeId hi = node;
-  for (const wsn::NodeId neighbor : graph.neighbors(node)) {
-    const std::span<const wsn::NodeId> row = graph.neighbors(neighbor);
-    lo = std::min({lo, neighbor, row.front()});
-    hi = std::max({hi, neighbor, row.back()});
+  // A neighbour's closed-neighbourhood bounds cover every node two hops
+  // away through it; our own cover us and the neighbours themselves.
+  const std::span<const wsn::NodeId> row = graph.neighbors(node);
+  const std::span<const std::pair<wsn::NodeId, wsn::NodeId>> bounds =
+      graph.rank_bounds();
+  auto [lo, hi] = bounds[static_cast<std::size_t>(node)];
+  for (const wsn::NodeId neighbor : row) {
+    const auto [neighbor_lo, neighbor_hi] =
+        bounds[static_cast<std::size_t>(neighbor)];
+    lo = std::min(lo, neighbor_lo);
+    hi = std::max(hi, neighbor_hi);
   }
   return {lo, hi};
 }
@@ -240,7 +243,7 @@ std::vector<wsn::NodeId>& ProtectionlessDas::others_of(wsn::NodeId neighbor) {
 }
 
 NodeInfo& ProtectionlessDas::ninfo_at(wsn::NodeId node) {
-  const std::size_t index = ninfo_index(node);
+  const std::size_t index = ninfo_index(graph().ranks(), node);
   if (index >= ninfo_.size()) {
     throw_outside_window(node, id(), ninfo_window());
   }
@@ -257,15 +260,17 @@ bool ProtectionlessDas::merge_listing(
   // collision resolution and refinement all move downward), so "smaller
   // slot wins" merges stale and fresh views correctly.
   bool learned_something = false;
-  // ninfo_at's range check, with the table's bounds read once: nothing
-  // here resizes ninfo_, but the known_assigned_ push_back would make the
-  // compiler reload them per entry (measured ~8% of udisk_dense runs/s).
+  // ninfo_at's range check, with the table's and the ranks' bounds read
+  // once: nothing here resizes either, but the known_assigned_ push_back
+  // would make the compiler reload them per entry (measured ~8% of
+  // udisk_dense runs/s).
   const std::span<NodeInfo> table(ninfo_);
+  const std::span<const wsn::NodeId> ranks = graph().ranks();
   for (const auto& [node, info] : listing) {
     if (!info.assigned()) {
       continue;
     }
-    const std::size_t index = ninfo_index(node);
+    const std::size_t index = ninfo_index(ranks, node);
     if (index >= table.size()) {
       throw_outside_window(node, id(), ninfo_window());
     }
@@ -469,7 +474,7 @@ void ProtectionlessDas::adopt_slot(mac::SlotId new_slot, bool update_children) {
 NodeInfo ProtectionlessDas::info_of(wsn::NodeId n) const {
   // Total over ALL ids, like the map lookup it replaced: ids outside the
   // window (kNoNode from an unset parent, say) read as "unknown", not as UB.
-  const std::size_t index = ninfo_index(n);
+  const std::size_t index = ninfo_index(graph().ranks(), n);
   return index < ninfo_.size() ? ninfo_[index] : NodeInfo{};
 }
 

@@ -25,8 +25,6 @@ SimTime Process::now() const { return simulator_->now(); }
 
 Rng& Process::rng() { return simulator_->rng(); }
 
-const wsn::Graph& Process::graph() const { return simulator_->graph(); }
-
 void Process::reset_run() {
   throw std::logic_error(
       "Process::reset_run: this process type has not declared its "

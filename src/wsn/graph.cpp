@@ -3,15 +3,34 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace slpdas::wsn {
 
-Graph::Graph(NodeId node_count, const std::vector<Edge>& edges)
-    : node_count_(node_count) {
+Graph::Graph(NodeId node_count, const std::vector<Edge>& edges,
+             std::vector<NodeId> rank)
+    : node_count_(node_count), rank_(std::move(rank)) {
   if (node_count < 0) {
     throw std::invalid_argument("Graph: negative node count");
   }
   const auto nodes = static_cast<std::size_t>(node_count);
+  if (rank_.empty()) {
+    rank_.resize(nodes);
+    std::iota(rank_.begin(), rank_.end(), NodeId{0});
+  } else {
+    // More than `nodes` ranks must repeat one, so the loop catches a long
+    // rank and the size test a short one.
+    std::vector<bool> ranked(nodes);
+    for (const NodeId r : rank_) {
+      if (!contains(r) || ranked[static_cast<std::size_t>(r)]) {
+        throw_not_a_permutation();
+      }
+      ranked[static_cast<std::size_t>(r)] = true;
+    }
+    if (rank_.size() != nodes) {
+      throw_not_a_permutation();
+    }
+  }
   offsets_.assign(nodes + 1, 0);
   for (const auto& [a, b] : edges) {
     check_node(a);
@@ -54,15 +73,26 @@ Graph::Graph(NodeId node_count, const std::vector<Edge>& edges)
   }
   // Reverse links, by the same argument: as `a` ascends, it is the next
   // entry of each neighbour's sorted row, so a per-row cursor is its
-  // position there.
+  // position there. The same pass takes each row's rank bounds.
   std::fill(cursor.begin(), cursor.end(), 0);
   reverse_.resize(targets_.size());
+  rank_bounds_.reserve(nodes);
   for (std::size_t a = 0; a < nodes; ++a) {
+    NodeId lo = rank_[a];
+    NodeId hi = lo;
     for (std::size_t e = offsets_[a]; e < offsets_[a + 1]; ++e) {
-      reverse_[e] = static_cast<std::uint32_t>(
-          cursor[static_cast<std::size_t>(targets_[e])]++);
+      const auto b = static_cast<std::size_t>(targets_[e]);
+      reverse_[e] = static_cast<std::uint32_t>(cursor[b]++);
+      lo = std::min(lo, rank_[b]);
+      hi = std::max(hi, rank_[b]);
     }
+    rank_bounds_.emplace_back(lo, hi);
   }
+}
+
+void Graph::throw_not_a_permutation() const {
+  throw std::invalid_argument("Graph: rank is not a permutation of the " +
+                              std::to_string(node_count()) + " node ids");
 }
 
 void Graph::throw_out_of_range(NodeId node) const {

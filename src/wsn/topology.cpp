@@ -7,6 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "slpdas/rng.hpp"
 #include "slpdas/wsn/paths.hpp"
@@ -38,8 +39,9 @@ std::size_t cell_index(double coordinate, double cell_side,
 
 }  // namespace
 
-std::vector<Edge> unit_disk_edges(const std::vector<Position>& positions,
-                                  double area_side, double radio_range) {
+std::pair<std::vector<Edge>, std::vector<NodeId>> unit_disk_edges(
+    const std::vector<Position>& positions, double area_side,
+    double radio_range) {
   // Cells per side: as many as fit at the range's width, less a margin
   // that absorbs the rounding of coordinate / side, and at most about one
   // cell per node so a sparse placement in a huge area stays small.
@@ -51,6 +53,8 @@ std::vector<Edge> unit_disk_edges(const std::vector<Position>& positions,
   const double side = area_side / static_cast<double>(per_side);
 
   // Counting sort of the nodes by cell, ascending ids within each cell.
+  // A node's slot in that order is its rank, and the scan below reads
+  // ids and coordinates copied into it.
   std::vector<std::size_t> cell_of(nodes);
   std::vector<std::size_t> start(per_side * per_side + 1, 0);
   for (std::size_t node = 0; node < nodes; ++node) {
@@ -60,33 +64,63 @@ std::vector<Edge> unit_disk_edges(const std::vector<Position>& positions,
   }
   std::partial_sum(start.begin(), start.end(), start.begin());
   std::vector<std::size_t> cursor(start.begin(), start.end() - 1);
-  std::vector<NodeId> members(nodes);
+  std::vector<NodeId> rank(nodes);
+  std::vector<NodeId> ids(nodes);
+  std::vector<double> xs(nodes);
+  std::vector<double> ys(nodes);
   for (std::size_t node = 0; node < nodes; ++node) {
-    members[cursor[cell_of[node]]++] = static_cast<NodeId>(node);
+    const std::size_t slot = cursor[cell_of[node]]++;
+    rank[node] = static_cast<NodeId>(slot);
+    ids[slot] = static_cast<NodeId>(node);
+    xs[slot] = positions[node].x;
+    ys[slot] = positions[node].y;
   }
 
-  // A pair within range lies in the same or adjacent cells.
+  // A pair within range lies in the same or adjacent cells, so pairing
+  // each cell with itself and its four forward neighbours (the next cell
+  // of its row and the three beside it in the next row) tests every such
+  // pair once. Each candidate is written, and kept by advancing the count
+  // when it is in range.
   const double range_sq = radio_range * radio_range;
   std::vector<Edge> edges;
-  for (std::size_t a = 0; a < nodes; ++a) {
-    const std::size_t cx = cell_of[a] % per_side;
-    const std::size_t cy = cell_of[a] / per_side;
-    for (std::size_t y = cy == 0 ? 0 : cy - 1;
-         y <= std::min(cy + 1, per_side - 1); ++y) {
-      for (std::size_t x = cx == 0 ? 0 : cx - 1;
-           x <= std::min(cx + 1, per_side - 1); ++x) {
-        const std::size_t cell = y * per_side + x;
-        for (std::size_t m = start[cell]; m < start[cell + 1]; ++m) {
-          const auto b = static_cast<std::size_t>(members[m]);
-          if (b > a &&
-              squared_distance(positions[a], positions[b]) <= range_sq) {
-            edges.emplace_back(static_cast<NodeId>(a), members[m]);
-          }
+  std::size_t count = 0;
+  const auto pair_cells = [&](std::size_t a, std::size_t b) {
+    const std::size_t need = count + (start[a + 1] - start[a]) *
+                                         (start[b + 1] - start[b]);
+    if (edges.size() < need) {
+      edges.resize(need);  // grows the capacity geometrically
+    }
+    for (std::size_t i = start[a]; i < start[a + 1]; ++i) {
+      for (std::size_t j = a == b ? i + 1 : start[b]; j < start[b + 1];
+           ++j) {
+        const double dx = xs[i] - xs[j];
+        const double dy = ys[i] - ys[j];
+        edges[count] = std::minmax(ids[i], ids[j]);
+        count += dx * dx + dy * dy <= range_sq ? 1 : 0;
+      }
+    }
+  };
+  for (std::size_t cy = 0; cy < per_side; ++cy) {
+    for (std::size_t cx = 0; cx < per_side; ++cx) {
+      const std::size_t cell = cy * per_side + cx;
+      pair_cells(cell, cell);
+      if (cx + 1 < per_side) {
+        pair_cells(cell, cell + 1);
+      }
+      if (cy + 1 < per_side) {
+        const std::size_t below = cell + per_side;
+        if (cx > 0) {
+          pair_cells(cell, below - 1);
+        }
+        pair_cells(cell, below);
+        if (cx + 1 < per_side) {
+          pair_cells(cell, below + 1);
         }
       }
     }
   }
-  return edges;
+  edges.resize(count);
+  return {std::move(edges), std::move(rank)};
 }
 
 Topology make_grid(int side, double spacing) {
@@ -209,10 +243,9 @@ Topology make_random_unit_disk(const UnitDiskParams& params) {
       position = {rng.uniform_double() * params.area_side,
                   rng.uniform_double() * params.area_side};
     }
-    topology.graph = Graph(
-        params.node_count,
-        unit_disk_edges(topology.positions, params.area_side,
-                        params.radio_range));
+    auto [edges, rank] = unit_disk_edges(
+        topology.positions, params.area_side, params.radio_range);
+    topology.graph = Graph(params.node_count, edges, std::move(rank));
     if (!is_connected(topology.graph)) {
       continue;
     }

@@ -60,14 +60,15 @@ ExperimentConfig small_config(ProtocolKind protocol) {
 constexpr std::uint64_t kBaseSeed = 2017;
 
 TEST(RunBatchTest, RefusesDasCellWhoseNinfoTablesCannotFit) {
-  // A random placement's Ninfo windows span nearly every id, so this
-  // spec's DAS tables would need ~N^2 * 8 bytes. The batch refuses it at
-  // capture, before a fork builds a single process; phantom routing keeps
-  // no Ninfo and is accepted.
+  // Even in cell-major rank order, each of this spec's 200,000 Ninfo
+  // windows spans several rows of 99 cells, so its DAS tables would need
+  // 11.7 GB. The batch refuses it at capture, before a fork builds a
+  // single process; phantom routing keeps no Ninfo and is accepted.
   ExperimentConfig config = small_config(ProtocolKind::kProtectionlessDas);
   config.topology = wsn::TopologySpec::parse("udisk:n=200000,r=1");
   const wsn::Topology topology = config.topology.build();
   const std::uint64_t bytes = das::ninfo_table_bytes(topology.graph);
+  EXPECT_EQ(bytes, 11'700'265'632u);
   EXPECT_GT(bytes, PhasePrefix::kMaxNinfoBytes);
   for (const ProtocolKind protocol :
        {ProtocolKind::kProtectionlessDas, ProtocolKind::kSlpDas}) {

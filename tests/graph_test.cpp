@@ -1,7 +1,8 @@
 // Unit tests for slpdas::wsn::Graph, including the 2-hop neighbourhood
 // CG(n) that Definition 1 (non-colliding slots) quantifies over, and the
 // CSR reverse links the simulator hands every reception, on hand-built,
-// random and every topology generator's graphs.
+// random and every topology generator's graphs, and the spatial rank with
+// its closed-neighbourhood bounds.
 #include "slpdas/wsn/graph.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,9 @@
 #include <algorithm>
 #include <functional>
 #include <set>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "slpdas/rng.hpp"
 #include "slpdas/wsn/topology.hpp"
@@ -150,6 +154,50 @@ TEST(GraphTest, TwoHopNeighborhoodExcludesSelfAndDeduplicates) {
     const auto cg = graph.two_hop_neighborhood(n);
     EXPECT_EQ(cg.size(), 2u);
     EXPECT_EQ(std::count(cg.begin(), cg.end(), n), 0);
+  }
+}
+
+TEST(GraphTest, RankDefaultsToTheIdentityAndMustBeAPermutation) {
+  const Graph plain(4, {{0, 1}});
+  EXPECT_EQ(std::vector<NodeId>(plain.ranks().begin(), plain.ranks().end()),
+            (std::vector<NodeId>{0, 1, 2, 3}));
+  const Graph ranked(3, {{0, 1}}, {2, 0, 1});
+  EXPECT_EQ(std::vector<NodeId>(ranked.ranks().begin(), ranked.ranks().end()),
+            (std::vector<NodeId>{2, 0, 1}));
+  for (const std::vector<NodeId>& rank :
+       std::vector<std::vector<NodeId>>{
+           {0, 1}, {0, 1, 2, 3}, {0, 0, 1}, {0, 1, 3}, {-1, 0, 1}}) {
+    EXPECT_THROW(Graph(3, {}, rank), std::invalid_argument) << rank.size();
+  }
+}
+
+TEST(GraphTest, RankBoundsCoverEachClosedNeighbourhood) {
+  // 0 - 1 - 2 - 3 with ranks 3, 0, 2, 1; 4 is isolated (rank 4).
+  const Graph graph(5, {{0, 1}, {1, 2}, {2, 3}}, {3, 0, 2, 1, 4});
+  using Bounds = std::pair<NodeId, NodeId>;
+  EXPECT_EQ(std::vector<Bounds>(graph.rank_bounds().begin(),
+                                graph.rank_bounds().end()),
+            (std::vector<Bounds>{{0, 3}, {0, 3}, {0, 2}, {1, 2}, {4, 4}}));
+  UnitDiskParams disk;
+  disk.node_count = 120;
+  disk.area_side = 60.0;
+  disk.radio_range = 11.0;
+  disk.seed = 9;
+  for (const Topology& topology :
+       {make_grid(4, 3, 1.0, NodeId{0}, NodeId{11}),
+        make_random_unit_disk(disk)}) {
+    const Graph& g = topology.graph;
+    for (NodeId a = 0; a < g.node_count(); ++a) {
+      const auto ranks = g.ranks();
+      NodeId lo = ranks[static_cast<std::size_t>(a)];
+      NodeId hi = lo;
+      for (const NodeId b : g.neighbors(a)) {
+        lo = std::min(lo, ranks[static_cast<std::size_t>(b)]);
+        hi = std::max(hi, ranks[static_cast<std::size_t>(b)]);
+      }
+      EXPECT_EQ(g.rank_bounds()[static_cast<std::size_t>(a)], Bounds(lo, hi))
+          << g.to_string() << " node " << a;
+    }
   }
 }
 

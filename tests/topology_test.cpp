@@ -6,8 +6,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -269,7 +272,7 @@ TEST(UnitDiskTopologyTest, CellGridFindsExactlyThePairScanEdges) {
         position = {rng.uniform_double() * c.area,
                     rng.uniform_double() * c.area};
       }
-      EXPECT_EQ(sorted(unit_disk_edges(positions, c.area, c.range)),
+      EXPECT_EQ(sorted(unit_disk_edges(positions, c.area, c.range).first),
                 pair_scan_edges(positions, c.range))
           << c.nodes << " nodes, area " << c.area << ", r " << c.range
           << ", seed " << seed;
@@ -303,7 +306,100 @@ TEST(UnitDiskTopologyTest, CellGridFindsPairsAcrossCellBorders) {
   }
   const std::vector<Edge> expected = pair_scan_edges(positions, range);
   EXPECT_GT(expected.size(), positions.size());
-  EXPECT_EQ(sorted(unit_disk_edges(positions, area, range)), expected);
+  EXPECT_EQ(sorted(unit_disk_edges(positions, area, range).first), expected);
+}
+
+/// The cell unit_disk_edges files `position` under: row-major over the
+/// per_side x per_side grid it lays over the area, clamped to the grid.
+std::size_t cell_of(const Position& position, std::size_t nodes, double area,
+                    double range) {
+  const double fit = std::floor(area / (range * (1.0 + 1e-9)));
+  const double cap = std::floor(std::sqrt(static_cast<double>(nodes)));
+  const auto per_side =
+      static_cast<std::size_t>(std::max(1.0, std::min(fit, cap)));
+  const double side = area / static_cast<double>(per_side);
+  const auto index = [&](double coordinate) {
+    const double cell = std::floor(coordinate / side);
+    return static_cast<std::size_t>(
+        std::clamp(cell, 0.0, static_cast<double>(per_side - 1)));
+  };
+  return index(position.y) * per_side + index(position.x);
+}
+
+TEST(UnitDiskTopologyTest, RankIsACellMajorPermutation) {
+  for (const auto& [nodes, area, range] :
+       {std::tuple{50, 100.0, 15.0}, std::tuple{200, 100.0, 10.0},
+        std::tuple{300, 1000.0, 7.0}, std::tuple{80, 50.0, 50.0},
+        std::tuple{64, 8.0, 1.0}}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      Rng rng(seed);
+      std::vector<Position> positions(static_cast<std::size_t>(nodes));
+      for (auto& position : positions) {
+        position = {rng.uniform_double() * area, rng.uniform_double() * area};
+      }
+      const std::vector<NodeId> rank =
+          unit_disk_edges(positions, area, range).second;
+      ASSERT_EQ(rank.size(), positions.size());
+      std::vector<NodeId> by_rank(positions.size(), kNoNode);
+      for (std::size_t id = 0; id < rank.size(); ++id) {
+        ASSERT_TRUE(rank[id] >= 0 && rank[id] < nodes) << rank[id];
+        ASSERT_EQ(by_rank[static_cast<std::size_t>(rank[id])], kNoNode)
+            << "rank " << rank[id] << " given twice";
+        by_rank[static_cast<std::size_t>(rank[id])] = static_cast<NodeId>(id);
+      }
+      // Along the rank the cell never decreases, and within a cell the
+      // ids ascend.
+      for (std::size_t r = 1; r < by_rank.size(); ++r) {
+        const auto previous = static_cast<std::size_t>(by_rank[r - 1]);
+        const auto current = static_cast<std::size_t>(by_rank[r]);
+        const std::size_t previous_cell =
+            cell_of(positions[previous], positions.size(), area, range);
+        const std::size_t cell =
+            cell_of(positions[current], positions.size(), area, range);
+        EXPECT_LE(previous_cell, cell) << "rank " << r << ", seed " << seed;
+        if (previous_cell == cell) {
+          EXPECT_LT(previous, current) << "rank " << r << ", seed " << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(UnitDiskTopologyTest, RankIsTheIdentityOnGridLineAndRing) {
+  for (const Topology& topology :
+       {make_grid(7), make_grid(5, 9, 1.0, std::nullopt, std::nullopt),
+        make_line(12), make_ring(11)}) {
+    const auto ranks = topology.graph.ranks();
+    std::vector<NodeId> identity(ranks.size());
+    std::iota(identity.begin(), identity.end(), NodeId{0});
+    EXPECT_EQ(std::vector<NodeId>(ranks.begin(), ranks.end()), identity)
+        << topology.graph.to_string();
+  }
+}
+
+TEST(UnitDiskTopologyTest, PairAtExactlyTheRangeIsLinked) {
+  // 3-4-5 triangles: squared distances of exactly 25 = 5^2, within a cell
+  // and across a vertical and a horizontal cell border (area 20, five
+  // nodes: two 10-m cells a side).
+  const std::vector<Position> positions{
+      {7.0, 1.0}, {10.0, 5.0}, {14.0, 8.0}, {3.0, 8.0}, {6.0, 12.0}};
+  EXPECT_EQ(sorted(unit_disk_edges(positions, 20.0, 5.0).first),
+            (std::vector<Edge>{{0, 1}, {1, 2}, {3, 4}}));
+  EXPECT_EQ(pair_scan_edges(positions, 5.0),
+            (std::vector<Edge>{{0, 1}, {1, 2}, {3, 4}}));
+}
+
+TEST(UnitDiskTopologyTest, NodeAtTheAreaSideIsClampedIntoTheLastCell) {
+  // Four nodes get two 50-m cells a side. Node 0 sits on the far corner,
+  // coordinate area_side on both axes, one past the last cell: it is filed
+  // into that cell, beside node 2, so it keeps its link and ranks just
+  // before node 2, after the other two cells' nodes.
+  const double area = 100.0;
+  const std::vector<Position> positions{
+      {area, area}, {0.0, 0.0}, {area - 3.0, area - 3.0}, {60.0, 10.0}};
+  const auto [edges, rank] = unit_disk_edges(positions, area, 10.0);
+  EXPECT_EQ(sorted(edges), (std::vector<Edge>{{0, 2}}));
+  EXPECT_EQ(rank, (std::vector<NodeId>{2, 0, 3, 1}));
 }
 
 TEST(UnitDiskTopologyTest, InvalidParamsRejected) {
