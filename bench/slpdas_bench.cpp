@@ -462,11 +462,15 @@ int fleet_worker_command(const CliOptions& options) {
                  "NAME (normally spawned by 'slpdas_bench fleet')\n";
     return 2;
   }
+  if (options.threads != 0 || options.deterministic) {
+    std::cerr << "fleet-worker: --threads and --deterministic come from the "
+                 "fleet directory's shardmap.json (set them on 'slpdas_bench "
+                 "fleet' as --worker-threads and --deterministic)\n";
+    return 2;
+  }
   core::FleetWorkerOptions worker;
   worker.directory = options.fleet_dir;
   worker.worker = options.worker_name;
-  worker.threads = options.threads > 0 ? options.threads : 1;
-  worker.deterministic = options.deterministic;
   worker.heartbeat_interval_ms = options.heartbeat_ms;
   worker.log = &std::cerr;
   std::optional<core::CellCache> cache;

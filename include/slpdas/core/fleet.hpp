@@ -227,8 +227,6 @@ struct FleetWorkerOptions {
   /// including for replacements — so no two incarnations ever share a
   /// heartbeat or a log.
   std::string worker;
-  int threads = 1;  ///< this worker's pool size (>= 1)
-  bool deterministic = false;
   int heartbeat_interval_ms = 250;
   std::ostream* log = nullptr;  ///< event + per-cell progress lines
   CellCache* cache = nullptr;   ///< optional shared result cache (not owned)
@@ -236,12 +234,14 @@ struct FleetWorkerOptions {
 
 /// The worker loop: verify the manifest against this process's own grid
 /// expansion, then claim-run-publish cells until every cell in the grid
-/// is done. Returns the number of cells THIS worker computed. Throws on a
-/// manifest mismatch, a cell whose runs threw (after writing the error
-/// marker), a done marker that conflicts with this worker's under
-/// `deterministic`, or IO failure — always writing a worker/cell error
-/// marker first so the coordinator aborts promptly instead of respawning
-/// into the same failure.
+/// is done. The manifest sets the worker's shape: its pool size
+/// (worker_threads) and timing mode (deterministic). Returns the number
+/// of cells THIS worker computed. Throws on a manifest mismatch, a cell
+/// whose runs threw (after writing the error marker), a done marker that
+/// conflicts with this worker's under the manifest's `deterministic`, or
+/// IO failure — always writing a worker/cell error marker first so the
+/// coordinator aborts promptly instead of respawning into the same
+/// failure.
 std::size_t run_fleet_worker(const Scenario& scenario,
                              const ScenarioOptions& options,
                              const FleetWorkerOptions& worker_options);
@@ -254,9 +254,10 @@ std::size_t run_fleet_worker(const Scenario& scenario,
 /// hook (local fork/exec today, ssh/slurm later) consumes.
 struct FleetSpawnRequest {
   /// Wire form: {program, "fleet-worker", scenario, "--fleet-dir", dir,
-  /// "--worker-name", name, ...scenario and execution flags...}, where
-  /// program is this executable (empty when FleetOptions::spawn is set:
-  /// the hook chooses what to run). A remote
+  /// "--worker-name", name, ...scenario, heartbeat and cache flags...},
+  /// where program is this executable (empty when FleetOptions::spawn is
+  /// set: the hook chooses what to run). It carries no pool size or
+  /// timing mode: the worker reads both from the manifest. A remote
   /// launcher runs exactly this argv on the target host (the fleet
   /// directory must be a shared filesystem).
   std::vector<std::string> argv;

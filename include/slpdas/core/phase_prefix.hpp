@@ -7,9 +7,10 @@
 // arithmetic, and the immutable HELLO beacon payloads every node of
 // every seed broadcasts verbatim. RunBatch captures one PhasePrefix per
 // cell and forks seeds from it (see run_batch.hpp); capture() is the
-// ONLY place this state may be computed or mutated — after capture the
-// prefix is read-only shared by every concurrent worker, which the
-// slpdas_lint prefix-mutation rule enforces textually.
+// ONLY place this state is computed. RunBatch holds the result as a
+// `const` member, so after capture the compiler keeps the prefix
+// read-only for every concurrent worker (tests/prefix_const_check.cmake
+// pins that a write through RunBatch::prefix() does not compile).
 #pragma once
 
 #include <cstdint>

@@ -6,7 +6,10 @@
 // protocol configs, the safety-period BFS over the topology, and the
 // activation/upper-bound time arithmetic. RunBatch hoists all of that
 // into one core::PhasePrefix per cell — computed once per
-// (config, topology) and shared read-only by every seed.
+// (config, topology) and shared read-only by every seed. The batch holds
+// it as a `const` member, so no code path, member functions included,
+// can write to it after capture; tests/prefix_const_check.cmake pins
+// that a write through prefix() fails to compile.
 //
 // On top of the prefix sits the FORK: a Fork owns one Simulator (with its
 // processes, attacker runtime, event-queue capacity and per-node state
@@ -100,7 +103,7 @@ class RunBatch {
 
   const ExperimentConfig& config_;
   const wsn::Topology& topology_;
-  PhasePrefix prefix_;
+  const PhasePrefix prefix_;
 };
 
 }  // namespace slpdas::core

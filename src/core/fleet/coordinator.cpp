@@ -234,13 +234,8 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
     std::vector<std::string>& argv = request.argv;
     argv = {program,         "fleet-worker",  scenario.name,
             "--fleet-dir",   dir,             "--worker-name",
-            worker,          "--threads",
-            std::to_string(fleet_options.worker_threads),
-            "--heartbeat-ms",
+            worker,          "--heartbeat-ms",
             std::to_string(fleet_options.heartbeat_interval_ms)};
-    if (fleet_options.deterministic) {
-      argv.emplace_back("--deterministic");
-    }
     if (options.runs > 0) {
       argv.emplace_back("--runs");
       argv.emplace_back(std::to_string(options.runs));

@@ -183,6 +183,12 @@ ShardMapManifest parse_shardmap_manifest(const std::string& text) {
   manifest.workers = value.at("workers").as_int();
   manifest.worker_threads = value.at("worker_threads").as_int();
   manifest.threads_total = value.at("threads_total").as_int();
+  // Each worker sizes its pool from worker_threads.
+  if (manifest.worker_threads < 1) {
+    throw std::runtime_error("shardmap: manifest worker_threads " +
+                             std::to_string(manifest.worker_threads) +
+                             " is below 1");
+  }
   return manifest;
 }
 

@@ -112,14 +112,15 @@ std::size_t worker_loop(const Scenario& scenario,
   if (cells.empty()) {
     throw std::runtime_error("fleet worker: scenario expands to no cells");
   }
+  const ShardMapManifest manifest =
+      await_manifest(worker_options.directory);
   detail::SweepIdentity expected;
   expected.name = scenario.name;
   expected.base_seed = scenario.resolved_seed(options);
   expected.grid_hash = hash_sweep_grid(cells);
   expected.cells_total = cells.size();
-  expected.deterministic = worker_options.deterministic;
-  const ShardMapManifest manifest =
-      await_manifest(worker_options.directory);
+  // The timing mode is the manifest's to set, not this process's.
+  expected.deterministic = manifest.deterministic;
   const std::string mismatch =
       detail::identity_mismatch(detail::identity_of(manifest), expected);
   if (!mismatch.empty()) {
@@ -132,7 +133,7 @@ std::size_t worker_loop(const Scenario& scenario,
   const std::int64_t pid = detail::current_pid();
   const HeartbeatThread heartbeat(claims, worker_options.worker, pid,
                                   worker_options.heartbeat_interval_ms);
-  ThreadPool pool(worker_options.threads);
+  ThreadPool pool(manifest.worker_threads);
   std::size_t computed = 0;
   for (;;) {
     bool all_done = true;
@@ -156,7 +157,7 @@ std::size_t worker_loop(const Scenario& scenario,
             << index << " (" << cells[index].label << ")" << std::endl;
       }
       SweepOptions sweep_options;
-      sweep_options.threads = worker_options.threads;
+      sweep_options.threads = manifest.worker_threads;
       sweep_options.base_seed = manifest.base_seed;
       sweep_options.deterministic_timing = manifest.deterministic;
       sweep_options.cache = worker_options.cache;
@@ -220,9 +221,6 @@ std::size_t run_fleet_worker(const Scenario& scenario,
   if (!valid_worker_name(worker_options.worker)) {
     throw std::invalid_argument(
         "fleet worker: worker name must be non-empty [A-Za-z0-9._-]");
-  }
-  if (worker_options.threads < 1) {
-    throw std::invalid_argument("fleet worker: threads must be >= 1");
   }
   if (worker_options.heartbeat_interval_ms < 1) {
     throw std::invalid_argument(

@@ -61,14 +61,16 @@ constexpr std::uint64_t kBaseSeed = 2017;
 
 TEST(RunBatchTest, RefusesDasCellWhoseNinfoTablesCannotFit) {
   // Even in cell-major rank order, each of this spec's 200,000 Ninfo
-  // windows spans several rows of 99 cells, so its DAS tables would need
-  // 11.7 GB. The batch refuses it at capture, before a fork builds a
-  // single process; phantom routing keeps no Ninfo and is accepted.
+  // windows spans several rows of 199 cells, so its DAS tables would need
+  // 5.1 GB, above the bound; a sparser placement such as
+  // udisk:n=150000,r=1,area=150 fits under it. The batch refuses it at
+  // capture, before a fork builds a single process; phantom routing
+  // keeps no Ninfo and is accepted.
   ExperimentConfig config = small_config(ProtocolKind::kProtectionlessDas);
-  config.topology = wsn::TopologySpec::parse("udisk:n=200000,r=1");
+  config.topology = wsn::TopologySpec::parse("udisk:n=200000,r=1,area=200");
   const wsn::Topology topology = config.topology.build();
   const std::uint64_t bytes = das::ninfo_table_bytes(topology.graph);
-  EXPECT_EQ(bytes, 11'700'265'632u);
+  EXPECT_EQ(bytes, 5'106'898'008u);
   EXPECT_GT(bytes, PhasePrefix::kMaxNinfoBytes);
   for (const ProtocolKind protocol :
        {ProtocolKind::kProtectionlessDas, ProtocolKind::kSlpDas}) {
@@ -78,7 +80,8 @@ TEST(RunBatchTest, RefusesDasCellWhoseNinfoTablesCannotFit) {
       ADD_FAILURE() << "accepted " << config.topology.to_string();
     } catch (const std::invalid_argument& error) {
       const std::string message = error.what();
-      EXPECT_NE(message.find("udisk:n=200000,r=1"), std::string::npos)
+      EXPECT_NE(message.find("udisk:n=200000,r=1,area=200"),
+                std::string::npos)
           << message;
       EXPECT_NE(message.find(std::to_string(bytes)), std::string::npos)
           << message;

@@ -104,13 +104,12 @@ ShardMapManifest fixture_manifest(int workers, int worker_threads) {
   return manifest;
 }
 
+/// A worker takes its pool size and timing mode from the manifest in `dir`.
 FleetWorkerOptions worker_options(const std::string& dir,
-                                  const std::string& worker, int threads) {
+                                  const std::string& worker) {
   FleetWorkerOptions options;
   options.directory = dir;
   options.worker = worker;
-  options.threads = threads;
-  options.deterministic = true;
   options.heartbeat_interval_ms = 50;
   return options;
 }
@@ -194,6 +193,12 @@ TEST(ShardMapRecordTest, ParsersRejectWrongSchemaOrType) {
                std::runtime_error);
   // Not JSON at all.
   EXPECT_THROW((void)parse_shardmap_manifest("not json"), std::runtime_error);
+  // Workers size their pools from worker_threads, so it must be >= 1.
+  ShardMapManifest manifest = fixture_manifest(1, 1);
+  manifest.worker_threads = 0;
+  EXPECT_THROW(
+      (void)parse_shardmap_manifest(format_shardmap_manifest(manifest)),
+      std::runtime_error);
 }
 
 TEST(ShardMapRecordTest, AVersionOneManifestIsAnUnknownSchema) {
@@ -360,7 +365,7 @@ TEST_F(FleetTest, LoneWorkerComputesEveryCellByteIdentically) {
   const Scenario scenario = fleet_scenario();
   fs::remove_all(dir_ + "_cache");
   CellCache cache(dir_ + "_cache");
-  FleetWorkerOptions options = worker_options(dir_, "w0", 2);
+  FleetWorkerOptions options = worker_options(dir_, "w0");
   options.cache = &cache;
   const std::size_t computed =
       run_fleet_worker(scenario, ScenarioOptions{}, options);
@@ -388,7 +393,7 @@ TEST_F(FleetTest, WorkerRefusesAManifestForADifferentSweep) {
   write_shardmap_manifest(dir_, manifest);
   const Scenario scenario = fleet_scenario();
   EXPECT_THROW((void)run_fleet_worker(scenario, ScenarioOptions{},
-                                      worker_options(dir_, "w0", 2)),
+                                      worker_options(dir_, "w0")),
                std::runtime_error);
   // The failure left a worker-fatal marker so a coordinator would abort
   // instead of respawning into the same mismatch.
@@ -453,7 +458,7 @@ TEST_F(FleetTest, TwoForkedWorkersPartitionTheGridByteIdentically) {
   for (const char* name : {"w0", "w1"}) {
     children.push_back(fork_child([&scenario, &dir, name] {
       (void)run_fleet_worker(scenario, ScenarioOptions{},
-                             worker_options(dir, name, 1));
+                             worker_options(dir, name));
       return 0;
     }));
   }
@@ -489,7 +494,7 @@ std::int64_t spawn_real_worker(const Scenario& scenario,
                                const std::string& dir) {
   return fork_child([&scenario, &request, &dir] {
     (void)run_fleet_worker(scenario, ScenarioOptions{},
-                           worker_options(dir, request.worker, 2));
+                           worker_options(dir, request.worker));
     return 0;
   });
 }
@@ -712,7 +717,7 @@ TEST_F(FleetTest, ResumingACompletedFleetFoldsWithoutSpawningAnyWorker) {
   write_shardmap_manifest(dir_, fixture_manifest(1, 2));
   const Scenario scenario = fleet_scenario();
   (void)run_fleet_worker(scenario, ScenarioOptions{},
-                         worker_options(dir_, "w0", 2));
+                         worker_options(dir_, "w0"));
   // ...then a coordinator over the same directory has nothing to do.
   std::ostringstream log;
   FleetOptions options = coordinator_options(dir_, &log);
@@ -732,7 +737,7 @@ TEST_F(FleetTest, AResumeSkipsAStrayWorkerLikeFileName) {
   write_shardmap_manifest(dir_, fixture_manifest(1, 2));
   const Scenario scenario = fleet_scenario();
   (void)run_fleet_worker(scenario, ScenarioOptions{},
-                         worker_options(dir_, "w0", 2));
+                         worker_options(dir_, "w0"));
   // A w<digits> name whose number fits no integer, where worker names
   // are recorded now (logs) and where older layouts recorded them.
   const fs::path root(dir_);
@@ -758,7 +763,7 @@ TEST_F(FleetTest, TheFoldNamesACellWithoutADoneRecord) {
   write_shardmap_manifest(dir_, fixture_manifest(1, 2));
   const Scenario scenario = fleet_scenario();
   (void)run_fleet_worker(scenario, ScenarioOptions{},
-                         worker_options(dir_, "w0", 2));
+                         worker_options(dir_, "w0"));
   fs::remove(ClaimDir(dir_).done_path(3));
   try {
     (void)fold_fleet_directory(dir_);
@@ -773,7 +778,7 @@ TEST_F(FleetTest, TheFoldRejectsAForeignOrGarbageDoneRecord) {
   write_shardmap_manifest(dir_, fixture_manifest(1, 2));
   const Scenario scenario = fleet_scenario();
   (void)run_fleet_worker(scenario, ScenarioOptions{},
-                         worker_options(dir_, "w0", 2));
+                         worker_options(dir_, "w0"));
   const ClaimDir claims(dir_);
   const std::string cell2 = read_file(claims.done_path(2));
   const auto expect_fold_names_cell_2 = [&](const char* what) {

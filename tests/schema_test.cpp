@@ -286,7 +286,6 @@ TEST(SchemaShardMapTest, RealDoneMarkersValidateAgainstTheDoneDefinitions) {
   FleetWorkerOptions worker;
   worker.directory = dir;
   worker.worker = "w0";
-  worker.deterministic = true;
   ASSERT_EQ(run_fleet_worker(scenario, ScenarioOptions{}, worker),
             cells.size());
 

@@ -175,6 +175,12 @@ struct Stripper {
 // Adjacent literals keep this file from matching its own tag scanner.
 constexpr std::string_view kTagPrefix = "slpdas-lint" ":";
 
+/// The rules an allow(...) tag may name. A tag naming any other rule
+/// silences nothing, so it is a finding rather than dead text.
+constexpr std::string_view kRules[] = {
+    "wall-clock", "unordered-serialisation", "float-accumulate",
+    "bare-catch"};
+
 struct TagScan {
   bool allows(std::string_view rule) const {
     return std::find(allowed.begin(), allowed.end(), rule) != allowed.end();
@@ -211,6 +217,13 @@ struct TagScan {
         scan.malformed_detail =
             "allow(" + std::string(rule) + ") needs a reason: use "
             "`slpdas-lint" ": allow(" + std::string(rule) + "): <why>`";
+        return scan;
+      }
+      if (std::find(std::begin(kRules), std::end(kRules), rule) ==
+          std::end(kRules)) {
+        scan.malformed = true;
+        scan.malformed_detail = "allow(" + std::string(rule) +
+                                ") names no rule of this tool";
         return scan;
       }
       scan.allowed.emplace_back(rule);
@@ -415,160 +428,6 @@ void collect_unordered_names(std::string_view code,
   return false;
 }
 
-// ---------------------------------------------------------------------------
-// Rule: prefix-mutation
-// ---------------------------------------------------------------------------
-
-/// core::PhasePrefix is the per-cell immutable snapshot every forked seed
-/// shares; the ONLY code allowed to write through a `prefix` / `prefix_`
-/// expression is the capture path itself (phase_prefix.cpp). Any other
-/// mutation would leak one seed's state into the next via the shared
-/// snapshot — the exact bug class the forked-vs-cold equality tests
-/// exist to catch, surfaced here at lint time instead.
-constexpr std::string_view kPrefixCaptureFile = "phase_prefix.cpp";
-
-/// Container/smart-pointer members that mutate their object.
-constexpr std::string_view kMutatorCalls[] = {
-    "clear",  "push_back", "pop_back", "emplace",  "emplace_back",
-    "insert", "erase",     "assign",   "resize",   "reserve",
-    "swap",   "reset",
-};
-
-/// True when `code` writes through a prefix expression: the identifier
-/// `prefix` or `prefix_` (exact, at identifier boundaries), a member
-/// chain (`.`, `->`, subscripts, non-mutating calls), then an assignment
-/// operator, `++`/`--`, or a mutating member call from kMutatorCalls.
-/// Reads — including reads on the left of nothing (`x = prefix_.y`) and
-/// comparisons (`prefix_.end <= t`) — never fire.
-[[nodiscard]] bool prefix_mutation_hit(std::string_view code,
-                                       std::string* what) {
-  const auto is_space = [](char c) {
-    return std::isspace(static_cast<unsigned char>(c)) != 0;
-  };
-  for (const std::string_view token :
-       {std::string_view("prefix_"), std::string_view("prefix")}) {
-    std::size_t from = 0;
-    while (true) {
-      const std::size_t at = code.find(token, from);
-      if (at == std::string_view::npos) {
-        break;
-      }
-      from = at + 1;
-      const std::size_t end = at + token.size();
-      if ((at > 0 && is_ident_char(code[at - 1])) ||
-          (end < code.size() && is_ident_char(code[end]))) {
-        continue;  // part of a longer identifier
-      }
-      std::size_t i = end;
-      while (i < code.size() && is_space(code[i])) {
-        ++i;
-      }
-      const bool member_access =
-          i < code.size() &&
-          (code[i] == '.' ||
-           (code[i] == '-' && i + 1 < code.size() && code[i + 1] == '>'));
-      if (!member_access) {
-        continue;  // bare mention, accessor call, declaration, ...
-      }
-      // Pre-increment/decrement binds the whole chain: ++prefix.x mutates.
-      bool mutated =
-          at >= 2 && ((code[at - 1] == '+' && code[at - 2] == '+') ||
-                      (code[at - 1] == '-' && code[at - 2] == '-'));
-      if (mutated) {
-        *what = "increment/decrement";
-      }
-      // Walk the member chain to the expression's end.
-      while (i < code.size()) {
-        if (is_space(code[i])) {
-          ++i;
-          continue;
-        }
-        if (code[i] == '-' && i + 1 < code.size() && code[i + 1] == '>') {
-          i += 2;
-          continue;
-        }
-        if (code[i] == '.') {
-          ++i;
-          continue;
-        }
-        if (code[i] == '[') {
-          int depth = 0;
-          while (i < code.size()) {
-            if (code[i] == '[') {
-              ++depth;
-            } else if (code[i] == ']' && --depth == 0) {
-              ++i;
-              break;
-            }
-            ++i;
-          }
-          continue;
-        }
-        if (is_ident_char(code[i])) {
-          const std::size_t name_start = i;
-          while (i < code.size() && is_ident_char(code[i])) {
-            ++i;
-          }
-          const std::string_view name =
-              code.substr(name_start, i - name_start);
-          std::size_t call = i;
-          while (call < code.size() && is_space(code[call])) {
-            ++call;
-          }
-          if (call < code.size() && code[call] == '(') {
-            if (std::find(std::begin(kMutatorCalls), std::end(kMutatorCalls),
-                          name) != std::end(kMutatorCalls)) {
-              mutated = true;
-              *what = "mutating call ." + std::string(name) + "()";
-              break;
-            }
-            // Non-mutating call: skip its balanced parens, the chain may
-            // continue (`prefix.das.period() ...`).
-            i = call;
-            int depth = 0;
-            while (i < code.size()) {
-              if (code[i] == '(') {
-                ++depth;
-              } else if (code[i] == ')' && --depth == 0) {
-                ++i;
-                break;
-              }
-              ++i;
-            }
-          }
-          continue;
-        }
-        break;  // operator or delimiter ends the chain; i points at it
-      }
-      if (!mutated && i < code.size()) {
-        const char c = code[i];
-        const char next = i + 1 < code.size() ? code[i + 1] : '\0';
-        const char next2 = i + 2 < code.size() ? code[i + 2] : '\0';
-        if (c == '=' && next != '=') {
-          mutated = true;
-          *what = "assignment";
-        } else if (next == '=' && (c == '+' || c == '-' || c == '*' ||
-                                   c == '/' || c == '%' || c == '|' ||
-                                   c == '&' || c == '^')) {
-          mutated = true;
-          *what = "compound assignment";
-        } else if ((c == '<' && next == '<' && next2 == '=') ||
-                   (c == '>' && next == '>' && next2 == '=')) {
-          mutated = true;
-          *what = "compound assignment";
-        } else if ((c == '+' && next == '+') || (c == '-' && next == '-')) {
-          mutated = true;
-          *what = "increment/decrement";
-        }
-      }
-      if (mutated) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -581,10 +440,6 @@ std::vector<Finding> lint_source(std::string_view path,
   Stripper stripper;
   std::vector<std::string> unordered_names;
   bool serialisation_file = false;
-  // The capture path is the one legitimate writer of PhasePrefix state
-  // (and its header declares the struct's own member initialisers).
-  const bool prefix_capture_file =
-      path.ends_with(kPrefixCaptureFile) || path.ends_with("phase_prefix.hpp");
   TagScan previous_tags;  // tags on the line above cover this line
 
   std::size_t line_number = 0;
@@ -646,16 +501,6 @@ std::vector<Finding> lint_source(std::string_view path,
                     "hash-order is process-dependent and would break "
                     "byte-stable documents");
       }
-    }
-
-    if (!prefix_capture_file && prefix_mutation_hit(code, &what) &&
-        !allowed("prefix-mutation")) {
-      emit("prefix-mutation",
-           what + " through a PhasePrefix expression outside the capture "
-                  "path: the prefix is the immutable per-cell snapshot "
-                  "every forked seed shares — mutate per-run state in "
-                  "reset_run instead, or justify with "
-                  "`slpdas-lint: allow(prefix-mutation): <why>`");
     }
 
     if (looks_float_accumulate(code) && !tags.ordered_reduction &&

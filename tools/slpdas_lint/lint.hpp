@@ -22,13 +22,6 @@
 //   * bare-catch      — no `catch (...)`. Swallowing unknown exceptions
 //                       hides the failing cell; worker-boundary
 //                       fallbacks must justify themselves with a tag.
-//   * prefix-mutation — no write through a `prefix` / `prefix_`
-//                       expression (assignment, ++/--, or a mutating
-//                       member call) outside core::PhasePrefix's capture
-//                       path (phase_prefix.cpp/.hpp). The prefix is the
-//                       immutable per-cell snapshot all forked seeds
-//                       share; mutating it from run code would leak one
-//                       seed's state into the next.
 //
 // A finding is silenced by a justification tag on the same line or the
 // line directly above:
@@ -36,7 +29,8 @@
 //   // slpdas-lint: allow(wall-clock): perf telemetry, never seeds runs
 //
 // The reason after the colon is mandatory — a bare tag is itself a
-// finding. `float-accumulate` alternatively accepts the dedicated tag
+// finding, and so is a tag naming a rule this tool does not have.
+// `float-accumulate` alternatively accepts the dedicated tag
 //
 //   // slpdas-lint: ordered-reduction: left-to-right over sorted labels
 //
