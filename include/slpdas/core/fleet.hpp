@@ -124,7 +124,8 @@ struct ShardMapError {
 [[nodiscard]] std::string format_shardmap_error(const ShardMapError&);
 
 /// Strict parses; throw std::runtime_error on malformed input, a wrong
-/// schema string, or a wrong record type.
+/// schema string, a wrong record type, or a manifest whose worker_threads
+/// is below 1 or whose threads_total is not workers x worker_threads.
 [[nodiscard]] ShardMapManifest parse_shardmap_manifest(const std::string&);
 [[nodiscard]] ShardMapClaim parse_shardmap_claim(const std::string&);
 [[nodiscard]] ShardMapHeartbeat parse_shardmap_heartbeat(const std::string&);
@@ -293,8 +294,9 @@ struct FleetOptions {
 /// expiry, respawns, and the final fold. Returns the merged document —
 /// byte-identical, under `deterministic`, to an unsharded single-process
 /// run with --threads workers*worker_threads. An existing fleet directory
-/// for the SAME sweep resumes (done cells are kept, their claims stay);
-/// one for a different sweep throws, and so does one whose done marker
+/// for the SAME sweep and shape (workers, worker_threads) resumes (done
+/// cells are kept, their claims stay); one for a different sweep or
+/// shape throws, and so does one whose done marker
 /// is invalid or whose cache key differs in any field from this run's key
 /// for that cell (the same labels on another radio, say) — before any
 /// worker is spawned.

@@ -308,10 +308,6 @@ struct SweepJson {
 /// values always produce equal bytes.
 void write_sweep_json(std::ostream& out, const SweepJson& document);
 
-/// Convenience: to_sweep_json + write_sweep_json.
-void write_sweep_json(std::ostream& out, const SweepResult& result,
-                      std::string_view name);
-
 /// Parses a "slpdas.sweep.v2" document. Throws std::runtime_error on
 /// malformed input (an integer field that is not an exact integer in
 /// 0..INT_MAX included) or any other schema string.

@@ -325,8 +325,4 @@ class ProtectionlessDas : public sim::Process {
 /// running this protocol family.
 [[nodiscard]] mac::Schedule extract_schedule(const sim::Simulator& simulator);
 
-/// Snapshot of the chosen convergecast parents (kNoNode where undecided).
-[[nodiscard]] std::vector<wsn::NodeId> extract_parents(
-    const sim::Simulator& simulator);
-
 }  // namespace slpdas::das

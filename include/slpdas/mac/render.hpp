@@ -1,9 +1,7 @@
-// Topology and schedule rendering: Graphviz DOT export and ASCII grid
-// maps. Used by the examples for eyeballing schedules, decoy paths and
-// attacker walks, and by bug reports to make violating schedules readable.
+// Topology and schedule rendering: ASCII grid maps. Used by the examples
+// for eyeballing schedules, decoy paths and attacker walks.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,19 +12,6 @@ namespace slpdas::mac {
 
 using wsn::NodeId;
 using wsn::Topology;
-
-/// Options for DOT export.
-struct DotOptions {
-  bool include_positions = true;   ///< pin nodes at their coordinates
-  const mac::Schedule* schedule = nullptr;  ///< label nodes "id\nslot"
-  /// Nodes to highlight (e.g. a decoy path or an attacker trail).
-  std::vector<NodeId> highlight;
-};
-
-/// Graphviz DOT for the topology. Source is drawn as a double circle,
-/// sink as a box, highlighted nodes filled.
-[[nodiscard]] std::string to_dot(const Topology& topology,
-                                 const DotOptions& options = {});
 
 /// ASCII map of a `width` x `height` grid topology: one cell per node,
 /// showing S (source), K (sink), '#' (highlighted), '.' otherwise — or the

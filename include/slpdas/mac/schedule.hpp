@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "slpdas/wsn/graph.hpp"
@@ -39,7 +38,6 @@ class Schedule {
   [[nodiscard]] bool assigned(wsn::NodeId node) const;
   [[nodiscard]] SlotId slot(wsn::NodeId node) const;
   void set_slot(wsn::NodeId node, SlotId slot);
-  void clear_slot(wsn::NodeId node);
 
   /// Number of nodes with an assigned slot.
   [[nodiscard]] wsn::NodeId assigned_count() const noexcept;
@@ -51,21 +49,6 @@ class Schedule {
   /// is assigned.
   [[nodiscard]] SlotId min_slot() const;
   [[nodiscard]] SlotId max_slot() const;
-
-  /// All assigned nodes ordered by (slot, id): the order in which they
-  /// transmit within one frame.
-  [[nodiscard]] std::vector<wsn::NodeId> transmission_order() const;
-
-  /// Groups assigned nodes into sender sets by slot value, ascending —
-  /// the <sigma_1, ..., sigma_l> sequence of Definitions 2/3.
-  [[nodiscard]] std::vector<std::vector<wsn::NodeId>> sender_sets() const;
-
-  /// Shifts all assigned slots by `delta` (used to renormalise after
-  /// refinement pushed slots below 1).
-  void shift(SlotId delta);
-
-  /// "node:slot node:slot ..." for diagnostics.
-  [[nodiscard]] std::string to_string() const;
 
   [[nodiscard]] bool operator==(const Schedule& other) const = default;
 

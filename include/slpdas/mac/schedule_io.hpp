@@ -1,26 +1,13 @@
-// Schedule persistence and summary statistics.
-//
-// Schedules are the unit of exchange between the distributed protocol, the
-// verifier and external tooling, so they get a stable text format:
-// one "node,slot" pair per line (CSV with a header), kNoSlot rendered as
-// an empty field. Round-trip is exact.
+// Schedule summary statistics and diffs: the shape of a slot assignment
+// (for comparing schedulers) and the nodes whose slot moved between two
+// schedules (for seeing what a phase changed).
 #pragma once
 
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "slpdas/mac/schedule.hpp"
 
 namespace slpdas::mac {
-
-/// Writes "node,slot" CSV (header `node,slot`; unassigned slot = empty).
-void write_schedule_csv(const Schedule& schedule, std::ostream& out);
-
-/// Parses the format written by write_schedule_csv. Throws
-/// std::invalid_argument on malformed input (bad header, non-numeric
-/// fields, duplicate or out-of-order nodes).
-[[nodiscard]] Schedule read_schedule_csv(std::istream& in);
 
 /// Aggregate shape of a slot assignment, for schedule-quality comparisons
 /// between schedulers (e.g. the paper's top-down assignment vs the
@@ -37,8 +24,6 @@ struct ScheduleStats {
   /// assigned / span: 1.0 means every slot in the band is used by exactly
   /// one sender set; higher density = more spatial slot reuse.
   double density = 0.0;
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// Computes stats over the assigned nodes; throws std::logic_error when no

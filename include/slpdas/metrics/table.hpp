@@ -1,7 +1,5 @@
-// Plain-text and CSV table rendering for benchmark harness output.
-//
-// Every figure/table bench prints two artefacts: an aligned console table
-// (the rows the paper reports) and optionally a CSV file for re-plotting.
+// Plain-text table rendering for benchmark harness output: the aligned
+// console table of the rows the paper reports.
 #pragma once
 
 #include <cstddef>
@@ -22,9 +20,6 @@ class Table {
 
   /// Writes an aligned, pipe-separated console rendering.
   void print(std::ostream& out) const;
-
-  /// Writes RFC-4180-ish CSV (fields containing comma/quote are quoted).
-  void write_csv(std::ostream& out) const;
 
   /// Convenience numeric cell formatting.
   [[nodiscard]] static std::string cell(double value, int precision = 2);

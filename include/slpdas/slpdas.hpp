@@ -2,8 +2,8 @@
 //
 // Reproduction of Kirton, Bradbury & Jhumka, "Source Location
 // Privacy-Aware Data Aggregation Scheduling for Wireless Sensor Networks",
-// ICDCS 2017. See README.md for a guided tour and DESIGN.md for the
-// module-by-module inventory.
+// ICDCS 2017. See README.md for a guided tour and the module-by-module
+// inventory.
 #pragma once
 
 #include "slpdas/rng.hpp"

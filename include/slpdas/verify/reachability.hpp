@@ -26,9 +26,6 @@ struct ReachabilityResult {
 
   /// Nodes reachable within `delta` periods (ascending id).
   [[nodiscard]] std::vector<wsn::NodeId> reached_within(int delta) const;
-
-  /// Number of nodes the attacker can ever reach (within the analysis cap).
-  [[nodiscard]] int reachable_count() const;
 };
 
 /// Computes minimum reach periods for every node, bounded by `period_cap`

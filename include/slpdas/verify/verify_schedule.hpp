@@ -45,8 +45,6 @@ enum class DPolicy {
                             ///< last H steps; falls back to all of B
 };
 
-[[nodiscard]] const char* to_string(DPolicy policy) noexcept;
-
 /// Attacker parameters as Algorithm 1 consumes them.
 struct VerifyAttacker {
   int messages_per_move = 1;  ///< R

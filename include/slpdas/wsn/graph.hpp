@@ -69,9 +69,6 @@ class Graph {
     return node >= 0 && node < node_count_;
   }
 
-  /// True iff {a, b} is an edge.
-  [[nodiscard]] bool has_edge(NodeId a, NodeId b) const;
-
   /// Sorted 1-hop neighbourhood of `node`.
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId node) const {
     check_node(node);

@@ -26,19 +26,6 @@ inline constexpr int kUnreachable = -1;
 /// True iff every vertex is reachable from every other.
 [[nodiscard]] bool is_connected(const Graph& graph);
 
-/// Maximum finite hop distance from `origin` (its eccentricity). The graph
-/// must be connected.
-[[nodiscard]] int eccentricity(const Graph& graph, NodeId origin);
-
-/// Largest eccentricity over all vertices. The graph must be connected.
-[[nodiscard]] int diameter(const Graph& graph);
-
-/// One shortest path from `from` to `to` (inclusive of both endpoints),
-/// choosing the lowest-id predecessor at every step so the result is
-/// deterministic. Empty if unreachable.
-[[nodiscard]] std::vector<NodeId> shortest_path(const Graph& graph, NodeId from,
-                                                NodeId to);
-
 /// For every vertex n, the set of neighbours m such that some shortest path
 /// n -> m -> ... -> `sink` exists, i.e. dist(m, sink) == dist(n, sink) - 1.
 /// This is exactly the "m in N, n.m...S is a shortest path" quantification

@@ -46,23 +46,8 @@ struct TopologySpec {
 
   /// The paper's square evaluation grid (side odd and >= 3).
   [[nodiscard]] static TopologySpec grid(int side, double spacing = 4.5);
-  /// Rectangular grid (both dimensions >= 1, at least 2 nodes). Named
-  /// distinctly rather than overloading grid(): grid(15, 31) would
-  /// otherwise resolve to (side, spacing) via int -> double and silently
-  /// describe a different experiment.
-  [[nodiscard]] static TopologySpec grid_rect(int width, int height,
-                                              double spacing = 4.5);
-  [[nodiscard]] static TopologySpec line(int node_count,
-                                         double spacing = 4.5);
-  [[nodiscard]] static TopologySpec ring(int node_count,
-                                         double spacing = 4.5);
-  [[nodiscard]] static TopologySpec unit_disk(int node_count,
-                                              double radio_range = 15.0,
-                                              double area_side = 100.0,
-                                              std::uint64_t seed = 1);
-
   /// Largest node count a spec may describe: the million-node networks
-  /// the project aims at. Parsing, the factories and build() refuse a
+  /// the project aims at. Parsing, grid() and build() refuse a
   /// larger spec with std::invalid_argument naming this ceiling, before
   /// anything is allocated, instead of running out of memory inside the
   /// build. (A spec under it still has to fit the per-run protocol state
@@ -72,7 +57,7 @@ struct TopologySpec {
   /// Parses the canonical grammar above. Throws std::invalid_argument
   /// naming the offending token (unknown kind, bad key, zero side, even
   /// square side, a node count above kMaxNodes, ...) — the same
-  /// validation the factories apply, so a spec that parses also builds
+  /// validation build() applies, so a spec that parses also builds
   /// (unit-disk connectivity aside).
   [[nodiscard]] static TopologySpec parse(std::string_view text);
 

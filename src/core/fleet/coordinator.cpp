@@ -164,16 +164,22 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
   claims.create();
 
   // Resume or initialise: an existing manifest must describe this very
-  // sweep (its threads_total stays authoritative for the fold, so a
-  // resume cannot silently change the document's `threads` field).
+  // sweep and fleet shape. Workers size their pools from the kept
+  // manifest and the fold takes its `threads` field from it, so a resume
+  // under another shape would run one that neither describes.
   if (const std::optional<ShardMapManifest> existing =
           read_shardmap_manifest(dir)) {
     std::string mismatch = detail::identity_mismatch(
         detail::identity_of(*existing), detail::identity_of(manifest));
     if (mismatch.empty() &&
-        existing->threads_total != manifest.threads_total) {
-      mismatch = "threads_total " + std::to_string(existing->threads_total) +
-                 " vs " + std::to_string(manifest.threads_total);
+        (existing->workers != manifest.workers ||
+         existing->worker_threads != manifest.worker_threads)) {
+      const auto shape = [](const ShardMapManifest& m) {
+        return std::to_string(m.workers) + " worker(s) x " +
+               std::to_string(m.worker_threads) + " thread(s)";
+      };
+      mismatch = shape(*existing) + " on disk vs " + shape(manifest) +
+                 " requested";
     }
     if (!mismatch.empty()) {
       throw std::runtime_error("fleet: " + dir +

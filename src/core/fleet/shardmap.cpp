@@ -12,6 +12,7 @@
 
 #include <charconv>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <limits>
 #include <sstream>
@@ -188,6 +189,15 @@ ShardMapManifest parse_shardmap_manifest(const std::string& text) {
     throw std::runtime_error("shardmap: manifest worker_threads " +
                              std::to_string(manifest.worker_threads) +
                              " is below 1");
+  }
+  // The fold takes the document's `threads` field from threads_total.
+  if (manifest.threads_total !=
+      std::int64_t{manifest.workers} * manifest.worker_threads) {
+    throw std::runtime_error(
+        "shardmap: manifest threads_total " +
+        std::to_string(manifest.threads_total) + " is not workers " +
+        std::to_string(manifest.workers) + " x worker_threads " +
+        std::to_string(manifest.worker_threads));
   }
   return manifest;
 }

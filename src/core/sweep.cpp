@@ -749,11 +749,6 @@ void write_sweep_json(std::ostream& out, const SweepJson& document) {
   out.fill(saved_fill);
 }
 
-void write_sweep_json(std::ostream& out, const SweepResult& result,
-                      std::string_view name) {
-  write_sweep_json(out, to_sweep_json(result, name));
-}
-
 // ---------------------------------------------------------------------------
 // JSON reading (shared strict parser: src/core/json.hpp)
 // ---------------------------------------------------------------------------

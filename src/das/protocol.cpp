@@ -547,15 +547,4 @@ mac::Schedule extract_schedule(const sim::Simulator& simulator) {
   return schedule;
 }
 
-std::vector<wsn::NodeId> extract_parents(const sim::Simulator& simulator) {
-  std::vector<wsn::NodeId> parents(
-      static_cast<std::size_t>(simulator.graph().node_count()), wsn::kNoNode);
-  for (wsn::NodeId node = 0; node < simulator.graph().node_count(); ++node) {
-    const auto& process =
-        dynamic_cast<const ProtectionlessDas&>(simulator.process(node));
-    parents[static_cast<std::size_t>(node)] = process.parent();
-  }
-  return parents;
-}
-
 }  // namespace slpdas::das

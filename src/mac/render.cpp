@@ -14,41 +14,6 @@ bool contains(const std::vector<NodeId>& nodes, NodeId node) {
 
 }  // namespace
 
-std::string to_dot(const Topology& topology, const DotOptions& options) {
-  std::ostringstream out;
-  out << "graph wsn {\n  node [shape=circle, fontsize=10];\n";
-  for (NodeId node = 0; node < topology.graph.node_count(); ++node) {
-    out << "  n" << node << " [label=\"" << node;
-    if (options.schedule != nullptr && options.schedule->assigned(node)) {
-      out << "\\n s" << options.schedule->slot(node);
-    }
-    out << "\"";
-    if (node == topology.source) {
-      out << ", shape=doublecircle";
-    } else if (node == topology.sink) {
-      out << ", shape=box";
-    }
-    if (contains(options.highlight, node)) {
-      out << ", style=filled, fillcolor=lightcoral";
-    }
-    if (options.include_positions &&
-        node < static_cast<NodeId>(topology.positions.size())) {
-      const auto& position = topology.positions[static_cast<std::size_t>(node)];
-      out << ", pos=\"" << position.x << ',' << -position.y << "!\"";
-    }
-    out << "];\n";
-  }
-  for (NodeId node = 0; node < topology.graph.node_count(); ++node) {
-    for (NodeId neighbor : topology.graph.neighbors(node)) {
-      if (node < neighbor) {
-        out << "  n" << node << " -- n" << neighbor << ";\n";
-      }
-    }
-  }
-  out << "}\n";
-  return out.str();
-}
-
 std::string render_grid_ascii(const Topology& topology, int width, int height,
                               const Schedule* schedule,
                               const std::vector<NodeId>& highlight) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace slpdas::mac {
 
@@ -35,11 +36,6 @@ void Schedule::set_slot(wsn::NodeId node, SlotId slot) {
     throw std::invalid_argument("Schedule::set_slot: kNoSlot is reserved");
   }
   slots_[static_cast<std::size_t>(node)] = slot;
-}
-
-void Schedule::clear_slot(wsn::NodeId node) {
-  check_node(node);
-  slots_[static_cast<std::size_t>(node)] = kNoSlot;
 }
 
 wsn::NodeId Schedule::assigned_count() const noexcept {
@@ -76,58 +72,6 @@ SlotId Schedule::max_slot() const {
     throw std::logic_error("Schedule::max_slot: no assigned slots");
   }
   return best;
-}
-
-std::vector<wsn::NodeId> Schedule::transmission_order() const {
-  std::vector<wsn::NodeId> order;
-  order.reserve(slots_.size());
-  for (wsn::NodeId node = 0; node < node_count(); ++node) {
-    if (slots_[static_cast<std::size_t>(node)] != kNoSlot) {
-      order.push_back(node);
-    }
-  }
-  std::sort(order.begin(), order.end(), [this](wsn::NodeId a, wsn::NodeId b) {
-    const SlotId sa = slots_[static_cast<std::size_t>(a)];
-    const SlotId sb = slots_[static_cast<std::size_t>(b)];
-    if (sa != sb) return sa < sb;
-    return a < b;
-  });
-  return order;
-}
-
-std::vector<std::vector<wsn::NodeId>> Schedule::sender_sets() const {
-  std::vector<std::vector<wsn::NodeId>> sets;
-  SlotId current = kNoSlot;
-  for (wsn::NodeId node : transmission_order()) {
-    const SlotId s = slots_[static_cast<std::size_t>(node)];
-    if (sets.empty() || s != current) {
-      sets.emplace_back();
-      current = s;
-    }
-    sets.back().push_back(node);
-  }
-  return sets;
-}
-
-void Schedule::shift(SlotId delta) {
-  for (SlotId& s : slots_) {
-    if (s != kNoSlot) {
-      s += delta;
-    }
-  }
-}
-
-std::string Schedule::to_string() const {
-  std::string out;
-  for (wsn::NodeId node = 0; node < node_count(); ++node) {
-    if (!out.empty()) {
-      out += ' ';
-    }
-    const SlotId s = slots_[static_cast<std::size_t>(node)];
-    out += std::to_string(node) + ':' +
-           (s == kNoSlot ? std::string("-") : std::to_string(s));
-  }
-  return out;
 }
 
 }  // namespace slpdas::mac

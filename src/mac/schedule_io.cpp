@@ -1,93 +1,10 @@
 #include "slpdas/mac/schedule_io.hpp"
 
-#include <istream>
-#include <optional>
-#include <ostream>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
-#include "slpdas/detail/spec_format.hpp"
-
 namespace slpdas::mac {
-
-void write_schedule_csv(const Schedule& schedule, std::ostream& out) {
-  out << "node,slot\n";
-  for (wsn::NodeId node = 0; node < schedule.node_count(); ++node) {
-    out << node << ',';
-    if (schedule.assigned(node)) {
-      out << schedule.slot(node);
-    }
-    out << '\n';
-  }
-}
-
-Schedule read_schedule_csv(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line) || line != "node,slot") {
-    throw std::invalid_argument("read_schedule_csv: missing 'node,slot' header");
-  }
-  std::vector<std::pair<wsn::NodeId, SlotId>> entries;
-  std::vector<char> has_slot;
-  wsn::NodeId expected = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    const auto comma = line.find(',');
-    if (comma == std::string::npos) {
-      throw std::invalid_argument("read_schedule_csv: missing comma in '" +
-                                  line + "'");
-    }
-    // Whole-token, locale-free parse: std::stol accepted leading
-    // whitespace and trailing garbage ("7 junk,3" parsed as node 7), so
-    // malformed CSV rows decoded to a plausible schedule instead of
-    // failing.
-    const std::optional<int> node_value =
-        slpdas::detail::parse_int_token(line.substr(0, comma));
-    if (!node_value.has_value() || *node_value < 0) {
-      throw std::invalid_argument("read_schedule_csv: bad node in '" + line +
-                                  "'");
-    }
-    const wsn::NodeId node = static_cast<wsn::NodeId>(*node_value);
-    if (node != expected) {
-      throw std::invalid_argument(
-          "read_schedule_csv: nodes must be dense and ordered; expected " +
-          std::to_string(expected) + ", got " + std::to_string(node));
-    }
-    ++expected;
-    const std::string slot_field = line.substr(comma + 1);
-    if (slot_field.empty()) {
-      entries.emplace_back(node, kNoSlot);
-      has_slot.push_back(0);
-    } else {
-      const std::optional<int> slot_value =
-          slpdas::detail::parse_int_token(slot_field);
-      if (!slot_value.has_value()) {
-        throw std::invalid_argument("read_schedule_csv: bad slot in '" + line +
-                                    "'");
-      }
-      entries.emplace_back(node, static_cast<SlotId>(*slot_value));
-      has_slot.push_back(1);
-    }
-  }
-  Schedule schedule(expected);
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (has_slot[i]) {
-      schedule.set_slot(entries[i].first, entries[i].second);
-    }
-  }
-  return schedule;
-}
-
-std::string ScheduleStats::to_string() const {
-  std::ostringstream out;
-  out << "assigned=" << assigned << " slots=[" << min_slot << ", " << max_slot
-      << "] distinct=" << distinct_slots << " span=" << span
-      << " density=" << density;
-  return out.str();
-}
 
 ScheduleStats compute_stats(const Schedule& schedule) {
   ScheduleStats stats;

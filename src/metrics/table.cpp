@@ -49,32 +49,6 @@ void Table::print(std::ostream& out) const {
   }
 }
 
-void Table::write_csv(std::ostream& out) const {
-  auto escape = [](const std::string& field) {
-    if (field.find_first_of(",\"\n") == std::string::npos) {
-      return field;
-    }
-    std::string quoted = "\"";
-    for (char c : field) {
-      if (c == '"') quoted += '"';
-      quoted += c;
-    }
-    quoted += '"';
-    return quoted;
-  };
-  auto write_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t column = 0; column < row.size(); ++column) {
-      if (column != 0) out << ',';
-      out << escape(row[column]);
-    }
-    out << '\n';
-  };
-  write_row(headers_);
-  for (const auto& row : rows_) {
-    write_row(row);
-  }
-}
-
 std::string Table::cell(double value, int precision) {
   std::ostringstream stream;
   stream << std::fixed << std::setprecision(precision) << value;

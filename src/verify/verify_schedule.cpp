@@ -242,18 +242,6 @@ void validate(const Search& search, const std::string& caller,
 
 }  // namespace
 
-const char* to_string(DPolicy policy) noexcept {
-  switch (policy) {
-    case DPolicy::kMinSlot:
-      return "min-slot";
-    case DPolicy::kAnyHeard:
-      return "any-heard";
-    case DPolicy::kHistoryAvoidingMinSlot:
-      return "history-avoiding-min-slot";
-  }
-  return "unknown";
-}
-
 std::string VerifyResult::to_string() const {
   if (slp_aware) {
     return "slp-aware (no capture within " + std::to_string(period) +
@@ -366,12 +354,6 @@ std::vector<wsn::NodeId> ReachabilityResult::reached_within(int delta) const {
     }
   }
   return nodes;
-}
-
-int ReachabilityResult::reachable_count() const {
-  return static_cast<int>(
-      std::count_if(min_periods.begin(), min_periods.end(),
-                    [](int p) { return p != kUnreachablePeriod; }));
 }
 
 }  // namespace slpdas::verify

@@ -101,12 +101,6 @@ void Graph::throw_out_of_range(NodeId node) const {
                           std::to_string(node_count()) + ")");
 }
 
-bool Graph::has_edge(NodeId a, NodeId b) const {
-  check_node(b);
-  const std::span<const NodeId> row = neighbors(a);
-  return std::binary_search(row.begin(), row.end(), b);
-}
-
 std::vector<NodeId> Graph::two_hop_neighborhood(NodeId node) const {
   check_node(node);
   std::vector<NodeId> result;

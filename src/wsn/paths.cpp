@@ -46,52 +46,6 @@ bool is_connected(const Graph& graph) {
                       [](int d) { return d == kUnreachable; });
 }
 
-int eccentricity(const Graph& graph, NodeId origin) {
-  const auto distances = bfs_distances(graph, origin);
-  int max_distance = 0;
-  for (int d : distances) {
-    if (d == kUnreachable) {
-      throw std::invalid_argument("eccentricity: graph is not connected");
-    }
-    max_distance = std::max(max_distance, d);
-  }
-  return max_distance;
-}
-
-int diameter(const Graph& graph) {
-  int max_eccentricity = 0;
-  for (NodeId node = 0; node < graph.node_count(); ++node) {
-    max_eccentricity = std::max(max_eccentricity, eccentricity(graph, node));
-  }
-  return max_eccentricity;
-}
-
-std::vector<NodeId> shortest_path(const Graph& graph, NodeId from, NodeId to) {
-  const auto distance_to_target = bfs_distances(graph, to);
-  if (!graph.contains(from)) {
-    throw std::out_of_range("shortest_path: origin out of range");
-  }
-  if (distance_to_target[static_cast<std::size_t>(from)] == kUnreachable) {
-    return {};
-  }
-  std::vector<NodeId> path;
-  NodeId at = from;
-  path.push_back(at);
-  while (at != to) {
-    const int remaining = distance_to_target[static_cast<std::size_t>(at)];
-    // Neighbour lists are sorted, so the first strictly-closer neighbour is
-    // the lowest-id one, giving a deterministic path.
-    for (NodeId next : graph.neighbors(at)) {
-      if (distance_to_target[static_cast<std::size_t>(next)] == remaining - 1) {
-        at = next;
-        path.push_back(at);
-        break;
-      }
-    }
-  }
-  return path;
-}
-
 std::vector<std::vector<NodeId>> shortest_path_parents(const Graph& graph,
                                                        NodeId sink) {
   const auto distance = bfs_distances(graph, sink);

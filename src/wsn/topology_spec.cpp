@@ -129,49 +129,6 @@ TopologySpec TopologySpec::grid(int side, double spacing) {
   return spec;
 }
 
-TopologySpec TopologySpec::grid_rect(int width, int height, double spacing) {
-  TopologySpec spec;
-  spec.kind = Kind::kGrid;
-  spec.width = width;
-  spec.height = height;
-  spec.spacing = spacing;
-  validate(spec.to_string(), spec);
-  return spec;
-}
-
-TopologySpec TopologySpec::line(int node_count, double spacing) {
-  TopologySpec spec;
-  spec.kind = Kind::kLine;
-  spec.width = node_count;
-  spec.height = 1;
-  spec.spacing = spacing;
-  validate(spec.to_string(), spec);
-  return spec;
-}
-
-TopologySpec TopologySpec::ring(int node_count, double spacing) {
-  TopologySpec spec;
-  spec.kind = Kind::kRing;
-  spec.width = node_count;
-  spec.height = 1;
-  spec.spacing = spacing;
-  validate(spec.to_string(), spec);
-  return spec;
-}
-
-TopologySpec TopologySpec::unit_disk(int node_count, double radio_range,
-                                     double area_side, std::uint64_t seed) {
-  TopologySpec spec;
-  spec.kind = Kind::kUnitDisk;
-  spec.width = node_count;
-  spec.height = 1;
-  spec.radio_range = radio_range;
-  spec.area_side = area_side;
-  spec.seed = seed;
-  validate(spec.to_string(), spec);
-  return spec;
-}
-
 TopologySpec TopologySpec::parse(std::string_view text) {
   const std::vector<std::string_view> segments = split(text, ':');
   const std::string_view kind = segments[0];

@@ -84,7 +84,7 @@ TEST(AttackerRuntimeTest, TrailIsAWalkOnTheGraph) {
   ASSERT_GE(trail.size(), 2u);
   EXPECT_EQ(trail.front(), net.topology.sink);
   for (std::size_t i = 0; i + 1 < trail.size(); ++i) {
-    EXPECT_TRUE(net.topology.graph.has_edge(trail[i], trail[i + 1]))
+    EXPECT_TRUE(test::has_edge(net.topology.graph, trail[i], trail[i + 1]))
         << "trail step " << i;
   }
 }
@@ -102,7 +102,8 @@ TEST(AttackerRuntimeTest, RangeFollowsEveryMoveAndReset) {
   const auto expect_range_matches_graph = [&](const char* when) {
     const wsn::NodeId at = attacker.location();
     for (wsn::NodeId node = 0; node < graph.node_count(); ++node) {
-      EXPECT_EQ(attacker.in_range(node), node == at || graph.has_edge(node, at))
+      EXPECT_EQ(attacker.in_range(node),
+                node == at || test::has_edge(graph, node, at))
           << when << ": node " << node << ", attacker at " << at;
     }
   };

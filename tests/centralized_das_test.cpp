@@ -7,6 +7,7 @@
 #include "slpdas/verify/das_checker.hpp"
 #include "slpdas/wsn/paths.hpp"
 #include "slpdas/wsn/topology.hpp"
+#include "test_util.hpp"
 
 namespace slpdas::das {
 namespace {
@@ -35,7 +36,7 @@ TEST(CentralizedDasTest, ParentsPointStrictlyCloserToSink) {
     }
     const wsn::NodeId parent = result.parent[static_cast<std::size_t>(node)];
     ASSERT_NE(parent, wsn::kNoNode);
-    EXPECT_TRUE(grid.graph.has_edge(node, parent));
+    EXPECT_TRUE(test::has_edge(grid.graph, node, parent));
     EXPECT_EQ(distance[static_cast<std::size_t>(parent)],
               distance[static_cast<std::size_t>(node)] - 1);
     // Children transmit strictly before their parents.

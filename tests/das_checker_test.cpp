@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "slpdas/wsn/topology.hpp"
+#include "test_util.hpp"
 
 namespace slpdas::verify {
 namespace {
@@ -37,7 +38,7 @@ TEST(DasCheckerTest, ValidLineScheduleIsStrongAndWeak) {
 
 TEST(DasCheckerTest, UnassignedNodeViolatesCondition2) {
   LineFixture f;
-  f.schedule.clear_slot(2);
+  test::clear_slot(f.schedule, 2);
   const auto strong = check_strong_das(f.topology.graph, f.schedule, f.sink);
   EXPECT_FALSE(strong.ok());
   bool found = false;
@@ -50,7 +51,7 @@ TEST(DasCheckerTest, UnassignedNodeViolatesCondition2) {
 
 TEST(DasCheckerTest, UnassignedSinkIsAllowed) {
   LineFixture f;
-  f.schedule.clear_slot(f.sink);
+  test::clear_slot(f.schedule, f.sink);
   // Definition 2 cond. 2 excludes the sink; all senders keep valid order
   // because node 3 is sink-adjacent (m = S satisfies the disjunction).
   EXPECT_TRUE(check_strong_das(f.topology.graph, f.schedule, f.sink).ok());

@@ -199,6 +199,13 @@ TEST(ShardMapRecordTest, ParsersRejectWrongSchemaOrType) {
   EXPECT_THROW(
       (void)parse_shardmap_manifest(format_shardmap_manifest(manifest)),
       std::runtime_error);
+  // The fold writes threads_total as the document's `threads`, so it must
+  // be workers x worker_threads.
+  manifest = fixture_manifest(2, 1);
+  manifest.threads_total = 3;
+  EXPECT_THROW(
+      (void)parse_shardmap_manifest(format_shardmap_manifest(manifest)),
+      std::runtime_error);
 }
 
 TEST(ShardMapRecordTest, AVersionOneManifestIsAnUnknownSchema) {
@@ -837,6 +844,30 @@ TEST_F(FleetTest, RefusesToResumeADirectoryHoldingADifferentSweep) {
   };
   EXPECT_THROW((void)run_fleet(scenario, ScenarioOptions{}, options),
                std::runtime_error);
+  EXPECT_EQ(spawns, 0);
+}
+
+TEST_F(FleetTest, RefusesToResumeUnderADifferentShape) {
+  // Same sweep and the same threads_total, but the kept manifest is 2x1
+  // and this run asks for 1x2: the workers would size their pools from
+  // the manifest while the banner printed the requested shape.
+  write_shardmap_manifest(dir_, fixture_manifest(2, 1));
+  FleetOptions options = coordinator_options(dir_, nullptr);
+  int spawns = 0;
+  options.spawn = [&spawns](const FleetSpawnRequest&) -> std::int64_t {
+    ++spawns;
+    return -1;
+  };
+  try {
+    (void)run_fleet(fleet_scenario(), ScenarioOptions{}, options);
+    FAIL() << "resumed a 2x1 fleet directory as 1x2";
+  } catch (const std::runtime_error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("2 worker(s) x 1 thread(s) on disk vs 1 worker(s) "
+                           "x 2 thread(s) requested"),
+              std::string::npos)
+        << message;
+  }
   EXPECT_EQ(spawns, 0);
 }
 

@@ -1,4 +1,4 @@
-// Tests for BFS distances, shortest paths and the shortest-path-parents
+// Tests for BFS distances, connectivity and the shortest-path-parents
 // relation used by the strong-DAS checker (Definition 2 condition 3).
 #include "slpdas/wsn/paths.hpp"
 
@@ -38,42 +38,6 @@ TEST(PathsTest, ConnectivityChecks) {
   EXPECT_TRUE(is_connected(make_grid(5).graph));
   EXPECT_FALSE(is_connected(disconnected_pair()));
   EXPECT_TRUE(is_connected(Graph{}));
-}
-
-TEST(PathsTest, EccentricityAndDiameter) {
-  const Topology line = make_line(5);
-  EXPECT_EQ(eccentricity(line.graph, 0), 4);
-  EXPECT_EQ(eccentricity(line.graph, 2), 2);
-  EXPECT_EQ(diameter(line.graph), 4);
-  // Grid diameter: Manhattan distance between opposite corners.
-  EXPECT_EQ(diameter(make_grid(5).graph), 8);
-}
-
-TEST(PathsTest, EccentricityThrowsOnDisconnected) {
-  EXPECT_THROW((void)eccentricity(disconnected_pair(), 0), std::invalid_argument);
-}
-
-TEST(PathsTest, ShortestPathEndpointsAndLength) {
-  const Topology grid = make_grid(5);
-  const auto path = shortest_path(grid.graph, grid.source, grid.sink);
-  ASSERT_FALSE(path.empty());
-  EXPECT_EQ(path.front(), grid.source);
-  EXPECT_EQ(path.back(), grid.sink);
-  EXPECT_EQ(static_cast<int>(path.size()) - 1,
-            hop_distance(grid.graph, grid.source, grid.sink));
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    EXPECT_TRUE(grid.graph.has_edge(path[i], path[i + 1]));
-  }
-}
-
-TEST(PathsTest, ShortestPathToSelf) {
-  const Topology grid = make_grid(3);
-  const auto path = shortest_path(grid.graph, 4, 4);
-  EXPECT_EQ(path, (std::vector<NodeId>{4}));
-}
-
-TEST(PathsTest, ShortestPathUnreachableIsEmpty) {
-  EXPECT_TRUE(shortest_path(disconnected_pair(), 0, 1).empty());
 }
 
 TEST(PathsTest, ShortestPathParentsOnGrid) {

@@ -133,7 +133,7 @@ TEST(PhantomRoutingTest, AttackerRunsAgainstPhantomTraffic) {
   // ...and its trail is a valid walk.
   const auto& trail = eavesdropper.trail();
   for (std::size_t i = 0; i + 1 < trail.size(); ++i) {
-    EXPECT_TRUE(net.topology.graph.has_edge(trail[i], trail[i + 1]));
+    EXPECT_TRUE(test::has_edge(net.topology.graph, trail[i], trail[i + 1]));
   }
 }
 

@@ -3,6 +3,9 @@
 // convergecast on small topologies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "slpdas/verify/das_checker.hpp"
 #include "slpdas/wsn/paths.hpp"
 #include "test_util.hpp"
@@ -53,7 +56,7 @@ TEST(Phase1Test, ParentsAreCloserNeighbors) {
     }
     const wsn::NodeId parent = net.node(n).parent();
     ASSERT_NE(parent, wsn::kNoNode) << "node " << n;
-    EXPECT_TRUE(net.topology.graph.has_edge(n, parent));
+    EXPECT_TRUE(test::has_edge(net.topology.graph, n, parent));
     EXPECT_EQ(distances[static_cast<std::size_t>(parent)],
               distances[static_cast<std::size_t>(n)] - 1);
   }
@@ -164,23 +167,16 @@ TEST(Phase1Test, DeterministicForSeed) {
 TEST(Phase1Test, DifferentSeedsGiveDifferentSiblingOrder) {
   // The discovery-order ranking must vary across seeds (this is what makes
   // the attacker's gradient endpoint random run to run).
-  std::set<std::string> schedules;
+  std::vector<mac::Schedule> schedules;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     auto net =
         make_protectionless_net(wsn::make_grid(5), fast_parameters(), seed);
     run_setup(net);
-    schedules.insert(extract_schedule(*net.simulator).to_string());
+    schedules.push_back(extract_schedule(*net.simulator));
   }
-  EXPECT_GT(schedules.size(), 1u);
-}
-
-TEST(Phase1Test, ExtractParentsMatchesProcesses) {
-  auto net = make_protectionless_net(wsn::make_line(5), fast_parameters(), 13);
-  run_setup(net);
-  const auto parents = extract_parents(*net.simulator);
-  for (wsn::NodeId n = 0; n < 5; ++n) {
-    EXPECT_EQ(parents[static_cast<std::size_t>(n)], net.node(n).parent());
-  }
+  EXPECT_TRUE(std::any_of(
+      schedules.begin(), schedules.end(),
+      [&](const mac::Schedule& s) { return s != schedules.front(); }));
 }
 
 TEST(Phase1Test, ConfigValidation) {

@@ -1,48 +1,10 @@
-// Tests for DOT export and ASCII grid rendering.
+// Tests for ASCII grid rendering.
 #include "slpdas/mac/render.hpp"
 
 #include <gtest/gtest.h>
 
 namespace slpdas::mac {
 namespace {
-
-TEST(DotExportTest, ContainsNodesAndEdges) {
-  const wsn::Topology line = wsn::make_line(3);
-  const std::string dot = to_dot(line);
-  EXPECT_NE(dot.find("graph wsn {"), std::string::npos);
-  EXPECT_NE(dot.find("n0"), std::string::npos);
-  EXPECT_NE(dot.find("n0 -- n1;"), std::string::npos);
-  EXPECT_NE(dot.find("n1 -- n2;"), std::string::npos);
-  // Each undirected edge appears once.
-  EXPECT_EQ(dot.find("n1 -- n0;"), std::string::npos);
-}
-
-TEST(DotExportTest, MarksSourceAndSink) {
-  const wsn::Topology line = wsn::make_line(3);  // source 0, sink 2
-  const std::string dot = to_dot(line);
-  EXPECT_NE(dot.find("doublecircle"), std::string::npos);
-  EXPECT_NE(dot.find("shape=box"), std::string::npos);
-}
-
-TEST(DotExportTest, ScheduleLabelsAndHighlights) {
-  const wsn::Topology line = wsn::make_line(3);
-  Schedule schedule(3);
-  schedule.set_slot(0, 7);
-  DotOptions options;
-  options.schedule = &schedule;
-  options.highlight = {1};
-  const std::string dot = to_dot(line, options);
-  EXPECT_NE(dot.find("s7"), std::string::npos);
-  EXPECT_NE(dot.find("lightcoral"), std::string::npos);
-}
-
-TEST(DotExportTest, PositionsPinned) {
-  const wsn::Topology grid = wsn::make_grid(3, 1.0);
-  EXPECT_NE(to_dot(grid).find("pos=\""), std::string::npos);
-  DotOptions options;
-  options.include_positions = false;
-  EXPECT_EQ(to_dot(grid, options).find("pos=\""), std::string::npos);
-}
 
 TEST(AsciiRenderTest, PlainMap) {
   const wsn::Topology grid = wsn::make_grid(3);

@@ -119,7 +119,7 @@ TEST(SchemaSweepTest, DeterministicDocumentValidates) {
   options.deterministic_timing = true;
   const SweepResult result = run_sweep(small_cells(), options);
   std::ostringstream out;
-  write_sweep_json(out, result, "schema_smoke");
+  write_sweep_json(out, to_sweep_json(result, "schema_smoke"));
   const Value document = parse_text(out.str());
   EXPECT_TRUE(no_errors(schemas().validate(document, kSweepSchema)));
   // Deterministic cells must NOT carry the perf block.
@@ -134,7 +134,7 @@ TEST(SchemaSweepTest, RealClockDocumentCarriesPerfAndValidates) {
   options.base_seed = 7;
   const SweepResult result = run_sweep(small_cells(), options);
   std::ostringstream out;
-  write_sweep_json(out, result, "schema_smoke");
+  write_sweep_json(out, to_sweep_json(result, "schema_smoke"));
   const Value document = parse_text(out.str());
   EXPECT_TRUE(no_errors(schemas().validate(document, kSweepSchema)));
   for (const Value& cell : document.at("cells").as_array()) {
@@ -341,7 +341,7 @@ TEST(SchemaViolationTest, ValidatorRejectsShapeDrift) {
   options.deterministic_timing = true;
   const SweepResult result = run_sweep(small_cells(), options);
   std::ostringstream out;
-  write_sweep_json(out, result, "schema_smoke");
+  write_sweep_json(out, to_sweep_json(result, "schema_smoke"));
   SchemaSet set = schemas();
 
   // Missing required key.

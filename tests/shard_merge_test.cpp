@@ -55,7 +55,7 @@ SweepJson run_shard_through_json(const std::vector<SweepCell>& cells, int i,
                                  int n) {
   const SweepResult result = run_sweep(cells, deterministic_options(i, n));
   std::stringstream stream;
-  write_sweep_json(stream, result, "shard_merge_test");
+  write_sweep_json(stream, to_sweep_json(result, "shard_merge_test"));
   return read_sweep_json(stream);
 }
 

@@ -58,7 +58,8 @@ TEST(SlpAwareTest, BaselineAgainstItselfIsNotSlpAware) {
 
 TEST(SlpAwareTest, InvalidDasCannotBeSlpAware) {
   YFixture f;
-  f.decoyed.clear_slot(1);  // unassigned non-sink node breaks Def 3 cond 2
+  // An unassigned non-sink node breaks Definition 3 condition 2.
+  test::clear_slot(f.decoyed, 1);
   const auto result = check_slp_aware_das(f.graph, f.decoyed, f.baseline,
                                           f.attacker, 2, 0, 50);
   EXPECT_FALSE(result.candidate_is_weak_das);

@@ -420,7 +420,7 @@ TEST(SweepJsonTest, RoundTripsThroughTheV2Schema) {
   const SweepResult sweep = run_sweep(cells, options);
 
   std::stringstream stream;
-  write_sweep_json(stream, sweep, "sweep_test");
+  write_sweep_json(stream, to_sweep_json(sweep, "sweep_test"));
   const SweepJson parsed = read_sweep_json(stream);
 
   EXPECT_EQ(parsed.schema, "slpdas.sweep.v2");
@@ -483,7 +483,7 @@ TEST(SweepJsonTest, EmptyStatsSerialiseMinMaxAsNull) {
   sweep.cells[0].label = "empty";
   sweep.cells[0].runs = 0;
   std::stringstream stream;
-  write_sweep_json(stream, sweep, "empty");
+  write_sweep_json(stream, to_sweep_json(sweep, "empty"));
   EXPECT_NE(stream.str().find("\"min\": null"), std::string::npos);
   const SweepJson parsed = read_sweep_json(stream);
   ASSERT_EQ(parsed.cells.size(), 1u);
@@ -657,7 +657,7 @@ TEST(GoldenFingerprintTest, SmallSweepDocumentIsByteStable) {
   options.deterministic_timing = true;
   const SweepResult sweep = run_sweep(cells, options);
   std::ostringstream out;
-  write_sweep_json(out, sweep, "golden");
+  write_sweep_json(out, to_sweep_json(sweep, "golden"));
   // Every byte of the deterministic document: all metrics of all four
   // cells, double formatting included (regenerated for the config block;
   // see the section comment above).
@@ -718,7 +718,7 @@ TEST(GoldenFingerprintTest, EveryDecisionFunctionIsByteStable) {
   options.deterministic_timing = true;
   const SweepResult sweep = run_sweep(cells, options);
   std::ostringstream out;
-  write_sweep_json(out, sweep, "golden_decisions");
+  write_sweep_json(out, to_sweep_json(sweep, "golden_decisions"));
   EXPECT_EQ(fnv1a_bytes(out.str()), 0xc06dbfa9fe7cc52eULL);
 
   // Within one period the attacker hears transmissions in slot order, so
@@ -770,7 +770,7 @@ TEST(SweepJsonTest, PerfBlockRoundTripsInRealClockDocuments) {
   const SweepResult sweep = run_sweep(cells, options);  // real clocks
 
   std::stringstream stream;
-  write_sweep_json(stream, sweep, "perf_roundtrip");
+  write_sweep_json(stream, to_sweep_json(sweep, "perf_roundtrip"));
   EXPECT_NE(stream.str().find("\"perf\""), std::string::npos);
   const SweepJson parsed = read_sweep_json(stream);
   ASSERT_EQ(parsed.cells.size(), sweep.cells.size());
@@ -799,7 +799,7 @@ TEST(SweepJsonTest, EscapesLabelStrings) {
   sweep.cells[0].label = "quote\" back\\slash\nnewline";
   sweep.cells[0].runs = 0;
   std::stringstream stream;
-  write_sweep_json(stream, sweep, "escapes");
+  write_sweep_json(stream, to_sweep_json(sweep, "escapes"));
   const SweepJson parsed = read_sweep_json(stream);
   ASSERT_EQ(parsed.cells.size(), 1u);
   EXPECT_EQ(parsed.cells[0].label, "quote\" back\\slash\nnewline");

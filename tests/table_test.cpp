@@ -1,4 +1,4 @@
-// Tests for console/CSV table rendering used by the bench harnesses.
+// Tests for console table rendering used by the bench harnesses.
 #include "slpdas/metrics/table.hpp"
 
 #include <gtest/gtest.h>
@@ -29,19 +29,6 @@ TEST(TableTest, PrintAlignsColumns) {
   EXPECT_NE(text.find("| size | capture |"), std::string::npos);
   EXPECT_NE(text.find("| 11   | 30.0%   |"), std::string::npos);
   EXPECT_NE(text.find("|------|"), std::string::npos);
-}
-
-TEST(TableTest, CsvEscapesSpecialCharacters) {
-  Table table({"name", "value"});
-  table.add_row({"plain", "1"});
-  table.add_row({"with,comma", "quote\"inside"});
-  std::ostringstream out;
-  table.write_csv(out);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("name,value\n"), std::string::npos);
-  EXPECT_NE(text.find("plain,1\n"), std::string::npos);
-  EXPECT_NE(text.find("\"with,comma\",\"quote\"\"inside\"\n"),
-            std::string::npos);
 }
 
 TEST(TableTest, NumericCells) {

@@ -2,11 +2,14 @@
 // protectionless or SLP protocol on a topology with fast (test-sized)
 // timing, and run it through its setup phase; run one seed or a seeded
 // series of one experiment config through RunBatch. Also the
-// malformed-integer inputs every JSON reader test feeds its int fields.
+// malformed-integer inputs every JSON reader test feeds its int fields,
+// and the graph and schedule probes that only tests need.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -16,11 +19,36 @@
 #include "slpdas/core/parameters.hpp"
 #include "slpdas/core/run_batch.hpp"
 #include "slpdas/das/protocol.hpp"
+#include "slpdas/mac/schedule.hpp"
 #include "slpdas/sim/simulator.hpp"
 #include "slpdas/slp/slp_das.hpp"
+#include "slpdas/wsn/graph.hpp"
 #include "slpdas/wsn/topology.hpp"
 
 namespace slpdas::test {
+
+/// True iff {a, b} is an edge of `graph`: a binary search of a's sorted
+/// neighbour row. Throws std::out_of_range when a or b is not a node.
+inline bool has_edge(const wsn::Graph& graph, wsn::NodeId a, wsn::NodeId b) {
+  if (!graph.contains(b)) {
+    throw std::out_of_range("has_edge: node " + std::to_string(b) +
+                            " out of range");
+  }
+  const auto row = graph.neighbors(a);
+  return std::binary_search(row.begin(), row.end(), b);
+}
+
+/// Unassigns `node` in `schedule` (set_slot refuses kNoSlot): builds the
+/// checkers' unassigned-node inputs.
+inline void clear_slot(mac::Schedule& schedule, wsn::NodeId node) {
+  mac::Schedule cleared(schedule.node_count());
+  for (wsn::NodeId n = 0; n < schedule.node_count(); ++n) {
+    if (n != node && schedule.assigned(n)) {
+      cleared.set_slot(n, schedule.slot(n));
+    }
+  }
+  schedule = cleared;
+}
 
 /// Table I values shrunk for unit tests: short slots, few setup periods.
 /// `setup_periods` must exceed discovery + network radius + a few rounds.

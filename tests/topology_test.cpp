@@ -17,6 +17,7 @@
 
 #include "slpdas/rng.hpp"
 #include "slpdas/wsn/paths.hpp"
+#include "test_util.hpp"
 
 namespace slpdas::wsn {
 namespace {
@@ -39,9 +40,10 @@ TEST(GridTopologyTest, CornerAndCentreDegrees) {
 
 TEST(GridTopologyTest, OnlyHorizontalVerticalLinks) {
   const Topology topology = make_grid(5);
-  EXPECT_FALSE(topology.graph.has_edge(grid_node(5, 0, 0), grid_node(5, 1, 1)));
-  EXPECT_TRUE(topology.graph.has_edge(grid_node(5, 0, 0), grid_node(5, 1, 0)));
-  EXPECT_TRUE(topology.graph.has_edge(grid_node(5, 0, 0), grid_node(5, 0, 1)));
+  const Graph& graph = topology.graph;
+  EXPECT_FALSE(test::has_edge(graph, grid_node(5, 0, 0), grid_node(5, 1, 1)));
+  EXPECT_TRUE(test::has_edge(graph, grid_node(5, 0, 0), grid_node(5, 1, 0)));
+  EXPECT_TRUE(test::has_edge(graph, grid_node(5, 0, 0), grid_node(5, 0, 1)));
 }
 
 TEST(GridTopologyTest, SpacingSetsPositions) {
@@ -177,7 +179,7 @@ TEST(UnitDiskTopologyTest, DeterministicForSeed) {
   }
   for (NodeId u = 0; u < params.node_count; ++u) {
     for (NodeId v = 0; v < params.node_count; ++v) {
-      EXPECT_EQ(a.graph.has_edge(u, v), b.graph.has_edge(u, v))
+      EXPECT_EQ(test::has_edge(a.graph, u, v), test::has_edge(b.graph, u, v))
           << u << "-" << v;
     }
   }
@@ -224,7 +226,8 @@ TEST(UnitDiskTopologyTest, EdgesAreExactlyThePairsWithinRange) {
       const double dy = pa.y - pb.y;
       const bool in_range = a != b && dx * dx + dy * dy <= range_sq;
       within += in_range && a < b ? 1 : 0;
-      EXPECT_EQ(topology.graph.has_edge(a, b), in_range) << a << "-" << b;
+      EXPECT_EQ(test::has_edge(topology.graph, a, b), in_range)
+          << a << "-" << b;
     }
   }
   EXPECT_EQ(topology.graph.edge_count(), within);

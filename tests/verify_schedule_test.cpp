@@ -8,6 +8,7 @@
 #include "slpdas/das/centralized.hpp"
 #include "slpdas/verify/safety_period.hpp"
 #include "slpdas/wsn/topology.hpp"
+#include "test_util.hpp"
 
 namespace slpdas::verify {
 namespace {
@@ -48,7 +49,7 @@ TEST(LowestSlotNeighborsTest, OrdersBySlot) {
 
 TEST(LowestSlotNeighborsTest, SkipsUnassigned) {
   LineFixture f;
-  f.schedule.clear_slot(1);
+  test::clear_slot(f.schedule, 1);
   EXPECT_EQ(lowest_slot_neighbors(f.topology.graph, f.schedule, 2, 2),
             (std::vector<NodeId>{3}));
 }
@@ -156,8 +157,8 @@ TEST(VerifyScheduleTest, SamePeriodChainingRequiresMoveBudget) {
 
 TEST(VerifyScheduleTest, UnassignedStartHearsNothing) {
   LineFixture f;
-  f.schedule.clear_slot(3);
-  f.schedule.clear_slot(4);
+  test::clear_slot(f.schedule, 3);
+  test::clear_slot(f.schedule, 4);
   // Start (4) unassigned: Algorithm 1 treats it as silent surroundings...
   // neighbours of 4 = {3}, also unassigned -> no moves at all.
   const auto result =
@@ -217,7 +218,7 @@ TEST(VerifyScheduleTest, CounterexampleStepsAreGraphEdges) {
     EXPECT_EQ(result.counterexample.front(), grid.sink);
     EXPECT_EQ(result.counterexample.back(), grid.source);
     for (std::size_t i = 0; i + 1 < result.counterexample.size(); ++i) {
-      EXPECT_TRUE(grid.graph.has_edge(result.counterexample[i],
+      EXPECT_TRUE(test::has_edge(grid.graph, result.counterexample[i],
                                       result.counterexample[i + 1]));
     }
   }
@@ -247,13 +248,6 @@ TEST(VerifyScheduleTest, ResultToStringIsReadable) {
   const auto safe =
       verify_schedule(f.topology.graph, f.schedule, f.attacker, 2, 0);
   EXPECT_NE(safe.to_string().find("slp-aware"), std::string::npos);
-}
-
-TEST(DPolicyTest, Names) {
-  EXPECT_STREQ(to_string(DPolicy::kMinSlot), "min-slot");
-  EXPECT_STREQ(to_string(DPolicy::kAnyHeard), "any-heard");
-  EXPECT_STREQ(to_string(DPolicy::kHistoryAvoidingMinSlot),
-               "history-avoiding-min-slot");
 }
 
 }  // namespace

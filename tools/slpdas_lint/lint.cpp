@@ -291,7 +291,6 @@ constexpr std::string_view kSerialisationHeaders[] = {
     "json.hpp",
     "cell_record.hpp",
     "cell_cache.hpp",
-    "schedule_io.hpp",
 };
 
 /// Extracts names declared as unordered containers on this line

@@ -12,9 +12,9 @@
 //   * unordered-serialisation — no iteration over std::unordered_map /
 //                       std::unordered_set in any file that includes a
 //                       serialisation header (json.hpp, cell_record.hpp,
-//                       cell_cache.hpp, schedule_io.hpp). Hash-order is
-//                       process-dependent; iterating it on a
-//                       serialisation path breaks byte-stability.
+//                       cell_cache.hpp). Hash-order is process-dependent;
+//                       iterating it on a serialisation path breaks
+//                       byte-stability.
 //   * float-accumulate — no float/double reduction via std::accumulate
 //                       without an explicit ordered-reduction tag.
 //                       Floating-point addition is non-associative, so
