@@ -139,7 +139,7 @@ int list_scenarios(std::ostream& out) {
        core::ScenarioRegistry::global().scenarios()) {
     const core::ScenarioOptions defaults;
     table.add_row({scenario.name, scenario.reference,
-                   std::to_string(scenario.make_cells(defaults).size()),
+                   std::to_string(scenario.cells(defaults).size()),
                    std::to_string(scenario.default_runs), scenario.summary});
   }
   table.print(out);
@@ -743,6 +743,10 @@ int main(int argc, char** argv) {
         options.scenario.base_seed = next_u64("--seed");
       } else if (arg == "--sd") {
         options.scenario.search_distance = next_int("--sd");
+        if (options.scenario.search_distance < 0) {
+          std::cerr << "--sd must be >= 0 (0 = scenario default)\n";
+          return 2;
+        }
       } else if (arg == "--set") {
         const std::string value = next_value("--set");
         const std::size_t eq = value.find('=');
@@ -755,6 +759,10 @@ int main(int argc, char** argv) {
                                            value.substr(eq + 1));
       } else if (arg == "--threads") {
         options.threads = next_int("--threads");
+        if (options.threads < 0) {
+          std::cerr << "--threads must be >= 0 (0 = hardware concurrency)\n";
+          return 2;
+        }
       } else if (arg == "--smoke") {
         options.scenario.smoke = true;
       } else if (arg == "--progress") {

@@ -37,7 +37,7 @@ enum class ProtocolKind {
 enum class RadioKind {
   kIdeal,      ///< no losses (fully deterministic runs)
   kLossy,      ///< i.i.d. per-reception loss
-  kCasinoLab,  ///< bursty Markov-modulated loss (default; see DESIGN.md)
+  kCasinoLab,  ///< bursty Markov-modulated loss (default; see sim/radio.hpp)
 };
 
 [[nodiscard]] const char* to_string(RadioKind kind) noexcept;

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -39,11 +40,6 @@ struct ScenarioOptions {
   std::vector<std::pair<std::string, std::string>> sets;
 };
 
-/// Resolves the per-cell run count: an explicit --runs wins, smoke mode
-/// means one run, otherwise the scenario default applies.
-[[nodiscard]] int resolved_runs(const ScenarioOptions& options,
-                                int scenario_default);
-
 struct Scenario {
   std::string name;       ///< registry key and JSON document name
   std::string reference;  ///< paper anchor, e.g. "Figure 5(a)"
@@ -56,8 +52,8 @@ struct Scenario {
   bool accepts_search_distance = false;  ///< --sd
   bool accepts_sets = false;             ///< --set key=value
   /// Expands the scenario's grid for the given options (smoke mode picks
-  /// the smallest topologies). Every cell's config.runs must already be
-  /// resolved via resolved_runs().
+  /// the smallest topologies). It leaves config.runs alone: cells()
+  /// overwrites it in every cell.
   std::function<std::vector<SweepCell>(const ScenarioOptions&)> make_cells;
   /// Renders the human-readable figure/table from a sweep document (which
   /// may have been reloaded from disk or merged from shards). Returns a
@@ -70,6 +66,12 @@ struct Scenario {
       const ScenarioOptions& options) const {
     return options.base_seed != 0 ? options.base_seed : default_seed;
   }
+
+  /// The cells every caller runs: make_cells(options) with each cell's
+  /// config.runs resolved. An explicit --runs wins, smoke mode means one
+  /// run, otherwise default_runs applies.
+  [[nodiscard]] std::vector<SweepCell> cells(
+      const ScenarioOptions& options) const;
 };
 
 class ScenarioRegistry {
@@ -134,9 +136,12 @@ struct ScenarioExecution {
                                      const ScenarioExecution& execution,
                                      ThreadPool& pool);
 
-/// Report helper: the cell with this label; throws std::runtime_error
-/// naming the label when absent (e.g. an unmerged shard document).
-[[nodiscard]] const SweepJsonCell& require_cell(const SweepJson& document,
-                                                const std::string& label);
+/// Report helper: the first cell whose coordinates include every given
+/// (axis, value) pair; throws std::runtime_error naming the coordinates
+/// when none does (e.g. an unmerged shard document).
+[[nodiscard]] const SweepJsonCell& require_cell(
+    const SweepJson& document,
+    std::initializer_list<std::pair<std::string_view, std::string_view>>
+        coordinates);
 
 }  // namespace slpdas::core

@@ -293,9 +293,6 @@ struct SweepJson {
   int distinct_worker_threads = 0;
   double wall_seconds = 0.0;
   std::vector<SweepJsonCell> cells;
-
-  /// Cell with the given label, or nullptr when absent (e.g. in a shard).
-  [[nodiscard]] const SweepJsonCell* find_cell(std::string_view label) const;
 };
 
 /// Converts a sweep result into the JSON value model. `name` is the bench

@@ -3,7 +3,7 @@
 // Events at equal timestamps fire in insertion order (a monotonically
 // increasing sequence number breaks ties), so a run is a pure function of
 // the seed and configuration — the property TOSSIM does not give and the
-// main reason we built our own simulator (DESIGN.md section 2).
+// main reason we built our own simulator (README, "Simulator internals").
 //
 // Events are a tagged value type rather than std::function closures, so
 // the hot path — message delivery and timer expiry, millions of events

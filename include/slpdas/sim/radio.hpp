@@ -11,8 +11,8 @@
 //  * LossyRadio      — i.i.d. Bernoulli loss per reception.
 //  * CasinoLabNoise  — a two-state Markov-modulated loss process (quiet
 //    floor with interference bursts), our synthetic stand-in for the
-//    casino-lab RSSI trace; see DESIGN.md section 2 for the substitution
-//    rationale.
+//    casino-lab RSSI trace. The scenario abl_noise measures how much the
+//    substitution matters against ideal and i.i.d. radios.
 #pragma once
 
 #include <memory>

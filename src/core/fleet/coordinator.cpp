@@ -143,7 +143,7 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
         " ms must be at least 4x the heartbeat interval " +
         std::to_string(fleet_options.heartbeat_interval_ms) + " ms");
   }
-  const std::vector<SweepCell> cells = scenario.make_cells(options);
+  const std::vector<SweepCell> cells = scenario.cells(options);
   if (cells.empty()) {
     throw std::runtime_error("fleet: scenario expands to no cells");
   }

@@ -108,7 +108,7 @@ std::size_t worker_loop(const Scenario& scenario,
                         const ScenarioOptions& options,
                         const FleetWorkerOptions& worker_options,
                         const ClaimDir& claims) {
-  const std::vector<SweepCell> cells = scenario.make_cells(options);
+  const std::vector<SweepCell> cells = scenario.cells(options);
   if (cells.empty()) {
     throw std::runtime_error("fleet worker: scenario expands to no cells");
   }

@@ -1,5 +1,6 @@
 #include "slpdas/core/scenario.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -8,11 +9,14 @@
 
 namespace slpdas::core {
 
-int resolved_runs(const ScenarioOptions& options, int scenario_default) {
-  if (options.runs > 0) {
-    return options.runs;
+std::vector<SweepCell> Scenario::cells(const ScenarioOptions& options) const {
+  const int runs =
+      options.runs > 0 ? options.runs : (options.smoke ? 1 : default_runs);
+  std::vector<SweepCell> expanded = make_cells(options);
+  for (SweepCell& cell : expanded) {
+    cell.config.runs = runs;
   }
-  return options.smoke ? 1 : scenario_default;
+  return expanded;
 }
 
 ScenarioRegistry& ScenarioRegistry::global() {
@@ -97,19 +101,32 @@ SweepJson run_scenario(const Scenario& scenario,
   sweep_options.deterministic_timing = execution.deterministic_timing;
   sweep_options.cache = execution.cache;
   return to_sweep_json(
-      run_sweep(scenario.make_cells(options), sweep_options, pool),
+      run_sweep(scenario.cells(options), sweep_options, pool),
       scenario.name);
 }
 
-const SweepJsonCell& require_cell(const SweepJson& document,
-                                  const std::string& label) {
-  const SweepJsonCell* cell = document.find_cell(label);
-  if (cell == nullptr) {
-    throw std::runtime_error("sweep document '" + document.name +
-                             "' is missing cell '" + label +
-                             "' (unmerged shard?)");
+const SweepJsonCell& require_cell(
+    const SweepJson& document,
+    std::initializer_list<std::pair<std::string_view, std::string_view>>
+        coordinates) {
+  for (const SweepJsonCell& cell : document.cells) {
+    const bool match = std::all_of(
+        coordinates.begin(), coordinates.end(), [&cell](const auto& wanted) {
+          const std::string* value = cell.coordinate(wanted.first);
+          return value != nullptr && *value == wanted.second;
+        });
+    if (match) {
+      return cell;
+    }
   }
-  return *cell;
+  std::string missing;
+  for (const auto& [axis, value] : coordinates) {
+    missing += missing.empty() ? "" : " ";
+    missing.append(axis).append("=").append(value);
+  }
+  throw std::runtime_error("sweep document '" + document.name +
+                           "' is missing cell " + missing +
+                           " (unmerged shard?)");
 }
 
 }  // namespace slpdas::core

@@ -75,7 +75,6 @@ const RadioRow kRadioRows[] = {
 
 std::vector<SweepCell> make_noise_cells(const ScenarioOptions& options) {
   ExperimentConfig base;
-  base.runs = resolved_runs(options, 150);
   base.check_schedules = false;
 
   std::vector<SweepGrid::AxisValue> radio_values;
@@ -87,7 +86,7 @@ std::vector<SweepCell> make_noise_cells(const ScenarioOptions& options) {
     radio_values.push_back({row.value, row.apply});
   }
   SweepGrid grid(base);
-  grid.axis("side", {side_axis_value(options.smoke ? 7 : 11)});
+  grid.axis("side", side_axis({options.smoke ? 7 : 11}));
   grid.axis("radio", std::move(radio_values));
   grid.axis("protocol", protocol_pair_axis(), /*seeded=*/false);
   return grid.expand();
@@ -103,13 +102,7 @@ int report_noise(std::ostream& out, const SweepJson& document,
       << " grid (" << runs << " runs per cell)\n\n";
   Table table({"radio model", "protectionless DAS", "SLP DAS", "reduction",
                "incomplete setups"});
-  for (const std::string& radio : axis_values(document, "radio")) {
-    const std::string prefix = "side=" + side + "/radio=" + radio;
-    const SweepJsonCell& base = require_cell(
-        document,
-        prefix + "/protocol=" + to_string(ProtocolKind::kProtectionlessDas));
-    const SweepJsonCell& slp = require_cell(
-        document, prefix + "/protocol=" + to_string(ProtocolKind::kSlpDas));
+  for (const auto& [radio, base, slp] : paired_rows(document, "radio")) {
     const char* display = radio.c_str();
     for (const RadioRow& row : kRadioRows) {
       if (radio == row.value) {
@@ -162,7 +155,6 @@ const AttackerRow kAttackerRows[] = {
 std::vector<SweepCell> make_attacker_cells(const ScenarioOptions& options) {
   ExperimentConfig base;
   base.radio = RadioKind::kCasinoLab;
-  base.runs = resolved_runs(options, 150);
   base.check_schedules = false;
 
   std::vector<SweepGrid::AxisValue> attacker_values;
@@ -181,7 +173,7 @@ std::vector<SweepCell> make_attacker_cells(const ScenarioOptions& options) {
                                }});
   }
   SweepGrid grid(base);
-  grid.axis("side", {side_axis_value(options.smoke ? 7 : 11)});
+  grid.axis("side", side_axis({options.smoke ? 7 : 11}));
   grid.axis("attacker", std::move(attacker_values));
   grid.axis("protocol", protocol_pair_axis(), /*seeded=*/false);
   return grid.expand();
@@ -196,13 +188,8 @@ int report_attacker(std::ostream& out, const SweepJson& document,
   out << "Ablation: attacker strength on the " << side << "x" << side
       << " grid (" << runs << " runs per cell)\n\n";
   Table table({"attacker", "protectionless DAS", "SLP DAS", "reduction"});
-  for (const std::string& attacker : axis_values(document, "attacker")) {
-    const std::string prefix = "side=" + side + "/attacker=" + attacker;
-    const SweepJsonCell& base = require_cell(
-        document,
-        prefix + "/protocol=" + to_string(ProtocolKind::kProtectionlessDas));
-    const SweepJsonCell& slp = require_cell(
-        document, prefix + "/protocol=" + to_string(ProtocolKind::kSlpDas));
+  for (const auto& [attacker, base, slp] :
+       paired_rows(document, "attacker")) {
     const char* display = attacker.c_str();
     for (const AttackerRow& row : kAttackerRows) {
       if (attacker == row.value) {
@@ -234,7 +221,6 @@ constexpr double kSafetyFactors[] = {1.1, 1.3, 1.5, 1.7, 1.9};
 std::vector<SweepCell> make_safety_cells(const ScenarioOptions& options) {
   ExperimentConfig base;
   base.radio = RadioKind::kCasinoLab;
-  base.runs = resolved_runs(options, 150);
   base.check_schedules = false;
 
   std::vector<SweepGrid::AxisValue> cs_values;
@@ -248,7 +234,7 @@ std::vector<SweepCell> make_safety_cells(const ScenarioOptions& options) {
          }});
   }
   SweepGrid grid(base);
-  grid.axis("side", {side_axis_value(options.smoke ? 7 : 11)});
+  grid.axis("side", side_axis({options.smoke ? 7 : 11}));
   grid.axis("cs", std::move(cs_values));
   grid.axis("protocol", protocol_pair_axis(), /*seeded=*/false);
   return grid.expand();
@@ -265,14 +251,7 @@ int report_safety(std::ostream& out, const SweepJson& document,
   const wsn::Topology topology = wsn::make_grid(side);
   Table table({"Cs", "safety periods", "protectionless DAS", "SLP DAS",
                "reduction"});
-  for (const std::string& cs_text : axis_values(document, "cs")) {
-    const std::string prefix =
-        "side=" + std::to_string(side) + "/cs=" + cs_text;
-    const SweepJsonCell& base = require_cell(
-        document,
-        prefix + "/protocol=" + to_string(ProtocolKind::kProtectionlessDas));
-    const SweepJsonCell& slp = require_cell(
-        document, prefix + "/protocol=" + to_string(ProtocolKind::kSlpDas));
+  for (const auto& [cs_text, base, slp] : paired_rows(document, "cs")) {
     // Recompute Eq. 1 for this Cs so the table shows the actual safety
     // period the runs used (the same computation RunBatch's phase prefix
     // performs).
@@ -300,16 +279,11 @@ std::vector<SweepCell> make_scheduler_cells(const ScenarioOptions& options) {
   ExperimentConfig base;
   base.protocol = ProtocolKind::kProtectionlessDas;
   base.radio = RadioKind::kCasinoLab;
-  base.runs = resolved_runs(options, 20);
   base.check_schedules = true;  // weak/strong DAS validity per seed
 
   SweepGrid grid(base);
-  std::vector<SweepGrid::AxisValue> side_values;
-  for (const int side : options.smoke ? std::vector<int>{7}
-                                      : std::vector<int>{11, 15}) {
-    side_values.push_back(side_axis_value(side));
-  }
-  grid.axis("side", std::move(side_values));
+  grid.axis("side", side_axis(options.smoke ? std::vector<int>{7}
+                                            : std::vector<int>{11, 15}));
   return grid.expand();
 }
 
@@ -356,7 +330,7 @@ int report_schedulers(std::ostream& out, const SweepJson& document,
                "exposed nodes (of N)", "mean span over seeds"});
   for (const std::string& side_text : axis_values(document, "side")) {
     const int side = parse_side_label(side_text);
-    const SweepJsonCell& cell = require_cell(document, "side=" + side_text);
+    const SweepJsonCell& cell = require_cell(document, {{"side", side_text}});
     const wsn::Topology topology = wsn::make_grid(side);
     const std::string grid_label = side_text + "x" + side_text;
     const auto total = std::to_string(topology.graph.node_count());
@@ -414,7 +388,7 @@ void register_ablations(ScenarioRegistry& registry) {
   {
     Scenario scenario;
     scenario.name = "abl_noise";
-    scenario.reference = "DESIGN.md section 2 (loss-model calibration)";
+    scenario.reference = "Section VI-A (casino-lab noise, substituted)";
     scenario.summary = "capture ratios vs radio model (ideal/iid/bursty)";
     scenario.default_runs = 150;
     scenario.default_seed = 13;
@@ -447,7 +421,7 @@ void register_ablations(ScenarioRegistry& registry) {
   {
     Scenario scenario;
     scenario.name = "abl_schedulers";
-    scenario.reference = "DESIGN.md section 5 (schedule construction)";
+    scenario.reference = "Definitions 2-3 (DAS construction)";
     scenario.summary = "Phase 1 vs centralized vs first-fit schedules";
     scenario.default_runs = 20;
     scenario.default_seed = 1;

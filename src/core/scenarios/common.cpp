@@ -8,10 +8,15 @@
 
 namespace slpdas::core::scenarios {
 
-SweepGrid::AxisValue side_axis_value(int side) {
-  return {std::to_string(side), [side](ExperimentConfig& config) {
-            config.topology = wsn::TopologySpec::grid(side);
-          }};
+std::vector<SweepGrid::AxisValue> side_axis(const std::vector<int>& sides) {
+  std::vector<SweepGrid::AxisValue> values;
+  values.reserve(sides.size());
+  for (const int side : sides) {
+    values.push_back({std::to_string(side), [side](ExperimentConfig& config) {
+                        config.topology = wsn::TopologySpec::grid(side);
+                      }});
+  }
+  return values;
 }
 
 std::vector<SweepGrid::AxisValue> protocol_pair_axis() {
@@ -22,6 +27,21 @@ std::vector<SweepGrid::AxisValue> protocol_pair_axis() {
           {to_string(ProtocolKind::kSlpDas), [](ExperimentConfig& config) {
              config.protocol = ProtocolKind::kSlpDas;
            }}};
+}
+
+std::vector<PairedRow> paired_rows(const SweepJson& document,
+                                   const std::string& row_axis) {
+  std::vector<PairedRow> rows;
+  for (std::string& value : axis_values(document, row_axis)) {
+    const SweepJsonCell& base = require_cell(
+        document, {{row_axis, value},
+                   {"protocol", to_string(ProtocolKind::kProtectionlessDas)}});
+    const SweepJsonCell& slp = require_cell(
+        document,
+        {{row_axis, value}, {"protocol", to_string(ProtocolKind::kSlpDas)}});
+    rows.push_back({std::move(value), base, slp});
+  }
+  return rows;
 }
 
 double reduction(double base_ratio, double slp_ratio) {

@@ -25,14 +25,29 @@ void register_perf(ScenarioRegistry& registry);
 void register_scaling(ScenarioRegistry& registry);
 void register_custom(ScenarioRegistry& registry);
 
-/// A "side" axis value: label fragment is the decimal side, the mutator
-/// installs the matching square-grid spec.
-[[nodiscard]] SweepGrid::AxisValue side_axis_value(int side);
+/// The "side" axis over `sides`: each value's label fragment is the
+/// decimal side, its mutator installs the matching square-grid spec.
+[[nodiscard]] std::vector<SweepGrid::AxisValue> side_axis(
+    const std::vector<int>& sides);
 
 /// The protectionless-vs-SLP protocol pair. Added with `seeded = false`
 /// wherever both protocols should face identical per-run seed streams
 /// (common random numbers), which keeps "reduction" columns low-variance.
 [[nodiscard]] std::vector<SweepGrid::AxisValue> protocol_pair_axis();
+
+/// One row of a protectionless-vs-SLP report: a value of the row axis and
+/// the two protocol cells that share it.
+struct PairedRow {
+  std::string value;
+  const SweepJsonCell& base;  ///< protectionless DAS
+  const SweepJsonCell& slp;   ///< SLP DAS
+};
+
+/// The rows of a document swept over `row_axis` x protocol_pair_axis(),
+/// in grid order. Cells are found by coordinates, so a reordering of the
+/// grid axes fails loudly (require_cell) instead of mispairing.
+[[nodiscard]] std::vector<PairedRow> paired_rows(const SweepJson& document,
+                                                 const std::string& row_axis);
 
 /// 1 - slp/base when base > 0, else 0 — the paper's reduction factor.
 [[nodiscard]] double reduction(double base_ratio, double slp_ratio);

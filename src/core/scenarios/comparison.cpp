@@ -41,7 +41,6 @@ const ProtocolRow kRows[] = {
 std::vector<SweepCell> make_cells(const ScenarioOptions& options) {
   ExperimentConfig base;
   base.radio = RadioKind::kCasinoLab;
-  base.runs = resolved_runs(options, 150);
   base.check_schedules = false;
 
   std::vector<SweepGrid::AxisValue> protocol_values;
@@ -52,7 +51,7 @@ std::vector<SweepCell> make_cells(const ScenarioOptions& options) {
                                }});
   }
   SweepGrid grid(base);
-  grid.axis("side", {side_axis_value(options.smoke ? 7 : 11)});
+  grid.axis("side", side_axis({options.smoke ? 7 : 11}));
   // Unseeded: every protocol faces identical per-run seed streams (common
   // random numbers), so the rows are directly comparable.
   grid.axis("protocol", std::move(protocol_values), /*seeded=*/false);
@@ -70,8 +69,8 @@ int report(std::ostream& out, const SweepJson& document,
   Table table({"protocol", "capture ratio", "data msgs/node", "delivery",
                "latency"});
   for (const ProtocolRow& row : kRows) {
-    const SweepJsonCell& cell = require_cell(
-        document, "side=" + side + "/protocol=" + std::string(row.value));
+    const SweepJsonCell& cell =
+        require_cell(document, {{"side", side}, {"protocol", row.value}});
     table.add_row({row.display, Table::percent_cell(cell.capture_ratio),
                    Table::cell(cell.normal_messages_per_node.mean, 1),
                    Table::percent_cell(cell.delivery_ratio.mean),

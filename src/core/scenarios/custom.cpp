@@ -99,7 +99,6 @@ const CustomKey kCustomKeys[] = {
 std::vector<SweepCell> make_custom_cells(const ScenarioOptions& options) {
   ExperimentConfig base;
   base.radio = RadioKind::kCasinoLab;
-  base.runs = resolved_runs(options, 20);
   base.check_schedules = false;
 
   // Group --set values by key, keeping both the keys' and the values'

@@ -8,7 +8,6 @@
 // capture ratios Figure 5 plots plus the aggregate reduction factor
 // backing the paper's "reduces the capture ratio by 50%" headline.
 #include <ostream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,18 +31,13 @@ std::vector<SweepCell> make_fig5_cells(const ScenarioOptions& options,
   base.parameters = Parameters{};  // Table I defaults
   base.parameters.search_distance = sd;
   base.radio = RadioKind::kCasinoLab;
-  base.runs = resolved_runs(options, 100);
   base.check_schedules = false;  // measured by tests; skip for speed
 
   SweepGrid grid(base);
   // SD rides along as a single-value axis so the document records which
   // search distance produced it — `slpdas_bench report` must not guess.
   grid.axis("sd", {{std::to_string(sd), nullptr}});
-  std::vector<SweepGrid::AxisValue> side_values;
-  for (const int side : sides) {
-    side_values.push_back(side_axis_value(side));
-  }
-  grid.axis("side", std::move(side_values));
+  grid.axis("side", side_axis(sides));
   // The protocol axis stays out of seed derivation: protectionless and
   // SLP DAS see identical per-run seed streams per side (common random
   // numbers), which keeps the "reduction" column low-variance.
@@ -63,33 +57,11 @@ int report_fig5(std::ostream& out, const SweepJson& document,
       << ": capture ratio vs network size (SD = " << sd << ", " << runs
       << " runs per point, casino-lab noise)\n\n";
 
-  // Cells are looked up by coordinates rather than position, so a
-  // reordering of the grid axes fails loudly instead of mispairing.
-  const auto cell_for = [&document](const std::string& side,
-                                    ProtocolKind protocol)
-      -> const SweepJsonCell& {
-    for (const SweepJsonCell& cell : document.cells) {
-      const std::string* cell_side = cell.coordinate("side");
-      const std::string* cell_protocol = cell.coordinate("protocol");
-      if (cell_side != nullptr && *cell_side == side &&
-          cell_protocol != nullptr && *cell_protocol == to_string(protocol)) {
-        return cell;
-      }
-    }
-    throw std::runtime_error("fig5 document '" + document.name +
-                             "' is missing cell side=" + side +
-                             " protocol=" + to_string(protocol) +
-                             " (unmerged shard?)");
-  };
-
   Table table({"network size", "protectionless DAS", "SLP DAS", "reduction",
                "base 95% CI", "slp 95% CI"});
   double base_total = 0.0;
   double slp_total = 0.0;
-  for (const std::string& side : axis_values(document, "side")) {
-    const SweepJsonCell& base =
-        cell_for(side, ProtocolKind::kProtectionlessDas);
-    const SweepJsonCell& slp = cell_for(side, ProtocolKind::kSlpDas);
+  for (const auto& [side, base, slp] : paired_rows(document, "side")) {
     base_total += base.capture_ratio;
     slp_total += slp.capture_ratio;
     table.add_row(

@@ -34,16 +34,11 @@ namespace {
 std::vector<SweepCell> make_perf_sim_cells(const ScenarioOptions& options) {
   ExperimentConfig base;
   base.radio = RadioKind::kCasinoLab;
-  base.runs = resolved_runs(options, 20);
   base.check_schedules = false;
 
   SweepGrid grid(base);
-  std::vector<SweepGrid::AxisValue> side_values;
-  for (const int side : options.smoke ? std::vector<int>{7}
-                                      : std::vector<int>{11, 15, 21}) {
-    side_values.push_back(side_axis_value(side));
-  }
-  grid.axis("side", std::move(side_values));
+  grid.axis("side", side_axis(options.smoke ? std::vector<int>{7}
+                                            : std::vector<int>{11, 15, 21}));
   grid.axis("protocol", protocol_pair_axis());
   return grid.expand();
 }
@@ -107,16 +102,11 @@ std::vector<SweepCell> make_perf_verify_cells(const ScenarioOptions& options) {
   ExperimentConfig base;
   base.protocol = ProtocolKind::kProtectionlessDas;
   base.radio = RadioKind::kCasinoLab;
-  base.runs = resolved_runs(options, 10);
   base.check_schedules = true;  // time full runs WITH the Def 1-3 checkers
 
   SweepGrid grid(base);
-  std::vector<SweepGrid::AxisValue> side_values;
-  for (const int side : options.smoke ? std::vector<int>{7}
-                                      : std::vector<int>{11, 15}) {
-    side_values.push_back(side_axis_value(side));
-  }
-  grid.axis("side", std::move(side_values));
+  grid.axis("side", side_axis(options.smoke ? std::vector<int>{7}
+                                            : std::vector<int>{11, 15}));
   return grid.expand();
 }
 
@@ -211,7 +201,7 @@ void register_perf(ScenarioRegistry& registry) {
   {
     Scenario scenario;
     scenario.name = "perf_sim";
-    scenario.reference = "DESIGN.md section 2 (simulator substrate)";
+    scenario.reference = "README, Simulator internals";
     scenario.summary = "simulator throughput: runs/sec and events/sec";
     scenario.default_runs = 20;
     scenario.default_seed = 101;

@@ -24,7 +24,6 @@ std::vector<SweepCell> make_scal_grid_cells(const ScenarioOptions& options) {
   base.protocol = ProtocolKind::kSlpDas;
   base.parameters = Parameters{};  // Table I defaults
   base.radio = RadioKind::kCasinoLab;
-  base.runs = resolved_runs(options, 20);
   base.check_schedules = false;
   // base.attacker stays the default (1,0,1)-first-heard classic attacker.
 
@@ -38,12 +37,7 @@ std::vector<SweepCell> make_scal_grid_cells(const ScenarioOptions& options) {
   }
 
   SweepGrid grid(base);
-  std::vector<SweepGrid::AxisValue> side_values;
-  side_values.reserve(sides.size());
-  for (const int side : sides) {
-    side_values.push_back(side_axis_value(side));
-  }
-  grid.axis("side", std::move(side_values));
+  grid.axis("side", side_axis(sides));
   return grid.expand();
 }
 

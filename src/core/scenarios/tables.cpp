@@ -29,16 +29,11 @@ std::vector<SweepCell> make_table1_cells(const ScenarioOptions& options) {
   ExperimentConfig base;
   base.protocol = ProtocolKind::kProtectionlessDas;
   base.radio = RadioKind::kIdeal;  // deterministic setup validity check
-  base.runs = resolved_runs(options, 1);
   base.check_schedules = true;
 
   SweepGrid grid(base);
-  std::vector<SweepGrid::AxisValue> side_values;
-  for (const int side : options.smoke ? std::vector<int>{7}
-                                      : std::vector<int>{11, 15, 21}) {
-    side_values.push_back(side_axis_value(side));
-  }
-  grid.axis("side", std::move(side_values));
+  grid.axis("side", side_axis(options.smoke ? std::vector<int>{7}
+                                            : std::vector<int>{11, 15, 21}));
   return grid.expand();
 }
 
@@ -126,16 +121,11 @@ int report_table1(std::ostream& out, const SweepJson& document,
 std::vector<SweepCell> make_overhead_cells(const ScenarioOptions& options) {
   ExperimentConfig base;
   base.radio = RadioKind::kCasinoLab;
-  base.runs = resolved_runs(options, 40);
   base.check_schedules = false;
 
   SweepGrid grid(base);
-  std::vector<SweepGrid::AxisValue> side_values;
-  for (const int side : options.smoke ? std::vector<int>{7}
-                                      : std::vector<int>{11, 15, 21}) {
-    side_values.push_back(side_axis_value(side));
-  }
-  grid.axis("side", std::move(side_values));
+  grid.axis("side", side_axis(options.smoke ? std::vector<int>{7}
+                                            : std::vector<int>{11, 15, 21}));
   grid.axis("protocol", protocol_pair_axis(), /*seeded=*/false);
   return grid.expand();
 }
@@ -150,13 +140,7 @@ int report_overhead(std::ostream& out, const SweepJson& document,
                "extra msgs/node", "base total/node", "slp total/node",
                "total overhead"});
   double worst_overhead = 0.0;
-  for (const std::string& side : axis_values(document, "side")) {
-    const SweepJsonCell& base = require_cell(
-        document, "side=" + side + "/protocol=" +
-                      to_string(ProtocolKind::kProtectionlessDas));
-    const SweepJsonCell& slp = require_cell(
-        document,
-        "side=" + side + "/protocol=" + to_string(ProtocolKind::kSlpDas));
+  for (const auto& [side, base, slp] : paired_rows(document, "side")) {
     const double base_ctrl = base.control_messages_per_node.mean;
     const double slp_ctrl = slp.control_messages_per_node.mean;
     const double base_total = base_ctrl + base.normal_messages_per_node.mean;

@@ -686,15 +686,6 @@ const std::string* SweepJsonCell::coordinate(std::string_view name) const {
   return nullptr;
 }
 
-const SweepJsonCell* SweepJson::find_cell(std::string_view label) const {
-  for (const SweepJsonCell& cell : cells) {
-    if (cell.label == label) {
-      return &cell;
-    }
-  }
-  return nullptr;
-}
-
 SweepJson to_sweep_json(const SweepResult& result, std::string_view name) {
   SweepJson document;
   document.schema = std::string(kSchemaV2);

@@ -144,7 +144,7 @@ TEST(RunBatchTest, ForkMatchesColdConstructionForEveryScenario) {
   for (const Scenario& scenario : registry.scenarios()) {
     SCOPED_TRACE(scenario.name);
     const std::vector<SweepCell> cells =
-        scenario.make_cells(scenario_options);
+        scenario.cells(scenario_options);
     ASSERT_FALSE(cells.empty());
     const std::uint64_t base_seed = scenario.resolved_seed(scenario_options);
 

@@ -1,5 +1,5 @@
 // Tests for the radio reception models, including the synthetic
-// casino-lab noise process (see DESIGN.md section 2 for the substitution).
+// casino-lab noise process (sim/radio.hpp describes the substitution).
 #include "slpdas/sim/radio.hpp"
 
 #include <gtest/gtest.h>

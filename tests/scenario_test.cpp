@@ -5,6 +5,7 @@
 #include "slpdas/core/scenario.hpp"
 
 #include <algorithm>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -67,12 +68,30 @@ TEST(ScenarioRegistryTest, RejectsBadRegistrations) {
 }
 
 TEST(ScenarioOptionsTest, RunsResolveExplicitOverSmokeOverDefault) {
+  // Scenario::cells is the one place a cell's run count is set: whatever
+  // make_cells leaves in config.runs is overwritten.
+  Scenario runs = dummy_scenario("runs");
+  runs.default_runs = 100;
+  runs.make_cells = [](const ScenarioOptions&) {
+    ExperimentConfig config;
+    config.runs = 3;
+    SweepGrid grid(config);
+    grid.axis("cell", {{"0", nullptr}, {"1", nullptr}});
+    return grid.expand();
+  };
+  const auto resolved = [&runs](const ScenarioOptions& options) {
+    std::vector<int> counts;
+    for (const SweepCell& cell : runs.cells(options)) {
+      counts.push_back(cell.config.runs);
+    }
+    return counts;
+  };
   ScenarioOptions options;
-  EXPECT_EQ(resolved_runs(options, 100), 100);
+  EXPECT_EQ(resolved(options), (std::vector<int>{100, 100}));
   options.smoke = true;
-  EXPECT_EQ(resolved_runs(options, 100), 1);
+  EXPECT_EQ(resolved(options), (std::vector<int>{1, 1}));
   options.runs = 7;
-  EXPECT_EQ(resolved_runs(options, 100), 7);
+  EXPECT_EQ(resolved(options), (std::vector<int>{7, 7}));
 
   Scenario scenario = dummy_scenario("seeded");
   scenario.default_seed = 2017;
@@ -96,7 +115,7 @@ TEST(ScenarioSmokeTest, EveryBuiltinRunsEndToEndAndEmitsValidJson) {
     SCOPED_TRACE(scenario.name);
 
     // Smoke grids are non-empty, single-run, and label-unique.
-    const std::vector<SweepCell> cells = scenario.make_cells(options);
+    const std::vector<SweepCell> cells = scenario.cells(options);
     ASSERT_FALSE(cells.empty());
     std::set<std::string> labels;
     for (const SweepCell& cell : cells) {
@@ -403,15 +422,63 @@ TEST(ScenarioReportTest, MixedCachedAndComputedPerfCellsRenderDashes) {
   }
 }
 
-TEST(ScenarioReportTest, RequireCellNamesTheMissingLabel) {
+TEST(ScenarioReportTest, EveryReportMatchesTheGolden) {
+  // Every report's text, rendered from its --runs 1 --deterministic
+  // document after a write/read round trip, against a committed golden.
+  // perf_verify is left out: its report wall-clocks the verifier. On a
+  // mismatch the rendered text is written out, so the change shows as a
+  // diff against tests/golden/scenario_reports.txt.
+  ScenarioRegistry registry;
+  register_builtin_scenarios(registry);
+  ScenarioOptions options;
+  options.runs = 1;
+  ScenarioExecution execution;
+  execution.deterministic_timing = true;
+  ThreadPool pool(2);
+
+  std::ostringstream rendered;
+  for (const Scenario& scenario : registry.scenarios()) {
+    if (scenario.name == "perf_verify") {
+      continue;
+    }
+    std::stringstream stream;
+    write_sweep_json(stream, run_scenario(scenario, options, execution, pool));
+    const SweepJson reparsed = read_sweep_json(stream);
+    std::ostringstream report;
+    const int code = scenario.report(report, reparsed, options);
+    rendered << "=== " << scenario.name << " (exit " << code << ")\n"
+             << report.str() << '\n';
+  }
+
+  const std::string golden_path =
+      std::string(SLPDAS_GOLDEN_DIR) + "/scenario_reports.txt";
+  std::ostringstream golden;
+  golden << std::ifstream(golden_path, std::ios::binary).rdbuf();
+  if (rendered.str() != golden.str()) {
+    const std::string actual = ::testing::TempDir() + "scenario_reports.txt";
+    std::ofstream(actual, std::ios::binary) << rendered.str();
+    FAIL() << "reports differ from " << golden_path << "; rendered: "
+           << actual;
+  }
+}
+
+TEST(ScenarioReportTest, RequireCellNamesTheMissingCoordinates) {
+  // A document holding side=99 for the other protocol only: each wanted
+  // coordinate matches some cell, but no one cell matches both.
   SweepJson document;
   document.name = "fig5a";
+  SweepJsonCell cell;
+  cell.coordinates = {{"side", "99"}, {"protocol", "protectionless-das"}};
+  document.cells.push_back(cell);
+  EXPECT_EQ(&require_cell(document, {{"side", "99"}}), &document.cells[0]);
   try {
-    (void)require_cell(document, "side=99/protocol=slp-das");
+    (void)require_cell(document, {{"side", "99"}, {"protocol", "slp-das"}});
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("side=99/protocol=slp-das"),
-              std::string::npos);
+    const std::string what = error.what();
+    EXPECT_NE(what.find("'fig5a'"), std::string::npos) << what;
+    EXPECT_NE(what.find("side=99 protocol=slp-das"), std::string::npos)
+        << what;
   }
 }
 

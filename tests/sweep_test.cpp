@@ -736,7 +736,8 @@ TEST(GoldenFingerprintTest, EveryDecisionFunctionIsByteStable) {
 TEST(GoldenFingerprintTest, BuiltinScenarioGridsAreStable) {
   // hash_sweep_grid is a pure function of labels, seed labels and run
   // counts: these pins make any accidental edit of the published grids
-  // (axis values, run counts, cell order) fail loudly.
+  // (axis values, run counts, cell order) fail loudly, for every
+  // registered scenario.
   ScenarioRegistry registry;
   register_builtin_scenarios(registry);
   const ScenarioOptions defaults;
@@ -749,15 +750,26 @@ TEST(GoldenFingerprintTest, BuiltinScenarioGridsAreStable) {
   } kExpected[] = {
       {"fig5a", 0x5fac2a7b22a1559eULL, 0xc8d00cbfeff20f42ULL},
       {"fig5b", 0x002a88a5fe1b8222ULL, 0x806429abca4b85a6ULL},
+      {"cmp_phantom", 0x183568ab2851a735ULL, 0xa4f9992683e6069aULL},
+      {"abl_noise", 0x631b7f613fae5610ULL, 0x940f2a5066861ca5ULL},
+      {"abl_attacker", 0x9808f9168d0bcac3ULL, 0x07f251f2c827ce3fULL},
+      {"abl_safety", 0x346083cfd3388db4ULL, 0x30cbe208ee5cf6deULL},
+      {"abl_schedulers", 0x3fdf061e59f31affULL, 0x69545bb5124c328dULL},
+      {"table1", 0x75bc30645cae4631ULL, 0x69545bb5124c328dULL},
+      {"message_overhead", 0xd3a6adb836cb1f80ULL, 0xd95fa185d8def65cULL},
       {"perf_sim", 0x8cd7e075782f686fULL, 0x08cc739a1a98e897ULL},
+      {"perf_verify", 0x4e0b77f3247507cdULL, 0x69545bb5124c328dULL},
+      {"scal_grid", 0x654a91a788372d1dULL, 0x7c52d94e18c97bddULL},
+      {"custom", 0x36846ffce9ad7886ULL, 0xbae69f6c4f5eace6ULL},
   };
+  ASSERT_EQ(registry.scenarios().size(), std::size(kExpected));
   for (const auto& expected : kExpected) {
     SCOPED_TRACE(expected.name);
     const Scenario* scenario = registry.find(expected.name);
     ASSERT_NE(scenario, nullptr);
-    EXPECT_EQ(hash_sweep_grid(scenario->make_cells(defaults)),
+    EXPECT_EQ(hash_sweep_grid(scenario->cells(defaults)),
               expected.default_hash);
-    EXPECT_EQ(hash_sweep_grid(scenario->make_cells(smoke)),
+    EXPECT_EQ(hash_sweep_grid(scenario->cells(smoke)),
               expected.smoke_hash);
   }
 }
