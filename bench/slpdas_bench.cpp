@@ -704,27 +704,13 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    // Strict whole-token parses (std::from_chars under the hood): reject
-    // leading whitespace, signs-for-unsigned, trailing garbage and
-    // out-of-range values instead of silently truncating them into a
-    // different experiment — and never consult the process locale.
-    const auto next_int = [&](const char* flag) {
-      const std::string value = next_value(flag);
-      const std::optional<int> parsed = detail::parse_int_token(value);
-      if (!parsed) {
-        throw std::invalid_argument("expected integer, got '" + value + "'");
-      }
-      return *parsed;
-    };
-    const auto next_u64 = [&](const char* flag) {
-      const std::string value = next_value(flag);
-      const std::optional<std::uint64_t> parsed =
-          detail::parse_u64_token(value);
-      if (!parsed) {
-        throw std::invalid_argument("expected unsigned integer, got '" +
-                                    value + "'");
-      }
-      return *parsed;
+    // Numeric flags go through the spec reader: a strict whole-token,
+    // locale-free parse, so leading whitespace, trailing garbage and
+    // out-of-range values are refused instead of silently truncated into
+    // a different experiment.
+    const detail::SpecReader flags({}, {});
+    const auto next_int = [&](const char* flag, int minimum) {
+      return flags.read_int(flag, next_value(flag), minimum);
     };
     try {
       if (arg == "--help" || arg == "-h") {
@@ -734,19 +720,12 @@ int main(int argc, char** argv) {
       } else if (arg == "--all") {
         options.all = true;
       } else if (arg == "--runs") {
-        options.scenario.runs = next_int("--runs");
-        if (options.scenario.runs < 0) {
-          std::cerr << "--runs must be >= 0 (0 = scenario default)\n";
-          return 2;
-        }
+        options.scenario.runs = next_int("--runs", 0);
       } else if (arg == "--seed") {
-        options.scenario.base_seed = next_u64("--seed");
+        options.scenario.base_seed =
+            flags.read_u64("--seed", next_value("--seed"));
       } else if (arg == "--sd") {
-        options.scenario.search_distance = next_int("--sd");
-        if (options.scenario.search_distance < 0) {
-          std::cerr << "--sd must be >= 0 (0 = scenario default)\n";
-          return 2;
-        }
+        options.scenario.search_distance = next_int("--sd", 0);
       } else if (arg == "--set") {
         const std::string value = next_value("--set");
         const std::size_t eq = value.find('=');
@@ -758,11 +737,7 @@ int main(int argc, char** argv) {
         options.scenario.sets.emplace_back(value.substr(0, eq),
                                            value.substr(eq + 1));
       } else if (arg == "--threads") {
-        options.threads = next_int("--threads");
-        if (options.threads < 0) {
-          std::cerr << "--threads must be >= 0 (0 = hardware concurrency)\n";
-          return 2;
-        }
+        options.threads = next_int("--threads", 0);
       } else if (arg == "--smoke") {
         options.scenario.smoke = true;
       } else if (arg == "--progress") {
@@ -778,63 +753,39 @@ int main(int argc, char** argv) {
       } else if (arg == "--cache-readonly") {
         options.cache_readonly = true;
       } else if (arg == "--workers") {
-        options.workers = next_int("--workers");
-        if (options.workers < 1) {
-          std::cerr << "--workers must be >= 1\n";
-          return 2;
-        }
+        options.workers = next_int("--workers", 1);
       } else if (arg == "--worker-threads") {
-        options.worker_threads = next_int("--worker-threads");
-        if (options.worker_threads < 1) {
-          std::cerr << "--worker-threads must be >= 1\n";
-          return 2;
-        }
+        options.worker_threads = next_int("--worker-threads", 1);
       } else if (arg == "--fleet-dir") {
         options.fleet_dir = next_value("--fleet-dir");
       } else if (arg == "--worker-name") {
         options.worker_name = next_value("--worker-name");
       } else if (arg == "--heartbeat-ms") {
-        options.heartbeat_ms = next_int("--heartbeat-ms");
-        if (options.heartbeat_ms < 1) {
-          std::cerr << "--heartbeat-ms must be >= 1\n";
-          return 2;
-        }
+        options.heartbeat_ms = next_int("--heartbeat-ms", 1);
       } else if (arg == "--fail-on-drift") {
         options.fail_on_drift = true;
       } else if (arg == "--baseline") {
         options.trend_baseline = next_value("--baseline");
       } else if (arg == "--min-ratio") {
-        const std::string value = next_value("--min-ratio");
-        const std::optional<double> parsed =
-            detail::parse_double_token(value);
-        if (!parsed || !(*parsed > 0.0) || !(*parsed <= 1.0)) {
-          std::cerr << "--min-ratio expects a fraction in (0, 1]\n";
-          return 2;
-        }
-        options.trend_min_ratio = *parsed;
+        options.trend_min_ratio =
+            flags.read_double("--min-ratio", next_value("--min-ratio"),
+                              detail::Interval{0.0, 1.0, true, false});
       } else if (arg == "--deterministic") {
         options.deterministic = true;
       } else if (arg == "--shard") {
-        const std::string value = next_value("--shard");
-        const std::size_t slash = value.find('/');
-        if (slash == std::string::npos) {
-          std::cerr << "--shard expects I/N, e.g. 0/4\n";
-          return 2;
-        }
         // Same strictness as the other numeric flags: a typo must not
         // silently run the wrong shard of an hours-long sweep.
-        const std::optional<int> index =
-            detail::parse_int_token(value.substr(0, slash));
-        const std::optional<int> count =
-            detail::parse_int_token(value.substr(slash + 1));
-        if (!index || !count || *count < 1 || *index < 0 ||
-            *index >= *count) {
-          std::cerr << "--shard " << value
-                    << " is malformed or out of range (expects I/N)\n";
-          return 2;
+        const std::string value = next_value("--shard");
+        const detail::SpecReader shard("--shard", value);
+        const auto [index, count] = detail::SpecReader::split(value, '/');
+        if (!count) {
+          shard.fail("expected I/N, e.g. 0/4");
         }
-        options.shard_index = *index;
-        options.shard_count = *count;
+        options.shard_count = shard.read_int("N", *count, 1);
+        options.shard_index = shard.read_int("I", index, 0);
+        if (options.shard_index >= options.shard_count) {
+          shard.fail("I must be < N");
+        }
       } else if (!arg.empty() && arg.front() == '-') {
         std::cerr << "unknown argument " << arg << '\n';
         return usage(std::cerr, 2);

@@ -57,7 +57,8 @@ struct AttackerSpec {
 
   /// Parses "R=..,H=..,M=..,D=.." (any subset, any order; R, M >= 1,
   /// H >= 0; D is one of first-heard, min-slot, history-avoiding,
-  /// random). Throws std::invalid_argument naming the bad key or value.
+  /// random; each key at most once). Throws std::invalid_argument naming
+  /// the bad key or value.
   [[nodiscard]] static AttackerSpec parse(std::string_view text);
   /// Canonical spec string, e.g. "R=1,H=0,M=1,D=first-heard".
   [[nodiscard]] std::string to_spec() const;
@@ -152,8 +153,9 @@ void apply_protocol_spec(std::string_view text, ExperimentConfig& config);
 [[nodiscard]] std::string format_radio_spec(RadioKind kind,
                                             double loss_probability);
 
-/// Parses "ideal", "casino-lab", "lossy" or "lossy:p=0.08" and applies it
-/// to the config. Throws std::invalid_argument listing the valid names.
+/// Parses "ideal", "casino-lab", "lossy" or "lossy:p=0.08" (p in [0, 1],
+/// never NaN) and applies it to the config. Throws std::invalid_argument
+/// listing the valid names.
 void apply_radio_spec(std::string_view text, ExperimentConfig& config);
 
 /// Builds a fresh instance of the radio model `config` selects (radio

@@ -8,11 +8,17 @@
 // the paper uses 1.5):  delta = Cs * C.
 #pragma once
 
+#include "slpdas/detail/spec_format.hpp"
 #include "slpdas/mac/frame.hpp"
 #include "slpdas/sim/time.hpp"
 #include "slpdas/wsn/graph.hpp"
 
 namespace slpdas::verify {
+
+/// Equation 1's admissible safety factors, 1 < Cs < 2: the one bound that
+/// compute_safety_period and every Cs reader (the custom scenario's
+/// `--set cs`, report labels) check.
+inline constexpr detail::Interval kSafetyFactorRange{1.0, 2.0, true, true};
 
 struct SafetyPeriod {
   int source_sink_distance = 0;  ///< Delta_ss (hops)
@@ -27,7 +33,7 @@ struct SafetyPeriod {
 
 /// Computes the safety period for `source` monitored through `sink` in
 /// `graph`. Throws std::invalid_argument if the two are disconnected or
-/// `factor` is outside (1, 2) — Equation 1 requires 1 < Cs < 2.
+/// `factor` is outside kSafetyFactorRange.
 [[nodiscard]] SafetyPeriod compute_safety_period(const wsn::Graph& graph,
                                                  wsn::NodeId source,
                                                  wsn::NodeId sink,

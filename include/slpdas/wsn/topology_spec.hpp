@@ -55,10 +55,10 @@ struct TopologySpec {
   static constexpr std::int64_t kMaxNodes = 1'000'000;
 
   /// Parses the canonical grammar above. Throws std::invalid_argument
-  /// naming the offending token (unknown kind, bad key, zero side, even
-  /// square side, a node count above kMaxNodes, ...) — the same
-  /// validation build() applies, so a spec that parses also builds
-  /// (unit-disk connectivity aside).
+  /// naming the offending token (unknown or repeated key, zero side, even
+  /// square side, a non-finite number, a node count above kMaxNodes,
+  /// ...) — the same validation build() applies, so a spec that parses
+  /// also builds (unit-disk connectivity aside).
   [[nodiscard]] static TopologySpec parse(std::string_view text);
 
   /// Canonical string form; parse(to_string()) reproduces this spec.

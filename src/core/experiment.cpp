@@ -1,6 +1,7 @@
 #include "slpdas/core/experiment.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -46,67 +47,35 @@ attacker::AttackerParams AttackerSpec::build(wsn::NodeId start) const {
   return params;
 }
 
-namespace {
-
-/// Parses the value of key R, H or M: an integer >= `minimum`.
-int parse_spec_int(std::string_view spec, std::string_view key,
-                   std::string_view token, int minimum) {
-  const std::optional<int> value = detail::parse_int_token(token);
-  if (!value || *value < minimum) {
-    throw std::invalid_argument(
-        "attacker spec '" + std::string(spec) + "': " + std::string(key) +
-        " must be an integer >= " + std::to_string(minimum) + ", got '" +
-        std::string(token) + "'");
-  }
-  return *value;
-}
-
-}  // namespace
-
 AttackerSpec AttackerSpec::parse(std::string_view text) {
+  const detail::SpecReader reader("attacker spec", text);
+  const auto [r, h, m, d] = reader.fields(text, {"R", "H", "M", "D"});
+  // The same bounds as attacker::AttackerParams::validate, so a bad spec
+  // is refused here rather than when a cell first runs.
   AttackerSpec spec;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = std::min(text.find(',', start), text.size());
-    const std::string_view item = text.substr(start, comma - start);
-    start = comma + 1;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string_view::npos) {
-      throw std::invalid_argument("attacker spec '" + std::string(text) +
-                                  "': expected key=value, got '" +
-                                  std::string(item) + "'");
-    }
-    const std::string_view key = item.substr(0, eq);
-    const std::string_view value = item.substr(eq + 1);
-    // The same bounds as attacker::AttackerParams::validate, so a bad
-    // spec is refused here rather than when a cell first runs.
-    if (key == "R") {
-      spec.messages_per_move = parse_spec_int(text, key, value, 1);
-    } else if (key == "H") {
-      spec.history_size = parse_spec_int(text, key, value, 0);
-    } else if (key == "M") {
-      spec.moves_per_period = parse_spec_int(text, key, value, 1);
-    } else if (key == "D") {
-      // '_' accepted for '-' (min_slot), like the protocol/radio specs.
-      const std::optional<attacker::Decision> decision =
-          attacker::parse_decision(detail::normalize_spec_name(value));
-      if (!decision) {
-        std::string valid;
-        for (const attacker::Decision d : attacker::kDecisions) {
-          valid += valid.empty() ? "" : ", ";
-          valid += attacker::to_string(d);
-        }
-        throw std::invalid_argument("attacker spec '" + std::string(text) +
-                                    "': unknown decision '" +
-                                    std::string(value) + "' (valid: " +
-                                    valid + ")");
+  if (r) {
+    spec.messages_per_move = reader.read_int("R", *r, 1);
+  }
+  if (h) {
+    spec.history_size = reader.read_int("H", *h, 0);
+  }
+  if (m) {
+    spec.moves_per_period = reader.read_int("M", *m, 1);
+  }
+  if (d) {
+    // '_' accepted for '-' (min_slot), like the protocol/radio specs.
+    const std::optional<attacker::Decision> decision =
+        attacker::parse_decision(detail::normalize_spec_name(*d));
+    if (!decision) {
+      std::string valid;
+      for (const attacker::Decision each : attacker::kDecisions) {
+        valid += valid.empty() ? "" : ", ";
+        valid += attacker::to_string(each);
       }
-      spec.decision = *decision;
-    } else {
-      throw std::invalid_argument("attacker spec '" + std::string(text) +
-                                  "': unknown key '" + std::string(key) +
-                                  "' (valid: R, H, M, D)");
+      reader.fail("D must be one of " + valid + ", got '" + std::string(*d) +
+                  "'");
     }
+    spec.decision = *decision;
   }
   return spec;
 }
@@ -144,45 +113,51 @@ std::string format_protocol_spec(ProtocolKind kind, int phantom_walk_length) {
   return out;
 }
 
+namespace {
+
+/// The one `name[:key=value]` reader behind the protocol and radio specs.
+/// `name` is one of `kinds` ('_' accepted for '-', slp_das, casino_lab);
+/// only `option_kind` takes an option, the single key `option_key`, whose
+/// value token goes to `read_option`.
+template <typename Kind, std::size_t N, typename ReadOption>
+Kind read_named_spec(std::string_view what, std::string_view text,
+                     const Kind (&kinds)[N], Kind option_kind,
+                     std::string_view option_key, ReadOption read_option) {
+  const detail::SpecReader reader(what, text);
+  const std::string normalised = detail::normalize_spec_name(text);
+  const auto [name, options] = detail::SpecReader::split(normalised);
+  const Kind* kind = std::find_if(
+      std::begin(kinds), std::end(kinds),
+      [name = name](Kind each) { return name == to_string(each); });
+  if (kind == std::end(kinds)) {
+    std::string valid;
+    for (const Kind each : kinds) {
+      valid.append(valid.empty() ? "" : ", ").append(to_string(each));
+    }
+    reader.fail("unknown name '" + std::string(name) + "' (valid: " + valid +
+                ")");
+  }
+  if (options) {
+    if (*kind != option_kind) {
+      reader.fail(std::string(to_string(*kind)) + " takes no option");
+    }
+    const auto [value] = reader.fields(*options, {option_key});
+    read_option(reader, *value);
+  }
+  return *kind;
+}
+
+}  // namespace
+
 void apply_protocol_spec(std::string_view text, ExperimentConfig& config) {
-  // '_' is accepted for '-' so shell-friendly names like slp_das work.
-  const std::string name = detail::normalize_spec_name(text);
-  std::string_view spec(name);
-  std::string_view option;
-  const std::size_t colon = spec.find(':');
-  if (colon != std::string_view::npos) {
-    option = spec.substr(colon + 1);
-    spec = spec.substr(0, colon);
-  }
-  if (spec == to_string(ProtocolKind::kProtectionlessDas)) {
-    config.protocol = ProtocolKind::kProtectionlessDas;
-  } else if (spec == to_string(ProtocolKind::kSlpDas)) {
-    config.protocol = ProtocolKind::kSlpDas;
-  } else if (spec == to_string(ProtocolKind::kPhantomRouting)) {
-    config.protocol = ProtocolKind::kPhantomRouting;
-  } else {
-    throw std::invalid_argument(
-        "protocol spec '" + std::string(text) +
-        "': unknown protocol (valid: protectionless-das, slp-das, "
-        "phantom-routing[:h=<walk length>])");
-  }
-  if (colon == std::string_view::npos) {
-    return;
-  }
-  constexpr std::string_view kWalkKey = "h=";
-  if (config.protocol != ProtocolKind::kPhantomRouting ||
-      option.substr(0, kWalkKey.size()) != kWalkKey) {
-    throw std::invalid_argument("protocol spec '" + std::string(text) +
-                                "': only phantom-routing takes an option, "
-                                "h=<walk length>");
-  }
-  const std::optional<int> walk =
-      detail::parse_int_token(option.substr(kWalkKey.size()));
-  if (!walk || *walk < 0) {
-    throw std::invalid_argument("protocol spec '" + std::string(text) +
-                                "': h must be a non-negative integer");
-  }
-  config.phantom_walk_length = *walk;
+  constexpr ProtocolKind kProtocols[] = {ProtocolKind::kProtectionlessDas,
+                                         ProtocolKind::kSlpDas,
+                                         ProtocolKind::kPhantomRouting};
+  config.protocol = read_named_spec(
+      "protocol spec", text, kProtocols, ProtocolKind::kPhantomRouting, "h",
+      [&config](const detail::SpecReader& reader, std::string_view token) {
+        config.phantom_walk_length = reader.read_int("h", token, 0);
+      });
 }
 
 std::string format_radio_spec(RadioKind kind, double loss_probability) {
@@ -193,44 +168,14 @@ std::string format_radio_spec(RadioKind kind, double loss_probability) {
 }
 
 void apply_radio_spec(std::string_view text, ExperimentConfig& config) {
-  // '_' accepted for '-' (casino_lab); the p= option has no underscores.
-  const std::string name = detail::normalize_spec_name(text);
-  std::string_view spec(name);
-  std::string_view option;
-  const std::size_t colon = spec.find(':');
-  if (colon != std::string_view::npos) {
-    option = spec.substr(colon + 1);
-    spec = spec.substr(0, colon);
-  }
-  if (spec == to_string(RadioKind::kIdeal)) {
-    config.radio = RadioKind::kIdeal;
-  } else if (spec == to_string(RadioKind::kCasinoLab)) {
-    config.radio = RadioKind::kCasinoLab;
-  } else if (spec == "lossy") {
-    config.radio = RadioKind::kLossy;
-  } else {
-    throw std::invalid_argument(
-        "radio spec '" + std::string(text) +
-        "': unknown radio (valid: ideal, lossy[:p=<probability>], "
-        "casino-lab)");
-  }
-  if (colon == std::string_view::npos) {
-    return;
-  }
-  constexpr std::string_view kLossKey = "p=";
-  if (config.radio != RadioKind::kLossy ||
-      option.substr(0, kLossKey.size()) != kLossKey) {
-    throw std::invalid_argument("radio spec '" + std::string(text) +
-                                "': only lossy takes an option, "
-                                "p=<loss probability>");
-  }
-  const std::optional<double> p =
-      detail::parse_double_token(option.substr(kLossKey.size()));
-  if (!p || *p < 0.0 || *p > 1.0) {
-    throw std::invalid_argument("radio spec '" + std::string(text) +
-                                "': p must be a probability in [0, 1]");
-  }
-  config.loss_probability = *p;
+  constexpr RadioKind kRadios[] = {RadioKind::kIdeal, RadioKind::kLossy,
+                                   RadioKind::kCasinoLab};
+  static constexpr detail::Interval kProbability{0.0, 1.0, false, false};
+  config.radio = read_named_spec(
+      "radio spec", text, kRadios, RadioKind::kLossy, "p",
+      [&config](const detail::SpecReader& reader, std::string_view token) {
+        config.loss_probability = reader.read_double("p", token, kProbability);
+      });
 }
 
 ExperimentResult aggregate_runs(const std::vector<RunResult>& runs,

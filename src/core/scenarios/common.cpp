@@ -1,10 +1,9 @@
 #include "common.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
 #include "slpdas/detail/spec_format.hpp"
+#include "slpdas/verify/safety_period.hpp"
 
 namespace slpdas::core::scenarios {
 
@@ -62,23 +61,13 @@ std::vector<std::string> axis_values(const SweepJson& document,
 }
 
 int parse_side_label(const std::string& label) {
-  const std::optional<int> side = slpdas::detail::parse_int_token(label);
-  if (!side.has_value() || *side < 1) {
-    throw std::invalid_argument(
-        "side label '" + label +
-        "' is not a positive integer (grid sides are 1, 2, 3, ...)");
-  }
-  return *side;
+  return slpdas::detail::SpecReader("side label", label)
+      .read_int("side", label, 1);
 }
 
 double parse_cs_label(const std::string& label) {
-  const std::optional<double> cs = slpdas::detail::parse_double_token(label);
-  if (!cs.has_value() || !std::isfinite(*cs) || *cs <= 0.0) {
-    throw std::invalid_argument("cs label '" + label +
-                                "' is not a positive safety factor "
-                                "(e.g. 1.5)");
-  }
-  return *cs;
+  return slpdas::detail::SpecReader("cs label", label)
+      .read_double("cs", label, verify::kSafetyFactorRange);
 }
 
 }  // namespace slpdas::core::scenarios

@@ -57,16 +57,12 @@ struct PairedRow {
 [[nodiscard]] std::vector<std::string> axis_values(const SweepJson& document,
                                                    const std::string& axis);
 
-/// Parses a "side" axis label into a positive grid side. Reports consume
-/// labels from reloaded/merged documents, so a hand-edited or corrupted
-/// coordinate like "-5" or "4x4" must fail loudly here — std::stoi would
-/// hand make_grid a negative or truncated side. Throws
-/// std::invalid_argument naming the bad label.
+/// Parses a "side" axis label into a positive grid side, and a "cs"
+/// label into a safety factor inside verify::kSafetyFactorRange. Reports
+/// consume labels from reloaded or merged documents, so a hand-edited or
+/// corrupted coordinate ("-5", "4x4", "nan") must fail loudly here: each
+/// throws std::invalid_argument naming the bad label.
 [[nodiscard]] int parse_side_label(const std::string& label);
-
-/// Parses a "cs" axis label into a positive safety factor (Eq. 1 input).
-/// Locale-free (std::from_chars); throws std::invalid_argument naming the
-/// bad label on garbage, non-finite, or non-positive values.
 [[nodiscard]] double parse_cs_label(const std::string& label);
 
 }  // namespace slpdas::core::scenarios

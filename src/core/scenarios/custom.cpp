@@ -13,7 +13,6 @@
 // do not depend on how a spec was spelled. The protocol axis is unseeded
 // (common random numbers), matching every built-in comparison scenario.
 #include <algorithm>
-#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -22,6 +21,7 @@
 #include "common.hpp"
 #include "slpdas/detail/spec_format.hpp"
 #include "slpdas/metrics/table.hpp"
+#include "slpdas/verify/safety_period.hpp"
 
 namespace slpdas::core::scenarios {
 
@@ -70,27 +70,23 @@ const CustomKey kCustomKeys[] = {
      }},
     {"sd",
      [](const std::string& value) -> SweepGrid::AxisValue {
-       const std::optional<int> sd = detail::parse_int_token(value);
-       if (!sd || *sd < 1) {
-         throw std::invalid_argument(
-             "custom scenario: --set sd=" + value +
-             " must be a positive integer search distance");
-       }
-       return {std::to_string(*sd), [sd = *sd](ExperimentConfig& config) {
+       const int sd =
+           detail::SpecReader("custom scenario --set sd", value)
+               .read_int("sd", value, 1);
+       return {std::to_string(sd), [sd](ExperimentConfig& config) {
                  config.parameters.search_distance = sd;
                }};
      }},
     {"cs",
      [](const std::string& value) -> SweepGrid::AxisValue {
-       const std::optional<double> cs = detail::parse_double_token(value);
-       if (!cs || !(*cs > 0.0)) {
-         throw std::invalid_argument("custom scenario: --set cs=" + value +
-                                     " must be a positive number");
-       }
+       // Eq. 1's bound, checked before any cell runs.
+       const double cs =
+           detail::SpecReader("custom scenario --set cs", value)
+               .read_double("cs", value, verify::kSafetyFactorRange);
        // Canonical label via shortest round-trip print ("1.50" -> "1.5"),
        // so spelling never splits one cell into two.
-       return {detail::format_double_shortest(*cs),
-               [cs = *cs](ExperimentConfig& config) {
+       return {detail::format_double_shortest(cs),
+               [cs](ExperimentConfig& config) {
                  config.parameters.safety_factor = cs;
                }};
      }},

@@ -9,9 +9,9 @@ namespace slpdas::verify {
 
 SafetyPeriod compute_safety_period(const wsn::Graph& graph, wsn::NodeId source,
                                    wsn::NodeId sink, double factor) {
-  if (factor <= 1.0 || factor >= 2.0) {
-    throw std::invalid_argument(
-        "compute_safety_period: Eq. 1 requires 1 < Cs < 2");
+  if (!kSafetyFactorRange.contains(factor)) {
+    throw std::invalid_argument("compute_safety_period: Eq. 1 requires Cs in " +
+                                kSafetyFactorRange.to_string());
   }
   const int distance = wsn::hop_distance(graph, source, sink);
   if (distance == wsn::kUnreachable) {

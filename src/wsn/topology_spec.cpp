@@ -2,7 +2,6 @@
 
 #include <optional>
 #include <stdexcept>
-#include <vector>
 
 #include "slpdas/detail/spec_format.hpp"
 
@@ -11,103 +10,46 @@ namespace slpdas::wsn {
 namespace {
 
 using detail::format_double_shortest;
-
-[[noreturn]] void reject(std::string_view text, const std::string& why) {
-  throw std::invalid_argument("topology spec '" + std::string(text) +
-                              "': " + why);
-}
-
-int parse_int(std::string_view text, std::string_view token) {
-  const std::optional<int> value = detail::parse_int_token(token);
-  if (!value) {
-    reject(text, "'" + std::string(token) + "' is not an integer");
-  }
-  return *value;
-}
-
-std::uint64_t parse_u64(std::string_view text, std::string_view token) {
-  const std::optional<std::uint64_t> value = detail::parse_u64_token(token);
-  if (!value) {
-    reject(text, "'" + std::string(token) + "' is not an unsigned integer");
-  }
-  return *value;
-}
-
-double parse_positive_double(std::string_view text, std::string_view token,
-                             std::string_view key) {
-  const std::optional<double> value = detail::parse_double_token(token);
-  if (!value) {
-    reject(text, "'" + std::string(token) + "' is not a number");
-  }
-  if (!(*value > 0.0)) {
-    reject(text, std::string(key) + " must be > 0, got '" +
-                     std::string(token) + "'");
-  }
-  return *value;
-}
-
-/// Splits "a:b:c" into segments (an empty segment is a grammar error the
-/// caller reports via the segment's use).
-std::vector<std::string_view> split(std::string_view text, char sep) {
-  std::vector<std::string_view> parts;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t at = text.find(sep, start);
-    if (at == std::string_view::npos) {
-      parts.push_back(text.substr(start));
-      return parts;
-    }
-    parts.push_back(text.substr(start, at - start));
-    start = at + 1;
-  }
-}
+using detail::kPositive;
 
 void validate(std::string_view text, const TopologySpec& spec) {
+  using Kind = TopologySpec::Kind;
+  const detail::SpecReader reader("topology spec", text);
   switch (spec.kind) {
-    case TopologySpec::Kind::kGrid:
-      if (spec.width < 1 || spec.height < 1) {
-        reject(text, "grid dimensions must be >= 1");
-      }
-      if (static_cast<std::int64_t>(spec.width) * spec.height < 2) {
-        reject(text, "grid needs at least 2 nodes (source != sink)");
-      }
-      if (!(spec.spacing > 0.0)) {
-        reject(text, "spacing must be > 0");
+    case Kind::kGrid:
+      if (spec.width < 1 || spec.height < 1 || spec.node_count() < 2) {
+        reader.fail("grid needs dimensions >= 1 and at least 2 nodes "
+                    "(source != sink)");
       }
       break;
-    case TopologySpec::Kind::kLine:
+    case Kind::kLine:
       if (spec.width < 2) {
-        reject(text, "line needs at least 2 nodes");
-      }
-      if (!(spec.spacing > 0.0)) {
-        reject(text, "spacing must be > 0");
+        reader.fail("line needs at least 2 nodes");
       }
       break;
-    case TopologySpec::Kind::kRing:
+    case Kind::kRing:
       if (spec.width < 3) {
-        reject(text, "ring needs at least 3 nodes");
-      }
-      if (!(spec.spacing > 0.0)) {
-        reject(text, "spacing must be > 0");
+        reader.fail("ring needs at least 3 nodes");
       }
       break;
-    case TopologySpec::Kind::kUnitDisk:
-      if (spec.width < 2) {
-        reject(text, "udisk needs n >= 2");
+    case Kind::kUnitDisk:
+      if (spec.width < 2 || spec.max_attempts < 1) {
+        reader.fail("udisk needs n >= 2 and attempts >= 1");
       }
-      if (!(spec.radio_range > 0.0) || !(spec.area_side > 0.0)) {
-        reject(text, "udisk r and area must be > 0");
-      }
-      if (spec.max_attempts < 1) {
-        reject(text, "udisk attempts must be >= 1");
+      if (!kPositive.contains(spec.radio_range) ||
+          !kPositive.contains(spec.area_side)) {
+        reader.fail("udisk r and area must be in " + kPositive.to_string());
       }
       break;
   }
+  if (spec.kind != Kind::kUnitDisk && !kPositive.contains(spec.spacing)) {
+    reader.fail("spacing must be in " + kPositive.to_string());
+  }
   if (spec.node_count() > TopologySpec::kMaxNodes) {
-    reject(text, std::to_string(spec.node_count()) +
-                     " nodes exceeds the ceiling of " +
-                     std::to_string(TopologySpec::kMaxNodes) +
-                     " (TopologySpec::kMaxNodes)");
+    reader.fail(std::to_string(spec.node_count()) +
+                " nodes exceeds the ceiling of " +
+                std::to_string(TopologySpec::kMaxNodes) +
+                " (TopologySpec::kMaxNodes)");
   }
 }
 
@@ -130,95 +72,70 @@ TopologySpec TopologySpec::grid(int side, double spacing) {
 }
 
 TopologySpec TopologySpec::parse(std::string_view text) {
-  const std::vector<std::string_view> segments = split(text, ':');
-  const std::string_view kind = segments[0];
+  const detail::SpecReader reader("topology spec", text);
+  const auto [kind, rest] = detail::SpecReader::split(text);
+  TopologySpec spec;
 
-  if (kind == "grid" || kind == "line" || kind == "ring") {
-    if (segments.size() < 2 || segments[1].empty()) {
-      reject(text, "expected '" + std::string(kind) + ":<size>'");
+  if (kind == "udisk") {
+    if (!rest) {
+      reader.fail("expected 'udisk:n=<count>,r=<range>[,area=][,seed=]"
+                  "[,attempts=]'");
     }
-    TopologySpec spec;
+    const auto [n, r, area, seed, attempts] =
+        reader.fields(*rest, {"n", "r", "area", "seed", "attempts"});
+    if (!n) {
+      reader.fail("udisk requires n=<node count>");
+    }
+    spec.kind = Kind::kUnitDisk;
+    spec.width = reader.read_int("n", *n, 2);
+    spec.height = 1;
+    if (r) {
+      spec.radio_range = reader.read_double("r", *r, kPositive);
+    }
+    if (area) {
+      spec.area_side = reader.read_double("area", *area, kPositive);
+    }
+    if (seed) {
+      spec.seed = reader.read_u64("seed", *seed);
+    }
+    if (attempts) {
+      spec.max_attempts = reader.read_int("attempts", *attempts, 1);
+    }
+  } else if (kind == "grid" || kind == "line" || kind == "ring") {
+    if (!rest || rest->empty()) {
+      reader.fail("expected '" + std::string(kind) + ":<size>'");
+    }
+    const auto [size, options] = detail::SpecReader::split(*rest);
     if (kind == "grid") {
       spec.kind = Kind::kGrid;
-      const std::size_t cross = segments[1].find('x');
-      if (cross == std::string_view::npos) {
+      const auto [width, height] = detail::SpecReader::split(size, 'x');
+      if (!height) {
         // Square form: the paper's evaluation grid, centre sink required.
-        const int side = parse_int(text, segments[1]);
-        if (side < 3 || side % 2 == 0) {
-          reject(text,
-                 "square grid side must be odd and >= 3 so a centre sink "
-                 "exists (use grid:WxH for other shapes)");
+        spec.width = reader.read_int("side", width, 3);
+        if (spec.width % 2 == 0) {
+          reader.fail("square grid side must be odd so a centre sink "
+                      "exists (use grid:WxH for other shapes)");
         }
-        spec.width = side;
-        spec.height = side;
+        spec.height = spec.width;
       } else {
-        spec.width = parse_int(text, segments[1].substr(0, cross));
-        spec.height = parse_int(text, segments[1].substr(cross + 1));
+        spec.width = reader.read_int("width", width, 1);
+        spec.height = reader.read_int("height", *height, 1);
       }
     } else {
       spec.kind = kind == "line" ? Kind::kLine : Kind::kRing;
-      spec.width = parse_int(text, segments[1]);
+      spec.width = reader.read_int("n", size, kind == "line" ? 2 : 3);
       spec.height = 1;
     }
-    if (segments.size() > 3) {
-      reject(text, "too many ':' segments");
+    if (options) {
+      const auto [spacing] = reader.fields(*options, {"spacing"});
+      spec.spacing = reader.read_double("spacing", *spacing, kPositive);
     }
-    if (segments.size() == 3) {
-      const std::string_view option = segments[2];
-      constexpr std::string_view kSpacingKey = "spacing=";
-      if (option.substr(0, kSpacingKey.size()) != kSpacingKey) {
-        reject(text, "unknown option '" + std::string(option) +
-                         "' (expected spacing=<metres>)");
-      }
-      spec.spacing = parse_positive_double(
-          text, option.substr(kSpacingKey.size()), "spacing");
-    }
-    validate(text, spec);
-    return spec;
+  } else {
+    reader.fail("unknown topology kind '" + std::string(kind) +
+                "' (valid: grid, line, ring, udisk)");
   }
-
-  if (kind == "udisk") {
-    if (segments.size() != 2 || segments[1].empty()) {
-      reject(text, "expected 'udisk:n=<count>,r=<range>[,area=][,seed=]"
-                   "[,attempts=]'");
-    }
-    TopologySpec spec;
-    spec.kind = Kind::kUnitDisk;
-    spec.width = 0;
-    spec.height = 1;
-    bool have_n = false;
-    for (const std::string_view item : split(segments[1], ',')) {
-      const std::size_t eq = item.find('=');
-      if (eq == std::string_view::npos) {
-        reject(text, "expected key=value, got '" + std::string(item) + "'");
-      }
-      const std::string_view key = item.substr(0, eq);
-      const std::string_view value = item.substr(eq + 1);
-      if (key == "n") {
-        spec.width = parse_int(text, value);
-        have_n = true;
-      } else if (key == "r") {
-        spec.radio_range = parse_positive_double(text, value, "r");
-      } else if (key == "area") {
-        spec.area_side = parse_positive_double(text, value, "area");
-      } else if (key == "seed") {
-        spec.seed = parse_u64(text, value);
-      } else if (key == "attempts") {
-        spec.max_attempts = parse_int(text, value);
-      } else {
-        reject(text, "unknown key '" + std::string(key) +
-                         "' (valid: n, r, area, seed, attempts)");
-      }
-    }
-    if (!have_n) {
-      reject(text, "udisk requires n=<node count>");
-    }
-    validate(text, spec);
-    return spec;
-  }
-
-  reject(text, "unknown topology kind '" + std::string(kind) +
-                   "' (valid: grid, line, ring, udisk)");
+  validate(text, spec);
+  return spec;
 }
 
 std::string TopologySpec::to_string() const {

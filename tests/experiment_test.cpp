@@ -162,7 +162,7 @@ TEST(AttackerSpecTest, SpecGrammarRoundTrips) {
 TEST(AttackerSpecTest, SpecGrammarRejectsMalformedStrings) {
   for (const char* bad :
        {"", "R", "R=", "R=x", "R=-1", "R=0", "M=0", "Z=3", "D=fastest",
-        "R=1;H=0", "r=1"}) {
+        "R=1;H=0", "r=1", "R=2,R=3", "D=min-slot,D=random"}) {
     SCOPED_TRACE(bad);
     EXPECT_THROW((void)AttackerSpec::parse(bad), std::invalid_argument);
   }
@@ -185,7 +185,7 @@ TEST(ProtocolSpecTest, FormatsAndApplies) {
   EXPECT_EQ(config.phantom_walk_length, 7);
   for (const char* bad :
        {"slp", "slp-das:h=3", "phantom-routing:h=-1", "phantom-routing:x=1",
-        ""}) {
+        "", "phantom-routing:h=1,h=2", "phantom-routing:h=1e3"}) {
     SCOPED_TRACE(bad);
     EXPECT_THROW(apply_protocol_spec(bad, config), std::invalid_argument);
   }
@@ -206,7 +206,8 @@ TEST(RadioSpecTest, FormatsAndApplies) {
   EXPECT_EQ(config.radio, RadioKind::kCasinoLab);
   for (const char* bad :
        {"noisy", "lossy:p=1.5", "lossy:p=-0.1", "lossy:q=0.1",
-        "ideal:p=0.1", ""}) {
+        "ideal:p=0.1", "", "lossy:p=nan", "lossy:p=inf", "lossy:p=-nan",
+        "lossy:p=0.1,p=0.2"}) {
     SCOPED_TRACE(bad);
     EXPECT_THROW(apply_radio_spec(bad, config), std::invalid_argument);
   }

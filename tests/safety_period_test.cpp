@@ -50,6 +50,9 @@ TEST(SafetyPeriodTest, FactorBoundsEnforced) {
       (void)compute_safety_period(grid.graph, grid.source, grid.sink, 1.01));
   EXPECT_NO_THROW(
       (void)compute_safety_period(grid.graph, grid.source, grid.sink, 1.99));
+  EXPECT_THROW((void)compute_safety_period(grid.graph, grid.source, grid.sink,
+                                           std::nan("")),
+               std::invalid_argument);
 }
 
 TEST(SafetyPeriodTest, DisconnectedThrows) {

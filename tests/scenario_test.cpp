@@ -277,6 +277,24 @@ TEST(CustomScenarioTest, RejectsUnknownSetKeysAndBadSpecs) {
   EXPECT_THROW((void)custom->make_cells(options), std::invalid_argument);
   options.sets = {{"radio", "noisy"}};  // unknown radio
   EXPECT_THROW((void)custom->make_cells(options), std::invalid_argument);
+  // Non-finite numbers, repeated keys, and a Cs outside Eq. 1's (1, 2)
+  // are refused while the grid is built, before any cell runs.
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"radio", "lossy:p=nan"},
+           {"topology", "grid:7:spacing=inf"},
+           {"topology", "udisk:n=30,r=inf"},
+           {"topology", "udisk:n=30,r=10,n=40"},
+           {"attacker", "R=2,R=3"},
+           {"cs", "inf"},
+           {"cs", "nan"},
+           {"cs", "2.5"},
+           {"cs", "1"},
+           {"sd", "0"}}) {
+    SCOPED_TRACE(key + "=" + value);
+    options.sets = {{"cs", "1.5"}, {key, value}};
+    EXPECT_THROW((void)custom->make_cells(options), std::invalid_argument);
+  }
 }
 
 TEST(ScenarioOptionsTest, UnsupportedOptionsAreNamedNotIgnored) {

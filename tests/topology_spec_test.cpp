@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -143,6 +144,13 @@ TEST(TopologySpecTest, RejectsMalformedSpecs) {
       "udisk:n=40,q=2",             // unknown key
       "udisk:n=40,r",               // key without value
       "udisk:n=40,r=10:extra",      // stray segment
+      "grid:7:spacing=inf",         // non-finite spacing
+      "grid:7:spacing=nan",         // NaN spacing
+      "line:8:spacing=-inf",        // negative infinity
+      "udisk:n=30,r=inf",           // non-finite range
+      "udisk:n=30,r=10,area=nan",   // NaN area
+      "udisk:n=30,r=10,n=40",       // repeated key
+      "grid:7:spacing=2,spacing=3", // repeated option
   };
   for (const char* text : kBad) {
     SCOPED_TRACE(text);
@@ -150,6 +158,9 @@ TEST(TopologySpecTest, RejectsMalformedSpecs) {
   }
   // The square-grid factory enforces the same rule as the grammar.
   EXPECT_THROW((void)TopologySpec::grid(4), std::invalid_argument);
+  EXPECT_THROW(
+      (void)TopologySpec::grid(5, std::numeric_limits<double>::infinity()),
+      std::invalid_argument);
 }
 
 TEST(TopologySpecTest, BuildMatchesTheMaterialisingGenerators) {
