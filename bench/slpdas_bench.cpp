@@ -17,7 +17,6 @@
 // With --deterministic, the merged document is bit-identical to an
 // unsharded run (same --threads), which the shard_merge_test locks in.
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
@@ -62,9 +61,6 @@ struct CliOptions {
   std::string worker_name;   ///< fleet-worker: this incarnation's name
   int heartbeat_ms = 250;    ///< fleet / fleet-worker: liveness cadence
   bool fail_on_drift = false;  ///< compare: exit 1 on deterministic drift
-  /// trend: committed reference document and throughput floor.
-  std::string trend_baseline = "bench_results/BENCH_perf_sim.json";
-  double trend_min_ratio = 0.25;
 };
 
 int usage(std::ostream& out, int code) {
@@ -75,7 +71,6 @@ int usage(std::ostream& out, int code) {
          "  slpdas_bench report FILE...\n"
          "  slpdas_bench merge (FILE | DIR)... [--out PATH]\n"
          "  slpdas_bench compare A B [--fail-on-drift]\n"
-         "  slpdas_bench trend DIR [--baseline FILE] [--min-ratio R]\n"
          "  slpdas_bench cache (stats | verify | gc) DIR\n"
          "\nrun options:\n"
          "  --runs N         seeds per grid cell (0 = scenario default)\n"
@@ -114,21 +109,7 @@ int usage(std::ostream& out, int code) {
          "\ncompare options:\n"
          "  --fail-on-drift  exit 1 when any deterministic metric differs\n"
          "                   or the cell sets do not match (wall clocks\n"
-         "                   and events/sec never count as drift)\n"
-         "\ntrend: GATING perf regression check. DIR (or FILE) holds a\n"
-         "fresh BENCH_perf_sim.json; it is compared against the committed\n"
-         "baseline. Deterministic fields (per-cell results, event counts)\n"
-         "gate EXACTLY — any drift fails. Throughput (runs per\n"
-         "wall-second per cell) gates with a wide noise band (see README\n"
-         "'Perf trend gate'): FAIL when the geometric-mean per-cell\n"
-         "throughput ratio drops below --min-ratio\n"
-         "(default 0.25 — runner speed varies >3x under\n"
-         "load, a real regression that survives the band is catastrophic,\n"
-         "smaller ones show up in the per-cell ratio table this prints\n"
-         "every run).\n"
-         "  --baseline FILE  baseline document (default\n"
-         "                   bench_results/BENCH_perf_sim.json)\n"
-         "  --min-ratio R    throughput floor as a fraction of baseline\n";
+         "                   and events/sec never count as drift)\n";
   return code;
 }
 
@@ -503,141 +484,6 @@ int compare_command(const CliOptions& options) {
   return 0;
 }
 
-/// The gating half of the trend layer: a fresh perf_sim document against
-/// the committed baseline. Two independent gates, split by what hardware
-/// can influence:
-///
-///   1. Determinism gate (exact): every field that is a pure function of
-///      (config, topology, seed) — per-cell results AND the event /
-///      delivery / timer-fire counts inside the perf block — must match
-///      the baseline bit-for-bit when run counts match. Any drift is a
-///      simulation-behaviour regression, never noise, so it always fails.
-///   2. Throughput gate (banded): runs per wall-second depend on the
-///      runner, so it gates on the geometric mean of per-cell
-///      fresh/baseline ratios with a deliberately wide floor (default
-///      0.25; the noise band is documented in the README). It rates runs,
-///      not events: a change that executes fewer events for the same
-///      runs must not read as a slowdown. The per-cell table prints every
-///      run so sub-band erosion stays visible in CI logs even while it
-///      passes.
-int trend_command(const CliOptions& options) {
-  if (options.names.size() != 1) {
-    std::cerr << "usage: slpdas_bench trend DIR [--baseline FILE] "
-                 "[--min-ratio R]\n";
-    return 2;
-  }
-  namespace fs = std::filesystem;
-  std::string fresh_path = options.names[0];
-  if (fs::is_directory(fresh_path)) {
-    fresh_path = (fs::path(fresh_path) / "BENCH_perf_sim.json").string();
-  }
-  const core::SweepJson fresh = load_document(fresh_path);
-  const core::SweepJson baseline = load_document(options.trend_baseline);
-  std::cout << "=== trend " << fresh_path << " vs baseline "
-            << options.trend_baseline << " ===\n";
-
-  bool failed = false;
-  if (fresh.base_seed != baseline.base_seed ||
-      fresh.grid_hash != baseline.grid_hash) {
-    std::cout << "trend: FAIL — documents describe different experiments "
-                 "(base_seed/grid_hash mismatch); refresh the committed "
-                 "baseline with the same run the CI step uses\n";
-    failed = true;
-  }
-
-  // Gate 1 — compare_sweeps' drift detection byte-compares every
-  // deterministic field (wall clocks and events/sec are neutralised), so
-  // a new result field can never silently escape this gate either.
-  const core::SweepComparison comparison = core::compare_sweeps(baseline, fresh);
-  if (!comparison.clean()) {
-    for (const core::CellComparison& cell : comparison.cells) {
-      if (cell.drift) {
-        std::cout << "  drift in " << cell.label << ": "
-                  << cell.first_difference << '\n';
-      } else if (!cell.in_a || !cell.in_b) {
-        std::cout << "  cell " << cell.label << " only in "
-                  << (cell.in_a ? "baseline" : "fresh run") << '\n';
-      }
-    }
-    std::cout << "trend: FAIL — deterministic drift vs committed baseline ("
-              << comparison.drifted << " drifted, " << comparison.only_a
-              << " missing, " << comparison.only_b << " extra)\n";
-    failed = true;
-  }
-
-  // Gate 1b — the perf block is deliberately outside compare_sweeps'
-  // drift check (events/sec is wall-clock), but the COUNTS inside it are
-  // per-run sums of deterministic simulations: for matched cells with
-  // equal run counts they must be identical on any machine.
-  for (const core::SweepJsonCell& fresh_cell : fresh.cells) {
-    for (const core::SweepJsonCell& base_cell : baseline.cells) {
-      if (base_cell.label != fresh_cell.label ||
-          base_cell.runs != fresh_cell.runs || !base_cell.has_perf ||
-          !fresh_cell.has_perf) {
-        continue;
-      }
-      if (fresh_cell.perf_events != base_cell.perf_events ||
-          fresh_cell.perf_deliveries != base_cell.perf_deliveries ||
-          fresh_cell.perf_timer_fires != base_cell.perf_timer_fires) {
-        std::cout << "  event-count drift in " << fresh_cell.label << ": "
-                  << fresh_cell.perf_events << "/"
-                  << fresh_cell.perf_deliveries << "/"
-                  << fresh_cell.perf_timer_fires
-                  << " (events/deliveries/timer fires) vs baseline "
-                  << base_cell.perf_events << "/"
-                  << base_cell.perf_deliveries << "/"
-                  << base_cell.perf_timer_fires << '\n';
-        std::cout << "trend: FAIL — deterministic event counts moved; the "
-                     "simulator executes a different event sequence than "
-                     "the committed baseline\n";
-        failed = true;
-      }
-    }
-  }
-
-  // Gate 2 — banded throughput (runs per wall-second) over cells present
-  // in both documents and measured in real time on both sides.
-  const auto runs_per_sec = [](const core::SweepJsonCell& cell) {
-    return cell.has_perf && cell.runs > 0 && cell.wall_seconds > 0.0
-               ? cell.runs / cell.wall_seconds
-               : 0.0;
-  };
-  double log_ratio_sum = 0.0;
-  std::size_t rated = 0;
-  for (const core::SweepJsonCell& fresh_cell : fresh.cells) {
-    const double fresh_rate = runs_per_sec(fresh_cell);
-    for (const core::SweepJsonCell& base_cell : baseline.cells) {
-      const double base_rate = runs_per_sec(base_cell);
-      if (base_cell.label != fresh_cell.label || fresh_rate <= 0.0 ||
-          base_rate <= 0.0) {
-        continue;
-      }
-      const double ratio = fresh_rate / base_rate;
-      std::cout << "  " << fresh_cell.label << ": " << fresh_rate
-                << " runs/s vs " << base_rate << " (" << ratio << "x)\n";
-      log_ratio_sum += std::log(ratio);
-      ++rated;
-    }
-  }
-  if (rated == 0) {
-    std::cout << "trend: FAIL — no cell carries comparable perf telemetry\n";
-    failed = true;
-  } else {
-    const double geomean =
-        std::exp(log_ratio_sum / static_cast<double>(rated));
-    std::cout << "trend: geomean throughput ratio " << geomean << "x over "
-              << rated << " cell(s), floor " << options.trend_min_ratio
-              << "x\n";
-    if (geomean < options.trend_min_ratio) {
-      std::cout << "trend: FAIL — throughput below the documented noise "
-                   "band\n";
-      failed = true;
-    }
-  }
-  std::cout << (failed ? "trend: FAIL\n" : "trend: OK\n");
-  return failed ? 1 : 0;
-}
-
 int cache_command(const std::vector<std::string>& names) {
   if (names.size() != 2 ||
       (names[0] != "stats" && names[0] != "verify" && names[0] != "gc")) {
@@ -689,7 +535,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[1];
     if (arg == "list" || arg == "run" || arg == "report" || arg == "merge" ||
         arg == "cache" || arg == "fleet" || arg == "fleet-worker" ||
-        arg == "compare" || arg == "trend") {
+        arg == "compare") {
       command = arg;
       first = 2;
     }
@@ -764,12 +610,6 @@ int main(int argc, char** argv) {
         options.heartbeat_ms = next_int("--heartbeat-ms", 1);
       } else if (arg == "--fail-on-drift") {
         options.fail_on_drift = true;
-      } else if (arg == "--baseline") {
-        options.trend_baseline = next_value("--baseline");
-      } else if (arg == "--min-ratio") {
-        options.trend_min_ratio =
-            flags.read_double("--min-ratio", next_value("--min-ratio"),
-                              detail::Interval{0.0, 1.0, true, false});
       } else if (arg == "--deterministic") {
         options.deterministic = true;
       } else if (arg == "--shard") {
@@ -813,9 +653,6 @@ int main(int argc, char** argv) {
     }
     if (command == "compare") {
       return compare_command(options);
-    }
-    if (command == "trend") {
-      return trend_command(options);
     }
     if (options.cache_readonly && options.cache_dir.empty()) {
       std::cerr << "--cache-readonly requires --cache DIR\n";

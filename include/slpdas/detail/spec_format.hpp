@@ -158,14 +158,15 @@ class SpecReader {
   }
 
   /// A double inside `range` (so never NaN, and finite unless `range`
-  /// holds an infinity).
+  /// holds an infinity). Adding 0.0 turns -0 into +0, so every accepted
+  /// value prints back canonically: `p=-0` and `p=0` are one spec.
   double read_double(std::string_view key, std::string_view token,
                      const Interval& range) const {
     const std::optional<double> value = parse<double>(token);
     if (!value || !range.contains(*value)) {
       refuse(key, token, (value ? "in " : "a number in ") + range.to_string());
     }
-    return *value;
+    return *value + 0.0;
   }
 
  private:

@@ -204,6 +204,9 @@ TEST(RadioSpecTest, FormatsAndApplies) {
   EXPECT_EQ(config.loss_probability, 0.2);
   apply_radio_spec("casino_lab", config);  // '_' accepted for '-'
   EXPECT_EQ(config.radio, RadioKind::kCasinoLab);
+  apply_radio_spec("lossy:p=-0", config);  // one canonical zero
+  EXPECT_EQ(format_radio_spec(config.radio, config.loss_probability),
+            "lossy:p=0");
   for (const char* bad :
        {"noisy", "lossy:p=1.5", "lossy:p=-0.1", "lossy:q=0.1",
         "ideal:p=0.1", "", "lossy:p=nan", "lossy:p=inf", "lossy:p=-nan",

@@ -297,6 +297,42 @@ TEST(CustomScenarioTest, RejectsUnknownSetKeysAndBadSpecs) {
   }
 }
 
+TEST(CustomScenarioTest, TwoSpellingsOfOneValueAreOneDuplicateCell) {
+  // Values print canonically, so two spellings of one value give one
+  // label, and the sweep refuses the grid before any cell runs instead
+  // of simulating the same experiment twice under two seeds.
+  ScenarioRegistry registry;
+  register_builtin_scenarios(registry);
+  const Scenario* custom = registry.find("custom");
+  ASSERT_NE(custom, nullptr);
+  const struct {
+    const char* key;
+    const char* first;
+    const char* second;
+    const char* label;
+  } kPairs[] = {{"cs", "1.5", "1.50", "topology=grid:7/cs=1.5/"},
+                {"radio", "lossy:p=-0", "lossy:p=0",
+                 "topology=grid:7/radio=lossy:p=0/"}};
+  for (const auto& pair : kPairs) {
+    SCOPED_TRACE(pair.second);
+    ScenarioOptions options;
+    options.smoke = true;
+    options.sets = {{pair.key, pair.first}, {pair.key, pair.second}};
+    const std::vector<SweepCell> cells = custom->cells(options);
+    ASSERT_EQ(cells.size(), 4u);
+    EXPECT_EQ(cells[0].label, cells[2].label);
+    EXPECT_EQ(cells[0].label.rfind(pair.label, 0), 0u) << cells[0].label;
+    try {
+      (void)run_sweep(cells, SweepOptions{});
+      ADD_FAILURE() << "the duplicate cell ran";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("duplicate cell label"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST(ScenarioOptionsTest, UnsupportedOptionsAreNamedNotIgnored) {
   ScenarioRegistry registry;
   register_builtin_scenarios(registry);

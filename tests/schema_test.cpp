@@ -310,28 +310,31 @@ TEST(SchemaShardMapTest, RealDoneMarkersValidateAgainstTheDoneDefinitions) {
 }
 
 TEST(SchemaCommittedTest, BenchResultsBaselinesValidate) {
-  SchemaSet set = schemas();
-  std::size_t sweeps = 0;
-  std::size_t fleets = 0;
+  // The committed artifact set, by name: adding or removing a file under
+  // bench_results/ is a deliberate edit of this list, so no new artifact
+  // can dodge validation.
+  const std::vector<std::string> expected = {"BENCH_custom_udisk.json",
+                                             "BENCH_fleet.json"};
+  std::vector<std::string> names;
   for (const auto& file :
        std::filesystem::directory_iterator(SLPDAS_BENCH_RESULTS_DIR)) {
-    const std::string name = file.path().filename().string();
-    if (name.find(".json") == std::string::npos) {
-      continue;
-    }
-    std::ifstream in(file.path(), std::ios::binary);
+    names.push_back(file.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, expected);
+
+  SchemaSet set = schemas();
+  for (const std::string& name : expected) {
+    std::ifstream in(std::filesystem::path(SLPDAS_BENCH_RESULTS_DIR) / name,
+                     std::ios::binary);
     std::ostringstream text;
     text << in.rdbuf();
     const Value document = parse_text(text.str());
     const bool fleet = name.rfind("BENCH_fleet", 0) == 0;
-    const char* schema = fleet ? kFleetBenchSchema : kSweepSchema;
-    EXPECT_TRUE(no_errors(set.validate(document, schema))) << name;
-    (fleet ? fleets : sweeps) += 1;
+    EXPECT_TRUE(no_errors(
+        set.validate(document, fleet ? kFleetBenchSchema : kSweepSchema)))
+        << name;
   }
-  // The committed baseline set: keep these counts in step with
-  // bench_results/ so a new artifact cannot dodge validation.
-  EXPECT_GE(sweeps, 2u);
-  EXPECT_GE(fleets, 1u);
 }
 
 TEST(SchemaViolationTest, ValidatorRejectsShapeDrift) {

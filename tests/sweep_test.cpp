@@ -774,6 +774,56 @@ TEST(GoldenFingerprintTest, BuiltinScenarioGridsAreStable) {
   }
 }
 
+TEST(GoldenFingerprintTest, PerfSimResultsAndCountsAreStable) {
+  // The registered perf_sim default grid (grid 11/15/21 x protectionless /
+  // SLP-DAS, 20 runs, seed 101) with real clocks, so every cell carries
+  // its perf block. The event, delivery and timer-fire counts are sums of
+  // deterministic runs, so they are pinned exactly; only the clocks (and
+  // how many pool threads happened to pick up work) are zeroed before
+  // the document is hashed.
+  ScenarioRegistry registry;
+  register_builtin_scenarios(registry);
+  const Scenario* scenario = registry.find("perf_sim");
+  ASSERT_NE(scenario, nullptr);
+  ThreadPool pool(2);
+  SweepJson document =
+      run_scenario(*scenario, ScenarioOptions{}, ScenarioExecution{}, pool);
+  document.wall_seconds = 0.0;
+  document.distinct_worker_threads = 0;
+  for (SweepJsonCell& cell : document.cells) {
+    ASSERT_TRUE(cell.has_perf) << cell.label;
+    cell.wall_seconds = 0.0;
+    cell.perf_events_per_sec = 0.0;
+  }
+  std::ostringstream out;
+  write_sweep_json(out, document);
+  EXPECT_EQ(fnv1a_bytes(out.str()), 0xddff70c1e073007fULL);
+
+  const struct {
+    const char* label;
+    std::uint64_t events;
+    std::uint64_t deliveries;
+    std::uint64_t timer_fires;
+  } kExpected[] = {
+      {"side=11/protocol=protectionless-das", 126170, 75766, 50404},
+      {"side=11/protocol=slp-das", 137025, 81675, 55350},
+      {"side=15/protocol=protectionless-das", 268095, 172706, 95389},
+      {"side=15/protocol=slp-das", 287898, 182197, 105701},
+      {"side=21/protocol=protectionless-das", 616864, 422413, 194451},
+      {"side=21/protocol=slp-das", 637224, 428054, 209170},
+  };
+  ASSERT_EQ(document.cells.size(), std::size(kExpected));
+  for (std::size_t i = 0; i < document.cells.size(); ++i) {
+    const SweepJsonCell& cell = document.cells[i];
+    SCOPED_TRACE(cell.label);
+    EXPECT_EQ(cell.label, kExpected[i].label);
+    EXPECT_EQ(cell.runs, 20);
+    EXPECT_EQ(cell.perf_events, kExpected[i].events);
+    EXPECT_EQ(cell.perf_deliveries, kExpected[i].deliveries);
+    EXPECT_EQ(cell.perf_timer_fires, kExpected[i].timer_fires);
+  }
+}
+
 TEST(SweepJsonTest, PerfBlockRoundTripsInRealClockDocuments) {
   const auto cells = small_cells(2);
   SweepOptions options;
